@@ -1,25 +1,15 @@
-"""Build script: compiles the optional native scan kernel.
+"""Build script: compiles the C scan kernel ``ringids._dfa``.
 
-The package works without the extension (a pure-Python kernel is selected
-at import time); set RINGIDS_NO_EXT=1 to skip compiling it.
+``src/ringids/_dfa.c`` walks the dense transition table that
+``ringids.matching`` builds, and is the kernel ``MultiPatternMatcher.scan``
+uses when it imports. The pure-Python walk ``matching._scan_states`` is the
+reference that the kernel parity tests check both kernels against, and the
+fallback: the extension is optional, so a host without a C compiler installs
+and runs the package on the pure kernel. Build in place with
+
+    python setup.py build_ext --inplace
 """
-
-import os
 
 from setuptools import Extension, setup
 
-
-def _extensions():
-    if os.environ.get("RINGIDS_NO_EXT"):
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [Extension("ringids._acscan", ["src/ringids/_acscan.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-
-
-setup(ext_modules=_extensions())
+setup(ext_modules=[Extension("ringids._dfa", ["src/ringids/_dfa.c"], optional=True)])

@@ -26,6 +26,7 @@ from ..boundary import CostModel, Lifecycle, LifecycleEvent, paging_factor, trus
 from ..clock import CounterClock, SimClock
 from ..detect import AnalysisWorker, WorkerStats
 from ..flow import FlowTable
+from ..matching import kernel_name
 from ..packet import PacketPool
 from ..ring import Discipline, Ring
 from ..rules import AddressSpec, RuleSet, _parse_addr, compile_ruleset, load_ruleset, load_ruleset_file
@@ -637,15 +638,9 @@ def _build_report(engine: Engine, workload: WorkloadSpec, elapsed_us: int, acc: 
                 "clock": cfg.clock_mode,
                 "rate_pps": cfg.rate_pps,
                 "cost_model": (cfg.cost_model is not None and cfg.cost_model.enabled),
-                "kernel": _kernel_name(),
+                "kernel": kernel_name(),
             },
         },
     )
     report.validate()
     return report
-
-
-def _kernel_name() -> str:
-    from ..matching import kernel_name
-
-    return kernel_name()

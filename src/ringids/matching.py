@@ -1,56 +1,66 @@
 """Multi-pattern byte search for the phase-1 prefilter.
 
-An Aho-Corasick automaton over the rules' fast patterns, built in three
-passes: goto trie, failure links by BFS, and output sets merged along the
-failure chain. The automaton is frozen into flat arrays (CSR children sorted
-by byte, failure and output tables) so one scan routine can be shared by the
-pure-Python kernel and the compiled one.
+An Aho-Corasick automaton over the rules' fast patterns (Aho & Corasick,
+CACM 1975) with the goto and failure functions folded into one dense
+transition table, as in Snort's ``ac_full`` search method. ``build()`` makes
+the goto trie, then walks it breadth-first: each state's row of 256 entries
+starts as a copy of its failure state's row and its own children are written
+over it. The result is a flat ``array("I")`` ``delta[state * 256 + byte]``,
+one accept flag byte per state, and per-state pattern-id outputs merged along
+the failure chain. A scan is then one table load per byte, with no failure
+hops and no search.
 
-The scan is the hottest loop in the pipeline; a Cython kernel is used when
-the built extension is importable, unless RINGIDS_PURE is set. Both kernels
-return the identical result for the same automaton and input.
+There are two kernels over the same table. ``_scan_states`` below is the
+pure-Python reference, and the fallback when the extension is absent. The C
+module ``_dfa`` (built by ``setup.py`` where a compiler exists) does the same
+walk and is used whenever it imports. Both return the set of accepting states
+entered; ``MultiPatternMatcher.scan`` maps those to pattern ids.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import deque
 
-from ._scan_py import scan_flat as _scan_py
+try:
+    from . import _dfa
+except ImportError:
+    _dfa = None
 
-_acscan = None
-if not os.environ.get("RINGIDS_PURE"):
-    try:
-        from . import _acscan  # type: ignore[no-redef]
-    except ImportError:
-        _acscan = None
-
-NATIVE_AVAILABLE = _acscan is not None
+NATIVE_AVAILABLE = _dfa is not None
 
 
 def kernel_name() -> str:
-    return "native" if NATIVE_AVAILABLE else "pure-python"
+    """The kernel ``MultiPatternMatcher.scan`` runs: "native" or "pure-python"."""
+    return "native" if _dfa is not None else "pure-python"
+
+
+def _scan_states(delta, accept, data) -> set[int]:
+    """Reference kernel: the accepting states entered walking ``data`` from state 0."""
+    hits = set()
+    state = 0
+    for byte in data:
+        state = delta[(state << 8) | byte]
+        if accept[state]:
+            hits.add(state)
+    return hits
 
 
 class MultiPatternMatcher:
     """Set-of-patterns matcher; ``scan`` reports which pattern ids occur.
 
     Patterns are non-empty byte strings registered with integer ids before
-    ``build()``. Scanning an input of length n touches each byte once plus
-    failure-link hops (amortized linear).
+    ``build()``. Scanning an input of length n takes exactly n table steps.
+    The table costs 1 KiB per automaton state.
     """
 
     def __init__(self):
         self._patterns: list[tuple[bytes, int]] = []
         self._built = False
-        # flat automaton, filled by build()
-        self._child_start = array("l", [0, 0])
-        self._child_byte = b""
-        self._child_state = array("l")
-        self._fail = array("l", [0])
-        self._out_start = array("l", [0, 0])
-        self._out_ids = array("l")
+        # dense automaton, filled by build()
+        self._delta = array("I", [0]) * 256
+        self._accept = b"\x00"
+        self._outputs: list[tuple[int, ...]] = [()]
 
     def add(self, pattern: bytes, pattern_id: int) -> None:
         if self._built:
@@ -63,7 +73,7 @@ class MultiPatternMatcher:
         return len(self._patterns)
 
     def build(self) -> "MultiPatternMatcher":
-        """Freeze the trie, compute failure links, flatten to arrays."""
+        """Build the goto trie, then fill the dense table breadth-first."""
         children: list[dict[int, int]] = [{}]
         outputs: list[list[int]] = [[]]
         for pattern, pid in self._patterns:
@@ -79,104 +89,40 @@ class MultiPatternMatcher:
             outputs[state].append(pid)
 
         n = len(children)
+        delta = array("I", [0]) * (256 * n)
         fail = [0] * n
+        for byte, child in children[0].items():
+            delta[byte] = child  # every other root entry stays 0, the root's self-loop
         queue = deque(children[0].values())
         while queue:
             state = queue.popleft()
+            row = state << 8
+            frow = fail[state] << 8
+            # BFS order finished the shallower failure state's row already
+            delta[row : row + 256] = delta[frow : frow + 256]
             for byte, child in children[state].items():
-                queue.append(child)
-                f = fail[state]
-                while f and byte not in children[f]:
-                    f = fail[f]
-                target = children[f].get(byte, 0)
-                fail[child] = target if target != child else 0
+                fail[child] = delta[frow | byte]
                 # outputs of the failure target are suffix matches here too
-                outputs[child] = outputs[child] + outputs[fail[child]]
+                outputs[child] += outputs[fail[child]]
+                delta[row | byte] = child
+                queue.append(child)
 
-        child_start = array("l", [0] * (n + 1))
-        child_byte = bytearray()
-        child_state = array("l")
-        out_start = array("l", [0] * (n + 1))
-        out_ids = array("l")
-        for state in range(n):
-            child_start[state] = len(child_byte)
-            for byte in sorted(children[state]):
-                child_byte.append(byte)
-                child_state.append(children[state][byte])
-            out_start[state] = len(out_ids)
-            out_ids.extend(outputs[state])
-        child_start[n] = len(child_byte)
-        out_start[n] = len(out_ids)
-
-        self._child_start = child_start
-        self._child_byte = bytes(child_byte)
-        self._child_state = child_state
-        self._fail = array("l", fail)
-        self._out_start = out_start
-        self._out_ids = out_ids
+        self._delta = delta
+        self._accept = bytes(1 if out else 0 for out in outputs)
+        self._outputs = [tuple(out) for out in outputs]
         self._built = True
         return self
 
     @property
     def state_count(self) -> int:
-        return len(self._fail)
+        return len(self._accept)
 
     def scan(self, data) -> set[int]:
         """Return the ids of every pattern occurring anywhere in ``data``."""
         if not self._built:
             raise RuntimeError("build() must be called before scan()")
-        if not self._patterns or not len(data):
-            return set()
-        if _acscan is not None:
-            return _acscan.scan_flat(
-                self._child_start,
-                self._child_byte,
-                self._child_state,
-                self._fail,
-                self._out_start,
-                self._out_ids,
-                data,
-            )
-        return _scan_py(
-            self._child_start,
-            self._child_byte,
-            self._child_state,
-            self._fail,
-            self._out_start,
-            self._out_ids,
-            data,
-        )
-
-    def scan_pure(self, data) -> set[int]:
-        """Force the pure-Python kernel (parity tests and benchmarks)."""
-        if not self._built:
-            raise RuntimeError("build() must be called before scan()")
-        if not self._patterns or not len(data):
-            return set()
-        return _scan_py(
-            self._child_start,
-            self._child_byte,
-            self._child_state,
-            self._fail,
-            self._out_start,
-            self._out_ids,
-            data,
-        )
-
-    def scan_native(self, data) -> set[int]:
-        """Force the compiled kernel; raises if the extension is unavailable."""
-        if _acscan is None:
-            raise RuntimeError("native scan kernel not built")
-        if not self._built:
-            raise RuntimeError("build() must be called before scan()")
-        if not self._patterns or not len(data):
-            return set()
-        return _acscan.scan_flat(
-            self._child_start,
-            self._child_byte,
-            self._child_state,
-            self._fail,
-            self._out_start,
-            self._out_ids,
-            data,
-        )
+        kernel = _dfa.scan if _dfa is not None else _scan_states
+        found: set[int] = set()
+        for state in kernel(self._delta, self._accept, data):
+            found.update(self._outputs[state])
+        return found

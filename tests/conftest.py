@@ -1,15 +1,23 @@
-"""Shared fixtures: rules corpus, random packet contexts, brute-force oracle."""
+"""Shared fixtures: rules corpus, scan kernels, random packet contexts, brute-force oracle."""
 
+import importlib.util
 import random
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
 
+from ringids import matching
 from ringids.detect import PacketContext, evaluate_rule, prefilter
 from ringids.flow import Flow, FlowState
 from ringids.packet import Direction, FiveTuple, Proto, canonical_key
 from ringids.rules import load_ruleset
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS_PATH = DATA_DIR / "corpus.rules"
 
@@ -21,6 +29,42 @@ HEARTBLEED_RULE = (
     'ruleset community; service: ssl; reference: cve,2014-0160; classtype: attempted-recon; '
     'sid: 30514; rev: 9; )'
 )
+
+
+def pytest_report_header(config):
+    return f"ringids scan kernel: {matching.kernel_name()}"
+
+
+@pytest.fixture(scope="session")
+def native_dfa(tmp_path_factory):
+    """The compiled kernel module; built into a temporary directory when the
+    package's own copy does not import. Skips only where no C compiler exists."""
+    if matching.NATIVE_AVAILABLE:
+        return matching._dfa
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build ringids._dfa")
+    out = tmp_path_factory.mktemp("dfa_build")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext", "--build-lib", str(out), "--build-temp", str(out)],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=300,
+    )
+    built = sorted(out.glob("ringids/_dfa*" + sysconfig.get_config_var("EXT_SUFFIX")))
+    if proc.returncode != 0 or not built:
+        pytest.fail(f"building ringids._dfa failed (code {proc.returncode}):\n{proc.stdout}{proc.stderr}")
+    spec = importlib.util.spec_from_file_location("ringids._dfa", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["pure-python", "native"])
+def scan_kernel(request, monkeypatch):
+    """Run the test once per scan kernel by swapping matching's native handle."""
+    handle = request.getfixturevalue("native_dfa") if request.param == "native" else None
+    monkeypatch.setattr(matching, "_dfa", handle)
+    assert matching.kernel_name() == request.param
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -159,7 +159,7 @@ def test_prefilter_includes_contentless_and_filters_ports():
     assert 3 not in cands  # udp bucket not scanned for tcp packet
 
 
-def test_prefilter_no_false_negatives_random(corpus_ruleset):
+def test_prefilter_no_false_negatives_random(corpus_ruleset, scan_kernel):
     compiled = compile_ruleset(corpus_ruleset)
     from conftest import random_context
 
@@ -169,7 +169,7 @@ def test_prefilter_no_false_negatives_random(corpus_ruleset):
         assert brute_force_matches(compiled, ctx) <= prefilter(compiled, ctx)
 
 
-def test_two_phase_equivalence_small(corpus_ruleset):
+def test_two_phase_equivalence_small(corpus_ruleset, scan_kernel):
     compiled = compile_ruleset(corpus_ruleset)
     from conftest import random_context
 
