@@ -6,11 +6,15 @@ from the flow hash; in inline mode they also drain the shared transmit ring
 back to the sink. The hash is MurmurHash3 (x86 32-bit) over the canonical
 flow-key bytes, so both directions of a connection map to the same ring, and
 the ring index comes from the hash's low six bits.
+
+A flow's ring never changes, so each worker memoises the ring index per
+5-tuple, as an RSS indirection table caches dispatch: the hash runs once per
+tuple seen, not once per frame. The memo is bounded and is cleared when full.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .packet import (
     DecodeError,
@@ -23,6 +27,7 @@ from .packet import (
 from .ring import Ring
 
 RING_SELECT_BITS = 0x3F  # low six bits of the flow hash pick the ring
+RING_MEMO_ENTRIES = 16_384  # 5-tuples whose ring index a worker remembers
 
 
 class SourceExhausted(Exception):
@@ -84,12 +89,11 @@ def select_ring(hash_value: int, n_rings: int) -> int:
 @dataclass
 class DispatchConfig:
     n_rx_rings: int = 1  # == number of analysis workers
-    n_acquire_threads: int = 1
     burst_size: int = 32
     inline_mode: bool = False
 
     def __post_init__(self):
-        if self.n_rx_rings < 1 or self.burst_size < 1 or self.n_acquire_threads < 1:
+        if self.n_rx_rings < 1 or self.burst_size < 1:
             raise ValueError("dispatch config counts must be >= 1")
 
 
@@ -101,12 +105,6 @@ class AcquireStats:
     dropped: int = 0  # RX ring full
     decode_failed: int = 0  # truncated / unsupported frames
     tx_sent: int = 0
-    by_interval: dict = field(default_factory=dict)  # interval idx -> [received, dropped]
-
-    def note_interval(self, idx: int, received: int = 0, dropped: int = 0) -> None:
-        rec = self.by_interval.setdefault(idx, [0, 0])
-        rec[0] += received
-        rec[1] += dropped
 
 
 class AcquisitionWorker:
@@ -133,8 +131,24 @@ class AcquisitionWorker:
         self.sink = sink
         self.config = config
         self.stats = stats if stats is not None else AcquireStats()
+        self._ring_of: dict[FiveTuple, int] = {}  # dispatch memo, see ring_for
         if len(rx_rings) != config.n_rx_rings:
             raise ValueError("rx ring count does not match dispatch config")
+
+    def ring_for(self, tuple_: FiveTuple) -> int:
+        """Ring index of a 5-tuple: ``select_ring(rss_hash(t), n)``, memoised.
+
+        Threads that share this worker need no lock: an entry lost to a race
+        is recomputed to the same index, and the bound is passed by at most
+        one entry per thread.
+        """
+        idx = self._ring_of.get(tuple_)
+        if idx is None:
+            if len(self._ring_of) >= RING_MEMO_ENTRIES:
+                self._ring_of.clear()
+            idx = select_ring(rss_hash(tuple_), self.config.n_rx_rings)
+            self._ring_of[tuple_] = idx
+        return idx
 
     def ingest_frame(self, frame, arrival_us: int) -> int:
         """Decode and dispatch one frame; returns the ring index or -1.
@@ -155,7 +169,7 @@ class AcquisitionWorker:
             self.stats.decode_failed += 1
             self.pool.release(desc.slot)
             return -1
-        idx = select_ring(rss_hash(desc.tuple), self.config.n_rx_rings)
+        idx = self.ring_for(desc.tuple)
         if not self.rx_rings[idx].enqueue(desc):
             self.pool.release(desc.slot)
             self.stats.dropped += 1

@@ -10,7 +10,7 @@ option of each candidate is checked in rule order with relative anchoring.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .flow import Flow, FlowState, FlowTable, TableFull, update_flow
 from .packet import Direction, FiveTuple, PacketDescriptor, PacketPool, Proto, canonical_key, format_ip
@@ -56,12 +56,6 @@ class WorkerStats:
     flowless: int = 0  # packets analyzed without flow context (table full)
     candidates_evaluated: int = 0
     analyzed_bytes: int = 0
-    by_interval: dict = field(default_factory=dict)  # idx -> [analyzed, alerts]
-
-    def note_interval(self, idx: int, analyzed: int = 0, alerts: int = 0) -> None:
-        rec = self.by_interval.setdefault(idx, [0, 0])
-        rec[0] += analyzed
-        rec[1] += alerts
 
 
 def _timestamp(now_us: int) -> str:
@@ -201,24 +195,30 @@ def evaluate_rule(rule: Rule, compiled: CompiledRuleSet, ctx: PacketContext) -> 
     return True
 
 
-def _quick_port_filter(rule: Rule, ctx: PacketContext) -> bool:
-    return _proto_matches(rule.proto, ctx.tuple.proto) and _ports_match(rule, ctx.tuple)
-
-
 def prefilter(compiled: CompiledRuleSet, ctx: PacketContext) -> set[int]:
     """Phase 1: sids whose fast pattern occurs in the packet (or stream for
-    stream-only rules), plus the contentless bucket, filtered by proto/port."""
+    stream-only rules), plus the contentless rules, filtered by port.
+
+    The protocol's automaton covers every rule of that protocol, so the
+    payload is scanned once, and the stream bytes only when they differ from
+    the payload (in-order reassembly delivers exactly the payload).
+    """
+    proto = ctx.tuple.proto
+    stream = ctx.stream_bytes
     candidates: set[int] = set()
     if ctx.payload_len:
         payload = memoryview(ctx.buf)[ctx.payload_base : ctx.payload_base + ctx.payload_len]
-        payload_hits, _ = compiled.scan_payload(ctx.tuple.proto, payload)
+        payload_hits, stream_hits = compiled.scan_payload(proto, payload)
         candidates |= payload_hits
-    if ctx.stream_bytes:
-        _, stream_hits = compiled.scan_payload(ctx.tuple.proto, ctx.stream_bytes)
+        if stream and len(stream) == ctx.payload_len and stream == payload.tobytes():
+            candidates |= stream_hits
+            stream = None
+    if stream:
+        _, stream_hits = compiled.scan_payload(proto, stream)
         candidates |= stream_hits
-    for sid in compiled.contentless:
-        candidates.add(sid)
-    return {sid for sid in candidates if _quick_port_filter(compiled.rules[sid], ctx)}
+    candidates.update(compiled.contentless_for(proto))
+    rules = compiled.rules
+    return {sid for sid in candidates if _ports_match(rules[sid], ctx.tuple)}
 
 
 class AnalysisWorker:

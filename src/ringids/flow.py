@@ -48,7 +48,8 @@ class SegmentBuffer:
     """Out-of-order segment store for one direction of a TCP stream.
 
     Segments are trimmed against existing data on insert (first arrival wins)
-    and delivered as the maximal contiguous run starting at delivered_upto.
+    and delivered as the maximal contiguous run starting at delivered_upto;
+    an in-order segment that finds nothing buffered is delivered as it came.
     Sequence-number wraparound is not handled.
     """
 
@@ -69,6 +70,15 @@ class SegmentBuffer:
         if self.base_seq is None:
             self.base_seq = seq
             self.delivered_upto = seq
+        if seq == self.delivered_upto and not self._starts:
+            # in order with nothing buffered: the segment is the delivery
+            payload = bytes(payload)
+            self.delivered_upto += len(payload)
+            return payload
+        return self._insert_buffered(seq, payload)
+
+    def _insert_buffered(self, seq: int, payload) -> bytes:
+        """General insert: trim, store, then deliver the contiguous run."""
         payload = bytes(payload)
         end = seq + len(payload)
         if end <= self.delivered_upto:

@@ -267,7 +267,6 @@ class Engine:
         self.sink = sink
         dispatch = DispatchConfig(
             n_rx_rings=cfg.n_workers,
-            n_acquire_threads=cfg.n_acquire_threads,
             burst_size=cfg.burst_size,
             inline_mode=cfg.inline,
         )
@@ -319,8 +318,11 @@ class Engine:
         return sum(w.flow_table.footprint_bytes for w in self.workers)
 
     def current_factor(self) -> float:
+        model = self.config.cost_model
+        if model is None or not model.enabled:
+            return 1.0  # skip summing the flow footprints; paging_factor is 1.0 here
         return paging_factor(
-            self.config.cost_model,
+            model,
             trusted_footprint(self.flow_footprint(), len(self.compiled)),
         )
 

@@ -9,8 +9,9 @@ modifiers), byte_test, flow, sid, rev, classtype, metadata, service,
 reference. Any other option keyword is kept opaque and evaluates as
 vacuously true, with a per-rule warning. Compilation picks each rule's
 longest content pattern as its fast pattern and builds one multi-pattern
-automaton per protocol bucket; rules without content go to the contentless
-list evaluated on every packet.
+automaton per L4 bucket over that protocol's fast patterns plus the ``ip``
+rules' ones, so the prefilter scans each buffer once. Rules without content
+go to their bucket's contentless list, evaluated on every packet of it.
 """
 
 from __future__ import annotations
@@ -643,11 +644,14 @@ def load_ruleset_file(path, variables: dict[str, AddressSpec] | None = None) -> 
 class CompiledRuleSet:
     """Phase-1 index plus full rule records, immutable once built.
 
-    ``fast_patterns_for`` drives the prefilter: one automaton per protocol
-    bucket over the member rules' fast patterns; a scan hit maps back to the
-    owning rule sids, split by whether the rule matches raw payload or
-    reassembled stream bytes. Contentless rules are candidates on every
-    packet of a matching protocol.
+    Rules are grouped per L4 bucket (``tcp``, ``udp``, ``icmp``, and ``ip``
+    for any other protocol), as Snort 2 groups fast patterns per protocol.
+    Each bucket's automaton holds that protocol's fast patterns plus those of
+    the ``ip`` rules, so one scan covers every rule a packet can match. A hit
+    maps back to the owning rule sids, split by whether the rule matches raw
+    payload or reassembled stream bytes; a pattern shared by a protocol rule
+    and an ``ip`` rule maps to both. Contentless rules are candidates on
+    every packet of their bucket.
     """
 
     def __init__(self, ruleset: RuleSet):
@@ -658,10 +662,10 @@ class CompiledRuleSet:
         self._matchers: dict[str, MultiPatternMatcher] = {}
         # per bucket: pattern id -> (payload-rule sids, stream-rule sids)
         self._pattern_rules: dict[str, list[tuple[list[int], list[int]]]] = {}
+        self._contentless: dict[str, tuple[int, ...]] = {}
 
-        per_bucket: dict[str, dict[bytes, int]] = {p: {} for p in RULE_PROTOS}
-        for p in RULE_PROTOS:
-            self._pattern_rules[p] = []
+        # per rule protocol: fast pattern -> (payload-rule sids, stream-rule sids)
+        by_proto: dict[str, dict[bytes, tuple[list[int], list[int]]]] = {p: {} for p in RULE_PROTOS}
         for rule in ruleset.rules:
             self.rules[rule.sid] = rule
             self._resolved[rule.sid] = (rule.src.resolve(self.variables), rule.dst.resolve(self.variables))
@@ -669,23 +673,24 @@ class CompiledRuleSet:
             if fast is None:
                 self.contentless.append(rule.sid)
                 continue
-            bucket = rule.proto
-            pattern_ids = per_bucket[bucket]
-            pid = pattern_ids.get(fast)
-            if pid is None:
-                pid = len(self._pattern_rules[bucket])
-                pattern_ids[fast] = pid
-                self._pattern_rules[bucket].append(([], []))
-            payload_sids, stream_sids = self._pattern_rules[bucket][pid]
+            payload_sids, stream_sids = by_proto[rule.proto].setdefault(fast, ([], []))
             (stream_sids if rule.only_stream else payload_sids).append(rule.sid)
 
-        for bucket, pattern_ids in per_bucket.items():
-            if not pattern_ids:
-                continue
-            m = MultiPatternMatcher()
-            for pattern, pid in pattern_ids.items():
-                m.add(pattern, pid)
-            self._matchers[bucket] = m.build()
+        for bucket in RULE_PROTOS:
+            members = (bucket, "ip") if bucket != "ip" else ("ip",)
+            self._contentless[bucket] = tuple(sid for sid in self.contentless if self.rules[sid].proto in members)
+            merged: dict[bytes, tuple[list[int], list[int]]] = {}
+            for proto in members:
+                for pattern, (payload_sids, stream_sids) in by_proto[proto].items():
+                    into_payload, into_stream = merged.setdefault(pattern, ([], []))
+                    into_payload.extend(payload_sids)
+                    into_stream.extend(stream_sids)
+            self._pattern_rules[bucket] = list(merged.values())
+            if merged:
+                m = MultiPatternMatcher()
+                for pid, pattern in enumerate(merged):
+                    m.add(pattern, pid)
+                self._matchers[bucket] = m.build()
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -693,23 +698,23 @@ class CompiledRuleSet:
     def resolved_addrs(self, sid: int) -> tuple[AddressSpec, AddressSpec]:
         return self._resolved[sid]
 
-    def buckets_for(self, proto: Proto) -> tuple[str, ...]:
-        specific = _PROTO_BUCKET[proto]
-        return (specific, "ip") if specific != "ip" else ("ip",)
+    def contentless_for(self, proto: Proto) -> tuple[int, ...]:
+        """Contentless rules of ``proto``'s bucket: its own plus the ``ip`` ones."""
+        return self._contentless[_PROTO_BUCKET[proto]]
 
     def scan_payload(self, proto: Proto, data) -> tuple[set[int], set[int]]:
-        """Scan one buffer; returns (payload-rule sids, stream-rule sids) hit."""
+        """Scan one buffer once; returns (payload-rule sids, stream-rule sids) hit."""
         payload_hits: set[int] = set()
         stream_hits: set[int] = set()
-        for bucket in self.buckets_for(proto):
-            matcher = self._matchers.get(bucket)
-            if matcher is None:
-                continue
-            table = self._pattern_rules[bucket]
-            for pid in matcher.scan(data):
-                payload_sids, stream_sids = table[pid]
-                payload_hits.update(payload_sids)
-                stream_hits.update(stream_sids)
+        bucket = _PROTO_BUCKET[proto]
+        matcher = self._matchers.get(bucket)
+        if matcher is None:
+            return payload_hits, stream_hits
+        table = self._pattern_rules[bucket]
+        for pid in matcher.scan(data):
+            payload_sids, stream_sids = table[pid]
+            payload_hits.update(payload_sids)
+            stream_hits.update(stream_sids)
         return payload_hits, stream_hits
 
 

@@ -106,10 +106,12 @@ def pipeline_matches(compiled, ctx) -> set[int]:
     return {sid for sid in prefilter(compiled, ctx) if evaluate_rule(compiled.rules[sid], compiled, ctx)}
 
 
-def random_context(rng: random.Random, compiled) -> PacketContext:
+def random_context(rng: random.Random, compiled, proto: Proto | None = None) -> PacketContext:
     """A randomized packet context; payloads sometimes carry rule patterns
-    (possibly truncated into near-misses) so both phases get exercised."""
-    proto = rng.choice([Proto.TCP, Proto.TCP, Proto.TCP, Proto.UDP, Proto.ICMP])
+    (possibly truncated into near-misses) so both phases get exercised.
+    ``proto`` fixes the protocol; by default it is drawn, mostly TCP."""
+    if proto is None:
+        proto = rng.choice([Proto.TCP, Proto.TCP, Proto.TCP, Proto.UDP, Proto.ICMP])
     ports = (0, 0)
     if proto in (Proto.TCP, Proto.UDP):
         pool = [80, 443, 25, 53, 8080, 1337, 6667, rng.randrange(1, 65536)]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ringids import acquire
 from ringids.acquire import (
     AcquisitionWorker,
     DispatchConfig,
@@ -107,6 +108,42 @@ def test_dispatch_follows_hash_rule():
             assert desc.arrival_us == 5
             pool.release(desc.slot)
     assert pool.in_use_count() == 0
+
+
+def random_tuple(rng):
+    proto = rng.choice([Proto.TCP, Proto.UDP, Proto.ICMP, Proto.OTHER])
+    ported = proto in (Proto.TCP, Proto.UDP)
+    return FiveTuple(proto, rng.getrandbits(32), rng.randrange(65536) if ported else 0,
+                     rng.getrandbits(32), rng.randrange(65536) if ported else 0)
+
+
+def test_ring_memo_follows_hash_rule_and_stays_bounded(monkeypatch):
+    monkeypatch.setattr(acquire, "RING_MEMO_ENTRIES", 64)
+    rng = random.Random(23)
+    for n_rings in range(1, 9):
+        worker, *_ = make_acquirer([], n_rings=n_rings)
+        tuples = [random_tuple(rng) for _ in range(100)]
+        seen = tuples + [t.reversed() for t in tuples]
+        for _ in range(3):  # revisits hit the memo or, after a clear, miss again
+            rng.shuffle(seen)
+            for t in seen:
+                assert worker.ring_for(t) == select_ring(rss_hash(t), n_rings)
+                assert len(worker._ring_of) <= acquire.RING_MEMO_ENTRIES
+
+
+def test_flow_hash_runs_once_per_tuple(monkeypatch):
+    calls = []
+
+    def counting_hash(t):
+        calls.append(t)
+        return rss_hash(t)
+
+    monkeypatch.setattr(acquire, "rss_hash", counting_hash)
+    frames = [frame_for(i % 7) for i in range(42)]
+    worker, _, rings, _, _ = make_acquirer(frames, burst=64)
+    worker.acquisition_step(now_us=0)
+    assert sum(len(r) for r in rings) == 42
+    assert len(calls) == len(set(calls)) == 7
 
 
 def test_full_ring_counts_drop_and_releases_slot():

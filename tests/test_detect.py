@@ -21,6 +21,7 @@ from ringids.detect import (
 from ringids.flow import FlowState
 from ringids.harness.runner import ListAlertSink
 from ringids.harness.synth import build_ipv4_tcp_frame
+from ringids.matching import MultiPatternMatcher
 from ringids.packet import TCP_ACK, TCP_SYN, Direction, FiveTuple, PacketPool, Proto, decode, parse_ip
 from ringids.ring import Discipline, Ring
 from ringids.rules import compile_ruleset, load_ruleset
@@ -157,6 +158,64 @@ def test_prefilter_includes_contentless_and_filters_ports():
     assert 1 in cands  # pattern present, port matches
     assert 2 in cands  # contentless, proto matches
     assert 3 not in cands  # udp bucket not scanned for tcp packet
+
+
+def test_prefilter_scans_each_buffer_once(monkeypatch):
+    compiled = compiled_of(
+        'alert tcp any any -> any any (content:"abcdef"; sid:1;)',
+        'alert ip any any -> any any (content:"uvwxyz"; sid:2;)',
+        'alert tcp any any -> any any (flow: only_stream; content:"abcdef"; sid:3;)',
+        'alert udp any any -> any any (content:"abcdef"; sid:4;)',
+    )
+    scanned = []
+    scan = MultiPatternMatcher.scan
+
+    def counting_scan(self, data):
+        scanned.append(bytes(data))
+        return scan(self, data)
+
+    monkeypatch.setattr(MultiPatternMatcher, "scan", counting_scan)
+    payload = b"..abcdef..uvwxyz.."
+    flow = make_flow(TCP_TUPLE)
+
+    # stream bytes equal to the payload reuse the payload scan
+    assert prefilter(compiled, make_context(TCP_TUPLE, payload, flow=flow, stream=payload)) == {1, 2, 3}
+    assert scanned == [payload]
+
+    # stream bytes that differ get their own scan
+    scanned.clear()
+    assert prefilter(compiled, make_context(TCP_TUPLE, payload, flow=flow, stream=b"xxabcdef")) == {1, 2, 3}
+    assert scanned == [payload, b"xxabcdef"]
+    scanned.clear()
+    assert prefilter(compiled, make_context(TCP_TUPLE, payload, flow=flow, stream=b"zzz")) == {1, 2}
+    assert len(scanned) == 2
+
+    scanned.clear()
+    udp = FiveTuple(Proto.UDP, "10.0.0.1", 5555, "10.0.0.2", 53)
+    assert prefilter(compiled, make_context(udp, payload)) == {2, 4}
+    assert scanned == [payload]
+
+
+def test_two_phase_equivalence_other_proto(corpus_text, scan_kernel):
+    # portless ip rules, so that protocol-0 packets can match something
+    extra = "\n".join([
+        'alert ip any any -> any any (content:"portless|00|ip"; sid:900001;)',
+        'alert ip any any <> any any (content:"exfil|9e 72|"; content:"x"; sid:900002;)',
+        'alert ip any any -> any any (byte_test: 1,>,200,0; sid:900003;)',
+        'alert tcp any any -> any any (content:"portless|00|ip"; sid:900004;)',
+    ])
+    compiled = compile_ruleset(load_ruleset(corpus_text + "\n" + extra))
+    from conftest import random_context
+
+    rng = random.Random(606)
+    matched = 0
+    for _ in range(400):
+        ctx = random_context(rng, compiled, proto=Proto.OTHER)
+        expected = brute_force_matches(compiled, ctx)
+        assert pipeline_matches(compiled, ctx) == expected
+        assert 900004 not in prefilter(compiled, ctx)
+        matched += bool(expected)
+    assert matched > 0
 
 
 def test_prefilter_no_false_negatives_random(corpus_ruleset, scan_kernel):

@@ -254,3 +254,30 @@ def test_reassembly_random_permutations_match_oracle():
             delivered = b"".join(buf.insert(s, p) for s, p in arrivals)
             assert delivered == oracle_first_wins(base, arrivals), f"stream {stream_no}"
             assert buf.delivered_upto == base + len(delivered)
+
+
+def test_in_order_fast_path_equals_buffered_path():
+    rng = random.Random(2718)
+    fast_hits = 0
+    for _ in range(150):
+        base = rng.randrange(0, 1 << 20)
+        fast, slow = SegmentBuffer(base_seq=base), SegmentBuffer(base_seq=base)
+        pos = base
+        for _ in range(rng.randrange(1, 20)):
+            size = rng.randrange(0, 90)
+            roll = rng.random()
+            if roll < 0.6:
+                seq = pos  # in order
+            elif roll < 0.8:
+                seq = pos + rng.randrange(1, 50)  # leaves a gap
+            else:
+                seq = max(base, pos - rng.randrange(1, 50))  # retransmit overlap
+            payload = memoryview(bytearray(rng.randbytes(size)))
+            fast_hits += seq == fast.delivered_upto and not fast._starts
+            got = fast.insert(seq, payload)
+            want = slow._insert_buffered(seq, payload)
+            assert got == want and type(got) is bytes
+            assert (fast.delivered_upto, fast.pending_bytes, fast._starts, fast._data) == (
+                slow.delivered_upto, slow.pending_bytes, slow._starts, slow._data)
+            pos = max(pos, seq + size)
+    assert fast_hits > 300

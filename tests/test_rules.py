@@ -211,6 +211,42 @@ def test_shared_fast_pattern_yields_both_rules():
     assert payload_hits == {21, 22}
 
 
+def test_fast_pattern_shared_by_tcp_and_ip_rules():
+    from ringids.packet import Proto
+
+    text = "\n".join(
+        [
+            'alert tcp any any -> any any (content:"abc"; sid:31;)',
+            'alert ip any any -> any any (content:"abc"; sid:32;)',
+            'alert ip any any -> any any (flow: only_stream; content:"abc"; sid:33;)',
+            'alert udp any any -> any any (content:"zz"; sid:34;)',
+        ]
+    )
+    compiled = compile_ruleset(load_ruleset(text))
+    assert compiled.scan_payload(Proto.TCP, b"xx abc yy") == ({31, 32}, {33})
+    for proto in (Proto.UDP, Proto.ICMP, Proto.OTHER):
+        assert compiled.scan_payload(proto, b"xx abc yy") == ({32}, {33})
+
+
+def test_contentless_rules_split_per_protocol():
+    from ringids.packet import Proto
+
+    text = "\n".join(
+        [
+            'alert tcp any any -> any any (flow: established; sid:41;)',
+            'alert udp any any -> any any (byte_test: 1,>,1,0; sid:42;)',
+            'alert ip any any -> any any (byte_test: 1,>,2,0; sid:43;)',
+            'alert icmp any any -> any any (byte_test: 1,>,3,0; sid:44;)',
+        ]
+    )
+    compiled = compile_ruleset(load_ruleset(text))
+    assert compiled.contentless == [41, 42, 43, 44]
+    assert compiled.contentless_for(Proto.TCP) == (41, 43)
+    assert compiled.contentless_for(Proto.UDP) == (42, 43)
+    assert compiled.contentless_for(Proto.ICMP) == (43, 44)
+    assert compiled.contentless_for(Proto.OTHER) == (43,)
+
+
 def test_format_parse_roundtrip_over_corpus():
     rs = load_ruleset(CORPUS.read_text())
     assert len(rs) >= 100
