@@ -62,10 +62,6 @@ class Lifecycle:
         self.history.append(event)
         return nxt
 
-    def require(self, state: LifecycleState) -> None:
-        if self.state is not state:
-            raise OrderError(f"operation requires state {state.value}, currently {self.state.value}")
-
 
 def lifecycle_transition(lc: Lifecycle, event: LifecycleEvent) -> LifecycleState:
     return lc.transition(event)

@@ -30,6 +30,8 @@ FLOW_BASE_BYTES = 4096  # fixed per-flow cost, upper end of the 2-4KB range
 REASSEMBLY_CAP_BYTES = 64 * 1024  # pending bytes per direction
 TCP_TIMEOUT_US = 30_000_000
 UDP_TIMEOUT_US = 10_000_000
+SEQ_MASK = 0xFFFF_FFFF  # TCP sequence numbers are 32-bit serial numbers
+SEQ_HALF = 1 << 31
 
 
 class FlowState(Enum):
@@ -50,7 +52,11 @@ class SegmentBuffer:
     Segments are trimmed against existing data on insert (first arrival wins)
     and delivered as the maximal contiguous run starting at delivered_upto;
     an in-order segment that finds nothing buffered is delivered as it came.
-    Sequence-number wraparound is not handled.
+
+    ``delivered_upto`` and the buffered starts are stream positions, which
+    keep counting past 2**32. Each 32-bit sequence number is unwrapped with
+    RFC 1982 serial arithmetic to the position nearest ``delivered_upto``, so
+    a stream reassembles across a sequence wrap.
     """
 
     def __init__(self, base_seq: int | None = None):
@@ -70,15 +76,17 @@ class SegmentBuffer:
         if self.base_seq is None:
             self.base_seq = seq
             self.delivered_upto = seq
-        if seq == self.delivered_upto and not self._starts:
+        upto = self.delivered_upto
+        if not self._starts and (seq - upto) & SEQ_MASK == 0:
             # in order with nothing buffered: the segment is the delivery
             payload = bytes(payload)
-            self.delivered_upto += len(payload)
+            self.delivered_upto = upto + len(payload)
             return payload
-        return self._insert_buffered(seq, payload)
+        return self._insert_buffered(upto + ((seq - upto + SEQ_HALF) & SEQ_MASK) - SEQ_HALF, payload)
 
     def _insert_buffered(self, seq: int, payload) -> bytes:
-        """General insert: trim, store, then deliver the contiguous run."""
+        """General insert at stream position ``seq``: trim, store, then
+        deliver the contiguous run."""
         payload = bytes(payload)
         end = seq + len(payload)
         if end <= self.delivered_upto:

@@ -20,6 +20,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..acquire import AcquireStats, AcquisitionWorker, DispatchConfig
 from ..boundary import CostModel, Lifecycle, LifecycleEvent, paging_factor, trusted_footprint
@@ -226,7 +227,6 @@ class Engine:
         self.compiled = None
         self.workers: list[AnalysisWorker] = []
         self.acquirer: AcquisitionWorker | None = None
-        self.sink = None
         self._crossing_us_total = 0.0
 
     def _cross(self) -> None:
@@ -264,7 +264,6 @@ class Engine:
         self.lifecycle.transition(LifecycleEvent.START_DEVICE)
         self._cross()
         cfg = self.config
-        self.sink = sink
         dispatch = DispatchConfig(
             n_rx_rings=cfg.n_workers,
             burst_size=cfg.burst_size,
@@ -343,94 +342,109 @@ class _IntervalAccumulator:
 def _sim_run(engine: Engine, workload: WorkloadSpec, source) -> tuple[int, _IntervalAccumulator]:
     """Deterministic schedule: acquisition paced by the source rate (or its
     own per-frame cost when unpaced), workers modeled as queue servers whose
-    next-free time advances by the stretched per-packet cost."""
+    next-free time advances by the stretched per-packet cost.
+
+    The schedule is one thread, so ring cursors are read without the lock to
+    skip empty rings, and each worker remembers when its ring head will start
+    until it dequeues it: the head only changes by that worker's dequeue.
+    """
     cfg = engine.config
     timing = cfg.timing
     model = cfg.cost_model
+    priced = model is not None and model.enabled
     acc = _IntervalAccumulator()
     acq = engine.acquirer
-    warm_end = float(model.warmup_us) if (model is not None and model.enabled) else 0.0
+    warm_end = float(model.warmup_us) if priced else 0.0
 
-    worker_t = [warm_end + engine._crossing_us_total] * len(engine.workers)
+    workers = engine.workers
+    rx_rings = [w.rx_ring for w in workers]
+    n_workers = len(workers)
+    worker_t = [warm_end + engine._crossing_us_total] * n_workers
+    head_start: list[float | None] = [None] * n_workers  # start time of the peeked ring head
+    expire_mark = [0] * n_workers
     t_acq = engine._crossing_us_total
     duration_us = workload.duration_s * 1e6 if workload.duration_s is not None else None
+    packet_count = workload.packet_count
     rate = cfg.rate_pps
+    acquire_us = timing.acquire_us
     offered = 0
 
-    def drain_tx_now():
-        if not cfg.inline or engine.tx_ring is None:
-            return
-        for desc in engine.tx_ring.dequeue_burst(engine.tx_ring.capacity):
-            if engine.sink is not None:
-                engine.sink.write(engine.pool.view(desc.slot))
-            engine.pool.release(desc.slot)
-            acq.stats.tx_sent += 1
+    tx_ring = engine.tx_ring
+    drain_tx = None
+    if cfg.inline and tx_ring is not None:
+        drain_tx = partial(acq.drain_tx, max_n=tx_ring.capacity)
+        for w in workers:
+            w.tx_stall_hook = drain_tx
 
-    for w in engine.workers:
-        w.tx_stall_hook = drain_tx_now
-
-    expire_mark = [0] * len(engine.workers)
+    received, dropped = acc.received, acc.dropped
+    analyzed, alerts_at = acc.analyzed, acc.alerts
+    base_at, stretched_at = acc.base_us, acc.stretched_us
+    packet_cost, current_factor = timing.packet_cost, engine.current_factor
+    useless = cfg.useless
 
     def drain_worker(i: int, upto: float | None) -> None:
-        w = engine.workers[i]
-        while True:
-            desc = w.rx_ring.peek()
-            if desc is None:
-                return
-            start = max(worker_t[i], float(desc.arrival_us))
+        w = workers[i]
+        ring = rx_rings[i]
+        stats = w.stats
+        while ring.head != ring.tail:
+            start = head_start[i]
+            if start is None:
+                start = max(worker_t[i], float(ring.peek().arrival_us))
+                head_start[i] = start
             if upto is not None and start >= upto:
                 return
-            w.rx_ring.dequeue()
-            w.clock.set_us(int(start))
-            idx_now = int(start // INTERVAL_US)
-            if idx_now > expire_mark[i]:
-                expire_mark[i] = idx_now
-                w.flow_table.expire_flows(int(start))
-            cand0 = w.stats.candidates_evaluated
-            alerts0 = w.stats.alerts
-            w.process_packet(desc)
-            drain_tx_now()
-            base = timing.packet_cost(
-                cfg.useless,
-                desc.payload_len,
-                w.stats.candidates_evaluated - cand0,
-                w.stats.alerts - alerts0,
-            )
-            cost = base * engine.current_factor()
-            worker_t[i] = start + cost
+            desc = ring.dequeue()
+            head_start[i] = None
+            now = int(start)
+            w.clock.set_us(now)
             idx = int(start // INTERVAL_US)
-            acc.bump(acc.analyzed, idx)
-            acc.bump(acc.alerts, idx, w.stats.alerts - alerts0)
-            acc.base_us[idx] = acc.base_us.get(idx, 0.0) + base
-            acc.stretched_us[idx] = acc.stretched_us.get(idx, 0.0) + cost
+            if idx > expire_mark[i]:
+                expire_mark[i] = idx
+                w.flow_table.expire_flows(now)
+            cand0 = stats.candidates_evaluated
+            alerts0 = stats.alerts
+            w.process_packet(desc)
+            if drain_tx is not None and tx_ring.head != tx_ring.tail:
+                drain_tx()
+            new_alerts = stats.alerts - alerts0
+            base = packet_cost(useless, desc.payload_len, stats.candidates_evaluated - cand0, new_alerts)
+            cost = base * current_factor() if priced else base
+            worker_t[i] = start + cost
+            analyzed[idx] = analyzed.get(idx, 0) + 1
+            alerts_at[idx] = alerts_at.get(idx, 0) + new_alerts
+            base_at[idx] = base_at.get(idx, 0.0) + base
+            stretched_at[idx] = stretched_at.get(idx, 0.0) + cost
 
-    while True:
-        if workload.packet_count is not None and offered >= workload.packet_count:
-            break
-        frames = source.next_burst(1)
+    burst = cfg.burst_size
+    ingest = acq.ingest_frame
+    running = True
+    while running:
+        n = burst if packet_count is None else min(burst, packet_count - offered)
+        frames = source.next_burst(n) if n > 0 else None
         if not frames:
             break
-        if rate > 0:
-            t_acq = max(t_acq + timing.acquire_us, offered * 1e6 / rate)
-        else:
-            t_acq += timing.acquire_us
-        if duration_us is not None and t_acq > duration_us:
-            break
-        offered += 1
-        for i in range(len(engine.workers)):
-            drain_worker(i, t_acq)
-        before_drop = acq.stats.dropped + acq.stats.decode_failed
-        acq.ingest_frame(frames[0], int(t_acq))
-        idx = int(t_acq // INTERVAL_US)
-        acc.bump(acc.received, idx)
-        dropped_now = acq.stats.dropped + acq.stats.decode_failed - before_drop
-        if dropped_now:
-            acc.bump(acc.dropped, idx, dropped_now)
+        for frame in frames:
+            if rate > 0:
+                t_acq = max(t_acq + acquire_us, offered * 1e6 / rate)
+            else:
+                t_acq += acquire_us
+            if duration_us is not None and t_acq > duration_us:
+                running = False
+                break
+            offered += 1
+            for i, ring in enumerate(rx_rings):
+                if ring.head != ring.tail:
+                    drain_worker(i, t_acq)
+            idx = int(t_acq // INTERVAL_US)
+            received[idx] = received.get(idx, 0) + 1
+            if ingest(frame, int(t_acq)) < 0:
+                dropped[idx] = dropped.get(idx, 0) + 1
 
     engine.stop()
-    for i in range(len(engine.workers)):
+    for i in range(n_workers):
         drain_worker(i, None)
-    drain_tx_now()
+    if drain_tx is not None:
+        drain_tx()
     end_us = max([t_acq] + worker_t)
     return int(math.ceil(end_us)), acc
 

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from ..packet import TCP_ACK, TCP_SYN, FiveTuple, Proto, canonical_key
+from ..packet import TCP_ACK, TCP_SYN
 from ..rules import ByteTest, Content, Rule, RuleSet
 
 ETH_IP_TCP_HDR = 54  # 14 + 20 + 20
@@ -165,9 +165,6 @@ class _SynthFlow:
     server_seq: int = 1
     next_from_client: bool = True
 
-    def tuple_from_client(self) -> FiveTuple:
-        return FiveTuple(Proto.TCP, self.client_ip, self.client_port, self.server_ip, self.server_port)
-
 
 def _make_flows(n_flows: int, server_port: int = 443) -> list[_SynthFlow]:
     flows = []
@@ -281,11 +278,6 @@ def gen_synth(spec: WorkloadSpec, ruleset: RuleSet | None = None):
         data_emitted += 1
         if budget is not None and emitted >= budget:
             return
-
-
-def distinct_flow_keys(spec: WorkloadSpec) -> int:
-    """Number of distinct canonical flow keys the spec's stream will produce."""
-    return len({canonical_key(f.tuple_from_client())[0] for f in _make_flows(spec.n_flows)})
 
 
 class GeneratorSource:

@@ -4,14 +4,20 @@ Raw Ethernet frames are copied once into a shared byte pool; everything
 downstream (rings, flow tracking, rule matching) works on descriptors that
 reference the pool slot plus decoded header offsets. Payload bytes are never
 copied again except into reassembly buffers.
+
+``FiveTuple``, ``FlowKey`` and ``PacketDescriptor`` are named tuples, so
+building, hashing and comparing one runs in C: a record is built for every
+frame, and the 5-tuple keys the dispatch memo. A record therefore compares
+equal to the plain tuple of its fields, and a ``FiveTuple`` equals the
+``FlowKey`` with the same fields; the two never share a dict.
 """
 
 from __future__ import annotations
 
 import struct
 import threading
-from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 ETHER_HDR_LEN = 14
 ETHERTYPE_IPV4 = 0x0800
@@ -22,6 +28,10 @@ TCP_SYN = 0x02
 TCP_RST = 0x04
 TCP_PSH = 0x08
 TCP_ACK = 0x10
+
+_IPV4_HDR = struct.Struct(">BxH5xB2xII")  # version/IHL, total length, protocol, src, dst
+_TCP_HDR = struct.Struct(">HHI4xBB")  # ports, seq, data offset, flags
+_PORTS = struct.Struct(">HH")
 
 
 class Proto(IntEnum):
@@ -88,24 +98,35 @@ def _coerce_ip(value) -> int:
     return parse_ip(value) if isinstance(value, str) else int(value)
 
 
-@dataclass(frozen=True)
-class FiveTuple:
-    """Protocol plus endpoints; ports are 0 for portless protocols."""
+_new = tuple.__new__  # builds a record from fields known to be valid
 
+
+class _FiveTupleFields(NamedTuple):
     proto: Proto
     src_ip: int
     src_port: int
     dst_ip: int
     dst_port: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "src_ip", _coerce_ip(self.src_ip))
-        object.__setattr__(self, "dst_ip", _coerce_ip(self.dst_ip))
-        if self.proto in (Proto.ICMP, Proto.OTHER) and (self.src_port or self.dst_port):
+
+class FiveTuple(_FiveTupleFields):
+    """Protocol plus endpoints; ports are 0 for portless protocols.
+
+    The constructor accepts dotted-quad strings for the addresses and rejects
+    ports on a portless protocol; ``decode`` builds from validated ints and
+    skips both.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, proto: Proto, src_ip, src_port: int, dst_ip, dst_port: int):
+        if proto in (Proto.ICMP, Proto.OTHER) and (src_port or dst_port):
             raise ValueError("portless protocol with nonzero port")
+        return _new(cls, (proto, _coerce_ip(src_ip), src_port, _coerce_ip(dst_ip), dst_port))
 
     def reversed(self) -> "FiveTuple":
-        return FiveTuple(self.proto, self.dst_ip, self.dst_port, self.src_ip, self.src_port)
+        proto, src_ip, src_port, dst_ip, dst_port = self
+        return _new(FiveTuple, (proto, dst_ip, dst_port, src_ip, src_port))
 
     def __str__(self) -> str:
         return (
@@ -114,8 +135,7 @@ class FiveTuple:
         )
 
 
-@dataclass(frozen=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     """Direction-normalized connection identity.
 
     Endpoint A is the (ip, port) pair that compares lower, so both directions
@@ -145,15 +165,13 @@ def canonical_key(tuple_: FiveTuple) -> tuple[FlowKey, Direction]:
     canonical_key(t) == canonical_key(reverse(t)); a tuple whose endpoints are
     equal is defined as FORWARD.
     """
-    src = (tuple_.src_ip, tuple_.src_port)
-    dst = (tuple_.dst_ip, tuple_.dst_port)
-    if src <= dst:
-        return FlowKey(tuple_.proto, src[0], src[1], dst[0], dst[1]), Direction.FORWARD
-    return FlowKey(tuple_.proto, dst[0], dst[1], src[0], src[1]), Direction.REVERSE
+    proto, src_ip, src_port, dst_ip, dst_port = tuple_
+    if (src_ip, src_port) <= (dst_ip, dst_port):
+        return _new(FlowKey, (proto, src_ip, src_port, dst_ip, dst_port)), Direction.FORWARD
+    return _new(FlowKey, (proto, dst_ip, dst_port, src_ip, src_port)), Direction.REVERSE
 
 
-@dataclass(frozen=True)
-class PacketDescriptor:
+class PacketDescriptor(NamedTuple):
     """Reference into the packet pool plus decoded header metadata.
 
     Immutable once built; safe to hand between threads. ``decode_ok`` is False
@@ -255,7 +273,7 @@ def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
     l3 = ETHER_HDR_LEN
     if flen < l3 + 20:
         raise TruncatedFrame("frame too short for IPv4 header")
-    ver_ihl = frame[l3]
+    ver_ihl, tot_len, proto_num, src_ip, dst_ip = _IPV4_HDR.unpack_from(frame, l3)
     if ver_ihl >> 4 != 4:
         # claims IPv4 at L2 but is not; treat like an unsupported L3
         slot = pool.store(frame)
@@ -263,12 +281,8 @@ def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
     ihl = (ver_ihl & 0x0F) * 4
     if ihl < 20 or flen < l3 + ihl:
         raise TruncatedFrame("IPv4 header length inconsistent with frame")
-    tot_len = (frame[l3 + 2] << 8) | frame[l3 + 3]
     if tot_len < ihl or tot_len > flen - l3:
         raise TruncatedFrame("IPv4 total length inconsistent with frame")
-    proto_num = frame[l3 + 9]
-    src_ip = int.from_bytes(frame[l3 + 12 : l3 + 16], "big")
-    dst_ip = int.from_bytes(frame[l3 + 16 : l3 + 20], "big")
 
     l4 = l3 + ihl
     ip_end = l3 + tot_len
@@ -278,20 +292,16 @@ def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
     if proto_num == Proto.TCP:
         if ip_end < l4 + 20:
             raise TruncatedFrame("TCP header does not fit")
-        doff = (frame[l4 + 12] >> 4) * 4
+        src_port, dst_port, tcp_seq, doff, tcp_flags = _TCP_HDR.unpack_from(frame, l4)
+        doff = (doff >> 4) * 4
         if doff < 20 or ip_end < l4 + doff:
             raise TruncatedFrame("TCP data offset inconsistent")
-        src_port = (frame[l4] << 8) | frame[l4 + 1]
-        dst_port = (frame[l4 + 2] << 8) | frame[l4 + 3]
-        tcp_seq = int.from_bytes(frame[l4 + 4 : l4 + 8], "big")
-        tcp_flags = frame[l4 + 13]
         payload_off = l4 + doff
         proto = Proto.TCP
     elif proto_num == Proto.UDP:
         if ip_end < l4 + 8:
             raise TruncatedFrame("UDP header does not fit")
-        src_port = (frame[l4] << 8) | frame[l4 + 1]
-        dst_port = (frame[l4 + 2] << 8) | frame[l4 + 3]
+        src_port, dst_port = _PORTS.unpack_from(frame, l4)
         payload_off = l4 + 8
         proto = Proto.UDP
     elif proto_num == Proto.ICMP:
@@ -304,16 +314,19 @@ def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
         proto = Proto.OTHER
 
     slot = pool.store(frame)
-    return PacketDescriptor(
-        slot=slot,
-        frame_len=flen,
-        arrival_us=arrival_us,
-        decode_ok=True,
-        tuple=FiveTuple(proto, src_ip, src_port, dst_ip, dst_port),
-        l3_offset=l3,
-        l4_offset=l4,
-        payload_offset=payload_off,
-        payload_len=ip_end - payload_off,
-        tcp_flags=tcp_flags,
-        tcp_seq=tcp_seq,
+    return _new(
+        PacketDescriptor,
+        (
+            slot,
+            flen,
+            arrival_us,
+            True,
+            _new(FiveTuple, (proto, src_ip, src_port, dst_ip, dst_port)),
+            l3,
+            l4,
+            payload_off,
+            ip_end - payload_off,
+            tcp_flags,
+            tcp_seq,
+        ),
     )

@@ -34,8 +34,10 @@ class Ring:
         self.discipline = discipline
         self._mask = capacity - 1
         self._slots: list = [None] * capacity
-        self._head = 0  # next slot to dequeue
-        self._tail = 0  # next slot to enqueue
+        # cursors: next slot to dequeue and to enqueue. Only the lock holder
+        # moves them; a single-threaded caller may compare them without it.
+        self.head = 0
+        self.tail = 0
         self._lock = threading.Lock()
 
     def enqueue(self, item) -> bool:
@@ -43,20 +45,20 @@ class Ring:
         if item is None:
             raise ValueError("ring elements must not be None")
         with self._lock:
-            if self._tail - self._head == self.capacity:
+            if self.tail - self.head == self.capacity:
                 return False
-            self._slots[self._tail & self._mask] = item
-            self._tail += 1
+            self._slots[self.tail & self._mask] = item
+            self.tail += 1
             return True
 
     def dequeue(self):
         """Remove and return the oldest element, or None if empty."""
         with self._lock:
-            if self._head == self._tail:
+            if self.head == self.tail:
                 return None
-            item = self._slots[self._head & self._mask]
-            self._slots[self._head & self._mask] = None
-            self._head += 1
+            item = self._slots[self.head & self._mask]
+            self._slots[self.head & self._mask] = None
+            self.head += 1
             return item
 
     def enqueue_burst(self, items) -> int:
@@ -66,10 +68,10 @@ class Ring:
             for item in items:
                 if item is None:
                     raise ValueError("ring elements must not be None")
-                if self._tail - self._head == self.capacity:
+                if self.tail - self.head == self.capacity:
                     break
-                self._slots[self._tail & self._mask] = item
-                self._tail += 1
+                self._slots[self.tail & self._mask] = item
+                self.tail += 1
                 accepted += 1
         return accepted
 
@@ -77,22 +79,22 @@ class Ring:
         """Remove up to ``max_n`` elements in FIFO order."""
         out = []
         with self._lock:
-            while self._head != self._tail and len(out) < max_n:
-                idx = self._head & self._mask
+            while self.head != self.tail and len(out) < max_n:
+                idx = self.head & self._mask
                 out.append(self._slots[idx])
                 self._slots[idx] = None
-                self._head += 1
+                self.head += 1
         return out
 
     def peek(self):
         with self._lock:
-            if self._head == self._tail:
+            if self.head == self.tail:
                 return None
-            return self._slots[self._head & self._mask]
+            return self._slots[self.head & self._mask]
 
     def __len__(self) -> int:
         with self._lock:
-            return self._tail - self._head
+            return self.tail - self.head
 
 
 def ring_new(capacity: int, discipline: Discipline) -> Ring:

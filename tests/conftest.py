@@ -10,6 +10,7 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from ringids import matching
 from ringids.detect import PacketContext, evaluate_rule, prefilter
@@ -29,6 +30,12 @@ HEARTBLEED_RULE = (
     'ruleset community; service: ssl; reference: cve,2014-0160; classtype: attempted-recon; '
     'sid: 30514; rev: 9; )'
 )
+
+
+# Property tests draw the same examples on every run: a failure reproduces,
+# and a slow shared host cannot trip a per-example deadline.
+settings.register_profile("ringids", derandomize=True, deadline=None, max_examples=200, database=None)
+settings.load_profile("ringids")
 
 
 def pytest_report_header(config):

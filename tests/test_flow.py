@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ringids.flow import (
     FLOW_BASE_BYTES,
@@ -281,3 +283,47 @@ def test_in_order_fast_path_equals_buffered_path():
                 slow.delivered_upto, slow.pending_bytes, slow._starts, slow._data)
             pos = max(pos, seq + size)
     assert fast_hits > 300
+
+
+def test_sequence_wrap_keeps_delivering():
+    buf = SegmentBuffer()
+    assert buf.insert(2**32 - 4, b"abcd") == b"abcd"
+    assert buf.insert(0, b"efgh") == b"efgh"
+    assert buf.insert(8, b"mn") == b""  # out of order past the wrap
+    assert buf.insert(4, b"ijkl") == b"ijklmn"
+    assert buf.insert(2**32 - 2, b"cdefgh") == b""  # retransmission from before the wrap
+    assert buf.delivered_upto == 2**32 + 10
+    assert buf.pending_bytes == 0
+
+
+def test_syn_at_top_of_sequence_space():
+    table = FlowTable()
+    syn = make_desc(flags=TCP_SYN, seq=2**32 - 1)
+    key, d = key_of(syn)
+    flow, _ = table.lookup_or_create(key, 0)
+    update_flow(flow, syn, d, 0)
+    assert table.reassemble(flow, d, 3, b"late") == b""
+    assert table.reassemble(flow, d, 0, b"abc") == b"abclate"
+
+
+@given(
+    isn_below_wrap=st.one_of(st.integers(1, 600), st.integers(1, 2**16)),  # many streams cross 2**32
+    sizes=st.lists(st.integers(1, 120), min_size=1, max_size=12),
+    overlaps=st.integers(0, 3),
+    rng=st.randoms(use_true_random=False),
+)
+def test_reassembly_across_sequence_wrap_matches_oracle(isn_below_wrap, sizes, overlaps, rng):
+    isn = 2**32 - isn_below_wrap
+    chunks, pos = [], isn  # (stream position, payload)
+    for size in sizes:
+        chunks.append((pos, rng.randbytes(size)))
+        pos += size
+    for _ in range(overlaps):
+        start, payload = rng.choice(chunks)
+        cut = rng.randrange(len(payload))
+        chunks.append((start + cut, rng.randbytes(len(payload) - cut + rng.randrange(0, 40))))
+    rng.shuffle(chunks)
+    buf = SegmentBuffer(base_seq=isn)
+    delivered = b"".join(buf.insert(start & 0xFFFFFFFF, payload) for start, payload in chunks)
+    assert delivered == oracle_first_wins(isn, chunks)
+    assert buf.delivered_upto == isn + len(delivered)

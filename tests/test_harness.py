@@ -1,6 +1,8 @@
 """Workload generation, pcap I/O, experiment runs, and the CLI."""
 
+import hashlib
 import os
+import zlib
 from pathlib import Path
 
 import pytest
@@ -12,13 +14,16 @@ from ringids.harness.cli import main as cli_main
 from ringids.harness.pcapio import BadMagic, TruncatedRecord, pcap_read, pcap_write
 from ringids.harness.runner import (
     ConservationError,
+    Engine,
     EngineConfig,
     ListAlertSink,
+    NullSink,
     Report,
     TimingModel,
+    _sim_run,
     run_experiment,
 )
-from ringids.harness.synth import ConfigError, WorkloadSpec, craft_payload, gen_synth
+from ringids.harness.synth import ConfigError, GeneratorSource, WorkloadSpec, craft_payload, gen_synth
 from ringids.packet import PacketPool, canonical_key, decode
 from ringids.rules import load_ruleset
 
@@ -242,6 +247,27 @@ def test_pcap_workload_roundtrip_through_runner(tmp_path):
     assert report.totals.analyzed == 600
 
 
+def test_sim_run_pulls_no_more_than_packet_count(tmp_path):
+    path = tmp_path / "loop.pcap"
+    pcap_write(path, gen_synth(WorkloadSpec(kind="synth", packet_size=64, n_flows=3, packet_count=10, seed=4)))
+    pulls = []
+
+    class CountingSource(GeneratorSource):
+        def next_burst(self, n):
+            pulls.append(n)
+            assert sum(pulls) <= 25, "pulled past packet_count"
+            return super().next_burst(n)
+
+    source = CountingSource(lambda: (frame for frame, _ts in pcap_read(path)), repeat=True)
+    engine = Engine(base_config(burst_size=4))
+    engine.initialize()
+    engine.start_device(source, NullSink())
+    engine.begin_acquire()
+    _sim_run(engine, WorkloadSpec(kind="pcap", pcap_path=str(path), repeat=True, packet_count=25), source)
+    assert engine.acquirer.stats.received == 25
+    assert pulls == [4, 4, 4, 4, 4, 4, 1]
+
+
 def test_real_clock_smoke():
     wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=8, packet_count=3000, seed=3)
     report = run_experiment(wl, base_config(n_workers=2, clock_mode="real",
@@ -322,3 +348,60 @@ def test_cli_genpcap(tmp_path, capsys):
     rc = cli_main(["genpcap", "--synth", "100,8", "--count", "300", str(out)])
     assert rc == 0
     assert len(list(pcap_read(out))) == 300
+
+
+class CrcSink:
+    """Forwarded frames as a crc32 sequence, plus the types the sink saw."""
+
+    def __init__(self):
+        self.crcs = []
+        self.types = set()
+
+    def write(self, frame) -> None:
+        self.types.add(type(frame))
+        self.crcs.append(zlib.crc32(frame))
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+GOLDEN_SCHEDULES = {
+    # paged, paced and bounded by duration: warm-up drops, pool exhaustion,
+    # paging that grows with the flow table, blocks and alerts in 3 intervals
+    "inline_priced_duration": (
+        dict(packet_size=256, n_flows=48, duration_s=7.0, repeat=True, seed=7, attack_sid=30514, attack_rate=0.03),
+        dict(n_workers=3, inline=True, ring_capacity=16, pool_capacity=20, rate_pps=700.0,
+             cost_model=CostModel(enabled=True, epc_bytes=17 * 1024 * 1024, crossing_cost_us=5.0,
+                                  warmup_bytes=15 * 1024 * 1024)),
+        ("36bd0318f75cda89", "f8110c4d74707433", "6ce5c072f23d1dfb"),
+    ),
+    # unpaced source, packet count not a multiple of the burst: ring-full drops
+    "passive_saturated": (
+        dict(packet_size=512, n_flows=40, packet_count=3001, seed=3, attack_sid=30514, attack_rate=0.02),
+        dict(n_workers=2, ring_capacity=16),
+        ("0a98056f29ace076", "2dce8f540634761d", "4f53cda18c2baa0c"),
+    ),
+    # forwarding slower than acquisition, small pool and bursts
+    "inline_saturated_small_pool": (
+        dict(packet_size=64, n_flows=100, packet_count=2500, seed=5),
+        dict(n_workers=2, inline=True, ring_capacity=8, pool_capacity=12, burst_size=5, useless=True,
+             timing=TimingModel(useless_us=1.3)),
+        ("4022db34bf18365b", "4f53cda18c2baa0c", "3e83d3d3cc5a707e"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCHEDULES))
+def test_sim_schedule_matches_golden_digests(name):
+    """Digests of the report (totals, elapsed time, intervals), the alert
+    lines and the forwarded-frame crc32 sequence, recorded from the sim
+    driver before its per-frame loop was rewritten; any change to the
+    schedule changes them."""
+    spec, engine, want = GOLDEN_SCHEDULES[name]
+    alerts, sink = ListAlertSink(), CrcSink()
+    report = run_experiment(WorkloadSpec(kind="synth", **spec),
+                            base_config(rules_path=str(CORPUS_PATH), **engine), alert_sink=alerts, sink=sink)
+    got = (_digest((report.totals, report.elapsed_us, report.intervals)), _digest(alerts.lines), _digest(sink.crcs))
+    assert got == want
+    assert sink.types <= {bytes}

@@ -3,10 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ringids.packet import (
+    SLOT_SIZE,
+    DecodeError,
     Direction,
     FiveTuple,
+    FlowKey,
+    PacketDescriptor,
     PacketPool,
     PoolError,
     PoolExhausted,
@@ -157,3 +163,90 @@ def test_decode_roundtrip_random_payload(pool):
 def test_ip_parse_format_roundtrip():
     for s in ("0.0.0.0", "10.0.0.1", "255.255.255.255", "192.168.1.77"):
         assert format_ip(parse_ip(s)) == s
+
+
+def test_records_are_immutable_named_tuples():
+    t = FiveTuple(Proto.TCP, "10.0.0.1", 1234, "10.0.0.2", 80)
+    key, _ = canonical_key(t)
+    desc = PacketDescriptor(slot=3, frame_len=60, arrival_us=7, decode_ok=True, tuple=t)
+    for record, name in ((t, "src_ip"), (t, "proto"), (key, "ip_a"), (desc, "slot"), (desc, "tuple")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    for record in (t, key, desc):
+        with pytest.raises(AttributeError):
+            record.extra = 1  # no instance dict to grow
+    assert FiveTuple._fields == ("proto", "src_ip", "src_port", "dst_ip", "dst_port")
+    assert FlowKey._fields == ("proto", "ip_a", "port_a", "ip_b", "port_b")
+    assert PacketDescriptor._fields[:5] == ("slot", "frame_len", "arrival_us", "decode_ok", "tuple")
+    assert desc[4:] == (t, 0, 0, 0, 0, 0, 0)
+    # records compare and hash as the plain tuple of their fields
+    assert t == (Proto.TCP, parse_ip("10.0.0.1"), 1234, parse_ip("10.0.0.2"), 80)
+    assert hash(t) == hash(tuple(t))
+    assert type(t.reversed()) is FiveTuple
+    assert t.reversed() == FiveTuple(Proto.TCP, "10.0.0.2", 80, "10.0.0.1", 1234)
+    assert str(t) == "TCP 10.0.0.1:1234 -> 10.0.0.2:80"
+    assert str(key) == "TCP 10.0.0.1:1234 <-> 10.0.0.2:80"
+    assert key.encode() == bytes.fromhex("06" "0a000001" "04d2" "0a000002" "0050")
+
+
+def test_five_tuple_constructor_coerces_and_validates():
+    t = FiveTuple(Proto.UDP, "192.168.1.7", 53, 0x0A000001, 5353)
+    assert (t.src_ip, t.dst_ip) == (0xC0A80107, 0x0A000001)
+    assert FiveTuple(Proto.ICMP, "1.2.3.4", 0, "5.6.7.8", 0).src_port == 0
+    for proto in (Proto.ICMP, Proto.OTHER):
+        with pytest.raises(ValueError, match="portless"):
+            FiveTuple(proto, "1.2.3.4", 1, "5.6.7.8", 0)
+        with pytest.raises(ValueError, match="portless"):
+            FiveTuple(proto, "1.2.3.4", 0, "5.6.7.8", 9)
+    with pytest.raises(ValueError):
+        FiveTuple(Proto.TCP, "1.2.3", 1, "5.6.7.8", 2)
+    with pytest.raises(ValueError):
+        FiveTuple(Proto.TCP, "1.2.3.4", 1, "5.6.7.256", 2)
+
+
+@st.composite
+def frames(draw):
+    """Arbitrary bytes, or a well-formed frame of any protocol with some
+    header bytes overwritten and its tail possibly cut off."""
+    kind = draw(st.sampled_from(["raw", "tcp", "udp", "icmp", "other", "oversize"]))
+    if kind == "raw":
+        return draw(st.binary(max_size=80))
+    src, dst = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
+    sp, dp = draw(st.integers(0, 65535)), draw(st.integers(0, 65535))
+    payload = draw(st.binary(max_size=64))
+    if kind == "udp":
+        frame = bytearray(build_ipv4_udp_frame(src, sp, dst, dp, payload=payload))
+    elif kind == "icmp":
+        frame = bytearray(build_ipv4_icmp_frame(src, dst, payload=payload))
+    else:
+        frame = bytearray(build_ipv4_tcp_frame(src, sp, dst, dp, flags=draw(st.integers(0, 255)),
+                                               seq=draw(st.integers(0, 2**32 - 1)), payload=payload))
+        if kind == "other":
+            frame[23] = draw(st.sampled_from([0, 2, 47, 50, 132, 255]))
+        elif kind == "oversize":
+            frame += bytes(SLOT_SIZE + 1 - len(frame) + draw(st.integers(0, 8)))
+    for pos, value in draw(st.lists(st.tuples(st.integers(12, 60), st.integers(0, 255)), max_size=3)):
+        if pos < len(frame):
+            frame[pos] = value
+    return bytes(frame[: draw(st.integers(0, len(frame)))]) if draw(st.booleans()) else bytes(frame)
+
+
+@given(frames())
+def test_decode_arbitrary_bytes_raises_only_decode_errors(frame):
+    pool = PacketPool(capacity=2)
+    try:
+        desc = decode(frame, 9, pool)
+    except DecodeError:
+        assert pool.in_use_count() == 0
+        return
+    assert pool.in_use_count() == 1
+    assert (desc.frame_len, desc.arrival_us) == (len(frame), 9)
+    if desc.decode_ok:
+        t = desc.tuple
+        assert type(t) is FiveTuple and type(t.proto) is Proto
+        assert t == FiveTuple(*t)  # the validating constructor accepts what decode built
+        assert 0 <= desc.payload_offset and desc.payload_offset + desc.payload_len <= len(frame)
+    else:
+        assert desc.tuple is None
+    pool.release(desc.slot)
+    assert pool.in_use_count() == 0
