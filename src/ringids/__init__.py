@@ -7,9 +7,9 @@ monotone counter clock. An optional cost model emulates protected-memory
 paging and boundary-crossing overheads.
 """
 
-from .acquire import AcquisitionWorker, DispatchConfig, SourceExhausted, murmur3_32, rss_hash, select_ring
+from .acquire import AcquisitionWorker, murmur3_32, rss_hash, select_ring
 from .boundary import CostModel, Lifecycle, LifecycleEvent, LifecycleState, OrderError, paging_factor
-from .clock import CounterClock, SimClock, counter_to_us, start_clock
+from .clock import CounterClock, SimClock, counter_to_us
 from .detect import Alert, AnalysisWorker, PacketContext, evaluate_rule, format_alert_fast, prefilter
 from .flow import Flow, FlowState, FlowTable, SegmentBuffer, TableFull, update_flow
 from .matching import NATIVE_AVAILABLE, MultiPatternMatcher
@@ -26,7 +26,7 @@ from .packet import (
     decode,
 )
 from .ring import ConfigError as RingConfigError
-from .ring import Discipline, Ring, ring_new
+from .ring import Ring
 from .rules import CompiledRuleSet, ParseError, Rule, RuleSet, compile_ruleset, load_ruleset, parse_rule
 
 __version__ = "0.1.0"

@@ -1,13 +1,15 @@
 """Untrusted-side packet acquisition and hash dispatch.
 
-Acquisition workers pull frame bursts from a source, decode them into the
-pool, and place descriptors on the per-analysis-worker receive ring chosen
-from the flow hash; in inline mode they also drain the shared transmit ring
-back to the sink. The hash is MurmurHash3 (x86 32-bit) over the canonical
-flow-key bytes, so both directions of a connection map to the same ring, and
-the ring index comes from the hash's low six bits.
+The acquisition worker decodes each frame the runner offers into the pool and
+places its descriptor on the per-analysis-worker receive ring chosen from the
+flow hash; in inline mode it also drains the shared transmit ring back to the
+sink. Both runner schedulers (sim and real clock) call it from their
+acquisition side only, so the sink has one writer. The hash is MurmurHash3
+(x86 32-bit) over the canonical flow-key bytes, so both directions of a
+connection map to the same ring, and the ring index comes from the hash's
+low six bits.
 
-A flow's ring never changes, so each worker memoises the ring index per
+A flow's ring never changes, so the worker memoises the ring index per
 5-tuple, as an RSS indirection table caches dispatch: the hash runs once per
 tuple seen, not once per frame. The memo is bounded and is cleared when full.
 """
@@ -28,10 +30,6 @@ from .ring import Ring
 
 RING_SELECT_BITS = 0x3F  # low six bits of the flow hash pick the ring
 RING_MEMO_ENTRIES = 16_384  # 5-tuples whose ring index a worker remembers
-
-
-class SourceExhausted(Exception):
-    """The frame source has no more packets (finite capture fully consumed)."""
 
 
 def _rotl32(x: int, r: int) -> int:
@@ -87,17 +85,6 @@ def select_ring(hash_value: int, n_rings: int) -> int:
 
 
 @dataclass
-class DispatchConfig:
-    n_rx_rings: int = 1  # == number of analysis workers
-    burst_size: int = 32
-    inline_mode: bool = False
-
-    def __post_init__(self):
-        if self.n_rx_rings < 1 or self.burst_size < 1:
-            raise ValueError("dispatch config counts must be >= 1")
-
-
-@dataclass
 class AcquireStats:
     """Counters owned by one acquisition worker."""
 
@@ -108,45 +95,34 @@ class AcquireStats:
 
 
 class AcquisitionWorker:
-    """Moves frames source -> rings and (inline) tx ring -> sink.
+    """Moves frames onto the RX rings and, inline, the TX ring to the sink.
 
-    Each worker may produce onto any RX ring; several workers may share the
-    source as long as each frame is pulled by exactly one of them.
+    It produces onto any RX ring; ``tx_ring`` is given in inline mode only,
+    and without it ``drain_tx`` does nothing.
     """
 
     def __init__(
         self,
-        source,
         pool: PacketPool,
         rx_rings: list[Ring],
-        config: DispatchConfig,
         tx_ring: Ring | None = None,
         sink=None,
         stats: AcquireStats | None = None,
     ):
-        self.source = source
         self.pool = pool
         self.rx_rings = rx_rings
         self.tx_ring = tx_ring
         self.sink = sink
-        self.config = config
         self.stats = stats if stats is not None else AcquireStats()
         self._ring_of: dict[FiveTuple, int] = {}  # dispatch memo, see ring_for
-        if len(rx_rings) != config.n_rx_rings:
-            raise ValueError("rx ring count does not match dispatch config")
 
     def ring_for(self, tuple_: FiveTuple) -> int:
-        """Ring index of a 5-tuple: ``select_ring(rss_hash(t), n)``, memoised.
-
-        Threads that share this worker need no lock: an entry lost to a race
-        is recomputed to the same index, and the bound is passed by at most
-        one entry per thread.
-        """
+        """Ring index of a 5-tuple: ``select_ring(rss_hash(t), n)``, memoised."""
         idx = self._ring_of.get(tuple_)
         if idx is None:
             if len(self._ring_of) >= RING_MEMO_ENTRIES:
                 self._ring_of.clear()
-            idx = select_ring(rss_hash(tuple_), self.config.n_rx_rings)
+            idx = select_ring(rss_hash(tuple_), len(self.rx_rings))
             self._ring_of[tuple_] = idx
         return idx
 
@@ -176,31 +152,17 @@ class AcquisitionWorker:
             return -1
         return idx
 
-    def drain_tx(self, max_n: int | None = None) -> int:
-        """Write allowed packets back to the sink; no-op in passive mode."""
-        if not self.config.inline_mode or self.tx_ring is None:
+    def drain_tx(self) -> int:
+        """Write up to a ring's worth of allowed packets back to the sink and
+        return their count; no-op in passive mode."""
+        tx_ring = self.tx_ring
+        if tx_ring is None:
             return 0
         moved = 0
-        budget = max_n if max_n is not None else self.config.burst_size
-        for desc in self.tx_ring.dequeue_burst(budget):
+        for desc in tx_ring.dequeue_burst(tx_ring.capacity):
             if self.sink is not None:
                 self.sink.write(bytes(self.pool.view(desc.slot)))
             self.pool.release(desc.slot)
             moved += 1
         self.stats.tx_sent += moved
-        return moved
-
-    def acquisition_step(self, now_us: int) -> int:
-        """One poll-loop iteration: ingest a burst, then drain the TX ring.
-
-        Raises SourceExhausted when the source is finished (the run loop
-        terminates or restarts it depending on workload config).
-        """
-        frames = self.source.next_burst(self.config.burst_size)
-        for frame in frames:
-            self.ingest_frame(frame, now_us)
-        moved = len(frames) + self.drain_tx()
-        if not frames:
-            if self.source.exhausted():
-                raise SourceExhausted
         return moved

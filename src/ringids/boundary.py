@@ -63,10 +63,6 @@ class Lifecycle:
         return nxt
 
 
-def lifecycle_transition(lc: Lifecycle, event: LifecycleEvent) -> LifecycleState:
-    return lc.transition(event)
-
-
 @dataclass(frozen=True)
 class CostModel:
     """Boundary-and-paging overhead parameters.

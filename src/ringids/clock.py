@@ -2,16 +2,20 @@
 
 The engine never reads wall time: timestamps come either from a counter
 incremented by a dedicated thread and divided by a ticks-per-microsecond
-coefficient, or from a deterministic simulated clock the experiment runner
-advances explicitly. Overflow and drift handling are deliberately out of
-scope. Epoch is engine start (time zero).
+rate, or from a deterministic simulated clock the experiment runner advances
+explicitly. The counter's rate is measured once, against ``time.monotonic``
+when the clock starts; drift after that (the counter thread shares the
+interpreter with the workers, so it slows under load) is not corrected, only
+visible as the effective rate a real-clock report records. Overflow handling
+is out of scope. Epoch is engine start (time zero).
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
-DEFAULT_CPUFREQ = 3785.0  # counter ticks per microsecond
+CALIBRATION_S = 0.01  # wall time over which start() measures the tick rate
 
 
 class ClockError(Exception):
@@ -26,9 +30,9 @@ class NotStarted(ClockError):
     pass
 
 
-def counter_to_us(ticks: int, cpufreq: float) -> int:
+def counter_to_us(ticks: int, ticks_per_us: float) -> int:
     """Convert raw counter ticks to whole microseconds."""
-    return int(ticks / cpufreq)
+    return int(ticks / ticks_per_us)
 
 
 class CounterClock:
@@ -39,22 +43,22 @@ class CounterClock:
     can never reverse it.
     """
 
-    def __init__(self, cpufreq: float = DEFAULT_CPUFREQ):
-        if cpufreq <= 0:
-            raise ValueError("cpufreq must be positive")
-        self.cpufreq = cpufreq
+    def __init__(self):
+        self.ticks_per_us = 0.0  # measured by start()
         self._ticks = 0
         self._thread: threading.Thread | None = None
         self._stop = False
-        self._started = False
 
     def start(self) -> "CounterClock":
+        """Start the counter thread and measure its rate over CALIBRATION_S."""
         if self._thread is not None and self._thread.is_alive():
             raise AlreadyRunning("counter thread already running")
         self._stop = False
-        self._started = True
         self._thread = threading.Thread(target=self._run, name="clock-counter", daemon=True)
+        t0, n0 = time.monotonic(), self._ticks
         self._thread.start()
+        time.sleep(CALIBRATION_S)
+        self.ticks_per_us = max(self._ticks - n0, 1) / ((time.monotonic() - t0) * 1e6)
         return self
 
     def _run(self) -> None:
@@ -76,14 +80,9 @@ class CounterClock:
         return self._ticks
 
     def now_us(self) -> int:
-        if not self._started:
+        if not self.ticks_per_us:
             raise NotStarted("clock not started")
-        return counter_to_us(self._ticks, self.cpufreq)
-
-
-def start_clock(cpufreq: float = DEFAULT_CPUFREQ) -> CounterClock:
-    """Create and start a counter clock."""
-    return CounterClock(cpufreq).start()
+        return counter_to_us(self._ticks, self.ticks_per_us)
 
 
 class SimClock:

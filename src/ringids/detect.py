@@ -249,7 +249,7 @@ class AnalysisWorker:
         self.alert_sink = alert_sink
         self.useless_mode = useless_mode
         self.stats = stats if stats is not None else WorkerStats()
-        self.tx_stall_hook = None  # sim runner installs a drain; real mode yields
+        self.tx_stall_hook = None  # called while the TX ring is full; unset, the worker yields
 
     def _emit(self, alert: Alert) -> None:
         self.stats.alerts += 1
@@ -333,10 +333,3 @@ class AnalysisWorker:
         self._finish(desc, verdict)
         return verdict, alerts
 
-    def poll_once(self, max_burst: int = 32) -> int:
-        """Real-thread loop body: drain up to one burst from the RX ring."""
-        processed = 0
-        for desc in self.rx_ring.dequeue_burst(max_burst):
-            self.process_packet(desc)
-            processed += 1
-        return processed

@@ -41,7 +41,6 @@ def _add_run_parser(sub):
     p.add_argument("--useless", action="store_true", help="no analysis: fetch and allow")
     p.add_argument("--rate", type=float, default=0.0, metavar="PPS", help="offered load; 0 saturates")
     p.add_argument("--clock", choices=["sim", "real"], default="sim")
-    p.add_argument("--cpufreq", type=float, default=3785.0, help="counter ticks per microsecond (real clock)")
     p.add_argument("--ring-capacity", type=int, default=4096)
     p.add_argument("--burst", type=int, default=32)
     p.add_argument("--cost-model", choices=["on", "off"], default="off")
@@ -107,7 +106,6 @@ def _run(args) -> int:
         rules_path=args.rules,
         take_first=args.take_first,
         clock_mode=args.clock,
-        cpufreq=args.cpufreq,
         rate_pps=args.rate,
         cost_model=CostModel.from_config(
             enabled=(args.cost_model == "on"),

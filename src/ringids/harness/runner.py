@@ -1,17 +1,29 @@
 """Experiment runner: engine assembly, lifecycle, execution, reporting.
 
-Two execution modes share the same pipeline objects:
+One pipeline driver, two schedulers. ``_Step`` holds the work both share:
+``offer`` hands one frame to the acquisition side and ``serve`` analyses one
+dequeued descriptor on a worker (flow expiry at each new interval, the
+verdict, the timing model's cost, stretched by the paging factor when the
+cost model is on); both count into fixed-width intervals (3 seconds each).
+In both, the acquisition side alone drains the inline TX ring to the sink,
+and drains it once more after stop, when the rings are empty. The
+schedulers differ only in the clock and in who calls the step:
 
-* simulated clock (default): a deterministic single-process schedule. Each
-  actor carries its own local time; analysis costs per packet come from a
-  simple timing model stretched by the paging factor, and the acquisition
-  side is paced by the source rate (or runs unpaced to saturate the
-  pipeline). Identical seed and config give identical reports.
-* real clock: one acquisition thread plus N analysis threads against the
-  counter clock, wall-clock duration, paging stretch applied as sleeps.
+* simulated clock (default): a deterministic single-threaded schedule. Each
+  actor carries its own local time; the acquisition side is paced by the
+  source rate (or by its own per-frame cost, to saturate the pipeline) and
+  each worker advances by the stretched cost of what it serves. After stop,
+  each worker serves what is left on its ring. Identical seed and config
+  give identical reports.
+* real clock: acquisition on the calling thread plus one thread per worker,
+  against the counter clock; intervals and elapsed time come from the wall
+  clock, and a worker sleeps the paging stretch of each dequeued burst. A
+  worker exits once acquisition is done and its ring is empty, and the
+  acquisition side keeps draining TX until every worker has exited, so a
+  worker waiting on a full TX ring always gets room.
 
-Reports carry run totals, throughput, and fixed-width interval records
-(3 seconds each) of drop rate and paging activity.
+Reports carry run totals, throughput, and the interval records of drop rate
+and paging activity.
 """
 
 from __future__ import annotations
@@ -20,16 +32,15 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
-from ..acquire import AcquireStats, AcquisitionWorker, DispatchConfig
+from ..acquire import AcquireStats, AcquisitionWorker
 from ..boundary import CostModel, Lifecycle, LifecycleEvent, paging_factor, trusted_footprint
 from ..clock import CounterClock, SimClock
 from ..detect import AnalysisWorker, WorkerStats
 from ..flow import FlowTable
 from ..matching import kernel_name
 from ..packet import PacketPool
-from ..ring import Discipline, Ring
+from ..ring import Ring
 from ..rules import AddressSpec, RuleSet, _parse_addr, compile_ruleset, load_ruleset, load_ruleset_file
 from .pcapio import pcap_source
 from .synth import ConfigError, WorkloadSpec, synth_source
@@ -67,7 +78,6 @@ class TimingModel:
 @dataclass
 class EngineConfig:
     n_workers: int = 1
-    n_acquire_threads: int = 1
     ring_capacity: int = 4096
     burst_size: int = 32
     pool_capacity: int | None = None  # default sized from rings
@@ -81,7 +91,6 @@ class EngineConfig:
     cost_model: CostModel | None = None
     timing: TimingModel = field(default_factory=TimingModel)
     clock_mode: str = "sim"  # sim | real
-    cpufreq: float = 3785.0
     rate_pps: float = 0.0  # 0 = unpaced (saturating) source
 
     def resolved_pool_capacity(self) -> int:
@@ -224,6 +233,7 @@ class Engine:
         self.pool: PacketPool | None = None
         self.rx_rings: list[Ring] = []
         self.tx_ring: Ring | None = None
+        self.source = None
         self.compiled = None
         self.workers: list[AnalysisWorker] = []
         self.acquirer: AcquisitionWorker | None = None
@@ -255,8 +265,8 @@ class Engine:
         self._cross()
         cfg = self.config
         self.pool = PacketPool(cfg.resolved_pool_capacity())
-        self.rx_rings = [Ring(cfg.ring_capacity, Discipline.MPSC) for _ in range(cfg.n_workers)]
-        self.tx_ring = Ring(cfg.ring_capacity, Discipline.MPMC)
+        self.rx_rings = [Ring(cfg.ring_capacity) for _ in range(cfg.n_workers)]
+        self.tx_ring = Ring(cfg.ring_capacity)
         self.compiled = compile_ruleset(self.load_rules())
 
     def start_device(self, source, sink) -> None:
@@ -264,17 +274,11 @@ class Engine:
         self.lifecycle.transition(LifecycleEvent.START_DEVICE)
         self._cross()
         cfg = self.config
-        dispatch = DispatchConfig(
-            n_rx_rings=cfg.n_workers,
-            burst_size=cfg.burst_size,
-            inline_mode=cfg.inline,
-        )
+        self.source = source
         self.acquirer = AcquisitionWorker(
-            source=source,
             pool=self.pool,
             rx_rings=self.rx_rings,
-            config=dispatch,
-            tx_ring=self.tx_ring,
+            tx_ring=self.tx_ring if cfg.inline else None,
             sink=sink,
             stats=AcquireStats(),
         )
@@ -327,6 +331,8 @@ class Engine:
 
 
 class _IntervalAccumulator:
+    """Per-interval counts; each thread of a run fills its own, merged after."""
+
     def __init__(self):
         self.received: dict[int, int] = {}
         self.dropped: dict[int, int] = {}
@@ -335,57 +341,102 @@ class _IntervalAccumulator:
         self.base_us: dict[int, float] = {}
         self.stretched_us: dict[int, float] = {}
 
-    def bump(self, table: dict, idx: int, n=1) -> None:
-        table[idx] = table.get(idx, 0) + n
+    def merge(self, other: "_IntervalAccumulator") -> None:
+        for name, table in vars(other).items():
+            mine = getattr(self, name)
+            for idx, n in table.items():
+                mine[idx] = mine.get(idx, 0) + n
 
 
-def _sim_run(engine: Engine, workload: WorkloadSpec, source) -> tuple[int, _IntervalAccumulator]:
+class _Step:
+    """The per-frame and per-descriptor work both schedulers share."""
+
+    def __init__(self, engine: Engine):
+        cfg = engine.config
+        model = cfg.cost_model
+        self.ingest = engine.acquirer.ingest_frame
+        self.workers = engine.workers
+        self.packet_cost = cfg.timing.packet_cost
+        self.useless = cfg.useless
+        self.factor = engine.current_factor if model is not None and model.enabled else None  # None: unpriced
+        self.expire_mark = [0] * len(engine.workers)  # last interval each worker swept
+
+    def offer(self, frame, now_us: int, idx: int, acc: _IntervalAccumulator) -> None:
+        """Acquisition side: decode and dispatch one frame."""
+        acc.received[idx] = acc.received.get(idx, 0) + 1
+        if self.ingest(frame, now_us) < 0:
+            acc.dropped[idx] = acc.dropped.get(idx, 0) + 1
+
+    def serve(self, i: int, desc, now_us: int, idx: int, acc: _IntervalAccumulator) -> tuple[float, float]:
+        """Worker ``i`` analyses one descriptor; returns its base and
+        paging-stretched cost in microseconds."""
+        w = self.workers[i]
+        if idx > self.expire_mark[i]:
+            self.expire_mark[i] = idx
+            w.flow_table.expire_flows(now_us)
+        stats = w.stats
+        cand0 = stats.candidates_evaluated
+        alerts0 = stats.alerts
+        w.process_packet(desc)
+        new_alerts = stats.alerts - alerts0
+        base = self.packet_cost(self.useless, desc.payload_len, stats.candidates_evaluated - cand0, new_alerts)
+        cost = base if self.factor is None else base * self.factor()
+        acc.analyzed[idx] = acc.analyzed.get(idx, 0) + 1
+        acc.alerts[idx] = acc.alerts.get(idx, 0) + new_alerts
+        acc.base_us[idx] = acc.base_us.get(idx, 0.0) + base
+        acc.stretched_us[idx] = acc.stretched_us.get(idx, 0.0) + cost
+        return base, cost
+
+
+def _frames(source, packet_count: int | None, burst: int):
+    """Frames from ``source``, pulled ``burst`` at a time, never more than
+    ``packet_count`` in all."""
+    pulled = 0
+    while True:
+        n = burst if packet_count is None else min(burst, packet_count - pulled)
+        frames = source.next_burst(n) if n > 0 else None
+        if not frames:
+            return
+        pulled += len(frames)
+        yield from frames
+
+
+def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccumulator, dict]:
     """Deterministic schedule: acquisition paced by the source rate (or its
     own per-frame cost when unpaced), workers modeled as queue servers whose
     next-free time advances by the stretched per-packet cost.
 
     The schedule is one thread, so ring cursors are read without the lock to
-    skip empty rings, and each worker remembers when its ring head will start
-    until it dequeues it: the head only changes by that worker's dequeue.
+    skip empty rings, each worker remembers when its ring head will start
+    until it dequeues it (the head only changes by that worker's dequeue),
+    and a worker that finds the TX ring full drains it itself.
     """
     cfg = engine.config
-    timing = cfg.timing
     model = cfg.cost_model
-    priced = model is not None and model.enabled
+    step = _Step(engine)
+    serve = step.serve
     acc = _IntervalAccumulator()
-    acq = engine.acquirer
-    warm_end = float(model.warmup_us) if priced else 0.0
+    warm_end = float(model.warmup_us) if step.factor is not None else 0.0
 
     workers = engine.workers
     rx_rings = [w.rx_ring for w in workers]
-    n_workers = len(workers)
-    worker_t = [warm_end + engine._crossing_us_total] * n_workers
-    head_start: list[float | None] = [None] * n_workers  # start time of the peeked ring head
-    expire_mark = [0] * n_workers
+    worker_t = [warm_end + engine._crossing_us_total] * len(workers)
+    head_start: list[float | None] = [None] * len(workers)  # start time of the peeked ring head
     t_acq = engine._crossing_us_total
     duration_us = workload.duration_s * 1e6 if workload.duration_s is not None else None
-    packet_count = workload.packet_count
     rate = cfg.rate_pps
-    acquire_us = timing.acquire_us
-    offered = 0
+    acquire_us = cfg.timing.acquire_us
 
-    tx_ring = engine.tx_ring
+    tx_ring = engine.acquirer.tx_ring
     drain_tx = None
-    if cfg.inline and tx_ring is not None:
-        drain_tx = partial(acq.drain_tx, max_n=tx_ring.capacity)
+    if tx_ring is not None:
+        drain_tx = engine.acquirer.drain_tx
         for w in workers:
             w.tx_stall_hook = drain_tx
-
-    received, dropped = acc.received, acc.dropped
-    analyzed, alerts_at = acc.analyzed, acc.alerts
-    base_at, stretched_at = acc.base_us, acc.stretched_us
-    packet_cost, current_factor = timing.packet_cost, engine.current_factor
-    useless = cfg.useless
 
     def drain_worker(i: int, upto: float | None) -> None:
         w = workers[i]
         ring = rx_rings[i]
-        stats = w.stats
         while ring.head != ring.tail:
             start = head_start[i]
             if start is None:
@@ -397,151 +448,109 @@ def _sim_run(engine: Engine, workload: WorkloadSpec, source) -> tuple[int, _Inte
             head_start[i] = None
             now = int(start)
             w.clock.set_us(now)
-            idx = int(start // INTERVAL_US)
-            if idx > expire_mark[i]:
-                expire_mark[i] = idx
-                w.flow_table.expire_flows(now)
-            cand0 = stats.candidates_evaluated
-            alerts0 = stats.alerts
-            w.process_packet(desc)
+            _, cost = serve(i, desc, now, int(start // INTERVAL_US), acc)
             if drain_tx is not None and tx_ring.head != tx_ring.tail:
                 drain_tx()
-            new_alerts = stats.alerts - alerts0
-            base = packet_cost(useless, desc.payload_len, stats.candidates_evaluated - cand0, new_alerts)
-            cost = base * current_factor() if priced else base
             worker_t[i] = start + cost
-            analyzed[idx] = analyzed.get(idx, 0) + 1
-            alerts_at[idx] = alerts_at.get(idx, 0) + new_alerts
-            base_at[idx] = base_at.get(idx, 0.0) + base
-            stretched_at[idx] = stretched_at.get(idx, 0.0) + cost
 
-    burst = cfg.burst_size
-    ingest = acq.ingest_frame
-    running = True
-    while running:
-        n = burst if packet_count is None else min(burst, packet_count - offered)
-        frames = source.next_burst(n) if n > 0 else None
-        if not frames:
+    offer = step.offer
+    for offered, frame in enumerate(_frames(engine.source, workload.packet_count, cfg.burst_size)):
+        if rate > 0:
+            t_acq = max(t_acq + acquire_us, offered * 1e6 / rate)
+        else:
+            t_acq += acquire_us
+        if duration_us is not None and t_acq > duration_us:
             break
-        for frame in frames:
-            if rate > 0:
-                t_acq = max(t_acq + acquire_us, offered * 1e6 / rate)
-            else:
-                t_acq += acquire_us
-            if duration_us is not None and t_acq > duration_us:
-                running = False
-                break
-            offered += 1
-            for i, ring in enumerate(rx_rings):
-                if ring.head != ring.tail:
-                    drain_worker(i, t_acq)
-            idx = int(t_acq // INTERVAL_US)
-            received[idx] = received.get(idx, 0) + 1
-            if ingest(frame, int(t_acq)) < 0:
-                dropped[idx] = dropped.get(idx, 0) + 1
+        for i, ring in enumerate(rx_rings):
+            if ring.head != ring.tail:
+                drain_worker(i, t_acq)
+        offer(frame, int(t_acq), int(t_acq // INTERVAL_US), acc)
 
     engine.stop()
-    for i in range(n_workers):
+    for i in range(len(workers)):
         drain_worker(i, None)
     if drain_tx is not None:
         drain_tx()
     end_us = max([t_acq] + worker_t)
-    return int(math.ceil(end_us)), acc
+    return int(math.ceil(end_us)), acc, {}
 
 
-def _real_run(engine: Engine, workload: WorkloadSpec, source) -> tuple[int, _IntervalAccumulator]:
+def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccumulator, dict]:
     """Threaded execution against the counter clock; intervals and elapsed
     time come from the untrusted wall clock, as an external harness would
     measure them."""
     cfg = engine.config
-    acc = _IntervalAccumulator()
-    clock = CounterClock(cfg.cpufreq).start()
-    for w in engine.workers:
-        w.clock = clock
+    step = _Step(engine)
     acq = engine.acquirer
-    stop_flag = threading.Event()
+    workers = engine.workers
+    t_clock = time.monotonic()
+    clock = CounterClock().start()
+    for w in workers:
+        w.clock = clock
     t0 = time.monotonic()
-    duration_s = workload.duration_s
-    lock = threading.Lock()  # guards the shared source and offered counter
-    offered = [0]
+    done = threading.Event()  # acquisition has offered its last frame
+    accs = [_IntervalAccumulator() for _ in workers]
+    errors: list[Exception] = []
 
-    def interval_idx() -> int:
-        return int((time.monotonic() - t0) / 3.0)
+    def interval() -> int:
+        return int((time.monotonic() - t0) * 1e6 // INTERVAL_US)
 
-    def acquisition_loop():
-        while not stop_flag.is_set():
-            with lock:
-                if workload.packet_count is not None and offered[0] >= workload.packet_count:
-                    break
-                frames = source.next_burst(1)
-                if not frames:
-                    break
-                offered[0] += 1
-                if cfg.rate_pps > 0:
-                    target = t0 + offered[0] / cfg.rate_pps
-                    delay = target - time.monotonic()
-                else:
-                    delay = 0.0
-            if delay > 0:
-                time.sleep(delay)
-            before_drop = acq.stats.dropped + acq.stats.decode_failed
-            acq.ingest_frame(frames[0], clock.now_us())
-            idx = interval_idx()
-            acc.bump(acc.received, idx)
-            dropped_now = acq.stats.dropped + acq.stats.decode_failed - before_drop
-            if dropped_now:
-                acc.bump(acc.dropped, idx, dropped_now)
-            acq.drain_tx()
+    def work(i: int) -> None:
+        ring, acc, serve = workers[i].rx_ring, accs[i], step.serve
+        try:
+            while True:
+                finished = done.is_set()  # read before the dequeue: nothing comes after it
+                descs = ring.dequeue_burst(cfg.burst_size)
+                if not descs:
+                    if finished:
+                        return
+                    time.sleep(0)
+                    continue
+                idx = interval()
+                stretch = 0.0
+                for desc in descs:
+                    base, cost = serve(i, desc, clock.now_us(), idx, acc)
+                    stretch += cost - base
+                if stretch > 0:
+                    time.sleep(stretch / 1e6)
+        except Exception as exc:  # re-raised on the calling thread
+            errors.append(exc)
 
-    def worker_loop(i: int):
-        w = engine.workers[i]
-        timing = cfg.timing
-        while True:
-            alerts0 = w.stats.alerts
-            analyzed0 = w.stats.analyzed
-            n = w.poll_once(cfg.burst_size)
-            if n:
-                idx = interval_idx()
-                acc.bump(acc.analyzed, idx, n)
-                acc.bump(acc.alerts, idx, w.stats.alerts - alerts0)
-                factor = engine.current_factor()
-                base = timing.analysis_us * (w.stats.analyzed - analyzed0)
-                acc.base_us[idx] = acc.base_us.get(idx, 0.0) + base
-                acc.stretched_us[idx] = acc.stretched_us.get(idx, 0.0) + base * factor
-                if factor > 1.0:
-                    time.sleep((factor - 1.0) * base / 1e6)
-            elif stop_flag.is_set():
-                break
-            else:
-                time.sleep(0)
-
-    acq_threads = [
-        threading.Thread(target=acquisition_loop, name=f"acquire-{k}", daemon=True)
-        for k in range(cfg.n_acquire_threads)
-    ]
-    worker_threads = [
-        threading.Thread(target=worker_loop, args=(i,), name=f"analysis-{i}", daemon=True)
-        for i in range(len(engine.workers))
-    ]
-    for t in acq_threads + worker_threads:
+    threads = [threading.Thread(target=work, args=(i,), name=f"analysis-{i}", daemon=True) for i in range(len(workers))]
+    for t in threads:
         t.start()
-    if duration_s is not None:
-        time.sleep(duration_s)
-        stop_flag.set()
-    for t in acq_threads:
-        t.join()
-    stop_flag.set()
-    for t in worker_threads:
-        t.join()
+
+    acc = _IntervalAccumulator()
+    rate, duration_s = cfg.rate_pps, workload.duration_s
+    try:
+        for offered, frame in enumerate(_frames(engine.source, workload.packet_count, cfg.burst_size)):
+            now = time.monotonic() - t0
+            if rate > 0 and offered / rate > now:
+                time.sleep(offered / rate - now)
+                now = offered / rate
+            if duration_s is not None and now > duration_s:
+                break
+            step.offer(frame, clock.now_us(), interval(), acc)
+            acq.drain_tx()
+    finally:
+        done.set()
+        while any(t.is_alive() for t in threads):
+            if not acq.drain_tx():
+                time.sleep(0.0005)
+    if errors:
+        raise errors[0]
+
     engine.stop()
-    # the workers have exited; drain whatever is left on the rings
-    for i, w in enumerate(engine.workers):
-        while w.poll_once(cfg.burst_size):
-            pass
-    acq.drain_tx(max_n=engine.tx_ring.capacity)
+    acq.drain_tx()  # a worker exits only on an empty ring, so TX alone can hold frames
     clock.stop()
-    elapsed_us = int((time.monotonic() - t0) * 1e6)
-    return elapsed_us, acc
+    end = time.monotonic()
+    for other in accs:
+        acc.merge(other)
+    rates = {
+        "ticks_per_us": round(clock.ticks_per_us, 3),
+        "ticks_per_us_effective": round(clock.ticks / max((end - t_clock) * 1e6, 1.0), 3),
+    }
+    return math.ceil((end - t0) * 1e6), acc, rates
 
 
 def run_experiment(workload: WorkloadSpec, config: EngineConfig, alert_sink=None, sink=None) -> Report:
@@ -563,18 +572,18 @@ def run_experiment(workload: WorkloadSpec, config: EngineConfig, alert_sink=None
     engine.begin_acquire()
     crossings_before_run = engine._crossing_us_total  # setup crossings are in the time base
 
-    if config.clock_mode == "sim":
-        elapsed_us, acc = _sim_run(engine, workload, source)
-    else:
-        elapsed_us, acc = _real_run(engine, workload, source)
+    run = _sim_run if config.clock_mode == "sim" else _real_run
+    elapsed_us, acc, clock_rates = run(engine, workload)
 
     residual = sum(len(r) for r in engine.rx_rings) + len(engine.tx_ring)
     engine.shutdown()
     elapsed_us += int(engine._crossing_us_total - crossings_before_run)  # stop + shutdown
-    return _build_report(engine, workload, elapsed_us, acc, residual)
+    return _build_report(engine, workload, elapsed_us, acc, residual, clock_rates)
 
 
-def _build_report(engine: Engine, workload: WorkloadSpec, elapsed_us: int, acc: _IntervalAccumulator, residual: int) -> Report:
+def _build_report(
+    engine: Engine, workload: WorkloadSpec, elapsed_us: int, acc: _IntervalAccumulator, residual: int, clock_rates: dict
+) -> Report:
     cfg = engine.config
     acq = engine.acquirer.stats
     analyzed = sum(w.stats.analyzed for w in engine.workers)
@@ -618,7 +627,7 @@ def _build_report(engine: Engine, workload: WorkloadSpec, elapsed_us: int, acc: 
         intervals.append(
             IntervalRecord(
                 index=idx,
-                start_s=idx * 3.0,
+                start_s=idx * INTERVAL_US / 1e6,
                 received=received,
                 analyzed=got_analyzed,
                 dropped=dropped,
@@ -655,6 +664,7 @@ def _build_report(engine: Engine, workload: WorkloadSpec, elapsed_us: int, acc: 
                 "rate_pps": cfg.rate_pps,
                 "cost_model": (cfg.cost_model is not None and cfg.cost_model.enabled),
                 "kernel": kernel_name(),
+                **clock_rates,
             },
         },
     )

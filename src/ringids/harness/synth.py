@@ -301,9 +301,6 @@ class GeneratorSource:
                     self._done = True
         return out
 
-    def exhausted(self) -> bool:
-        return self._done
-
 
 def synth_source(spec: WorkloadSpec, ruleset: RuleSet | None = None) -> GeneratorSource:
     return GeneratorSource(lambda: gen_synth(spec, ruleset), repeat=spec.repeat)

@@ -196,8 +196,9 @@ class PacketPool:
     """Fixed pool of frame slots backing zero-copy descriptors.
 
     A slot handed out with a descriptor is not reused until released. Alloc
-    and release are safe under concurrent acquisition threads; slot contents
-    are read-only between store and release.
+    and release are safe from concurrent threads (in real-clock runs the
+    workers release while acquisition stores); slot contents are read-only
+    between store and release.
     """
 
     def __init__(self, capacity: int, slot_size: int = SLOT_SIZE):

@@ -14,12 +14,6 @@ as a compare-and-swap ring.
 from __future__ import annotations
 
 import threading
-from enum import Enum
-
-
-class Discipline(Enum):
-    MPSC = "mpsc"  # many producers, exactly one consumer
-    MPMC = "mpmc"  # many producers, many consumers
 
 
 class ConfigError(ValueError):
@@ -27,11 +21,10 @@ class ConfigError(ValueError):
 
 
 class Ring:
-    def __init__(self, capacity: int, discipline: Discipline = Discipline.MPSC):
+    def __init__(self, capacity: int):
         if capacity <= 0 or capacity & (capacity - 1):
             raise ConfigError(f"ring capacity must be a power of two, got {capacity}")
         self.capacity = capacity
-        self.discipline = discipline
         self._mask = capacity - 1
         self._slots: list = [None] * capacity
         # cursors: next slot to dequeue and to enqueue. Only the lock holder
@@ -96,6 +89,3 @@ class Ring:
         with self._lock:
             return self.tail - self.head
 
-
-def ring_new(capacity: int, discipline: Discipline) -> Ring:
-    return Ring(capacity, discipline)

@@ -1,21 +1,14 @@
-"""Flow hashing, ring selection, and the acquisition step."""
+"""Flow hashing, ring selection, frame dispatch and the TX drain."""
 
 import random
 
 import pytest
 
 from ringids import acquire
-from ringids.acquire import (
-    AcquisitionWorker,
-    DispatchConfig,
-    SourceExhausted,
-    murmur3_32,
-    rss_hash,
-    select_ring,
-)
+from ringids.acquire import AcquisitionWorker, murmur3_32, rss_hash, select_ring
 from ringids.harness.synth import build_ipv4_tcp_frame, build_ipv4_udp_frame
 from ringids.packet import FiveTuple, PacketPool, Proto, parse_ip
-from ringids.ring import Discipline, Ring
+from ringids.ring import Ring
 
 
 def test_murmur3_published_vectors():
@@ -55,20 +48,6 @@ def test_select_ring_low_six_bits():
         select_ring(1, 0)
 
 
-class ListSource:
-    def __init__(self, frames):
-        self.frames = list(frames)
-        self.pos = 0
-
-    def next_burst(self, n):
-        out = self.frames[self.pos : self.pos + n]
-        self.pos += len(out)
-        return out
-
-    def exhausted(self):
-        return self.pos >= len(self.frames)
-
-
 class ListSink:
     def __init__(self):
         self.frames = []
@@ -82,21 +61,26 @@ def frame_for(i, payload=b"data!"):
                                 flags=0x10, seq=1, payload=payload)
 
 
-def make_acquirer(frames, n_rings=2, ring_capacity=64, inline=False, burst=32):
-    pool = PacketPool(capacity=max(len(frames) + 8, 16))
-    rings = [Ring(ring_capacity, Discipline.MPSC) for _ in range(n_rings)]
-    tx = Ring(ring_capacity, Discipline.MPMC)
+def make_acquirer(n_frames=0, n_rings=2, ring_capacity=64, inline=False):
+    """An acquisition worker; its TX ring is ``tx`` in inline mode only, as
+    the engine builds it."""
+    pool = PacketPool(capacity=max(n_frames + 8, 16))
+    rings = [Ring(ring_capacity) for _ in range(n_rings)]
+    tx = Ring(ring_capacity)
     sink = ListSink()
-    cfg = DispatchConfig(n_rx_rings=n_rings, burst_size=burst, inline_mode=inline)
-    worker = AcquisitionWorker(ListSource(frames), pool, rings, cfg, tx_ring=tx, sink=sink)
+    worker = AcquisitionWorker(pool, rings, tx_ring=tx if inline else None, sink=sink)
     return worker, pool, rings, tx, sink
+
+
+def ingest_all(worker, frames, now_us=0):
+    return [worker.ingest_frame(f, now_us) for f in frames]
 
 
 def test_dispatch_follows_hash_rule():
     frames = [frame_for(i) for i in range(30)]
-    worker, pool, rings, _, _ = make_acquirer(frames)
-    moved = worker.acquisition_step(now_us=5)
-    assert moved == 30
+    worker, pool, rings, _, _ = make_acquirer(len(frames))
+    placed = ingest_all(worker, frames, now_us=5)
+    assert len(placed) == 30 and min(placed) >= 0
     assert worker.stats.received == 30
     # every descriptor landed on the ring its flow hash selects
     for idx, ring in enumerate(rings):
@@ -105,6 +89,7 @@ def test_dispatch_follows_hash_rule():
             if desc is None:
                 break
             assert select_ring(rss_hash(desc.tuple), 2) == idx
+            assert placed[frames.index(bytes(pool.view(desc.slot)))] == idx
             assert desc.arrival_us == 5
             pool.release(desc.slot)
     assert pool.in_use_count() == 0
@@ -121,7 +106,7 @@ def test_ring_memo_follows_hash_rule_and_stays_bounded(monkeypatch):
     monkeypatch.setattr(acquire, "RING_MEMO_ENTRIES", 64)
     rng = random.Random(23)
     for n_rings in range(1, 9):
-        worker, *_ = make_acquirer([], n_rings=n_rings)
+        worker, *_ = make_acquirer(n_rings=n_rings)
         tuples = [random_tuple(rng) for _ in range(100)]
         seen = tuples + [t.reversed() for t in tuples]
         for _ in range(3):  # revisits hit the memo or, after a clear, miss again
@@ -140,16 +125,16 @@ def test_flow_hash_runs_once_per_tuple(monkeypatch):
 
     monkeypatch.setattr(acquire, "rss_hash", counting_hash)
     frames = [frame_for(i % 7) for i in range(42)]
-    worker, _, rings, _, _ = make_acquirer(frames, burst=64)
-    worker.acquisition_step(now_us=0)
+    worker, _, rings, _, _ = make_acquirer(len(frames))
+    ingest_all(worker, frames)
     assert sum(len(r) for r in rings) == 42
     assert len(calls) == len(set(calls)) == 7
 
 
 def test_full_ring_counts_drop_and_releases_slot():
     frames = [frame_for(0) for _ in range(4)]  # same flow -> same ring
-    worker, pool, rings, _, _ = make_acquirer(frames, n_rings=1, ring_capacity=2)
-    worker.acquisition_step(now_us=0)
+    worker, pool, rings, _, _ = make_acquirer(len(frames), n_rings=1, ring_capacity=2)
+    assert ingest_all(worker, frames) == [0, 0, -1, -1]
     assert worker.stats.received == 4
     assert worker.stats.dropped == 2
     assert len(rings[0]) == 2
@@ -160,8 +145,8 @@ def test_decode_failures_counted_separately():
     bad = b"\x00" * 10  # shorter than an Ethernet header
     ipv6 = bytearray(frame_for(0))
     ipv6[12:14] = b"\x86\xdd"
-    worker, pool, rings, _, _ = make_acquirer([bad, bytes(ipv6), frame_for(1)], n_rings=1)
-    worker.acquisition_step(now_us=0)
+    worker, pool, rings, _, _ = make_acquirer(3, n_rings=1)
+    assert ingest_all(worker, [bad, bytes(ipv6), frame_for(1)]) == [-1, -1, 0]
     assert worker.stats.received == 3
     assert worker.stats.decode_failed == 2
     assert worker.stats.dropped == 0
@@ -177,26 +162,23 @@ def test_received_conservation_invariant():
             frames.append(b"\x01\x02")  # undecodable
         else:
             frames.append(frame_for(rng.randrange(4)))
-    worker, pool, rings, _, _ = make_acquirer(frames, n_rings=2, ring_capacity=32)
-    while True:
-        try:
-            worker.acquisition_step(now_us=0)
-        except SourceExhausted:
-            break
+    worker, pool, rings, _, _ = make_acquirer(len(frames), n_rings=2, ring_capacity=32)
+    placed = ingest_all(worker, frames)
     enqueued = sum(len(r) for r in rings)
+    assert enqueued == sum(idx >= 0 for idx in placed)
     s = worker.stats
     assert s.received == enqueued + s.dropped + s.decode_failed == 200
 
 
 def test_inline_tx_drain_pushes_frames_to_sink():
     frames = [frame_for(i) for i in range(3)]
-    worker, pool, rings, tx, sink = make_acquirer(frames, n_rings=1, inline=True)
-    worker.acquisition_step(now_us=0)
+    worker, pool, rings, tx, sink = make_acquirer(len(frames), n_rings=1, inline=True)
+    ingest_all(worker, frames)
     descs = rings[0].dequeue_burst(10)
     assert len(descs) == 3
     for d in descs:
         assert tx.enqueue(d)
-    worker.drain_tx(max_n=10)
+    assert worker.drain_tx() == 3
     assert len(sink.frames) == 3
     assert sink.frames[0] == frames[0]
     assert pool.in_use_count() == 0
@@ -205,20 +187,13 @@ def test_inline_tx_drain_pushes_frames_to_sink():
 
 def test_passive_mode_tx_drain_is_noop():
     frames = [frame_for(0)]
-    worker, pool, rings, tx, sink = make_acquirer(frames, n_rings=1, inline=False)
-    worker.acquisition_step(now_us=0)
+    worker, pool, rings, tx, sink = make_acquirer(len(frames), n_rings=1, inline=False)
+    ingest_all(worker, frames)
     desc = rings[0].dequeue()
     assert tx.enqueue(desc)
     assert worker.drain_tx() == 0
     assert not sink.frames
     assert len(tx) == 1
-
-
-def test_source_exhausted_raised():
-    worker, *_ = make_acquirer([frame_for(0)])
-    worker.acquisition_step(now_us=0)
-    with pytest.raises(SourceExhausted):
-        worker.acquisition_step(now_us=1)
 
 
 def test_udp_and_tcp_flows_spread_consistently():
@@ -227,6 +202,6 @@ def test_udp_and_tcp_flows_spread_consistently():
     t_udp = FiveTuple(Proto.UDP, "10.0.0.1", 53, "10.0.0.2", 53)
     assert rss_hash(t_tcp) != rss_hash(t_udp)  # frozen property of the mix
     frames = [build_ipv4_udp_frame(parse_ip("10.0.0.1"), 53, parse_ip("10.0.0.2"), 53, payload=b"q")]
-    worker, pool, rings, _, _ = make_acquirer(frames, n_rings=4)
-    worker.acquisition_step(now_us=0)
+    worker, pool, rings, _, _ = make_acquirer(len(frames), n_rings=4)
+    ingest_all(worker, frames)
     assert sum(len(r) for r in rings) == 1

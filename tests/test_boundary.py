@@ -10,7 +10,6 @@ from ringids.boundary import (
     LifecycleEvent,
     LifecycleState,
     OrderError,
-    lifecycle_transition,
     paging_factor,
     ruleset_bytes,
     trusted_footprint,
@@ -27,7 +26,7 @@ SEQUENCE = [
 
 def test_happy_path_sequence():
     lc = Lifecycle()
-    states = [lifecycle_transition(lc, e) for e in SEQUENCE]
+    states = [lc.transition(e) for e in SEQUENCE]
     assert states == [
         LifecycleState.INITIALIZED,
         LifecycleState.DEVICE_STARTED,

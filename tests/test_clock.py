@@ -1,11 +1,11 @@
-"""Counter clock monotonicity and conversion."""
+"""Counter clock monotonicity, calibration and conversion."""
 
 import threading
 import time
 
 import pytest
 
-from ringids.clock import AlreadyRunning, CounterClock, NotStarted, SimClock, counter_to_us, start_clock
+from ringids.clock import CALIBRATION_S, AlreadyRunning, CounterClock, NotStarted, SimClock, counter_to_us
 
 
 def test_counter_conversion_exact():
@@ -16,7 +16,7 @@ def test_counter_conversion_exact():
 
 
 def test_clock_advances_while_running():
-    clk = start_clock()
+    clk = CounterClock().start()
     a = clk.ticks
     time.sleep(0.01)
     b = clk.ticks
@@ -24,8 +24,23 @@ def test_clock_advances_while_running():
     assert b > a
 
 
+def test_rate_is_measured_against_wall_time():
+    t0 = time.monotonic()
+    clk = CounterClock().start()
+    try:
+        assert time.monotonic() - t0 >= CALIBRATION_S
+        assert clk.ticks_per_us > 0
+        a, w0 = clk.now_us(), time.monotonic()
+        time.sleep(0.05)
+        advanced, wall_us = clk.now_us() - a, (time.monotonic() - w0) * 1e6
+    finally:
+        clk.stop()
+    # loose: the counter thread shares the interpreter and the host's cores
+    assert wall_us / 20 < advanced < wall_us * 20
+
+
 def test_double_start_rejected():
-    clk = start_clock()
+    clk = CounterClock().start()
     try:
         with pytest.raises(AlreadyRunning):
             clk.start()
@@ -40,7 +55,7 @@ def test_not_started_read():
 
 
 def test_stopped_clock_value_retained():
-    clk = start_clock()
+    clk = CounterClock().start()
     time.sleep(0.005)
     clk.stop()
     v1 = clk.now_us()
@@ -49,7 +64,7 @@ def test_stopped_clock_value_retained():
 
 
 def test_multi_reader_monotonicity():
-    clk = start_clock()
+    clk = CounterClock().start()
     failures = []
 
     def reader():

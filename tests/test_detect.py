@@ -23,7 +23,7 @@ from ringids.harness.runner import ListAlertSink
 from ringids.harness.synth import build_ipv4_tcp_frame
 from ringids.matching import MultiPatternMatcher
 from ringids.packet import TCP_ACK, TCP_SYN, Direction, FiveTuple, PacketPool, Proto, decode, parse_ip
-from ringids.ring import Discipline, Ring
+from ringids.ring import Ring
 from ringids.rules import compile_ruleset, load_ruleset
 
 
@@ -246,8 +246,8 @@ def test_two_phase_equivalence_small(corpus_ruleset, scan_kernel):
 
 def make_worker(compiled, inline=False, useless=False, n_ring=64):
     pool = PacketPool(capacity=n_ring + 8)
-    rx = Ring(n_ring, Discipline.MPSC)
-    tx = Ring(n_ring, Discipline.MPMC)
+    rx = Ring(n_ring)
+    tx = Ring(n_ring)
     sink = ListAlertSink()
     worker = AnalysisWorker(
         worker_id=0, rx_ring=rx, pool=pool, compiled=compiled, clock=SimClock(),

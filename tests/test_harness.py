@@ -2,17 +2,24 @@
 
 import hashlib
 import os
+import sys
+import threading
 import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS_PATH, HEARTBLEED_RULE
 
 from ringids.boundary import CostModel
+from ringids.flow import FlowTable
+from ringids.harness import runner
 from ringids.harness.cli import main as cli_main
 from ringids.harness.pcapio import BadMagic, TruncatedRecord, pcap_read, pcap_write
 from ringids.harness.runner import (
+    CollectSink,
     ConservationError,
     Engine,
     EngineConfig,
@@ -177,8 +184,6 @@ def test_empty_ruleset_allows_everything_no_alerts():
 
 
 def test_inline_run_blocks_attacks_and_forwards_rest():
-    from ringids.harness.runner import CollectSink
-
     rules_text = 'drop tcp any any -> any any (msg:"inj"; content:"INJECTME"; sid:900;)\n'
     wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=4, packet_count=1000, seed=6,
                       attack_sid=900, attack_rate=0.01)
@@ -263,7 +268,7 @@ def test_sim_run_pulls_no_more_than_packet_count(tmp_path):
     engine.initialize()
     engine.start_device(source, NullSink())
     engine.begin_acquire()
-    _sim_run(engine, WorkloadSpec(kind="pcap", pcap_path=str(path), repeat=True, packet_count=25), source)
+    _sim_run(engine, WorkloadSpec(kind="pcap", pcap_path=str(path), repeat=True, packet_count=25))
     assert engine.acquirer.stats.received == 25
     assert pulls == [4, 4, 4, 4, 4, 4, 1]
 
@@ -276,6 +281,76 @@ def test_real_clock_smoke():
     assert t.received == 3000
     assert t.received == t.analyzed + t.dropped
     assert t.allowed == t.analyzed - t.blocked
+    engine = report.config["engine"]
+    assert engine["ticks_per_us"] > 0 and engine["ticks_per_us_effective"] > 0
+
+
+def run_with_watchdog(fn, timeout_s: float):
+    """``fn()`` on a daemon thread, so that a hang fails the test instead of
+    blocking the suite."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, name="watched-run", daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    if thread.is_alive():
+        pytest.fail(f"run still going after {timeout_s} s")
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+DROP_INJECTED = 'drop tcp any any -> any any (msg:"inj"; content:"INJECTME"; sid:900;)'
+
+
+# no shrinking: each shrink step of a hanging run would wait out the watchdog
+@settings(max_examples=12, phases=[Phase.explicit, Phase.generate])
+@given(
+    n_workers=st.integers(1, 3),
+    ring_capacity=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+    burst=st.integers(1, 32),
+    frames=st.integers(100, 2000),
+)
+def test_inline_real_run_terminates_and_holds_no_slot(n_workers, ring_capacity, burst, frames):
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=16, packet_count=frames, seed=frames,
+                      attack_sid=900, attack_rate=0.05)
+    config = base_config(n_workers=n_workers, clock_mode="real", inline=True, ring_capacity=ring_capacity,
+                         burst_size=burst, rules_text=DROP_INJECTED)
+    sink = CollectSink()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # interleave the threads more finely than the default 5 ms
+    try:
+        # Engine.shutdown raises ConservationError if a pool slot is still held
+        report = run_with_watchdog(lambda: run_experiment(wl, config, sink=sink), timeout_s=30)
+    finally:
+        sys.setswitchinterval(switch)
+    t = report.totals
+    assert t.received == frames
+    assert len(sink.frames) == t.allowed
+    assert sum(iv.received for iv in report.intervals) == t.received
+    assert sum(iv.analyzed for iv in report.intervals) == t.analyzed
+
+
+def test_real_run_expires_flows(monkeypatch):
+    swept = []
+    expire = FlowTable.expire_flows
+
+    def counting(table, now_us, timeout_us=None):
+        swept.append(now_us)
+        return expire(table, now_us, timeout_us)
+
+    monkeypatch.setattr(FlowTable, "expire_flows", counting)
+    monkeypatch.setattr(runner, "INTERVAL_US", 1_000)
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=8, packet_count=3000, seed=3)
+    report = run_experiment(wl, base_config(n_workers=2, clock_mode="real"))
+    assert report.totals.analyzed > 0
+    assert swept
 
 
 def test_smallflows_pcap_characteristics():

@@ -4,11 +4,11 @@ import threading
 
 import pytest
 
-from ringids.ring import ConfigError, Discipline, Ring, ring_new
+from ringids.ring import ConfigError, Ring
 
 
 def test_new_ring_empty():
-    r = ring_new(1024, Discipline.MPSC)
+    r = Ring(1024)
     assert len(r) == 0
     assert r.capacity == 1024
     assert r.dequeue() is None
@@ -17,7 +17,7 @@ def test_new_ring_empty():
 @pytest.mark.parametrize("capacity", [0, 1000, 3, -4])
 def test_bad_capacity_rejected(capacity):
     with pytest.raises(ConfigError):
-        Ring(capacity, Discipline.MPMC)
+        Ring(capacity)
 
 
 def test_full_and_fifo():
@@ -65,8 +65,8 @@ def test_conservation_single_thread():
     assert enq_ok == deq + len(r)
 
 
-def _stress(discipline: Discipline, n_producers: int, n_consumers: int, per_producer: int):
-    ring = Ring(1024, discipline)
+def _stress(n_producers: int, n_consumers: int, per_producer: int):
+    ring = Ring(1024)
     done = threading.Event()
     consumed: list[list[tuple[int, int]]] = [[] for _ in range(n_consumers)]
 
@@ -109,10 +109,10 @@ def check_stress_result(consumed, n_producers, per_producer):
 
 
 def test_mpsc_stress_small():
-    consumed = _stress(Discipline.MPSC, n_producers=4, n_consumers=1, per_producer=20_000)
+    consumed = _stress(n_producers=4, n_consumers=1, per_producer=20_000)
     check_stress_result(consumed, 4, 20_000)
 
 
 def test_mpmc_stress_small():
-    consumed = _stress(Discipline.MPMC, n_producers=4, n_consumers=4, per_producer=20_000)
+    consumed = _stress(n_producers=4, n_consumers=4, per_producer=20_000)
     check_stress_result(consumed, 4, 20_000)
