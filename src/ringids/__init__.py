@@ -2,14 +2,15 @@
 
 Packet acquisition and analysis communicate only through bounded rings of
 pool-backed packet descriptors; analysis workers run a two-phase matcher over
-a Snort-subset rule language, track flows privately, and read time from a
-monotone counter clock. An optional cost model emulates protected-memory
-paging and boundary-crossing overheads.
+a Snort-subset rule language, track flows privately, and are handed each
+packet's time (a monotone counter clock's reading in real-clock runs). An
+optional cost model emulates protected-memory paging and boundary-crossing
+overheads.
 """
 
 from .acquire import AcquisitionWorker, murmur3_32, rss_hash, select_ring
 from .boundary import CostModel, Lifecycle, LifecycleEvent, LifecycleState, OrderError, paging_factor
-from .clock import CounterClock, SimClock, counter_to_us
+from .clock import CounterClock, counter_to_us
 from .detect import Alert, AnalysisWorker, PacketContext, evaluate_rule, format_alert_fast, prefilter
 from .flow import Flow, FlowState, FlowTable, SegmentBuffer, TableFull, update_flow
 from .matching import NATIVE_AVAILABLE, MultiPatternMatcher

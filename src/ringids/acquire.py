@@ -129,8 +129,8 @@ class AcquisitionWorker:
     def ingest_frame(self, frame, arrival_us: int) -> int:
         """Decode and dispatch one frame; returns the ring index or -1.
 
-        -1 means the frame was counted but not enqueued (decode failure or a
-        full ring); its pool slot, if any, has been released.
+        -1 means the frame was counted but not enqueued (decode failure, a
+        full pool or a full ring) and holds no pool slot.
         """
         self.stats.received += 1
         try:
@@ -140,10 +140,6 @@ class AcquisitionWorker:
             return -1
         except DecodeError:
             self.stats.decode_failed += 1
-            return -1
-        if not desc.decode_ok:
-            self.stats.decode_failed += 1
-            self.pool.release(desc.slot)
             return -1
         idx = self.ring_for(desc.tuple)
         if not self.rx_rings[idx].enqueue(desc):

@@ -5,8 +5,8 @@ The engine's setup and teardown go through five ordered control calls
 an OrderError. The cost model is explicitly a model, not a hardware claim:
 it prices the trusted-side working set against a protected-memory budget and
 yields a slowdown multiplier once the budget is exceeded, plus a startup
-warmup window during which consumption is throttled. Disabled, it costs
-nothing everywhere.
+warmup window during which consumption is throttled. The engine takes
+``None`` for no model, and then prices nothing anywhere.
 """
 
 from __future__ import annotations
@@ -52,14 +52,12 @@ _TRANSITIONS = {
 class Lifecycle:
     def __init__(self):
         self.state = LifecycleState.UNINITIALIZED
-        self.history: list[LifecycleEvent] = []
 
     def transition(self, event: LifecycleEvent) -> LifecycleState:
         nxt = _TRANSITIONS.get((self.state, event))
         if nxt is None:
             raise OrderError(f"event {event.value} not allowed in state {self.state.value}")
         self.state = nxt
-        self.history.append(event)
         return nxt
 
 
@@ -72,7 +70,6 @@ class CostModel:
     which the engine is busy paging its own code and data in.
     """
 
-    enabled: bool = False
     epc_bytes: int = EPC_BYTES_DEFAULT
     crossing_cost_us: float = 0.0
     paging_penalty: float = 2.0
@@ -86,7 +83,6 @@ class CostModel:
     @classmethod
     def from_config(
         cls,
-        enabled: bool = False,
         epc_mib: float = 96.0,
         paging_penalty: float = 2.0,
         warmup_seconds: float | None = None,
@@ -94,7 +90,6 @@ class CostModel:
     ) -> "CostModel":
         """Build from the harness config keys."""
         kwargs = dict(
-            enabled=enabled,
             epc_bytes=int(epc_mib * 1024 * 1024),
             paging_penalty=paging_penalty,
             crossing_cost_us=crossing_cost_us,
@@ -105,7 +100,7 @@ class CostModel:
 
     @property
     def warmup_seconds(self) -> float:
-        if not self.enabled or self.warmup_rate <= 0:
+        if self.warmup_rate <= 0:
             return 0.0
         return self.warmup_bytes / self.warmup_rate
 
@@ -116,7 +111,7 @@ class CostModel:
 
 def paging_factor(model: CostModel | None, trusted_footprint_bytes: int) -> float:
     """Slowdown multiplier >= 1.0 once the working set exceeds the budget."""
-    if model is None or not model.enabled or trusted_footprint_bytes <= model.epc_bytes:
+    if model is None or trusted_footprint_bytes <= model.epc_bytes:
         return 1.0
     excess = trusted_footprint_bytes - model.epc_bytes
     return 1.0 + model.paging_penalty * (excess / model.epc_bytes)

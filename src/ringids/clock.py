@@ -1,13 +1,14 @@
-"""Monotonic counter time sources.
+"""Monotonic counter time source for real-clock runs.
 
-The engine never reads wall time: timestamps come either from a counter
-incremented by a dedicated thread and divided by a ticks-per-microsecond
-rate, or from a deterministic simulated clock the experiment runner advances
-explicitly. The counter's rate is measured once, against ``time.monotonic``
-when the clock starts; drift after that (the counter thread shares the
-interpreter with the workers, so it slows under load) is not corrected, only
-visible as the effective rate a real-clock report records. Overflow handling
-is out of scope. Epoch is engine start (time zero).
+The engine never reads wall time: a real-clock run's timestamps come from a
+counter incremented by a dedicated thread and divided by a
+ticks-per-microsecond rate. A simulated-clock run has no clock object; its
+scheduler computes each packet's time and hands it to the worker. The
+counter's rate is measured once, against ``time.monotonic`` when the clock
+starts; drift after that (the counter thread shares the interpreter with the
+workers, so it slows under load) is not corrected, only visible as the
+effective rate a real-clock report records. Overflow handling is out of
+scope. Epoch is engine start (time zero).
 """
 
 from __future__ import annotations
@@ -84,23 +85,3 @@ class CounterClock:
             raise NotStarted("clock not started")
         return counter_to_us(self._ticks, self.ticks_per_us)
 
-
-class SimClock:
-    """Deterministic clock advanced explicitly by the experiment runner."""
-
-    def __init__(self, start_us: int = 0):
-        self._now = int(start_us)
-
-    def now_us(self) -> int:
-        return self._now
-
-    def advance_us(self, delta: int) -> int:
-        if delta < 0:
-            raise ValueError("simulated clock cannot move backwards")
-        self._now += int(delta)
-        return self._now
-
-    def set_us(self, value: int) -> None:
-        if value < self._now:
-            raise ValueError("simulated clock cannot move backwards")
-        self._now = int(value)

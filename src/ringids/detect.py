@@ -1,10 +1,11 @@
 """Per-packet analysis: prefilter, full rule evaluation, verdict, alerts.
 
-Each analysis worker is single-threaded over its own receive ring, flow
-table, and counters; the compiled ruleset is shared read-only and the
-transmit ring is the only shared mutable structure it touches. Matching is
-two-phase: the fast-pattern scan shortlists candidate rules, then every
-option of each candidate is checked in rule order with relative anchoring.
+An analysis worker is a per-packet function over its own flow table and
+counters: the scheduler hands it each descriptor together with the time to
+analyse it at. The compiled ruleset is shared read-only and the transmit ring
+is the only shared mutable structure it touches. Matching is two-phase: the
+fast-pattern scan shortlists candidate rules, then every option of each
+candidate is checked in rule order with relative anchoring.
 """
 
 from __future__ import annotations
@@ -222,34 +223,27 @@ def prefilter(compiled: CompiledRuleSet, ctx: PacketContext) -> set[int]:
 
 
 class AnalysisWorker:
-    """One detection thread: drains its RX ring, analyzes, allows or blocks."""
+    """One detection worker: analyzes each descriptor it is given, allows or
+    blocks. Given a ``tx_ring`` it is inline: blocking rules drop, allowed
+    packets go to the ring; without one it is passive and releases every slot."""
 
     def __init__(
         self,
-        worker_id: int,
-        rx_ring: Ring,
         pool: PacketPool,
         compiled: CompiledRuleSet,
-        clock,
         flow_table: FlowTable | None = None,
         tx_ring: Ring | None = None,
-        inline_mode: bool = False,
         alert_sink=None,
         useless_mode: bool = False,
         stats: WorkerStats | None = None,
     ):
-        self.worker_id = worker_id
-        self.rx_ring = rx_ring
         self.pool = pool
         self.compiled = compiled
-        self.clock = clock
         self.flow_table = flow_table if flow_table is not None else FlowTable()
         self.tx_ring = tx_ring
-        self.inline_mode = inline_mode
         self.alert_sink = alert_sink
         self.useless_mode = useless_mode
         self.stats = stats if stats is not None else WorkerStats()
-        self.tx_stall_hook = None  # called while the TX ring is full; unset, the worker yields
 
     def _emit(self, alert: Alert) -> None:
         self.stats.alerts += 1
@@ -257,18 +251,15 @@ class AnalysisWorker:
             self.alert_sink.emit(alert, format_alert_fast(alert))
 
     def _finish(self, desc: PacketDescriptor, verdict: str) -> None:
-        if verdict == "allow" and self.inline_mode and self.tx_ring is not None:
+        if verdict == "allow" and self.tx_ring is not None:
             while not self.tx_ring.enqueue(desc):
-                # transmit side retries until the drain frees space
-                if self.tx_stall_hook is not None:
-                    self.tx_stall_hook()
-                else:
-                    time.sleep(0)
+                time.sleep(0)  # transmit side retries until the drain frees space
         else:
             self.pool.release(desc.slot)
 
-    def process_packet(self, desc: PacketDescriptor) -> tuple[str, list[Alert]]:
-        """Analyze one dequeued descriptor; returns (verdict, alerts)."""
+    def process_packet(self, desc: PacketDescriptor, now_us: int) -> tuple[str, list[Alert]]:
+        """Analyze one dequeued descriptor at time ``now_us``; returns
+        (verdict, alerts). Flow state and alert timestamps use ``now_us``."""
         stats = self.stats
         stats.analyzed += 1
         stats.analyzed_bytes += desc.frame_len
@@ -276,11 +267,10 @@ class AnalysisWorker:
             self._finish(desc, "allow")
             return "allow", []
 
-        now = self.clock.now_us()  # first of the two per-packet clock reads
         key, direction = canonical_key(desc.tuple)
         flow = None
         try:
-            flow, created = self.flow_table.lookup_or_create(key, now)
+            flow, created = self.flow_table.lookup_or_create(key, now_us)
             if created:
                 flow.initiator_direction = direction
         except TableFull:
@@ -288,7 +278,7 @@ class AnalysisWorker:
         ctx = PacketContext(
             descriptor=desc,
             tuple=desc.tuple,
-            now_us=now,
+            now_us=now_us,
             flow=flow,
             direction=direction,
             buf=self.pool.raw(),
@@ -296,7 +286,7 @@ class AnalysisWorker:
             payload_len=desc.payload_len,
         )
         if flow is not None:
-            update_flow(flow, desc, direction, now)
+            update_flow(flow, desc, direction, now_us)
             if desc.tuple.proto is Proto.TCP and desc.payload_len > 0:
                 payload = self.pool.view(desc.slot)[desc.payload_offset : desc.payload_offset + desc.payload_len]
                 delivered = self.flow_table.reassemble(flow, direction, desc.tcp_seq, payload)
@@ -311,9 +301,8 @@ class AnalysisWorker:
             if evaluate_rule(rule, self.compiled, ctx):
                 matched.append(rule)
 
-        blocked = self.inline_mode and any(r.blocks_in_inline for r in matched)
+        blocked = self.tx_ring is not None and any(r.blocks_in_inline for r in matched)
         verdict = "block" if blocked else "allow"
-        stamp = self.clock.now_us()  # second clock read: alert/stat timestamps
         alerts = []
         for rule in matched:
             alert = Alert(
@@ -321,7 +310,7 @@ class AnalysisWorker:
                 rev=rule.rev,
                 msg=rule.msg,
                 classtype=rule.classtype,
-                now_us=stamp,
+                now_us=now_us,
                 tuple=desc.tuple,
                 slot=desc.slot,
                 action_taken="blocked" if blocked else "alerted",

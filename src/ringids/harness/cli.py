@@ -24,7 +24,8 @@ from .synth import WorkloadSpec, gen_synth
 
 
 def _add_run_parser(sub):
-    p = sub.add_parser("run", help="run one experiment and print statistics")
+    # no prefix matching: a removed option must fail, not turn into a longer one
+    p = sub.add_parser("run", help="run one experiment and print statistics", allow_abbrev=False)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--synth", metavar="SIZE,FLOWS", help="synthetic workload: packet size and flow count")
     src.add_argument("--pcap", metavar="FILE", help="replay a capture file")
@@ -35,7 +36,6 @@ def _add_run_parser(sub):
     p.add_argument("--threads", type=int, default=1, help="number of analysis workers")
     p.add_argument("--rules", metavar="FILE", default=None)
     p.add_argument("--take-first", type=int, default=None, metavar="N", help="use only the first N rules")
-    p.add_argument("--alert", choices=["fast"], default="fast")
     p.add_argument("--alert-file", metavar="FILE", default=None, help="write alert lines here instead of stdout")
     p.add_argument("--inline", action="store_true", help="inline (blocking) mode")
     p.add_argument("--useless", action="store_true", help="no analysis: fetch and allow")
@@ -55,7 +55,7 @@ def _add_run_parser(sub):
 
 
 def _add_genpcap_parser(sub):
-    p = sub.add_parser("genpcap", help="write a synthetic workload to a pcap file")
+    p = sub.add_parser("genpcap", help="write a synthetic workload to a pcap file", allow_abbrev=False)
     p.add_argument("--synth", metavar="SIZE,FLOWS", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=1)
@@ -97,6 +97,11 @@ def _workload_from_args(args) -> WorkloadSpec:
 
 def _run(args) -> int:
     workload = _workload_from_args(args)
+    cost_model = None
+    if args.cost_model == "on":
+        cost_model = CostModel.from_config(
+            epc_mib=args.epc_mib, paging_penalty=args.paging_penalty, warmup_seconds=args.warmup_seconds
+        )
     config = EngineConfig(
         n_workers=args.threads,
         ring_capacity=args.ring_capacity,
@@ -107,12 +112,7 @@ def _run(args) -> int:
         take_first=args.take_first,
         clock_mode=args.clock,
         rate_pps=args.rate,
-        cost_model=CostModel.from_config(
-            enabled=(args.cost_model == "on"),
-            epc_mib=args.epc_mib,
-            paging_penalty=args.paging_penalty,
-            warmup_seconds=args.warmup_seconds,
-        ),
+        cost_model=cost_model,
     )
     alert_fh = open(args.alert_file, "w") if args.alert_file else sys.stdout
     try:

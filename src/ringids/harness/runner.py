@@ -1,26 +1,28 @@
 """Experiment runner: engine assembly, lifecycle, execution, reporting.
 
 One pipeline driver, two schedulers. ``_Step`` holds the work both share:
-``offer`` hands one frame to the acquisition side and ``serve`` analyses one
-dequeued descriptor on a worker (flow expiry at each new interval, the
-verdict, the timing model's cost, stretched by the paging factor when the
-cost model is on); both count into fixed-width intervals (3 seconds each).
-In both, the acquisition side alone drains the inline TX ring to the sink,
-and drains it once more after stop, when the rings are empty. The
-schedulers differ only in the clock and in who calls the step:
+``offer`` hands one frame to the acquisition side and ``serve`` has a worker
+analyse one dequeued descriptor at the time the scheduler passes in (flow
+expiry at each new interval, the verdict, the timing model's cost, stretched
+by the paging factor when the cost model is on); both count into
+fixed-width intervals (3 seconds each). In both, the acquisition side alone
+drains the inline TX ring to the sink, and drains it once more after stop,
+when the rings are empty. The schedulers differ only in where the time comes
+from and in who calls the step:
 
 * simulated clock (default): a deterministic single-threaded schedule. Each
   actor carries its own local time; the acquisition side is paced by the
   source rate (or by its own per-frame cost, to saturate the pipeline) and
-  each worker advances by the stretched cost of what it serves. After stop,
-  each worker serves what is left on its ring. Identical seed and config
-  give identical reports.
-* real clock: acquisition on the calling thread plus one thread per worker,
-  against the counter clock; intervals and elapsed time come from the wall
-  clock, and a worker sleeps the paging stretch of each dequeued burst. A
-  worker exits once acquisition is done and its ring is empty, and the
-  acquisition side keeps draining TX until every worker has exited, so a
-  worker waiting on a full TX ring always gets room.
+  each worker serves a descriptor at its own local time, then advances by
+  the stretched cost. After stop, each worker serves what is left on its
+  ring. Identical seed and config give identical reports.
+* real clock: acquisition on the calling thread plus one thread per worker;
+  each descriptor is served at one reading of the counter clock. Intervals
+  and elapsed time come from the wall clock, and a worker sleeps the paging
+  stretch of each dequeued burst. A worker exits once acquisition is done
+  and its ring is empty, and the acquisition side keeps draining TX until
+  every worker has exited, so a worker waiting on a full TX ring always gets
+  room.
 
 Reports carry run totals, throughput, and the interval records of drop rate
 and paging activity.
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 from ..acquire import AcquireStats, AcquisitionWorker
 from ..boundary import CostModel, Lifecycle, LifecycleEvent, paging_factor, trusted_footprint
-from ..clock import CounterClock, SimClock
+from ..clock import CounterClock
 from ..detect import AnalysisWorker, WorkerStats
 from ..flow import FlowTable
 from ..matching import kernel_name
@@ -241,7 +243,7 @@ class Engine:
 
     def _cross(self) -> None:
         model = self.config.cost_model
-        if model is not None and model.enabled and model.crossing_cost_us > 0:
+        if model is not None and model.crossing_cost_us > 0:
             self._crossing_us_total += model.crossing_cost_us
             if self.config.clock_mode == "real":
                 time.sleep(model.crossing_cost_us / 1e6)
@@ -270,36 +272,32 @@ class Engine:
         self.compiled = compile_ruleset(self.load_rules())
 
     def start_device(self, source, sink) -> None:
-        """Bind source/sink and build the workers around the rings."""
+        """Bind source/sink and build the workers; only inline workers get
+        the TX ring."""
         self.lifecycle.transition(LifecycleEvent.START_DEVICE)
         self._cross()
         cfg = self.config
         self.source = source
+        tx_ring = self.tx_ring if cfg.inline else None
         self.acquirer = AcquisitionWorker(
             pool=self.pool,
             rx_rings=self.rx_rings,
-            tx_ring=self.tx_ring if cfg.inline else None,
+            tx_ring=tx_ring,
             sink=sink,
             stats=AcquireStats(),
         )
-        self.workers = []
-        for i in range(cfg.n_workers):
-            clock = SimClock() if cfg.clock_mode == "sim" else None
-            self.workers.append(
-                AnalysisWorker(
-                    worker_id=i,
-                    rx_ring=self.rx_rings[i],
-                    pool=self.pool,
-                    compiled=self.compiled,
-                    clock=clock,
-                    flow_table=FlowTable(max_flows=cfg.max_flows),
-                    tx_ring=self.tx_ring,
-                    inline_mode=cfg.inline,
-                    alert_sink=self.alert_sink,
-                    useless_mode=cfg.useless,
-                    stats=WorkerStats(),
-                )
+        self.workers = [
+            AnalysisWorker(
+                pool=self.pool,
+                compiled=self.compiled,
+                flow_table=FlowTable(max_flows=cfg.max_flows),
+                tx_ring=tx_ring,
+                alert_sink=self.alert_sink,
+                useless_mode=cfg.useless,
+                stats=WorkerStats(),
             )
+            for _ in range(cfg.n_workers)
+        ]
 
     def begin_acquire(self) -> None:
         self.lifecycle.transition(LifecycleEvent.ACQUIRE)
@@ -322,7 +320,7 @@ class Engine:
 
     def current_factor(self) -> float:
         model = self.config.cost_model
-        if model is None or not model.enabled:
+        if model is None:
             return 1.0  # skip summing the flow footprints; paging_factor is 1.0 here
         return paging_factor(
             model,
@@ -358,7 +356,7 @@ class _Step:
         self.workers = engine.workers
         self.packet_cost = cfg.timing.packet_cost
         self.useless = cfg.useless
-        self.factor = engine.current_factor if model is not None and model.enabled else None  # None: unpriced
+        self.factor = engine.current_factor if model is not None else None  # None: unpriced
         self.expire_mark = [0] * len(engine.workers)  # last interval each worker swept
 
     def offer(self, frame, now_us: int, idx: int, acc: _IntervalAccumulator) -> None:
@@ -377,7 +375,7 @@ class _Step:
         stats = w.stats
         cand0 = stats.candidates_evaluated
         alerts0 = stats.alerts
-        w.process_packet(desc)
+        w.process_packet(desc, now_us)
         new_alerts = stats.alerts - alerts0
         base = self.packet_cost(self.useless, desc.payload_len, stats.candidates_evaluated - cand0, new_alerts)
         cost = base if self.factor is None else base * self.factor()
@@ -407,9 +405,8 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
     next-free time advances by the stretched per-packet cost.
 
     The schedule is one thread, so ring cursors are read without the lock to
-    skip empty rings, each worker remembers when its ring head will start
-    until it dequeues it (the head only changes by that worker's dequeue),
-    and a worker that finds the TX ring full drains it itself.
+    skip empty rings, and each worker remembers when its ring head will start
+    until it dequeues it (the head only changes by that worker's dequeue).
     """
     cfg = engine.config
     model = cfg.cost_model
@@ -418,24 +415,18 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
     acc = _IntervalAccumulator()
     warm_end = float(model.warmup_us) if step.factor is not None else 0.0
 
-    workers = engine.workers
-    rx_rings = [w.rx_ring for w in workers]
-    worker_t = [warm_end + engine._crossing_us_total] * len(workers)
-    head_start: list[float | None] = [None] * len(workers)  # start time of the peeked ring head
+    rx_rings = engine.rx_rings
+    worker_t = [warm_end + engine._crossing_us_total] * len(rx_rings)
+    head_start: list[float | None] = [None] * len(rx_rings)  # start time of the peeked ring head
     t_acq = engine._crossing_us_total
     duration_us = workload.duration_s * 1e6 if workload.duration_s is not None else None
     rate = cfg.rate_pps
     acquire_us = cfg.timing.acquire_us
 
     tx_ring = engine.acquirer.tx_ring
-    drain_tx = None
-    if tx_ring is not None:
-        drain_tx = engine.acquirer.drain_tx
-        for w in workers:
-            w.tx_stall_hook = drain_tx
+    drain_tx = engine.acquirer.drain_tx if tx_ring is not None else None
 
     def drain_worker(i: int, upto: float | None) -> None:
-        w = workers[i]
         ring = rx_rings[i]
         while ring.head != ring.tail:
             start = head_start[i]
@@ -446,9 +437,9 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
                 return
             desc = ring.dequeue()
             head_start[i] = None
-            now = int(start)
-            w.clock.set_us(now)
-            _, cost = serve(i, desc, now, int(start // INTERVAL_US), acc)
+            _, cost = serve(i, desc, int(start), int(start // INTERVAL_US), acc)
+            # A full drain after every serve means a worker always finds the
+            # TX ring empty, so its enqueue never waits for room.
             if drain_tx is not None and tx_ring.head != tx_ring.tail:
                 drain_tx()
             worker_t[i] = start + cost
@@ -467,7 +458,7 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
         offer(frame, int(t_acq), int(t_acq // INTERVAL_US), acc)
 
     engine.stop()
-    for i in range(len(workers)):
+    for i in range(len(rx_rings)):
         drain_worker(i, None)
     if drain_tx is not None:
         drain_tx()
@@ -482,21 +473,19 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
     cfg = engine.config
     step = _Step(engine)
     acq = engine.acquirer
-    workers = engine.workers
+    rx_rings = engine.rx_rings
     t_clock = time.monotonic()
     clock = CounterClock().start()
-    for w in workers:
-        w.clock = clock
     t0 = time.monotonic()
     done = threading.Event()  # acquisition has offered its last frame
-    accs = [_IntervalAccumulator() for _ in workers]
+    accs = [_IntervalAccumulator() for _ in rx_rings]
     errors: list[Exception] = []
 
     def interval() -> int:
         return int((time.monotonic() - t0) * 1e6 // INTERVAL_US)
 
     def work(i: int) -> None:
-        ring, acc, serve = workers[i].rx_ring, accs[i], step.serve
+        ring, acc, serve = rx_rings[i], accs[i], step.serve
         try:
             while True:
                 finished = done.is_set()  # read before the dequeue: nothing comes after it
@@ -516,7 +505,7 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
         except Exception as exc:  # re-raised on the calling thread
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(i,), name=f"analysis-{i}", daemon=True) for i in range(len(workers))]
+    threads = [threading.Thread(target=work, args=(i,), name=f"analysis-{i}", daemon=True) for i in range(len(rx_rings))]
     for t in threads:
         t.start()
 
@@ -610,7 +599,7 @@ def _build_report(
     else:
         n_intervals = max(math.ceil(elapsed_us / INTERVAL_US), 1)
     model = cfg.cost_model
-    warm_end = model.warmup_us if (model is not None and model.enabled) else 0
+    warm_end = model.warmup_us if model is not None else 0
     intervals = []
     for idx in range(n_intervals):
         received = acc.received.get(idx, 0)
@@ -662,7 +651,7 @@ def _build_report(
                 "rules": len(engine.compiled),
                 "clock": cfg.clock_mode,
                 "rate_pps": cfg.rate_pps,
-                "cost_model": (cfg.cost_model is not None and cfg.cost_model.enabled),
+                "cost_model": cfg.cost_model is not None,
                 "kernel": kernel_name(),
                 **clock_rates,
             },

@@ -65,6 +65,10 @@ class TruncatedFrame(DecodeError):
     """Frame is shorter than its own headers claim."""
 
 
+class UnsupportedL3(DecodeError):
+    """Frame carries no IPv4 packet; the matcher cannot analyse it."""
+
+
 class FrameTooLarge(DecodeError):
     """Frame exceeds the pool slot size."""
 
@@ -174,16 +178,14 @@ def canonical_key(tuple_: FiveTuple) -> tuple[FlowKey, Direction]:
 class PacketDescriptor(NamedTuple):
     """Reference into the packet pool plus decoded header metadata.
 
-    Immutable once built; safe to hand between threads. ``decode_ok`` is False
-    for frames whose L3 protocol is unsupported -- such packets are counted but
-    never analyzed.
+    Immutable once built; safe to hand between threads. Only frames that
+    decode to an IPv4 5-tuple get one.
     """
 
     slot: int
     frame_len: int
     arrival_us: int
-    decode_ok: bool
-    tuple: FiveTuple | None = None
+    tuple: FiveTuple
     l3_offset: int = 0
     l4_offset: int = 0
     payload_offset: int = 0
@@ -259,26 +261,24 @@ def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
     """Ingest one raw Ethernet frame: store it in the pool and decode headers.
 
     Sanity checks: IPv4 version, header lengths consistent with the frame,
-    transport header fits. Non-IPv4 frames yield a descriptor with
-    decode_ok=False (received but not analyzable). Raises TruncatedFrame for
-    length inconsistencies, PoolExhausted / FrameTooLarge for pool failures.
+    transport header fits. Every check runs before the pool is touched, so a
+    frame that fails one takes no slot. Raises UnsupportedL3 for non-IPv4
+    frames, TruncatedFrame for length inconsistencies, PoolExhausted /
+    FrameTooLarge for pool failures.
     """
     flen = len(frame)
     if flen < ETHER_HDR_LEN:
         raise TruncatedFrame(f"{flen}B frame shorter than Ethernet header")
     ethertype = (frame[12] << 8) | frame[13]
     if ethertype != ETHERTYPE_IPV4:
-        slot = pool.store(frame)
-        return PacketDescriptor(slot=slot, frame_len=flen, arrival_us=arrival_us, decode_ok=False)
+        raise UnsupportedL3(f"ethertype 0x{ethertype:04x} is not IPv4")
 
     l3 = ETHER_HDR_LEN
     if flen < l3 + 20:
         raise TruncatedFrame("frame too short for IPv4 header")
     ver_ihl, tot_len, proto_num, src_ip, dst_ip = _IPV4_HDR.unpack_from(frame, l3)
     if ver_ihl >> 4 != 4:
-        # claims IPv4 at L2 but is not; treat like an unsupported L3
-        slot = pool.store(frame)
-        return PacketDescriptor(slot=slot, frame_len=flen, arrival_us=arrival_us, decode_ok=False)
+        raise UnsupportedL3(f"IP version {ver_ihl >> 4} behind an IPv4 ethertype")
     ihl = (ver_ihl & 0x0F) * 4
     if ihl < 20 or flen < l3 + ihl:
         raise TruncatedFrame("IPv4 header length inconsistent with frame")
@@ -321,7 +321,6 @@ def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
             slot,
             flen,
             arrival_us,
-            True,
             _new(FiveTuple, (proto, src_ip, src_port, dst_ip, dst_port)),
             l3,
             l4,

@@ -54,20 +54,6 @@ class Ring:
             self.head += 1
             return item
 
-    def enqueue_burst(self, items) -> int:
-        """Insert as many of ``items`` as fit; returns the accepted count."""
-        accepted = 0
-        with self._lock:
-            for item in items:
-                if item is None:
-                    raise ValueError("ring elements must not be None")
-                if self.tail - self.head == self.capacity:
-                    break
-                self._slots[self.tail & self._mask] = item
-                self.tail += 1
-                accepted += 1
-        return accepted
-
     def dequeue_burst(self, max_n: int) -> list:
         """Remove up to ``max_n`` elements in FIFO order."""
         out = []

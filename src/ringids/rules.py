@@ -167,20 +167,7 @@ class Rule:
     options: tuple = ()  # Content and ByteTest, in rule order
     flow: FlowOpt | None = None
     opaque: tuple[tuple[str, str], ...] = ()  # unsupported keywords, ignored
-    warnings: tuple[str, ...] = ()
-
-    def __eq__(self, other):
-        if not isinstance(other, Rule):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def _key(self):
-        return (
-            self.action, self.proto, self.src, self.src_ports, self.direction,
-            self.dst, self.dst_ports, self.sid, self.rev, self.msg, self.classtype,
-            self.metadata, self.service, self.references, self.options, self.flow,
-            self.opaque,
-        )
+    warnings: tuple[str, ...] = field(default=(), compare=False)  # parse notes, not part of the rule
 
     @property
     def contents(self) -> tuple[Content, ...]:
@@ -319,6 +306,11 @@ def _split_options(block: str, base: int) -> list[tuple[str, str, int]]:
         key, sep, value = raw.partition(":")
         out.append((_strip(key), _strip(value) if sep else "", pos))
     return out
+
+
+def _quote(text: str) -> str:
+    """Inverse of _unquote: backslash-escape ``\\`` and ``"``."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _unquote(value: str, position: int) -> str:
@@ -562,7 +554,7 @@ def format_rule(rule: Rule) -> str:
     """Render a rule back to canonical one-line text (parse round-trips)."""
     opts = []
     if rule.msg:
-        opts.append(f'msg: "{rule.msg}"')
+        opts.append(f"msg: {_quote(rule.msg)}")
     if rule.flow is not None:
         opts.append(f"flow: {rule.flow.render()}")
     for opt in rule.options:

@@ -90,7 +90,7 @@ def make_context(tuple_, payload: bytes, flow: Flow | None = None, direction=Dir
     from ringids.packet import PacketDescriptor
 
     desc = PacketDescriptor(slot=0, frame_len=54 + len(payload), arrival_us=now_us,
-                            decode_ok=True, tuple=tuple_, payload_offset=54, payload_len=len(payload))
+                            tuple=tuple_, payload_offset=54, payload_len=len(payload))
     return PacketContext(descriptor=desc, tuple=tuple_, now_us=now_us, flow=flow,
                          direction=direction, buf=payload, payload_base=0,
                          payload_len=len(payload), stream_bytes=stream)

@@ -154,6 +154,19 @@ def test_decode_failures_counted_separately():
     assert pool.in_use_count() == 1
 
 
+def test_unsupported_frame_on_full_pool_is_a_decode_failure():
+    ipv6 = bytearray(frame_for(0))
+    ipv6[12:14] = b"\x86\xdd"
+    worker, pool, rings, _, _ = make_acquirer(n_rings=1)
+    while pool.in_use_count() < pool.capacity:
+        pool.store(frame_for(1))
+    writes = pool.write_count
+    assert ingest_all(worker, [bytes(ipv6)]) == [-1]
+    assert (worker.stats.decode_failed, worker.stats.dropped) == (1, 0)
+    assert pool.write_count == writes  # rejected before the pool is touched
+    assert len(rings[0]) == 0
+
+
 def test_received_conservation_invariant():
     rng = random.Random(3)
     frames = []

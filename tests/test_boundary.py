@@ -61,21 +61,19 @@ def test_acquire_before_initialize_and_double_shutdown():
 
 
 def test_paging_factor_disabled_or_under_budget_is_one():
-    off = CostModel(enabled=False)
-    on = CostModel(enabled=True)
-    assert paging_factor(off, 10**12) == 1.0
+    on = CostModel()
     assert paging_factor(None, 10**12) == 1.0
     assert paging_factor(on, 50 * 2**20) == 1.0
     assert paging_factor(on, on.epc_bytes) == 1.0
 
 
 def test_paging_factor_formula():
-    model = CostModel(enabled=True, epc_bytes=96 * 2**20, paging_penalty=2.0)
+    model = CostModel(epc_bytes=96 * 2**20, paging_penalty=2.0)
     assert paging_factor(model, 192 * 2**20) == pytest.approx(3.0)
 
 
 def test_paging_factor_monotone_and_continuous():
-    model = CostModel(enabled=True, epc_bytes=96 * 2**20, paging_penalty=1.5)
+    model = CostModel(epc_bytes=96 * 2**20, paging_penalty=1.5)
     points = [0, 10 * 2**20, model.epc_bytes - 1, model.epc_bytes, model.epc_bytes + 1, 200 * 2**20, 10**10]
     factors = [paging_factor(model, p) for p in points]
     assert all(a <= b for a, b in itertools.pairwise(factors))
@@ -92,12 +90,10 @@ def test_footprint_components():
 
 def test_negative_coefficients_rejected():
     with pytest.raises(ValueError):
-        CostModel(enabled=True, paging_penalty=-1.0)
+        CostModel(paging_penalty=-1.0)
 
 
 def test_warmup_seconds_from_config():
-    model = CostModel.from_config(enabled=True, warmup_seconds=7.0)
+    model = CostModel.from_config(warmup_seconds=7.0)
     assert model.warmup_seconds == pytest.approx(7.0)
     assert model.warmup_us == 7_000_000
-    off = CostModel.from_config(enabled=False)
-    assert off.warmup_seconds == 0.0

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ringids.clock import CALIBRATION_S, AlreadyRunning, CounterClock, NotStarted, SimClock, counter_to_us
+from ringids.clock import CALIBRATION_S, AlreadyRunning, CounterClock, NotStarted, counter_to_us
 
 
 def test_counter_conversion_exact():
@@ -83,14 +83,3 @@ def test_multi_reader_monotonicity():
         t.join()
     clk.stop()
     assert not failures
-
-
-def test_sim_clock_monotone_enforced():
-    clk = SimClock()
-    clk.advance_us(10)
-    clk.set_us(10)
-    assert clk.now_us() == 10
-    with pytest.raises(ValueError):
-        clk.set_us(5)
-    with pytest.raises(ValueError):
-        clk.advance_us(-1)

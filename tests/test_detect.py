@@ -10,7 +10,6 @@ from conftest import (
     pipeline_matches,
 )
 
-from ringids.clock import SimClock
 from ringids.detect import (
     Alert,
     AnalysisWorker,
@@ -246,15 +245,13 @@ def test_two_phase_equivalence_small(corpus_ruleset, scan_kernel):
 
 def make_worker(compiled, inline=False, useless=False, n_ring=64):
     pool = PacketPool(capacity=n_ring + 8)
-    rx = Ring(n_ring)
     tx = Ring(n_ring)
     sink = ListAlertSink()
     worker = AnalysisWorker(
-        worker_id=0, rx_ring=rx, pool=pool, compiled=compiled, clock=SimClock(),
-        tx_ring=tx, inline_mode=inline, alert_sink=sink,
+        pool=pool, compiled=compiled, tx_ring=tx if inline else None, alert_sink=sink,
         useless_mode=useless,
     )
-    return worker, pool, rx, tx, sink
+    return worker, pool, tx, sink
 
 
 def ingest(pool, payload=b"attack", sport=1000, dport=443, flags=TCP_ACK, seq=1,
@@ -266,10 +263,11 @@ def ingest(pool, payload=b"attack", sport=1000, dport=443, flags=TCP_ACK, seq=1,
 
 def test_alert_action_passive_allows_and_alerts():
     compiled = compiled_of('alert tcp any any -> any any (content:"attack"; sid:77;)')
-    worker, pool, _, tx, sink = make_worker(compiled, inline=False)
-    verdict, alerts = worker.process_packet(ingest(pool))
+    worker, pool, tx, sink = make_worker(compiled, inline=False)
+    verdict, alerts = worker.process_packet(ingest(pool), 1_234)
     assert verdict == "allow"
     assert [a.sid for a in alerts] == [77]
+    assert alerts[0].now_us == 1_234  # stamped with the time the worker was given
     assert len(tx) == 0  # passive mode never feeds the TX ring
     assert pool.in_use_count() == 0
     assert worker.stats.analyzed == 1 and worker.stats.blocked == 0
@@ -277,8 +275,8 @@ def test_alert_action_passive_allows_and_alerts():
 
 def test_drop_action_inline_blocks():
     compiled = compiled_of('drop tcp any any -> any any (content:"attack"; sid:78;)')
-    worker, pool, _, tx, sink = make_worker(compiled, inline=True)
-    verdict, alerts = worker.process_packet(ingest(pool))
+    worker, pool, tx, sink = make_worker(compiled, inline=True)
+    verdict, alerts = worker.process_packet(ingest(pool), 0)
     assert verdict == "block"
     assert alerts[0].action_taken == "blocked"
     assert len(tx) == 0
@@ -289,18 +287,18 @@ def test_drop_action_inline_blocks():
 def test_policy_drop_metadata_blocks_inline_only():
     line = 'alert tcp any any -> any any (content:"attack"; metadata: policy balanced-ips drop; sid:79;)'
     compiled = compiled_of(line)
-    worker, pool, _, tx, _ = make_worker(compiled, inline=True)
-    verdict, _ = worker.process_packet(ingest(pool))
+    worker, pool, tx, _ = make_worker(compiled, inline=True)
+    verdict, _ = worker.process_packet(ingest(pool), 0)
     assert verdict == "block"
-    worker2, pool2, _, _, _ = make_worker(compiled, inline=False)
-    verdict2, _ = worker2.process_packet(ingest(pool2))
+    worker2, pool2, _, _ = make_worker(compiled, inline=False)
+    verdict2, _ = worker2.process_packet(ingest(pool2), 0)
     assert verdict2 == "allow"
 
 
 def test_clean_packet_inline_goes_to_tx():
     compiled = compiled_of('alert tcp any any -> any any (content:"attack"; sid:80;)')
-    worker, pool, _, tx, _ = make_worker(compiled, inline=True)
-    verdict, alerts = worker.process_packet(ingest(pool, payload=b"innocuous"))
+    worker, pool, tx, _ = make_worker(compiled, inline=True)
+    verdict, alerts = worker.process_packet(ingest(pool, payload=b"innocuous"), 0)
     assert verdict == "allow" and not alerts
     assert len(tx) == 1  # slot stays held until the acquisition side drains
     assert pool.in_use_count() == 1
@@ -308,8 +306,8 @@ def test_clean_packet_inline_goes_to_tx():
 
 def test_useless_mode_skips_analysis():
     compiled = compiled_of('alert tcp any any -> any any (content:"attack"; sid:81;)')
-    worker, pool, _, _, sink = make_worker(compiled, useless=True)
-    verdict, alerts = worker.process_packet(ingest(pool))
+    worker, pool, _, sink = make_worker(compiled, useless=True)
+    verdict, alerts = worker.process_packet(ingest(pool), 0)
     assert verdict == "allow" and not alerts and not sink.alerts
     assert worker.stats.analyzed == 1
     assert len(worker.flow_table) == 0
@@ -317,17 +315,18 @@ def test_useless_mode_skips_analysis():
 
 def test_worker_tracks_flow_and_stream_rules():
     compiled = compiled_of(HEARTBLEED_RULE)
-    worker, pool, _, _, sink = make_worker(compiled)
+    worker, pool, _, sink = make_worker(compiled)
     # client -> server handshake, from 10.0.0.1:5555 to 10.0.0.2:443
-    worker.process_packet(ingest(pool, payload=b"", flags=TCP_SYN, seq=0, sport=5555, dport=443))
+    worker.process_packet(ingest(pool, payload=b"", flags=TCP_SYN, seq=0, sport=5555, dport=443), 0)
     worker.process_packet(ingest(pool, payload=b"", flags=TCP_SYN | TCP_ACK, seq=0,
-                                 src="10.0.0.2", dst="10.0.0.1", sport=443, dport=5555))
-    worker.process_packet(ingest(pool, payload=b"", flags=TCP_ACK, seq=1, sport=5555, dport=443))
+                                 src="10.0.0.2", dst="10.0.0.1", sport=443, dport=5555), 1)
+    worker.process_packet(ingest(pool, payload=b"", flags=TCP_ACK, seq=1, sport=5555, dport=443), 2)
     assert not sink.alerts
     # server -> client heartbeat response, length 0x0090 > 128
     verdict, alerts = worker.process_packet(
         ingest(pool, payload=bytes([0x18, 0x03, 0x00, 0x00, 0x90]), flags=TCP_ACK, seq=1,
-               src="10.0.0.2", dst="10.0.0.1", sport=443, dport=5555)
+               src="10.0.0.2", dst="10.0.0.1", sport=443, dport=5555),
+        3,
     )
     assert [a.sid for a in alerts] == [30514]
 
@@ -359,7 +358,7 @@ def test_two_alerts_emitted_in_order():
         'alert tcp any any -> any any (content:"attack"; sid:5;)',
         'alert tcp any any -> any any (content:"atta"; sid:3;)',
     )
-    worker, pool, _, _, sink = make_worker(compiled)
-    _, alerts = worker.process_packet(ingest(pool))
+    worker, pool, _, sink = make_worker(compiled)
+    _, alerts = worker.process_packet(ingest(pool), 0)
     assert [a.sid for a in alerts] == [3, 5]
     assert [a.sid for a in sink.alerts] == [3, 5]

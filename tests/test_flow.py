@@ -30,8 +30,7 @@ from ringids.packet import (
 def make_desc(proto=Proto.TCP, flags=0, seq=0, src_port=1000, dst_port=80):
     t = FiveTuple(proto, "10.0.0.1", src_port if proto is Proto.TCP or proto is Proto.UDP else 0,
                   "10.0.0.2", dst_port if proto is Proto.TCP or proto is Proto.UDP else 0)
-    return PacketDescriptor(slot=0, frame_len=60, arrival_us=0, decode_ok=True, tuple=t,
-                            tcp_flags=flags, tcp_seq=seq)
+    return PacketDescriptor(slot=0, frame_len=60, arrival_us=0, tuple=t, tcp_flags=flags, tcp_seq=seq)
 
 
 def key_of(desc):

@@ -18,6 +18,7 @@ from ringids.packet import (
     PoolExhausted,
     Proto,
     TruncatedFrame,
+    UnsupportedL3,
     canonical_key,
     decode,
     format_ip,
@@ -36,7 +37,6 @@ def test_decode_tcp_frame_offsets_and_tuple(pool):
         parse_ip("10.0.0.1"), 1234, parse_ip("10.0.0.2"), 80, flags=0x18, seq=77, payload=b"hi", pad_to=60
     )
     desc = decode(frame, 5, pool)
-    assert desc.decode_ok
     assert desc.tuple == FiveTuple(Proto.TCP, "10.0.0.1", 1234, "10.0.0.2", 80)
     assert desc.l3_offset == 14
     assert desc.l4_offset == 34
@@ -65,16 +65,18 @@ def test_decode_truncated_claimed_headers(pool):
 def test_decode_non_ipv4_counts_but_not_ok(pool):
     frame = bytearray(build_ipv4_tcp_frame(parse_ip("1.1.1.1"), 1, parse_ip("2.2.2.2"), 2, flags=0x02))
     frame[12:14] = b"\x86\xdd"  # IPv6 ethertype
-    desc = decode(bytes(frame), 0, pool)
-    assert not desc.decode_ok
-    assert desc.tuple is None
-    pool.release(desc.slot)
+    with pytest.raises(UnsupportedL3):
+        decode(bytes(frame), 0, pool)
+    frame[12:14] = b"\x08\x00"
+    frame[14] = 0x65  # IPv4 ethertype, IP version 6
+    with pytest.raises(UnsupportedL3):
+        decode(bytes(frame), 0, pool)
+    assert pool.in_use_count() == 0 and pool.write_count == 0  # rejected before the pool
 
 
 def test_decode_icmp_has_zero_ports_and_flowkey(pool):
     frame = build_ipv4_icmp_frame(parse_ip("10.0.0.9"), parse_ip("10.0.0.8"), payload=b"ping", pad_to=64)
     desc = decode(frame, 0, pool)
-    assert desc.decode_ok
     assert desc.tuple.proto is Proto.ICMP
     assert (desc.tuple.src_port, desc.tuple.dst_port) == (0, 0)
     # connectionless traffic still canonicalizes to a flow key
@@ -168,7 +170,7 @@ def test_ip_parse_format_roundtrip():
 def test_records_are_immutable_named_tuples():
     t = FiveTuple(Proto.TCP, "10.0.0.1", 1234, "10.0.0.2", 80)
     key, _ = canonical_key(t)
-    desc = PacketDescriptor(slot=3, frame_len=60, arrival_us=7, decode_ok=True, tuple=t)
+    desc = PacketDescriptor(slot=3, frame_len=60, arrival_us=7, tuple=t)
     for record, name in ((t, "src_ip"), (t, "proto"), (key, "ip_a"), (desc, "slot"), (desc, "tuple")):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
@@ -177,8 +179,8 @@ def test_records_are_immutable_named_tuples():
             record.extra = 1  # no instance dict to grow
     assert FiveTuple._fields == ("proto", "src_ip", "src_port", "dst_ip", "dst_port")
     assert FlowKey._fields == ("proto", "ip_a", "port_a", "ip_b", "port_b")
-    assert PacketDescriptor._fields[:5] == ("slot", "frame_len", "arrival_us", "decode_ok", "tuple")
-    assert desc[4:] == (t, 0, 0, 0, 0, 0, 0)
+    assert PacketDescriptor._fields[:4] == ("slot", "frame_len", "arrival_us", "tuple")
+    assert desc[3:] == (t, 0, 0, 0, 0, 0, 0)
     # records compare and hash as the plain tuple of their fields
     assert t == (Proto.TCP, parse_ip("10.0.0.1"), 1234, parse_ip("10.0.0.2"), 80)
     assert hash(t) == hash(tuple(t))
@@ -241,12 +243,9 @@ def test_decode_arbitrary_bytes_raises_only_decode_errors(frame):
         return
     assert pool.in_use_count() == 1
     assert (desc.frame_len, desc.arrival_us) == (len(frame), 9)
-    if desc.decode_ok:
-        t = desc.tuple
-        assert type(t) is FiveTuple and type(t.proto) is Proto
-        assert t == FiveTuple(*t)  # the validating constructor accepts what decode built
-        assert 0 <= desc.payload_offset and desc.payload_offset + desc.payload_len <= len(frame)
-    else:
-        assert desc.tuple is None
+    t = desc.tuple
+    assert type(t) is FiveTuple and type(t.proto) is Proto
+    assert t == FiveTuple(*t)  # the validating constructor accepts what decode built
+    assert 0 <= desc.payload_offset and desc.payload_offset + desc.payload_len <= len(frame)
     pool.release(desc.slot)
     assert pool.in_use_count() == 0

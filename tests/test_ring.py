@@ -40,11 +40,14 @@ def test_fifo_order_through_wraparound():
 
 def test_burst_ops():
     r = Ring(8)
-    assert r.enqueue_burst(["a", "b", "c"]) == 3
+    for item in ("a", "b", "c"):
+        assert r.enqueue(item)
     assert r.dequeue_burst(8) == ["a", "b", "c"]
     assert r.dequeue_burst(8) == []
-    # burst enqueue stops at capacity
-    assert r.enqueue_burst(list(range(20))) == 8
+    # burst dequeue stops at max_n, then drains the rest in order
+    assert sum(r.enqueue(i) for i in range(20)) == 8
+    assert r.dequeue_burst(5) == [0, 1, 2, 3, 4]
+    assert r.dequeue_burst(8) == [5, 6, 7]
 
 
 def test_none_rejected():

@@ -1,14 +1,22 @@
 """Rule parsing, ruleset loading, and compilation."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ringids.packet import parse_ip
 from ringids.rules import (
+    ADDR_ANY,
+    PORT_ANY,
+    AddressSpec,
     ByteTest,
     Content,
+    FlowOpt,
     ParseError,
+    PortSpec,
     compile_ruleset,
     format_rule,
     load_ruleset,
@@ -254,3 +262,57 @@ def test_format_parse_roundtrip_over_corpus():
         rendered = format_rule(rule)
         reparsed = parse_rule(rendered)
         assert reparsed == rule, f"sid {rule.sid} did not round-trip:\n{rendered}"
+
+
+_ports = st.one_of(st.just(PORT_ANY), st.frozensets(st.integers(0, 65535), min_size=1, max_size=5).map(
+    lambda ports: PortSpec(ports=ports)))
+_addrs = st.one_of(
+    st.just(ADDR_ANY),
+    st.from_regex(r"[A-Z_][A-Z0-9_]{0,11}", fullmatch=True).map(lambda name: AddressSpec(var=name)),
+    st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 32)), min_size=1, max_size=4).map(
+        lambda nets: AddressSpec(nets=tuple(nets))),
+)
+_contents = st.builds(Content, pattern=st.binary(min_size=1, max_size=24),
+                      depth=st.none() | st.integers(0, 65535), offset=st.integers(0, 65535),
+                      relative=st.booleans())
+_byte_tests = st.builds(ByteTest, nbytes=st.sampled_from([1, 2, 4]), op=st.sampled_from([">", "<", "="]),
+                        value=st.integers(-(2**31), 2**32), offset=st.integers(-64, 65535),
+                        relative=st.booleans())
+_flows = st.none() | st.builds(FlowOpt, to_client=st.booleans(), to_server=st.booleans(),
+                               established=st.booleans(), only_stream=st.booleans())
+
+
+_CORPUS_RULES = load_ruleset(CORPUS.read_text()).rules
+
+
+@st.composite
+def _rules(draw):
+    """A corpus rule with its header, msg, flow and payload options redrawn."""
+    base = draw(st.sampled_from(_CORPUS_RULES))
+    return dataclasses.replace(
+        base,
+        action=draw(st.sampled_from(["alert", "drop"])),
+        proto=draw(st.sampled_from(["tcp", "udp", "icmp", "ip"])),
+        src=draw(_addrs),
+        src_ports=draw(_ports),
+        direction=draw(st.sampled_from(["->", "<>"])),
+        dst=draw(_addrs),
+        dst_ports=draw(_ports),
+        sid=draw(st.integers(0, 2**31)),
+        rev=draw(st.integers(0, 1000)),
+        msg=draw(st.text(max_size=40)),
+        options=tuple(draw(st.lists(st.one_of(_contents, _byte_tests), max_size=4))),
+        flow=draw(_flows),
+    )
+
+
+@given(_rules())
+def test_format_parse_roundtrip_over_generated_rules(rule):
+    rendered = format_rule(rule)
+    assert parse_rule(rendered) == rule, rendered
+
+
+def test_msg_quotes_and_backslashes_round_trip():
+    rule = parse_rule(r'alert tcp any any -> any any (msg: "a \"q\" b\\c"; sid: 1;)')
+    assert rule.msg == 'a "q" b\\c'
+    assert parse_rule(format_rule(rule)) == rule
