@@ -6,22 +6,32 @@ analyse it at. The compiled ruleset is shared read-only and the transmit ring
 is the only shared mutable structure it touches. Matching is two-phase: the
 fast-pattern scan shortlists candidate rules, then every option of each
 candidate is checked in rule order with relative anchoring.
+
+The alert line's timestamp text is built once per whole second and its rule
+text once per rule, each kept in a bounded cache. Nothing is cached per
+5-tuple: scans and floods bring a new tuple with almost every packet.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
-from .flow import Flow, FlowState, FlowTable, TableFull, update_flow
+from .flow import Flow, FlowTable, TableFull, update_flow
 from .packet import Direction, FiveTuple, PacketDescriptor, PacketPool, Proto, canonical_key, format_ip
 from .ring import Ring
-from .rules import ByteTest, CompiledRuleSet, Content, Rule
+from .rules import ByteTest, CompiledRuleSet, Content, Rule, ports_match
 
 _DAYS_PER_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+SECOND_TEXT_MEMO_ENTRIES = 1_024  # whole seconds whose alert timestamp text is kept
+RULE_TEXT_MEMO_ENTRIES = 4_096  # rules whose alert text is kept
+
+_new = tuple.__new__  # builds an Alert from fields known to be valid
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketContext:
     """Everything phase-2 evaluation sees for one packet."""
 
@@ -37,8 +47,7 @@ class PacketContext:
     stream_bytes: bytes | None = None  # newly reassembled, this packet only
 
 
-@dataclass(frozen=True)
-class Alert:
+class Alert(NamedTuple):
     sid: int
     rev: int
     msg: str
@@ -59,30 +68,32 @@ class WorkerStats:
     analyzed_bytes: int = 0
 
 
-def _timestamp(now_us: int) -> str:
-    """MM/DD-HH:MM:SS.UUUUUU relative to engine start (non-leap calendar)."""
-    us = now_us % 1_000_000
-    total_s = now_us // 1_000_000
-    days = total_s // 86_400
-    rem = total_s % 86_400
+@lru_cache(maxsize=SECOND_TEXT_MEMO_ENTRIES)
+def _second_text(total_s: int) -> str:
+    """MM/DD-HH:MM:SS of a whole second after engine start (non-leap calendar)."""
+    days, rem = divmod(total_s, 86_400)
     month = 0
     while days >= _DAYS_PER_MONTH[month]:
         days -= _DAYS_PER_MONTH[month]
         month = (month + 1) % 12
-    return (
-        f"{month + 1:02d}/{days + 1:02d}-"
-        f"{rem // 3600:02d}:{rem % 3600 // 60:02d}:{rem % 60:02d}.{us:06d}"
-    )
+    return f"{month + 1:02d}/{days + 1:02d}-{rem // 3600:02d}:{rem % 3600 // 60:02d}:{rem % 60:02d}"
+
+
+@lru_cache(maxsize=RULE_TEXT_MEMO_ENTRIES)
+def _rule_text(sid: int, rev: int, msg: str, classtype: str) -> str:
+    cls = f" [Classification: {classtype}]" if classtype else ""
+    return f"[**] [1:{sid}:{rev}] {msg} [**]{cls}"
 
 
 def format_alert_fast(alert: Alert) -> str:
-    """One `fast` output line, bit-exact field layout."""
-    cls = f" [Classification: {alert.classtype}]" if alert.classtype else ""
+    """One `fast` output line, bit-exact field layout:
+    ``MM/DD-HH:MM:SS.UUUUUU [**] [1:sid:rev] msg [**] [Classification: c] {PROTO} a:p -> b:q``."""
+    total_s, us = divmod(alert.now_us, 1_000_000)
+    rule_text = _rule_text(alert.sid, alert.rev, alert.msg, alert.classtype)
     t = alert.tuple
     return (
-        f"{_timestamp(alert.now_us)} [**] [1:{alert.sid}:{alert.rev}] {alert.msg} [**]{cls}"
-        f" {{{t.proto.label}}} {format_ip(t.src_ip)}:{t.src_port}"
-        f" -> {format_ip(t.dst_ip)}:{t.dst_port}"
+        f"{_second_text(total_s)}.{us:06d} {rule_text} {{{t.proto.label}}}"
+        f" {format_ip(t.src_ip)}:{t.src_port} -> {format_ip(t.dst_ip)}:{t.dst_port}"
     )
 
 
@@ -94,13 +105,6 @@ def _proto_matches(rule_proto: str, proto: Proto) -> bool:
         or (rule_proto == "udp" and proto is Proto.UDP)
         or (rule_proto == "icmp" and proto is Proto.ICMP)
     )
-
-
-def _ports_match(rule: Rule, tuple_: FiveTuple) -> bool:
-    fwd = rule.src_ports.matches(tuple_.src_port) and rule.dst_ports.matches(tuple_.dst_port)
-    if rule.direction == "->":
-        return fwd
-    return fwd or (rule.src_ports.matches(tuple_.dst_port) and rule.dst_ports.matches(tuple_.src_port))
 
 
 def _header_matches(rule: Rule, compiled: CompiledRuleSet, ctx: PacketContext) -> bool:
@@ -202,24 +206,30 @@ def prefilter(compiled: CompiledRuleSet, ctx: PacketContext) -> set[int]:
 
     The protocol's automaton covers every rule of that protocol, so the
     payload is scanned once, and the stream bytes only when they differ from
-    the payload (in-order reassembly delivers exactly the payload).
+    the payload (in-order reassembly delivers exactly the payload). Only the
+    fast-pattern hits are port-filtered here; ``port_group`` filters the
+    contentless rules on port sets compiled with the ruleset.
     """
-    proto = ctx.tuple.proto
+    t = ctx.tuple
+    proto = t.proto
     stream = ctx.stream_bytes
-    candidates: set[int] = set()
+    hits: set[int] = set()
     if ctx.payload_len:
         payload = memoryview(ctx.buf)[ctx.payload_base : ctx.payload_base + ctx.payload_len]
         payload_hits, stream_hits = compiled.scan_payload(proto, payload)
-        candidates |= payload_hits
+        hits |= payload_hits
         if stream and len(stream) == ctx.payload_len and stream == payload.tobytes():
-            candidates |= stream_hits
+            hits |= stream_hits
             stream = None
     if stream:
         _, stream_hits = compiled.scan_payload(proto, stream)
-        candidates |= stream_hits
-    candidates.update(compiled.contentless_for(proto))
+        hits |= stream_hits
+    candidates = set(compiled.port_group(t))
     rules = compiled.rules
-    return {sid for sid in candidates if _ports_match(rules[sid], ctx.tuple)}
+    for sid in hits:
+        if ports_match(rules[sid], t):
+            candidates.add(sid)
+    return candidates
 
 
 class AnalysisWorker:
@@ -244,6 +254,8 @@ class AnalysisWorker:
         self.alert_sink = alert_sink
         self.useless_mode = useless_mode
         self.stats = stats if stats is not None else WorkerStats()
+        self._buf = pool.raw()
+        self._slot_size = pool.slot_size
 
     def _emit(self, alert: Alert) -> None:
         self.stats.alerts += 1
@@ -267,58 +279,47 @@ class AnalysisWorker:
             self._finish(desc, "allow")
             return "allow", []
 
-        key, direction = canonical_key(desc.tuple)
+        t = desc.tuple
+        key, direction = canonical_key(t)
         flow = None
+        stream = None
         try:
             flow, created = self.flow_table.lookup_or_create(key, now_us)
             if created:
                 flow.initiator_direction = direction
         except TableFull:
             stats.flowless += 1
-        ctx = PacketContext(
-            descriptor=desc,
-            tuple=desc.tuple,
-            now_us=now_us,
-            flow=flow,
-            direction=direction,
-            buf=self.pool.raw(),
-            payload_base=self.pool.slot_base(desc.slot) + desc.payload_offset,
-            payload_len=desc.payload_len,
-        )
+        payload_base = desc.slot * self._slot_size + desc.payload_offset
+        payload_len = desc.payload_len
         if flow is not None:
             update_flow(flow, desc, direction, now_us)
-            if desc.tuple.proto is Proto.TCP and desc.payload_len > 0:
-                payload = self.pool.view(desc.slot)[desc.payload_offset : desc.payload_offset + desc.payload_len]
-                delivered = self.flow_table.reassemble(flow, direction, desc.tcp_seq, payload)
-                if delivered:
-                    ctx.stream_bytes = delivered
+            if t.proto is Proto.TCP and payload_len > 0:
+                payload = memoryview(self._buf)[payload_base : payload_base + payload_len]
+                stream = self.flow_table.reassemble(flow, direction, desc.tcp_seq, payload) or None
+        ctx = PacketContext(desc, t, now_us, flow, direction, self._buf, payload_base, payload_len, stream)
 
-        matched: list[Rule] = []
-        candidates = prefilter(self.compiled, ctx)
+        compiled = self.compiled
+        candidates = prefilter(compiled, ctx)
+        if not candidates:
+            self._finish(desc, "allow")
+            return "allow", []
         stats.candidates_evaluated += len(candidates)
-        for sid in sorted(candidates):
-            rule = self.compiled.rules[sid]
-            if evaluate_rule(rule, self.compiled, ctx):
+        rules = compiled.rules
+        matched: list[Rule] = []
+        for sid in sorted(candidates):  # a loop, not a comprehension: no closure cells on every call
+            rule = rules[sid]
+            if evaluate_rule(rule, compiled, ctx):
                 matched.append(rule)
 
         blocked = self.tx_ring is not None and any(r.blocks_in_inline for r in matched)
         verdict = "block" if blocked else "allow"
+        action = "blocked" if blocked else "alerted"
         alerts = []
         for rule in matched:
-            alert = Alert(
-                sid=rule.sid,
-                rev=rule.rev,
-                msg=rule.msg,
-                classtype=rule.classtype,
-                now_us=now_us,
-                tuple=desc.tuple,
-                slot=desc.slot,
-                action_taken="blocked" if blocked else "alerted",
-            )
+            alert = _new(Alert, (rule.sid, rule.rev, rule.msg, rule.classtype, now_us, t, desc.slot, action))
             self._emit(alert)
             alerts.append(alert)
         if blocked:
             stats.blocked += 1
         self._finish(desc, verdict)
         return verdict, alerts
-

@@ -178,7 +178,8 @@ class Flow:
 def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction, now_us: int) -> tuple[FlowState, FlowState]:
     """Advance counters and the state machine; returns (old, new) state."""
     old = flow.state
-    flow.last_seen_us = max(flow.last_seen_us, now_us)
+    if now_us > flow.last_seen_us:
+        flow.last_seen_us = now_us
     if direction is Direction.FORWARD:
         flow.pkts_fwd += 1
     else:

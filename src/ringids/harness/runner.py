@@ -345,6 +345,10 @@ class _IntervalAccumulator:
             for idx, n in table.items():
                 mine[idx] = mine.get(idx, 0) + n
 
+    def last_index(self) -> int:
+        """Highest interval index any table touched; -1 when none was."""
+        return max((idx for table in vars(self).values() for idx in table), default=-1)
+
 
 class _Step:
     """The per-frame and per-descriptor work both schedulers share."""
@@ -598,6 +602,9 @@ def _build_report(
         n_intervals = math.ceil(workload.duration_s * 1e6 / INTERVAL_US)
     else:
         n_intervals = max(math.ceil(elapsed_us / INTERVAL_US), 1)
+    # backlog served after the planned span gets trailing records, so the
+    # interval series always sums to the totals
+    n_intervals = max(n_intervals, acc.last_index() + 1)
     model = cfg.cost_model
     warm_end = model.warmup_us if model is not None else 0
     intervals = []

@@ -247,10 +247,8 @@ class PacketPool:
         return memoryview(self._buf)[base : base + self._lengths[slot]]
 
     def raw(self) -> bytearray:
+        """The whole pool buffer; slot ``i``'s frame starts at ``i * slot_size``."""
         return self._buf
-
-    def slot_base(self, slot: int) -> int:
-        return slot * self.slot_size
 
     def in_use_count(self) -> int:
         with self._lock:

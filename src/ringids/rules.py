@@ -11,20 +11,25 @@ vacuously true, with a per-rule warning. Compilation picks each rule's
 longest content pattern as its fast pattern and builds one multi-pattern
 automaton per L4 bucket over that protocol's fast patterns plus the ``ip``
 rules' ones, so the prefilter scans each buffer once. Rules without content
-go to their bucket's contentless list, evaluated on every packet of it.
+go to their bucket's contentless list, whose port specs are compiled to
+plain sets so that filtering a packet's group calls no method.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container, Set
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .matching import MultiPatternMatcher
-from .packet import Proto, format_ip, parse_ip
+from .packet import FiveTuple, Proto, format_ip, parse_ip
 
 RULE_ACTIONS = ("alert", "drop")
 RULE_PROTOS = ("tcp", "udp", "icmp", "ip")
 
 _PROTO_BUCKET = {Proto.TCP: "tcp", Proto.UDP: "udp", Proto.ICMP: "icmp", Proto.OTHER: "ip"}
+_NO_HITS: tuple[frozenset[int], frozenset[int]] = (frozenset(), frozenset())
+_ANY_PORT = range(65_536)  # every 16-bit port; `in` on a range is one bounds check
 
 
 class ParseError(ValueError):
@@ -186,7 +191,7 @@ class Rule:
     def only_stream(self) -> bool:
         return self.flow is not None and self.flow.only_stream
 
-    @property
+    @cached_property
     def blocks_in_inline(self) -> bool:
         """drop action, or a `policy ... drop` clause in metadata."""
         if self.action == "drop":
@@ -196,6 +201,21 @@ class Rule:
             if len(words) >= 2 and words[0] == "policy" and words[-1] == "drop":
                 return True
         return False
+
+
+def ports_match(rule: Rule, tuple_: FiveTuple) -> bool:
+    """The rule's port specs admit the tuple, either way round for ``<>``."""
+    fwd = rule.src_ports.matches(tuple_.src_port) and rule.dst_ports.matches(tuple_.dst_port)
+    if rule.direction == "->":
+        return fwd
+    return fwd or (rule.src_ports.matches(tuple_.dst_port) and rule.dst_ports.matches(tuple_.src_port))
+
+
+def _port_filter(rule: Rule) -> tuple[int, Container[int], Container[int], bool]:
+    """The rule's port specs as plain sets, for ``CompiledRuleSet.port_group``."""
+    src = _ANY_PORT if rule.src_ports.any_port else rule.src_ports.ports
+    dst = _ANY_PORT if rule.dst_ports.any_port else rule.dst_ports.ports
+    return rule.sid, src, dst, rule.direction == "<>"
 
 
 def _strip(s: str) -> str:
@@ -643,7 +663,7 @@ class CompiledRuleSet:
     maps back to the owning rule sids, split by whether the rule matches raw
     payload or reassembled stream bytes; a pattern shared by a protocol rule
     and an ``ip`` rule maps to both. Contentless rules are candidates on
-    every packet of their bucket.
+    every packet of their bucket whose ports they admit.
     """
 
     def __init__(self, ruleset: RuleSet):
@@ -655,6 +675,8 @@ class CompiledRuleSet:
         # per bucket: pattern id -> (payload-rule sids, stream-rule sids)
         self._pattern_rules: dict[str, list[tuple[list[int], list[int]]]] = {}
         self._contentless: dict[str, tuple[int, ...]] = {}
+        # per bucket: each contentless rule as (sid, src ports, dst ports, ``<>``)
+        self._contentless_ports: dict[str, tuple[tuple[int, Container[int], Container[int], bool], ...]] = {}
 
         # per rule protocol: fast pattern -> (payload-rule sids, stream-rule sids)
         by_proto: dict[str, dict[bytes, tuple[list[int], list[int]]]] = {p: {} for p in RULE_PROTOS}
@@ -671,6 +693,7 @@ class CompiledRuleSet:
         for bucket in RULE_PROTOS:
             members = (bucket, "ip") if bucket != "ip" else ("ip",)
             self._contentless[bucket] = tuple(sid for sid in self.contentless if self.rules[sid].proto in members)
+            self._contentless_ports[bucket] = tuple(_port_filter(self.rules[sid]) for sid in self._contentless[bucket])
             merged: dict[bytes, tuple[list[int], list[int]]] = {}
             for proto in members:
                 for pattern, (payload_sids, stream_sids) in by_proto[proto].items():
@@ -694,16 +717,30 @@ class CompiledRuleSet:
         """Contentless rules of ``proto``'s bucket: its own plus the ``ip`` ones."""
         return self._contentless[_PROTO_BUCKET[proto]]
 
-    def scan_payload(self, proto: Proto, data) -> tuple[set[int], set[int]]:
-        """Scan one buffer once; returns (payload-rule sids, stream-rule sids) hit."""
-        payload_hits: set[int] = set()
-        stream_hits: set[int] = set()
+    def port_group(self, tuple_: FiveTuple) -> list[int]:
+        """The contentless rules of the tuple's bucket whose ports admit it,
+        in ``contentless_for`` order: ``ports_match`` on the compiled port sets."""
+        sport, dport = tuple_.src_port, tuple_.dst_port
+        group = []  # a loop: a comprehension here would make closure cells on every call
+        for sid, src, dst, both_ways in self._contentless_ports[_PROTO_BUCKET[tuple_.proto]]:
+            if (sport in src and dport in dst) or (both_ways and dport in src and sport in dst):
+                group.append(sid)
+        return group
+
+    def scan_payload(self, proto: Proto, data) -> tuple[Set[int], Set[int]]:
+        """Scan one buffer once; returns (payload-rule sids, stream-rule sids) hit.
+
+        The result is read-only: a scan with no hits returns one shared pair
+        of empty frozensets."""
         bucket = _PROTO_BUCKET[proto]
         matcher = self._matchers.get(bucket)
-        if matcher is None:
-            return payload_hits, stream_hits
+        pids = matcher.scan(data) if matcher is not None else ()
+        if not pids:
+            return _NO_HITS
+        payload_hits: set[int] = set()
+        stream_hits: set[int] = set()
         table = self._pattern_rules[bucket]
-        for pid in matcher.scan(data):
+        for pid in pids:
             payload_sids, stream_sids = table[pid]
             payload_hits.update(payload_sids)
             stream_hits.update(stream_sids)

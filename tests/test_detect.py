@@ -2,14 +2,19 @@
 
 import random
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from conftest import (
     HEARTBLEED_RULE,
     brute_force_matches,
     make_context,
     make_flow,
     pipeline_matches,
+    random_context,
 )
 
+from ringids import detect
 from ringids.detect import (
     Alert,
     AnalysisWorker,
@@ -21,9 +26,9 @@ from ringids.flow import FlowState
 from ringids.harness.runner import ListAlertSink
 from ringids.harness.synth import build_ipv4_tcp_frame
 from ringids.matching import MultiPatternMatcher
-from ringids.packet import TCP_ACK, TCP_SYN, Direction, FiveTuple, PacketPool, Proto, decode, parse_ip
+from ringids.packet import TCP_ACK, TCP_SYN, Direction, FiveTuple, PacketPool, Proto, decode, format_ip, parse_ip
 from ringids.ring import Ring
-from ringids.rules import compile_ruleset, load_ruleset
+from ringids.rules import compile_ruleset, load_ruleset, ports_match
 
 
 def compiled_of(*lines):
@@ -362,3 +367,109 @@ def test_two_alerts_emitted_in_order():
     _, alerts = worker.process_packet(ingest(pool), 0)
     assert [a.sid for a in alerts] == [3, 5]
     assert [a.sid for a in sink.alerts] == [3, 5]
+
+
+# --- alert line against the per-packet formatter it replaced ------------
+
+_REF_DAYS_PER_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+
+def _ref_timestamp(now_us: int) -> str:
+    """MM/DD-HH:MM:SS.UUUUUU relative to engine start (non-leap calendar)."""
+    us = now_us % 1_000_000
+    total_s = now_us // 1_000_000
+    days = total_s // 86_400
+    rem = total_s % 86_400
+    month = 0
+    while days >= _REF_DAYS_PER_MONTH[month]:
+        days -= _REF_DAYS_PER_MONTH[month]
+        month = (month + 1) % 12
+    return (
+        f"{month + 1:02d}/{days + 1:02d}-"
+        f"{rem // 3600:02d}:{rem % 3600 // 60:02d}:{rem % 60:02d}.{us:06d}"
+    )
+
+
+def _ref_format_alert_fast(alert: Alert) -> str:
+    """One `fast` output line, bit-exact field layout."""
+    cls = f" [Classification: {alert.classtype}]" if alert.classtype else ""
+    t = alert.tuple
+    return (
+        f"{_ref_timestamp(alert.now_us)} [**] [1:{alert.sid}:{alert.rev}] {alert.msg} [**]{cls}"
+        f" {{{t.proto.label}}} {format_ip(t.src_ip)}:{t.src_port}"
+        f" -> {format_ip(t.dst_ip)}:{t.dst_port}"
+    )
+
+
+THREE_YEARS_US = 3 * 365 * 86_400 * 1_000_000
+
+
+@st.composite
+def five_tuples(draw):
+    proto = draw(st.sampled_from(list(Proto)))
+    ports = st.integers(0, 65535) if proto in (Proto.TCP, Proto.UDP) else st.just(0)
+    ip = st.integers(0, 2**32 - 1)
+    return FiveTuple(proto, draw(ip), draw(ports), draw(ip), draw(ports))
+
+
+alert_texts = st.one_of(
+    st.text(max_size=40),
+    st.sampled_from(['say "hi"', "back\\slash", 'both \\" kinds', "naïve ☃ 🚀", "tab\tand ]brackets["]),
+)
+
+
+@given(
+    sid=st.integers(1, 2**31), rev=st.integers(0, 100), msg=alert_texts,
+    classtype=st.one_of(st.just(""), alert_texts), now_us=st.integers(0, THREE_YEARS_US), tuple_=five_tuples(),
+)
+def test_alert_line_equals_reference(sid, rev, msg, classtype, now_us, tuple_):
+    alert = Alert(sid, rev, msg, classtype, now_us, tuple_, 0, "alerted")
+    assert format_alert_fast(alert) == _ref_format_alert_fast(alert)
+
+
+def test_alert_line_equals_reference_past_cache_bounds():
+    """More distinct seconds and rules than the text caches hold,
+    then the first ones again after they were evicted."""
+    rng = random.Random(31)
+    n = max(detect.SECOND_TEXT_MEMO_ENTRIES, detect.RULE_TEXT_MEMO_ENTRIES) + 100
+    alerts = []
+    for i in range(n):
+        proto = rng.choice(list(Proto))
+        ports = (rng.randrange(65536), rng.randrange(65536)) if proto in (Proto.TCP, Proto.UDP) else (0, 0)
+        t = FiveTuple(proto, rng.getrandbits(32), ports[0], rng.getrandbits(32), ports[1])
+        now_us = i * 1_000_000 + rng.randrange(1_000_000) + rng.randrange(THREE_YEARS_US // 1_000_000) * 1_000_000
+        alerts.append(Alert(i, i % 7, f"m{i}", "c" if i % 2 else "", now_us, t, 0, "alerted"))
+    caches = (detect._second_text, detect._rule_text)
+    for cache in caches:
+        cache.cache_clear()
+    for alert in alerts + alerts[:200]:
+        assert format_alert_fast(alert) == _ref_format_alert_fast(alert)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize and info.misses > info.maxsize  # evictions ran
+
+
+# --- contentless port groups ------------------------------------------------
+
+PORT_GROUP_RULES = "\n".join([
+    'alert tcp any [80, 8080] <> any [1337, 6667] (flow: established; sid:910001;)',
+    'alert tcp any any -> any 443 (flow: to_server; sid:910002;)',
+    'alert udp any 53 <> any any (byte_test: 1,>,100,0; sid:910003;)',
+    'alert ip any any -> any any (byte_test: 1,<,20,0; sid:910004;)',
+    'alert tcp any 25 <> any [80, 443] (content:"MAIL"; sid:910005;)',
+    'alert tcp any [25, 443] -> any [80, 1337] (byte_test: 1,>,50,1; sid:910006;)',
+    'alert icmp any any -> any any (sid:910007;)',
+])
+
+
+def test_port_group_matches_ports_match_and_brute_force(corpus_text, scan_kernel):
+    """Contentless `->` and `<>` rules with ports on either side, over random
+    tuples whose ports often hit the rules' lists."""
+    compiled = compile_ruleset(load_ruleset(corpus_text + "\n" + PORT_GROUP_RULES))
+    rng = random.Random(515)
+    for _ in range(400):
+        ctx = random_context(rng, compiled)
+        t = ctx.tuple
+        assert pipeline_matches(compiled, ctx) == brute_force_matches(compiled, ctx)
+        group = compiled.port_group(t)
+        assert group == [s for s in compiled.contentless_for(t.proto) if ports_match(compiled.rules[s], t)]

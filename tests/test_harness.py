@@ -173,6 +173,21 @@ def test_duration_gives_exact_interval_series_length():
     assert [iv.index for iv in report.intervals] == [0, 1, 2]
 
 
+def test_duration_backlog_lands_in_trailing_intervals():
+    """Workers slower than the source keep serving after the duration ends;
+    that backlog gets interval records, so the series sums to the totals."""
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=8, duration_s=3.0, repeat=True, seed=2,
+                      attack_sid=30514, attack_rate=0.01)
+    report = run_experiment(wl, base_config(rules_path=str(CORPUS_PATH), rate_pps=2000.0,
+                                            timing=TimingModel(analysis_us=600)))
+    t = report.totals
+    assert t.analyzed == 6001 and t.alerts > 0
+    assert len(report.intervals) > 1  # ceil(3/3) planned, plus the backlog's
+    assert [iv.index for iv in report.intervals] == list(range(len(report.intervals)))
+    for field in ("received", "analyzed", "dropped", "alerts"):
+        assert sum(getattr(iv, field) for iv in report.intervals) == getattr(t, field), field
+
+
 def test_useless_mode_strictly_faster():
     wl = WorkloadSpec(kind="synth", packet_size=256, n_flows=64, packet_count=6000, seed=5)
     full = run_experiment(wl, base_config(rules_path=str(CORPUS_PATH)))
