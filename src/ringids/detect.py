@@ -2,10 +2,12 @@
 
 An analysis worker is a per-packet function over its own flow table and
 counters: the scheduler hands it each descriptor together with the time to
-analyse it at. The compiled ruleset is shared read-only and the transmit ring
-is the only shared mutable structure it touches. Matching is two-phase: the
-fast-pattern scan shortlists candidate rules, then every option of each
-candidate is checked in rule order with relative anchoring.
+analyse it at. The compiled ruleset is shared read-only. The only shared
+mutable structures it touches are the pool's free list (releasing a slot is
+atomic) and, inline, the transmit ring, which every worker produces onto: a
+worker holds the ring's producer lock around its ``enqueue``. Matching is
+two-phase: the fast-pattern scan shortlists candidate rules, then every
+option of each candidate is checked in rule order with relative anchoring.
 
 The alert line's timestamp text is built once per whole second and its rule
 text once per rule, each kept in a bounded cache. Nothing is cached per
@@ -14,6 +16,8 @@ text once per rule, each kept in a bounded cache. Nothing is cached per
 
 from __future__ import annotations
 
+import mmap
+import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +45,7 @@ class PacketContext:
     flow: Flow | None = None
     direction: Direction = Direction.FORWARD
     # raw payload lives in the pool buffer at [payload_base, payload_base+payload_len)
-    buf: bytes | bytearray = b""
+    buf: bytes | mmap.mmap = b""
     payload_base: int = 0
     payload_len: int = 0
     stream_bytes: bytes | None = None  # newly reassembled, this packet only
@@ -235,7 +239,8 @@ def prefilter(compiled: CompiledRuleSet, ctx: PacketContext) -> set[int]:
 class AnalysisWorker:
     """One detection worker: analyzes each descriptor it is given, allows or
     blocks. Given a ``tx_ring`` it is inline: blocking rules drop, allowed
-    packets go to the ring; without one it is passive and releases every slot."""
+    packets go to the ring; without one it is passive and releases every slot.
+    Workers that share a ``tx_ring`` must share its ``tx_lock``."""
 
     def __init__(
         self,
@@ -246,11 +251,13 @@ class AnalysisWorker:
         alert_sink=None,
         useless_mode: bool = False,
         stats: WorkerStats | None = None,
+        tx_lock: threading.Lock | None = None,
     ):
         self.pool = pool
         self.compiled = compiled
         self.flow_table = flow_table if flow_table is not None else FlowTable()
         self.tx_ring = tx_ring
+        self.tx_lock = tx_lock if tx_lock is not None else threading.Lock()
         self.alert_sink = alert_sink
         self.useless_mode = useless_mode
         self.stats = stats if stats is not None else WorkerStats()
@@ -264,8 +271,9 @@ class AnalysisWorker:
 
     def _finish(self, desc: PacketDescriptor, verdict: str) -> None:
         if verdict == "allow" and self.tx_ring is not None:
-            while not self.tx_ring.enqueue(desc):
-                time.sleep(0)  # transmit side retries until the drain frees space
+            with self.tx_lock:  # one producer at a time; the drain takes no lock
+                while not self.tx_ring.enqueue(desc):
+                    time.sleep(0)  # transmit side retries until the drain frees space
         else:
             self.pool.release(desc.slot)
 

@@ -7,8 +7,10 @@ expiry at each new interval, the verdict, the timing model's cost, stretched
 by the paging factor when the cost model is on); both count into
 fixed-width intervals (3 seconds each). In both, the acquisition side alone
 drains the inline TX ring to the sink, and drains it once more after stop,
-when the rings are empty. The schedulers differ only in where the time comes
-from and in who calls the step:
+when the rings are empty. Rings take no locks: RX ring ``i`` has one
+producer (acquisition) and one consumer (worker ``i``), and the TX ring's
+producers, the inline workers, share one lock to enqueue. The schedulers
+differ only in where the time comes from and in who calls the step:
 
 * simulated clock (default): a deterministic single-threaded schedule. Each
   actor carries its own local time; the acquisition side is paced by the
@@ -31,6 +33,7 @@ and paging activity.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -273,12 +276,14 @@ class Engine:
 
     def start_device(self, source, sink) -> None:
         """Bind source/sink and build the workers; only inline workers get
-        the TX ring."""
+        the TX ring, the one ring with several producers, and the lock they
+        share to produce onto it."""
         self.lifecycle.transition(LifecycleEvent.START_DEVICE)
         self._cross()
         cfg = self.config
         self.source = source
         tx_ring = self.tx_ring if cfg.inline else None
+        tx_lock = threading.Lock()
         self.acquirer = AcquisitionWorker(
             pool=self.pool,
             rx_rings=self.rx_rings,
@@ -295,6 +300,7 @@ class Engine:
                 alert_sink=self.alert_sink,
                 useless_mode=cfg.useless,
                 stats=WorkerStats(),
+                tx_lock=tx_lock,
             )
             for _ in range(cfg.n_workers)
         ]
@@ -408,9 +414,9 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
     own per-frame cost when unpaced), workers modeled as queue servers whose
     next-free time advances by the stretched per-packet cost.
 
-    The schedule is one thread, so ring cursors are read without the lock to
-    skip empty rings, and each worker remembers when its ring head will start
-    until it dequeues it (the head only changes by that worker's dequeue).
+    The schedule is one thread, so the driver compares ring cursors directly
+    to skip empty rings, and each worker remembers when its ring head will
+    start until it dequeues it (the head only changes by that worker's dequeue).
     """
     cfg = engine.config
     model = cfg.cost_model
@@ -473,7 +479,10 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
 def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccumulator, dict]:
     """Threaded execution against the counter clock; intervals and elapsed
     time come from the untrusted wall clock, as an external harness would
-    measure them."""
+    measure them. Refuses a free-threaded interpreter before any thread
+    starts: rings and pool are lock-free only under the interpreter lock."""
+    if not getattr(sys, "_is_gil_enabled", lambda: True)():
+        raise ConfigError("the real clock needs the interpreter lock; this build runs without it")
     cfg = engine.config
     step = _Step(engine)
     acq = engine.acquirer

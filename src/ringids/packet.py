@@ -14,8 +14,9 @@ equal to the plain tuple of its fields, and a ``FiveTuple`` equals the
 
 from __future__ import annotations
 
+import mmap
 import struct
-import threading
+from collections import deque
 from enum import Enum, IntEnum
 from typing import NamedTuple
 
@@ -197,9 +198,15 @@ class PacketDescriptor(NamedTuple):
 class PacketPool:
     """Fixed pool of frame slots backing zero-copy descriptors.
 
-    A slot handed out with a descriptor is not reused until released. Alloc
-    and release are safe from concurrent threads (in real-clock runs the
-    workers release while acquisition stores); slot contents are read-only
+    A slot handed out with a descriptor is not reused until released. The
+    slab is an anonymous memory mapping: its pages read as zero and take
+    physical memory only when first written, and the free list is LIFO, so a
+    run touches only its high-water mark of slots. One thread stores
+    (acquisition); any thread may release (in real-clock runs the workers
+    release while acquisition stores). No lock is taken: the free list is a
+    ``deque`` whose ``pop`` and ``append`` are atomic under the interpreter
+    lock, and a slot is marked free before it goes back on the list, so it is
+    never handed out while still marked in use. Slot contents are read-only
     between store and release.
     """
 
@@ -210,22 +217,21 @@ class PacketPool:
             raise ValueError("slot size must cover a full Ethernet frame")
         self.capacity = capacity
         self.slot_size = slot_size
-        self._buf = bytearray(capacity * slot_size)
+        self._buf = mmap.mmap(-1, capacity * slot_size)
         self._lengths = [0] * capacity
         self._in_use = [False] * capacity
-        self._free = list(range(capacity - 1, -1, -1))
-        self._lock = threading.Lock()
+        self._free = deque(range(capacity - 1, -1, -1))  # pop() hands out slot 0 first
         self.write_count = 0  # pool writes; the zero-copy budget is 1 per packet
 
     def store(self, frame) -> int:
         n = len(frame)
         if n > self.slot_size:
             raise FrameTooLarge(f"frame of {n}B exceeds {self.slot_size}B slot")
-        with self._lock:
-            if not self._free:
-                raise PoolExhausted("packet pool has no free slot")
+        try:
             slot = self._free.pop()
-            self._in_use[slot] = True
+        except IndexError:
+            raise PoolExhausted("packet pool has no free slot") from None
+        self._in_use[slot] = True
         base = slot * self.slot_size
         self._buf[base : base + n] = frame
         self._lengths[slot] = n
@@ -233,11 +239,10 @@ class PacketPool:
         return slot
 
     def release(self, slot: int) -> None:
-        with self._lock:
-            if not 0 <= slot < self.capacity or not self._in_use[slot]:
-                raise PoolError(f"release of slot {slot} not in use")
-            self._in_use[slot] = False
-            self._free.append(slot)
+        if not 0 <= slot < self.capacity or not self._in_use[slot]:
+            raise PoolError(f"release of slot {slot} not in use")
+        self._in_use[slot] = False
+        self._free.append(slot)
 
     def view(self, slot: int) -> memoryview:
         """Zero-copy view of the stored frame bytes."""
@@ -246,13 +251,13 @@ class PacketPool:
         base = slot * self.slot_size
         return memoryview(self._buf)[base : base + self._lengths[slot]]
 
-    def raw(self) -> bytearray:
-        """The whole pool buffer; slot ``i``'s frame starts at ``i * slot_size``."""
+    def raw(self) -> mmap.mmap:
+        """The whole pool slab, a writable buffer; slot ``i``'s frame starts
+        at ``i * slot_size``."""
         return self._buf
 
     def in_use_count(self) -> int:
-        with self._lock:
-            return self.capacity - len(self._free)
+        return self.capacity - len(self._free)
 
 
 def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:

@@ -5,15 +5,19 @@ block: a full ring rejects the element (producer counts a drop or retries) and
 an empty ring returns nothing (consumers poll). Capacity is a power of two and
 cursors are masked, the standard ring construction.
 
-CPython has no CAS primitive, so the cursor update is guarded by a lock held
-for a constant-size critical section; the observable contract (nonblocking,
-per-producer FIFO, no loss or duplication under any interleaving) is the same
-as a compare-and-swap ring.
+Every ring has one producer and one consumer, as a DPDK ``rte_ring`` created
+with ``RING_F_SP_ENQ | RING_F_SC_DEQ`` or Lamport's single-producer/
+single-consumer queue, so no operation takes a lock. The producer alone moves
+``tail``: it writes the slot, then publishes it by storing ``tail + 1``. The
+consumer alone moves ``head``: it takes the slot and clears it, then frees it
+by storing ``head + 1``. This relies on the interpreter lock, which runs each
+thread's bytecode in program order and makes every single load and store
+atomic; the real-clock runner refuses to start without it. A ring with
+several producers (the shared transmit ring) needs its producers to hold one
+lock of their own around ``enqueue``; the consumer still takes none.
 """
 
 from __future__ import annotations
-
-import threading
 
 
 class ConfigError(ValueError):
@@ -27,51 +31,63 @@ class Ring:
         self.capacity = capacity
         self._mask = capacity - 1
         self._slots: list = [None] * capacity
-        # cursors: next slot to dequeue and to enqueue. Only the lock holder
-        # moves them; a single-threaded caller may compare them without it.
+        # cursors: next slot to dequeue and to enqueue. ``head`` is written by
+        # the consumer only and ``tail`` by the producer only; either side may
+        # read both.
         self.head = 0
         self.tail = 0
-        self._lock = threading.Lock()
 
     def enqueue(self, item) -> bool:
-        """Insert one element; False means the ring is full (backpressure)."""
+        """Insert one element; False means the ring is full (backpressure).
+        Producer side only."""
         if item is None:
             raise ValueError("ring elements must not be None")
-        with self._lock:
-            if self.tail - self.head == self.capacity:
-                return False
-            self._slots[self.tail & self._mask] = item
-            self.tail += 1
-            return True
+        tail = self.tail
+        if tail - self.head == self.capacity:
+            return False
+        self._slots[tail & self._mask] = item
+        self.tail = tail + 1
+        return True
 
     def dequeue(self):
-        """Remove and return the oldest element, or None if empty."""
-        with self._lock:
-            if self.head == self.tail:
-                return None
-            item = self._slots[self.head & self._mask]
-            self._slots[self.head & self._mask] = None
-            self.head += 1
-            return item
+        """Remove and return the oldest element, or None if empty. Consumer
+        side only."""
+        head = self.head
+        if head == self.tail:
+            return None
+        idx = head & self._mask
+        item = self._slots[idx]
+        self._slots[idx] = None
+        self.head = head + 1
+        return item
 
     def dequeue_burst(self, max_n: int) -> list:
-        """Remove up to ``max_n`` elements in FIFO order."""
-        out = []
-        with self._lock:
-            while self.head != self.tail and len(out) < max_n:
-                idx = self.head & self._mask
-                out.append(self._slots[idx])
-                self._slots[idx] = None
-                self.head += 1
+        """Remove up to ``max_n`` elements in FIFO order. Consumer side only."""
+        head = self.head
+        n = min(self.tail - head, max_n)
+        if n <= 0:
+            return []
+        slots = self._slots
+        i = head & self._mask
+        j = i + n
+        if j <= self.capacity:
+            out = slots[i:j]
+            slots[i:j] = [None] * n
+        else:  # wraps past the end of the slot list
+            j -= self.capacity
+            out = slots[i:] + slots[:j]
+            slots[i:] = [None] * (self.capacity - i)
+            slots[:j] = [None] * j
+        self.head = head + n
         return out
 
     def peek(self):
-        with self._lock:
-            if self.head == self.tail:
-                return None
-            return self._slots[self.head & self._mask]
+        """The oldest element without removing it, or None. Consumer side only."""
+        head = self.head
+        if head == self.tail:
+            return None
+        return self._slots[head & self._mask]
 
     def __len__(self) -> int:
-        with self._lock:
-            return self.tail - self.head
-
+        head = self.head  # read first: tail only grows, so the count is never negative
+        return self.tail - head

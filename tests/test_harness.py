@@ -297,6 +297,17 @@ def test_real_clock_smoke():
     assert engine["ticks_per_us"] > 0 and engine["ticks_per_us_effective"] > 0
 
 
+def test_real_clock_refuses_a_free_threaded_build(monkeypatch):
+    monkeypatch.setattr(sys, "_is_gil_enabled", lambda: False, raising=False)
+    threads = threading.active_count()
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=8, packet_count=100, seed=3)
+    with pytest.raises(ConfigError, match="interpreter lock"):
+        run_experiment(wl, base_config(n_workers=2, clock_mode="real"))
+    assert threading.active_count() == threads  # refused before any thread started
+    report = run_experiment(wl, base_config(n_workers=2))  # one thread: the sim clock runs
+    assert report.totals.analyzed == 100
+
+
 def run_with_watchdog(fn, timeout_s: float):
     """``fn()`` on a daemon thread, so that a hang fails the test instead of
     blocking the suite."""

@@ -1,5 +1,6 @@
 """Decode, pool, and canonical-key behavior."""
 
+import os
 import random
 
 import pytest
@@ -249,3 +250,22 @@ def test_decode_arbitrary_bytes_raises_only_decode_errors(frame):
     assert 0 <= desc.payload_offset and desc.payload_offset + desc.payload_len <= len(frame)
     pool.release(desc.slot)
     assert pool.in_use_count() == 0
+
+
+def resident_pages() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_pool_slab_is_paged_in_only_when_written():
+    page = os.sysconf("SC_PAGE_SIZE")
+    before = resident_pages()
+    big = PacketPool(100_000)  # a ~195 MiB slab
+    grown = resident_pages() - before
+    assert grown * page < 8 * 2**20  # the bookkeeping lists, not the slab
+    frames = [bytes([i]) * 1500 for i in range(10)]
+    before = resident_pages()
+    slots = [big.store(f) for f in frames]
+    assert resident_pages() - before <= 16  # 10 slots of 2 KiB span 5 pages
+    assert [bytes(big.view(s)) for s in slots] == frames

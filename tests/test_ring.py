@@ -1,9 +1,12 @@
-"""Ring FIFO semantics, burst ops, and multi-thread stress."""
+"""Ring FIFO semantics, burst ops, and single-producer/single-consumer
+stress of the rings and the pool."""
 
+import sys
 import threading
 
 import pytest
 
+from ringids.packet import PacketPool, PoolExhausted
 from ringids.ring import ConfigError, Ring
 
 
@@ -68,54 +71,113 @@ def test_conservation_single_thread():
     assert enq_ok == deq + len(r)
 
 
-def _stress(n_producers: int, n_consumers: int, per_producer: int):
-    ring = Ring(1024)
-    done = threading.Event()
-    consumed: list[list[tuple[int, int]]] = [[] for _ in range(n_consumers)]
+@pytest.fixture
+def rapid_switching():
+    """Switch threads every microsecond, so that a thread is interrupted at
+    nearly every point where the interpreter may switch."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(switch)
 
-    def producer(pid: int):
-        seq = 0
-        while seq < per_producer:
-            if ring.enqueue((pid, seq)):
-                seq += 1
 
-    def consumer(cid: int):
-        out = consumed[cid]
-        while not done.is_set() or len(ring):
-            got = ring.dequeue_burst(64)
-            if got:
-                out.extend(got)
-
-    producers = [threading.Thread(target=producer, args=(p,)) for p in range(n_producers)]
-    consumers = [threading.Thread(target=consumer, args=(c,)) for c in range(n_consumers)]
-    for t in consumers + producers:
+def run_threads(*targets) -> None:
+    threads = [threading.Thread(target=t, daemon=True) for t in targets]
+    for t in threads:
         t.start()
-    for t in producers:
-        t.join()
-    done.set()
-    for t in consumers:
-        t.join()
-    return consumed
+    for t in threads:
+        t.join(20)  # about a second when correct; a thread that died leaves its peer spinning
+        assert not t.is_alive(), "stress thread still running after 20 s"
 
 
-def check_stress_result(consumed, n_producers, per_producer):
-    # no loss, no duplication
-    everything = [item for lst in consumed for item in lst]
-    assert len(everything) == n_producers * per_producer
-    assert set(everything) == {(p, s) for p in range(n_producers) for s in range(per_producer)}
-    # per-producer order preserved within each consumer's observation
-    for lst in consumed:
-        last_seen = {}
-        for pid, seq in lst:
-            assert last_seen.get(pid, -1) < seq
-            last_seen[pid] = seq
+@pytest.mark.parametrize("capacity", [1, 2, 4, 8, 16, 32, 64])
+def test_spsc_stress(capacity, rapid_switching):
+    """One producer and one consumer thread: every element arrives once, in
+    order, whether taken one at a time or in bursts of any size."""
+    n = 4_000
+    ring = Ring(capacity)
+    got: list[int] = []
+
+    def producer():
+        i = 0
+        while i < n:
+            if ring.enqueue(i):
+                i += 1
+
+    def consumer():
+        k = 0
+        while len(got) < n:
+            k += 1
+            if k % 3 == 0:
+                item = ring.dequeue()
+                if item is not None:
+                    got.append(item)
+            else:
+                got.extend(ring.dequeue_burst(k % 7 + capacity // 2))
+
+    run_threads(producer, consumer)
+    assert got == list(range(n))
+    assert len(ring) == 0 and ring.dequeue() is None
 
 
-def test_mpsc_stress_small():
-    consumed = _stress(n_producers=4, n_consumers=1, per_producer=20_000)
-    check_stress_result(consumed, 4, 20_000)
+def test_pool_stress_over_rings(rapid_switching):
+    """One thread stores frames and feeds two workers over rings, releasing a
+    slot itself when the ring is full; the workers release the rest. Every
+    slot comes home exactly once, and no slot is handed out while held."""
+    n, n_workers = 6_000, 2
+    pool = PacketPool(capacity=8)
+    rings = [Ring(4) for _ in range(n_workers)]
+    done = threading.Event()
+    seen = [0] * n_workers
+    dropped = [0]
+    errors: list[str] = []
+
+    def acquire():
+        for i in range(n):
+            frame = i.to_bytes(4, "big") * 16
+            while True:
+                try:
+                    slot = pool.store(frame)
+                    break
+                except PoolExhausted:
+                    pass
+            if not rings[i % n_workers].enqueue((i, slot)):
+                pool.release(slot)
+                dropped[0] += 1
+        done.set()
+
+    def work(w: int):
+        ring = rings[w]
+        while True:
+            finished = done.is_set()  # read before the dequeue: nothing comes after it
+            item = ring.dequeue()
+            if item is None:
+                if finished:
+                    return
+                continue
+            i, slot = item
+            if bytes(pool.view(slot)) != i.to_bytes(4, "big") * 16:
+                errors.append(f"slot {slot} of frame {i} was overwritten")
+            pool.release(slot)
+            seen[w] += 1
+
+    run_threads(acquire, *[lambda w=w: work(w) for w in range(n_workers)])
+    assert errors == []
+    assert sum(seen) > 0 and sum(seen) + dropped[0] == n
+    assert pool.in_use_count() == 0
+    assert sorted(pool._free) == list(range(pool.capacity))
 
 
-def test_mpmc_stress_small():
-    consumed = _stress(n_producers=4, n_consumers=4, per_producer=20_000)
-    check_stress_result(consumed, 4, 20_000)
+def test_burst_through_wraparound():
+    r = Ring(8)
+    for i in range(6):
+        assert r.enqueue(i)
+    assert r.dequeue_burst(5) == [0, 1, 2, 3, 4]
+    for i in range(6, 13):
+        assert r.enqueue(i)
+    assert not r.enqueue(13)
+    assert r.dequeue_burst(100) == list(range(5, 13))  # spans the end of the slot list
+    assert r._slots == [None] * 8  # a dequeued slot holds no reference
+    assert r.dequeue_burst(4) == [] and len(r) == 0
