@@ -26,8 +26,7 @@ from .packet import (
     canonical_key,
     decode,
 )
-from .ring import ConfigError as RingConfigError
-from .ring import Ring
+from .ring import ConfigError, Ring
 from .rules import CompiledRuleSet, ParseError, Rule, RuleSet, compile_ruleset, load_ruleset, parse_rule
 
 __version__ = "0.1.0"

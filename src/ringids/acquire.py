@@ -98,22 +98,15 @@ class AcquisitionWorker:
     """Moves frames onto the RX rings and, inline, the TX ring to the sink.
 
     It produces onto any RX ring; ``tx_ring`` is given in inline mode only,
-    and without it ``drain_tx`` does nothing.
+    and without it ``drain_tx`` does nothing. It builds its own ``stats``.
     """
 
-    def __init__(
-        self,
-        pool: PacketPool,
-        rx_rings: list[Ring],
-        tx_ring: Ring | None = None,
-        sink=None,
-        stats: AcquireStats | None = None,
-    ):
+    def __init__(self, pool: PacketPool, rx_rings: list[Ring], tx_ring: Ring | None = None, sink=None):
         self.pool = pool
         self.rx_rings = rx_rings
         self.tx_ring = tx_ring
         self.sink = sink
-        self.stats = stats if stats is not None else AcquireStats()
+        self.stats = AcquireStats()
         self._ring_of: dict[FiveTuple, int] = {}  # dispatch memo, see ring_for
 
     def ring_for(self, tuple_: FiveTuple) -> int:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .ring import ConfigError
+
 EPC_BYTES_DEFAULT = 96 * 1024 * 1024  # protected memory available for user data
 ENGINE_BASE_BYTES = 16 * 1024 * 1024  # resident engine code + fixed state
 RULESET_BYTES_PER_RULE = 28 * 1024 * 1024 / 3462  # full community-scale set ~= 28MB
@@ -78,7 +80,9 @@ class CostModel:
 
     def __post_init__(self):
         if min(self.epc_bytes, self.crossing_cost_us, self.paging_penalty, self.warmup_bytes, self.warmup_rate) < 0:
-            raise ValueError("cost model coefficients must be >= 0")
+            raise ConfigError("cost model coefficients must be >= 0")
+        if self.epc_bytes < 1:  # paging_factor divides by it
+            raise ConfigError("epc_bytes must be >= 1")
 
     @classmethod
     def from_config(

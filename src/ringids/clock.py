@@ -73,10 +73,6 @@ class CounterClock:
             self._thread = None
 
     @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    @property
     def ticks(self) -> int:
         return self._ticks
 

@@ -39,9 +39,7 @@ _new = tuple.__new__  # builds an Alert from fields known to be valid
 class PacketContext:
     """Everything phase-2 evaluation sees for one packet."""
 
-    descriptor: PacketDescriptor
     tuple: FiveTuple
-    now_us: int
     flow: Flow | None = None
     direction: Direction = Direction.FORWARD
     # raw payload lives in the pool buffer at [payload_base, payload_base+payload_len)
@@ -240,27 +238,26 @@ class AnalysisWorker:
     """One detection worker: analyzes each descriptor it is given, allows or
     blocks. Given a ``tx_ring`` it is inline: blocking rules drop, allowed
     packets go to the ring; without one it is passive and releases every slot.
-    Workers that share a ``tx_ring`` must share its ``tx_lock``."""
+    Workers that share a ``tx_ring`` must share its ``tx_lock``. Each worker
+    builds its own ``flow_table`` and ``stats``."""
 
     def __init__(
         self,
         pool: PacketPool,
         compiled: CompiledRuleSet,
-        flow_table: FlowTable | None = None,
         tx_ring: Ring | None = None,
         alert_sink=None,
         useless_mode: bool = False,
-        stats: WorkerStats | None = None,
         tx_lock: threading.Lock | None = None,
     ):
         self.pool = pool
         self.compiled = compiled
-        self.flow_table = flow_table if flow_table is not None else FlowTable()
+        self.flow_table = FlowTable()
         self.tx_ring = tx_ring
         self.tx_lock = tx_lock if tx_lock is not None else threading.Lock()
         self.alert_sink = alert_sink
         self.useless_mode = useless_mode
-        self.stats = stats if stats is not None else WorkerStats()
+        self.stats = WorkerStats()
         self._buf = pool.raw()
         self._slot_size = pool.slot_size
 
@@ -304,7 +301,7 @@ class AnalysisWorker:
             if t.proto is Proto.TCP and payload_len > 0:
                 payload = memoryview(self._buf)[payload_base : payload_base + payload_len]
                 stream = self.flow_table.reassemble(flow, direction, desc.tcp_seq, payload) or None
-        ctx = PacketContext(desc, t, now_us, flow, direction, self._buf, payload_base, payload_len, stream)
+        ctx = PacketContext(t, flow, direction, self._buf, payload_base, payload_len, stream)
 
         compiled = self.compiled
         candidates = prefilter(compiled, ctx)

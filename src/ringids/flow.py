@@ -252,9 +252,6 @@ class FlowTable:
     def __iter__(self):
         return iter(self._flows.values())
 
-    def get(self, key: FlowKey) -> Flow | None:
-        return self._flows.get(key)
-
     def lookup_or_create(self, key: FlowKey, now_us: int) -> tuple[Flow, bool]:
         flow = self._flows.get(key)
         if flow is not None:

@@ -38,17 +38,16 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..acquire import AcquireStats, AcquisitionWorker
+from ..acquire import AcquisitionWorker
 from ..boundary import CostModel, Lifecycle, LifecycleEvent, paging_factor, trusted_footprint
 from ..clock import CounterClock
-from ..detect import AnalysisWorker, WorkerStats
-from ..flow import FlowTable
+from ..detect import AnalysisWorker
 from ..matching import kernel_name
 from ..packet import PacketPool
-from ..ring import Ring
-from ..rules import AddressSpec, RuleSet, _parse_addr, compile_ruleset, load_ruleset, load_ruleset_file
+from ..ring import ConfigError, Ring
+from ..rules import RuleSet, compile_ruleset, load_ruleset, load_ruleset_file
 from .pcapio import pcap_source
-from .synth import ConfigError, WorkloadSpec, synth_source
+from .synth import WorkloadSpec, synth_source
 
 INTERVAL_US = 3_000_000
 
@@ -91,12 +90,29 @@ class EngineConfig:
     rules_text: str | None = None
     rules_path: str | None = None
     take_first: int | None = None
-    variables: dict[str, str] = field(default_factory=dict)
-    max_flows: int = 262_144
     cost_model: CostModel | None = None
     timing: TimingModel = field(default_factory=TimingModel)
     clock_mode: str = "sim"  # sim | real
     rate_pps: float = 0.0  # 0 = unpaced (saturating) source
+
+    def __post_init__(self):
+        """Reject a config that would analyse nothing, use the wrong rules or
+        fail only once frames flow."""
+        cap = self.ring_capacity
+        if self.n_workers < 1:
+            raise ConfigError(f"n_workers must be >= 1, got {self.n_workers}")
+        if self.burst_size < 1:
+            raise ConfigError(f"burst_size must be >= 1, got {self.burst_size}")
+        if cap < 1 or cap & (cap - 1):
+            raise ConfigError(f"ring_capacity must be a power of two, got {cap}")
+        if self.pool_capacity is not None and self.pool_capacity < 1:
+            raise ConfigError(f"pool_capacity must be >= 1, got {self.pool_capacity}")
+        if self.take_first is not None and self.take_first < 0:
+            raise ConfigError(f"take_first must be >= 0, got {self.take_first}")
+        if not self.rate_pps >= 0:
+            raise ConfigError(f"rate_pps must be >= 0, got {self.rate_pps}")
+        if self.clock_mode not in ("sim", "real"):
+            raise ConfigError(f"clock_mode must be 'sim' or 'real', got {self.clock_mode!r}")
 
     def resolved_pool_capacity(self) -> int:
         if self.pool_capacity is not None:
@@ -224,10 +240,6 @@ class CollectSink:
         self.frames.append(bytes(frame))
 
 
-def parse_variables(raw: dict[str, str]) -> dict[str, AddressSpec]:
-    return {name: _parse_addr(value, 0) for name, value in raw.items()}
-
-
 class Engine:
     """Pipeline assembly driven through the five lifecycle calls."""
 
@@ -253,13 +265,12 @@ class Engine:
 
     def load_rules(self) -> RuleSet:
         cfg = self.config
-        variables = parse_variables(cfg.variables)
         if cfg.rules_path:
-            rs = load_ruleset_file(cfg.rules_path, variables)
+            rs = load_ruleset_file(cfg.rules_path)
         elif cfg.rules_text:
-            rs = load_ruleset(cfg.rules_text, variables)
+            rs = load_ruleset(cfg.rules_text)
         else:
-            rs = RuleSet(variables=variables)
+            rs = RuleSet()
         if cfg.take_first is not None:
             rs = rs.take_first(cfg.take_first)
         return rs
@@ -284,22 +295,14 @@ class Engine:
         self.source = source
         tx_ring = self.tx_ring if cfg.inline else None
         tx_lock = threading.Lock()
-        self.acquirer = AcquisitionWorker(
-            pool=self.pool,
-            rx_rings=self.rx_rings,
-            tx_ring=tx_ring,
-            sink=sink,
-            stats=AcquireStats(),
-        )
+        self.acquirer = AcquisitionWorker(pool=self.pool, rx_rings=self.rx_rings, tx_ring=tx_ring, sink=sink)
         self.workers = [
             AnalysisWorker(
                 pool=self.pool,
                 compiled=self.compiled,
-                flow_table=FlowTable(max_flows=cfg.max_flows),
                 tx_ring=tx_ring,
                 alert_sink=self.alert_sink,
                 useless_mode=cfg.useless,
-                stats=WorkerStats(),
                 tx_lock=tx_lock,
             )
             for _ in range(cfg.n_workers)

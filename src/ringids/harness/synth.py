@@ -14,16 +14,13 @@ import math
 import random
 from dataclasses import dataclass
 
-from ..packet import TCP_ACK, TCP_SYN
+from ..packet import TCP_ACK, TCP_SYN, Proto
+from ..ring import ConfigError
 from ..rules import ByteTest, Content, Rule, RuleSet
 
 ETH_IP_TCP_HDR = 54  # 14 + 20 + 20
 MIN_FRAME = 64
 MAX_FRAME = 1518
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -47,6 +44,28 @@ class WorkloadSpec:
                 raise ConfigError("n_flows must be >= 1")
         if not 0.0 <= self.attack_rate <= 1.0:
             raise ConfigError("attack_rate must be a fraction in [0, 1]")
+        if self.packet_count is not None and self.packet_count < 0:
+            raise ConfigError(f"packet_count must be >= 0, got {self.packet_count}")
+        if self.duration_s is not None and not self.duration_s > 0:
+            raise ConfigError(f"duration_s must be > 0, got {self.duration_s}")
+
+
+def build_ipv4_frame(src_ip: int, dst_ip: int, proto: int, l4: bytes, pad_to: int = 0) -> bytes:
+    """Hand-rolled Ethernet+IPv4 frame around the L4 bytes (header and
+    payload); zero-padded to pad_to if larger."""
+    frame = bytearray()
+    frame += b"\x02\x00\x00\x00\x00\x02"  # dst mac
+    frame += b"\x02\x00\x00\x00\x00\x01"  # src mac
+    frame += b"\x08\x00"
+    frame += bytes([0x45, 0x00])
+    frame += (20 + len(l4)).to_bytes(2, "big")
+    frame += bytes([0x00, 0x00, 0x40, 0x00, 0x40, proto, 0x00, 0x00])  # id, DF, ttl 64, proto, csum 0
+    frame += src_ip.to_bytes(4, "big")
+    frame += dst_ip.to_bytes(4, "big")
+    frame += l4
+    if len(frame) < pad_to:
+        frame += bytes(pad_to - len(frame))
+    return bytes(frame)
 
 
 def build_ipv4_tcp_frame(
@@ -60,57 +79,24 @@ def build_ipv4_tcp_frame(
     payload: bytes = b"",
     pad_to: int = 0,
 ) -> bytes:
-    """Hand-rolled Ethernet+IPv4+TCP frame; zero-padded to pad_to if larger."""
-    tot_len = 40 + len(payload)
-    frame = bytearray()
-    frame += b"\x02\x00\x00\x00\x00\x02"  # dst mac
-    frame += b"\x02\x00\x00\x00\x00\x01"  # src mac
-    frame += b"\x08\x00"
-    frame += bytes([0x45, 0x00])
-    frame += tot_len.to_bytes(2, "big")
-    frame += b"\x00\x00\x40\x00\x40\x06\x00\x00"  # id, DF, ttl 64, proto tcp, csum 0
-    frame += src_ip.to_bytes(4, "big")
-    frame += dst_ip.to_bytes(4, "big")
-    frame += src_port.to_bytes(2, "big")
-    frame += dst_port.to_bytes(2, "big")
-    frame += (seq & 0xFFFFFFFF).to_bytes(4, "big")
-    frame += (ack & 0xFFFFFFFF).to_bytes(4, "big")
-    frame += bytes([0x50, flags])  # data offset 5, flags
-    frame += b"\xff\xff\x00\x00\x00\x00"  # window, csum 0, urg 0
-    frame += payload
-    if len(frame) < pad_to:
-        frame += bytes(pad_to - len(frame))
-    return bytes(frame)
+    tcp = (
+        src_port.to_bytes(2, "big")
+        + dst_port.to_bytes(2, "big")
+        + (seq & 0xFFFFFFFF).to_bytes(4, "big")
+        + (ack & 0xFFFFFFFF).to_bytes(4, "big")
+        + bytes([0x50, flags])  # data offset 5, flags
+        + b"\xff\xff\x00\x00\x00\x00"  # window, csum 0, urg 0
+    )
+    return build_ipv4_frame(src_ip, dst_ip, Proto.TCP, tcp + payload, pad_to)
 
 
 def build_ipv4_udp_frame(src_ip, src_port, dst_ip, dst_port, payload: bytes = b"", pad_to: int = 0) -> bytes:
-    udp_len = 8 + len(payload)
-    tot_len = 20 + udp_len
-    frame = bytearray()
-    frame += b"\x02\x00\x00\x00\x00\x02\x02\x00\x00\x00\x00\x01\x08\x00"
-    frame += bytes([0x45, 0x00]) + tot_len.to_bytes(2, "big")
-    frame += b"\x00\x00\x40\x00\x40\x11\x00\x00"
-    frame += src_ip.to_bytes(4, "big") + dst_ip.to_bytes(4, "big")
-    frame += src_port.to_bytes(2, "big") + dst_port.to_bytes(2, "big")
-    frame += udp_len.to_bytes(2, "big") + b"\x00\x00"
-    frame += payload
-    if len(frame) < pad_to:
-        frame += bytes(pad_to - len(frame))
-    return bytes(frame)
+    udp = src_port.to_bytes(2, "big") + dst_port.to_bytes(2, "big") + (8 + len(payload)).to_bytes(2, "big") + b"\x00\x00"
+    return build_ipv4_frame(src_ip, dst_ip, Proto.UDP, udp + payload, pad_to)
 
 
 def build_ipv4_icmp_frame(src_ip, dst_ip, icmp_type: int = 8, payload: bytes = b"", pad_to: int = 0) -> bytes:
-    tot_len = 20 + 8 + len(payload)
-    frame = bytearray()
-    frame += b"\x02\x00\x00\x00\x00\x02\x02\x00\x00\x00\x00\x01\x08\x00"
-    frame += bytes([0x45, 0x00]) + tot_len.to_bytes(2, "big")
-    frame += b"\x00\x00\x40\x00\x40\x01\x00\x00"
-    frame += src_ip.to_bytes(4, "big") + dst_ip.to_bytes(4, "big")
-    frame += bytes([icmp_type, 0, 0, 0, 0, 0, 0, 0])
-    frame += payload
-    if len(frame) < pad_to:
-        frame += bytes(pad_to - len(frame))
-    return bytes(frame)
+    return build_ipv4_frame(src_ip, dst_ip, Proto.ICMP, bytes([icmp_type, 0, 0, 0, 0, 0, 0, 0]) + payload, pad_to)
 
 
 def craft_payload(rule: Rule) -> bytes:

@@ -15,13 +15,16 @@ thread's bytecode in program order and makes every single load and store
 atomic; the real-clock runner refuses to start without it. A ring with
 several producers (the shared transmit ring) needs its producers to hold one
 lock of their own around ``enqueue``; the consumer still takes none.
+
+``ConfigError`` is the package's one error for an invalid setting: a ring's
+capacity here, and the engine, workload and cost-model settings elsewhere.
 """
 
 from __future__ import annotations
 
 
 class ConfigError(ValueError):
-    """Invalid ring configuration."""
+    """Invalid configuration: ring, engine, workload or cost model."""
 
 
 class Ring:

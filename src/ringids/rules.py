@@ -350,7 +350,8 @@ def _unquote(value: str, position: int) -> str:
 
 
 def decode_pattern(text: str, position: int = 0) -> bytes:
-    """Decode a content string: literal chars with |xx xx| hex spans."""
+    """Decode a content string: literal chars with |xx xx| hex spans. A
+    character above U+00FF is no single byte and is a ParseError."""
     out = bytearray()
     i, n = 0, len(text)
     while i < n:
@@ -361,14 +362,16 @@ def decode_pattern(text: str, position: int = 0) -> bytes:
                 raise ParseError("unterminated hex span in content", position + i)
             for tok in text[i + 1 : end].split():
                 try:
-                    out.append(int(tok, 16))
+                    out.append(int(tok, 16))  # ValueError also when outside 0..FF
                 except ValueError:
                     raise ParseError(f"bad hex byte {tok!r} in content", position + i) from None
             i = end + 1
-        elif ch == "\\" and i + 1 < n:
-            out.append(ord(text[i + 1]))
-            i += 2
         else:
+            if ch == "\\" and i + 1 < n:
+                i += 1
+                ch = text[i]
+            if ord(ch) > 0xFF:
+                raise ParseError(f"character {ch!r} in content is not a byte; use a |xx| hex span", position + i)
             out.append(ord(ch))
             i += 1
     return bytes(out)
@@ -473,13 +476,13 @@ def _parse_flow(value: str, warnings: list[str]) -> FlowOpt:
     return FlowOpt(to_client=to_client, to_server=to_server, established=established, only_stream=only_stream)
 
 
-def parse_rule(line: str, variables: dict[str, AddressSpec] | None = None) -> Rule:
-    """Parse one rule line into its structured form.
+def parse_rule(line: str) -> Rule:
+    """Parse one rule line into its structured form; ``$NAME`` addresses
+    stay names until the ruleset is compiled.
 
     Raises ParseError (with position) on malformed header, unbalanced
-    quotes/parens, or a missing sid.
+    quotes/parens, a content character that is not a byte, or a missing sid.
     """
-    del variables  # names are resolved when the ruleset is compiled
     open_paren = line.find("(")
     close_paren = line.rfind(")")
     if open_paren < 0 or close_paren < open_paren:
@@ -627,9 +630,9 @@ class RuleSet:
         return RuleSet(rules=self.rules[:n], variables=dict(self.variables), errors=list(self.errors))
 
 
-def load_ruleset(text: str, variables: dict[str, AddressSpec] | None = None) -> RuleSet:
+def load_ruleset(text: str) -> RuleSet:
     """Load rules line by line; parse failures are collected, not fatal."""
-    rs = RuleSet(variables=dict(variables or {}))
+    rs = RuleSet()
     seen_sids: set[int] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -648,9 +651,11 @@ def load_ruleset(text: str, variables: dict[str, AddressSpec] | None = None) -> 
     return rs
 
 
-def load_ruleset_file(path, variables: dict[str, AddressSpec] | None = None) -> RuleSet:
+def load_ruleset_file(path) -> RuleSet:
+    """``load_ruleset`` over a UTF-8 file; an undecodable byte becomes
+    U+FFFD, so its rule is recorded as a ParseError and the others load."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return load_ruleset(fh.read(), variables)
+        return load_ruleset(fh.read())
 
 
 class CompiledRuleSet:
@@ -668,7 +673,6 @@ class CompiledRuleSet:
 
     def __init__(self, ruleset: RuleSet):
         self.rules: dict[int, Rule] = {}
-        self.variables = dict(ruleset.variables)
         self.contentless: list[int] = []
         self._resolved: dict[int, tuple[AddressSpec, AddressSpec]] = {}
         self._matchers: dict[str, MultiPatternMatcher] = {}
@@ -682,7 +686,7 @@ class CompiledRuleSet:
         by_proto: dict[str, dict[bytes, tuple[list[int], list[int]]]] = {p: {} for p in RULE_PROTOS}
         for rule in ruleset.rules:
             self.rules[rule.sid] = rule
-            self._resolved[rule.sid] = (rule.src.resolve(self.variables), rule.dst.resolve(self.variables))
+            self._resolved[rule.sid] = (rule.src.resolve(ruleset.variables), rule.dst.resolve(ruleset.variables))
             fast = rule.fast_pattern
             if fast is None:
                 self.contentless.append(rule.sid)

@@ -85,14 +85,9 @@ def corpus_ruleset(corpus_text):
 
 
 def make_context(tuple_, payload: bytes, flow: Flow | None = None, direction=Direction.FORWARD,
-                 stream: bytes | None = None, now_us: int = 0) -> PacketContext:
+                 stream: bytes | None = None) -> PacketContext:
     """Standalone context over a plain payload buffer (no pool)."""
-    from ringids.packet import PacketDescriptor
-
-    desc = PacketDescriptor(slot=0, frame_len=54 + len(payload), arrival_us=now_us,
-                            tuple=tuple_, payload_offset=54, payload_len=len(payload))
-    return PacketContext(descriptor=desc, tuple=tuple_, now_us=now_us, flow=flow,
-                         direction=direction, buf=payload, payload_base=0,
+    return PacketContext(tuple=tuple_, flow=flow, direction=direction, buf=payload, payload_base=0,
                          payload_len=len(payload), stream_bytes=stream)
 
 

@@ -22,7 +22,7 @@ from ringids.detect import (
     format_alert_fast,
     prefilter,
 )
-from ringids.flow import FlowState
+from ringids.flow import FlowState, FlowTable
 from ringids.harness.runner import ListAlertSink
 from ringids.harness.synth import build_ipv4_tcp_frame
 from ringids.matching import MultiPatternMatcher
@@ -276,6 +276,28 @@ def test_alert_action_passive_allows_and_alerts():
     assert len(tx) == 0  # passive mode never feeds the TX ring
     assert pool.in_use_count() == 0
     assert worker.stats.analyzed == 1 and worker.stats.blocked == 0
+
+
+def test_full_flow_table_analyses_without_flow_context():
+    """A packet of a flow the full table cannot hold is analysed flowless:
+    content rules still match, flow-constrained ones cannot."""
+    compiled = compiled_of(
+        'alert tcp any any -> any any (content:"attack"; sid:1;)',
+        'alert tcp any any -> any any (flow: established; content:"attack"; sid:2;)',
+    )
+    worker, pool, _, _ = make_worker(compiled)
+    worker.flow_table = FlowTable(max_flows=1)
+    for kw in (dict(flags=TCP_SYN, seq=0),
+               dict(flags=TCP_SYN | TCP_ACK, seq=0, src="10.0.0.2", dst="10.0.0.1", sport=443, dport=1000),
+               dict(seq=1)):
+        worker.process_packet(ingest(pool, payload=b"", **kw), 0)
+    _, first = worker.process_packet(ingest(pool, seq=1), 1)
+    _, second = worker.process_packet(ingest(pool, sport=2000), 2)
+    assert sorted(a.sid for a in first) == [1, 2]  # the tracked, established flow
+    assert [a.sid for a in second] == [1]
+    assert worker.stats.flowless == 1
+    assert len(worker.flow_table) == 1
+    assert pool.in_use_count() == 0
 
 
 def test_drop_action_inline_blocks():

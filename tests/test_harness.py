@@ -297,6 +297,20 @@ def test_real_clock_smoke():
     assert engine["ticks_per_us"] > 0 and engine["ticks_per_us_effective"] > 0
 
 
+def test_real_clock_run_with_cost_model():
+    """Real clock with the cost model on: workers sleep the paging stretch
+    once the flow tables push the working set past the budget, and each of
+    the five lifecycle crossings sleeps its cost."""
+    wl = WorkloadSpec(kind="synth", packet_size=256, n_flows=64, packet_count=2000, seed=3)
+    model = CostModel(epc_bytes=17 * 1024 * 1024, crossing_cost_us=500.0)
+    report = run_experiment(wl, base_config(n_workers=2, clock_mode="real", rules_path=str(CORPUS_PATH),
+                                            cost_model=model))
+    t = report.totals
+    assert t.received == 2000 == t.analyzed + t.dropped + t.residual
+    assert any(iv.paging_pct > 0 for iv in report.intervals)
+    assert report.elapsed_us >= 5 * 500
+
+
 def test_real_clock_refuses_a_free_threaded_build(monkeypatch):
     monkeypatch.setattr(sys, "_is_gil_enabled", lambda: False, raising=False)
     threads = threading.active_count()
@@ -430,10 +444,29 @@ def test_cli_inline_attack_alert_lines(tmp_path):
     assert all("[1:4:0] hit [**]" in ln for ln in lines)
 
 
-def test_cli_bad_config_exit_code(tmp_path, capsys):
-    rc = cli_main(["run", "--synth", "64", "--count", "10"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["--synth", "64", "--count", "10"], id="synth-without-flows"),
+        pytest.param(["--burst", "0"], id="burst-0"),
+        pytest.param(["--count", "-1"], id="count-negative"),
+        pytest.param(["--duration", "0"], id="duration-0"),
+        pytest.param(["--take-first", "-2", "--rules", str(CORPUS_PATH)], id="take-first-negative"),
+        pytest.param(["--rate", "-5"], id="rate-negative"),
+        pytest.param(["--threads", "0"], id="threads-0"),
+        pytest.param(["--ring-capacity", "3"], id="ring-capacity-3"),
+        pytest.param(["--cost-model", "on", "--epc-mib", "-1"], id="epc-negative"),
+        pytest.param(["--cost-model", "on", "--epc-mib", "0"], id="epc-0"),
+    ],
+)
+def test_cli_bad_config_exit_code(args, capsys):
+    """Each config that would analyse nothing, use the wrong rules or crash
+    mid-run is one ConfigError: exit code 1 and an ``error:`` line."""
+    argv = args if args[0] == "--synth" else ["--synth", "64,4", "--count", "10", *args]
+    rc = cli_main(["run", *argv])
+    err = capsys.readouterr().err
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_rejects_removed_and_abbreviated_options(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from ringids.rules import (
     compile_ruleset,
     format_rule,
     load_ruleset,
+    load_ruleset_file,
     parse_rule,
 )
 
@@ -82,6 +83,7 @@ def test_missing_sid_is_error():
         'log tcp any any -> any any (sid:3;)',  # unsupported action
         'alert tcp any any -> any any (msg:"unterminated; sid:4;)',
         'alert tcp any any -> any any (content:!"neg"; sid:5;)',
+        'alert tcp any any -> any any (content:"€"; sid:6;)',  # not a byte
     ],
 )
 def test_malformed_rules_rejected(line):
@@ -151,6 +153,20 @@ def test_load_ruleset_skips_comments_and_collects_errors():
     rs = load_ruleset(text)
     assert [r.sid for r in rs.rules] == [1, 2, 3]
     assert len(rs.errors) == 1 and rs.errors[0][0] == 4
+
+
+def test_undecodable_byte_fails_only_its_rule(tmp_path):
+    """The file loader turns a byte that is not UTF-8 into U+FFFD; that rule
+    is one ParseError and the other rules still load."""
+    path = tmp_path / "bad.rules"
+    path.write_bytes(
+        b'alert tcp any any -> any any (content:"a\xffb"; sid:1;)\n'
+        b'alert tcp any any -> any any (content:"ok"; sid:2;)\n'
+    )
+    rs = load_ruleset_file(path)
+    assert [r.sid for r in rs.rules] == [2]
+    assert [lineno for lineno, _ in rs.errors] == [1]
+    assert isinstance(rs.errors[0][1], ParseError)
 
 
 def test_duplicate_sid_rejected():
