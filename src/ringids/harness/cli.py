@@ -120,6 +120,8 @@ def _run(args) -> int:
     finally:
         if args.alert_file:
             alert_fh.close()
+    for lineno, exc in report.rule_errors:
+        print(f"rules: line {lineno}: {exc}", file=sys.stderr)
     rendered = report.to_csv() if args.report == "csv" else report.to_text()
     if args.report_file:
         with open(args.report_file, "w") as fh:

@@ -6,8 +6,10 @@ analyse one dequeued descriptor at the time the scheduler passes in (flow
 expiry at each new interval, the verdict, the timing model's cost, stretched
 by the paging factor when the cost model is on); both count into
 fixed-width intervals (3 seconds each). In both, the acquisition side alone
-drains the inline TX ring to the sink, and drains it once more after stop,
-when the rings are empty. Rings take no locks: RX ring ``i`` has one
+drains the inline TX ring to the sink, and drains it once more when the
+rings are empty. Both price each of the five lifecycle crossings once: the
+three set-up crossings start the run's time base, and stop and shutdown are
+added after it. Rings take no locks: RX ring ``i`` has one
 producer (acquisition) and one consumer (worker ``i``), and the TX ring's
 producers, the inline workers, share one lock to enqueue. The schedulers
 differ only in where the time comes from and in who calls the step:
@@ -45,7 +47,7 @@ from ..detect import AnalysisWorker
 from ..matching import kernel_name
 from ..packet import PacketPool
 from ..ring import ConfigError, Ring
-from ..rules import RuleSet, compile_ruleset, load_ruleset, load_ruleset_file
+from ..rules import ParseError, RuleSet, compile_ruleset, load_ruleset, load_ruleset_file
 from .pcapio import pcap_source
 from .synth import WorkloadSpec, synth_source
 
@@ -153,6 +155,7 @@ class Report:
     mean_frame_bits: float
     intervals: list[IntervalRecord]
     config: dict
+    rule_errors: list[tuple[int, ParseError]] = field(default_factory=list)  # (line, error) per rejected rule
 
     def validate(self) -> None:
         t = self.totals
@@ -251,6 +254,7 @@ class Engine:
         self.rx_rings: list[Ring] = []
         self.tx_ring: Ring | None = None
         self.source = None
+        self.ruleset: RuleSet | None = None
         self.compiled = None
         self.workers: list[AnalysisWorker] = []
         self.acquirer: AcquisitionWorker | None = None
@@ -283,7 +287,8 @@ class Engine:
         self.pool = PacketPool(cfg.resolved_pool_capacity())
         self.rx_rings = [Ring(cfg.ring_capacity) for _ in range(cfg.n_workers)]
         self.tx_ring = Ring(cfg.ring_capacity)
-        self.compiled = compile_ruleset(self.load_rules())
+        self.ruleset = self.load_rules()
+        self.compiled = compile_ruleset(self.ruleset)
 
     def start_device(self, source, sink) -> None:
         """Bind source/sink and build the workers; only inline workers get
@@ -492,7 +497,8 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
     rx_rings = engine.rx_rings
     t_clock = time.monotonic()
     clock = CounterClock().start()
-    t0 = time.monotonic()
+    # the set-up crossings start the time base, as in the sim run
+    t0 = time.monotonic() - engine._crossing_us_total / 1e6
     done = threading.Event()  # acquisition has offered its last frame
     accs = [_IntervalAccumulator() for _ in rx_rings]
     errors: list[Exception] = []
@@ -545,15 +551,16 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
     if errors:
         raise errors[0]
 
-    engine.stop()
     acq.drain_tx()  # a worker exits only on an empty ring, so TX alone can hold frames
-    clock.stop()
     end = time.monotonic()
+    engine.stop()  # its crossing is priced by run_experiment, as in the sim run
+    clock.stop()
+    clock_s = time.monotonic() - t_clock
     for other in accs:
         acc.merge(other)
     rates = {
         "ticks_per_us": round(clock.ticks_per_us, 3),
-        "ticks_per_us_effective": round(clock.ticks / max((end - t_clock) * 1e6, 1.0), 3),
+        "ticks_per_us_effective": round(clock.ticks / max(clock_s * 1e6, 1.0), 3),
     }
     return math.ceil((end - t0) * 1e6), acc, rates
 
@@ -564,7 +571,7 @@ def run_experiment(workload: WorkloadSpec, config: EngineConfig, alert_sink=None
     engine.initialize()
 
     if workload.kind == "synth":
-        source = synth_source(workload, engine.load_rules() if workload.attack_sid else None)
+        source = synth_source(workload, engine.ruleset if workload.attack_sid else None)
     elif workload.kind == "pcap":
         if not workload.pcap_path:
             raise ConfigError("pcap workload needs pcap_path")
@@ -575,7 +582,7 @@ def run_experiment(workload: WorkloadSpec, config: EngineConfig, alert_sink=None
     sink = sink if sink is not None else NullSink()
     engine.start_device(source, sink)
     engine.begin_acquire()
-    crossings_before_run = engine._crossing_us_total  # setup crossings are in the time base
+    crossings_before_run = engine._crossing_us_total  # set-up crossings are in the run's time base
 
     run = _sim_run if config.clock_mode == "sim" else _real_run
     elapsed_us, acc, clock_rates = run(engine, workload)
@@ -652,6 +659,7 @@ def _build_report(
         bps=bps,
         mean_frame_bits=mean_frame_bits,
         intervals=intervals,
+        rule_errors=list(engine.ruleset.errors),
         config={
             "workload": {
                 "kind": workload.kind,

@@ -200,14 +200,16 @@ class PacketPool:
 
     A slot handed out with a descriptor is not reused until released. The
     slab is an anonymous memory mapping: its pages read as zero and take
-    physical memory only when first written, and the free list is LIFO, so a
-    run touches only its high-water mark of slots. One thread stores
-    (acquisition); any thread may release (in real-clock runs the workers
-    release while acquisition stores). No lock is taken: the free list is a
-    ``deque`` whose ``pop`` and ``append`` are atomic under the interpreter
-    lock, and a slot is marked free before it goes back on the list, so it is
-    never handed out while still marked in use. Slot contents are read-only
-    between store and release.
+    physical memory only when first written. ``store`` takes the slot
+    released last, else the lowest slot never used, so a run touches only
+    its high-water mark of slots; never-used slots are a counter, not a
+    list. One thread stores (acquisition) and alone advances the counter;
+    any thread may release (in real-clock runs the workers release while
+    acquisition stores). No lock is taken: released slots go on a ``deque``
+    whose ``pop`` and ``append`` are atomic under the interpreter lock, and a
+    slot is marked free before it goes back on it, so it is never handed out
+    while still marked in use. Slot contents are read-only between store and
+    release.
     """
 
     def __init__(self, capacity: int, slot_size: int = SLOT_SIZE):
@@ -220,7 +222,8 @@ class PacketPool:
         self._buf = mmap.mmap(-1, capacity * slot_size)
         self._lengths = [0] * capacity
         self._in_use = [False] * capacity
-        self._free = deque(range(capacity - 1, -1, -1))  # pop() hands out slot 0 first
+        self._next_unused = 0  # slots below it have been handed out at least once
+        self._released: deque[int] = deque()
         self.write_count = 0  # pool writes; the zero-copy budget is 1 per packet
 
     def store(self, frame) -> int:
@@ -228,9 +231,12 @@ class PacketPool:
         if n > self.slot_size:
             raise FrameTooLarge(f"frame of {n}B exceeds {self.slot_size}B slot")
         try:
-            slot = self._free.pop()
+            slot = self._released.pop()
         except IndexError:
-            raise PoolExhausted("packet pool has no free slot") from None
+            slot = self._next_unused
+            if slot == self.capacity:
+                raise PoolExhausted("packet pool has no free slot") from None
+            self._next_unused = slot + 1
         self._in_use[slot] = True
         base = slot * self.slot_size
         self._buf[base : base + n] = frame
@@ -242,7 +248,7 @@ class PacketPool:
         if not 0 <= slot < self.capacity or not self._in_use[slot]:
             raise PoolError(f"release of slot {slot} not in use")
         self._in_use[slot] = False
-        self._free.append(slot)
+        self._released.append(slot)
 
     def view(self, slot: int) -> memoryview:
         """Zero-copy view of the stored frame bytes."""
@@ -257,7 +263,7 @@ class PacketPool:
         return self._buf
 
     def in_use_count(self) -> int:
-        return self.capacity - len(self._free)
+        return self._next_unused - len(self._released)
 
 
 def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:

@@ -1,10 +1,24 @@
 """Rule language parsing and ruleset compilation.
 
-Grammar: one rule per line,
+Grammar: one rule per line, `#` comments and blank lines skipped,
 
-    action proto src_net src_ports direction dst_net dst_ports ( options )
+    rule    = header "(" options ")"
+    header  = action proto src_net src_ports direction dst_net dst_ports
+    options = { [key [":" value]] ";" }
+    content = quoted { "," modifier }
+    pattern = { char | "\\" char | "|" { hex } "|" }
 
-with `#` comments. Supported options: msg, content (+ depth/offset/relative
+Header fields are separated by whitespace; a bracketed list is one field,
+spaces and all. An option ends at the first `;` outside a quoted string
+(`"..."`, where `\\` escapes any character); its key is the text before its
+first `:`. A content value is a quoted pattern followed by depth N, offset N
+or relative modifiers; the pattern is text with `|41 42|` hex spans. Ports,
+prefix lengths, depth and offset are `[0-9]+`; sid, rev and byte_test
+fields are what ``int()`` reads, in ASCII digits only. Each production is
+one compiled regular expression, so no rule text is read a character at a
+time.
+
+Supported options: msg, content (+ depth/offset/relative
 modifiers), byte_test, flow, sid, rev, classtype, metadata, service,
 reference. Any other option keyword is kept opaque and evaluates as
 vacuously true, with a per-rule warning. Compilation picks each rule's
@@ -17,6 +31,7 @@ plain sets so that filtering a packet's group calls no method.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Container, Set
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -218,114 +233,92 @@ def _port_filter(rule: Rule) -> tuple[int, Container[int], Container[int], bool]
     return rule.sid, src, dst, rule.direction == "<>"
 
 
-def _strip(s: str) -> str:
-    return s.strip(" \t")
+_WS = " \t"  # what option text and list items are trimmed of
+
+# The lexical grammar, one compiled pattern per production.
+_INT = r"\s*[+-]?[0-9]+(?:_[0-9]+)*\s*"  # what int() reads, in ASCII digits only
+_QUOTED_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'  # inside a quoted string; `\` escapes any character
+_ITEM = rf'[^,"]*(?:"{_QUOTED_BODY}"[^,"]*)*'  # one list item; a quoted run may hold commas
+
+_VALUE = rf'[^;"]*(?:"{_QUOTED_BODY}"[^;"]*)*'  # option text up to its `;`; a quoted run may hold `;`
+
+# A header field: a run of non-space characters, a bracketed list counting as
+# one character, spaces and all. A bracket no field takes is a lone one.
+_HEADER_FIELD = re.compile(r"(?:[^\s\[\]]+|\[[^\[\]]*\])+|[\[\]]")
+# One step through the options block. ``key`` is the text before the first
+# `:`; an option with a quote ahead of its first `:` is taken whole, for
+# ``str.partition`` to split it as written.
+_OPTION = re.compile(
+    rf"""
+    (?P<key>[^:;"]*)(?:(?P<colon>:)(?P<value>{_VALUE}))?;
+  | (?P<quoted_key>[^:;"]*"{_QUOTED_BODY}"{_VALUE});
+  | (?P<tail>{_VALUE})\Z       # the text after the last `;`
+  | (?P<unclosed>.+)           # from an option whose quote never closes
+    """,
+    re.S | re.X,
+)
+_LIST_ITEM = re.compile(rf"(?:\A|,)({_ITEM})", re.S)
+# A content value: a quoted pattern, then `, modifier` items. Quoted runs
+# joined by unquoted text are one pattern (`"a"b"c"` reads `a"b"c`).
+_CONTENT = re.compile(rf'"({_QUOTED_BODY}(?:"[^,"]*"{_QUOTED_BODY})*)"[ \t]*(?:,(.*))?\Z', re.S)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+# A piece of a content pattern: a literal run, an escaped character, a hex
+# span, a `|` that opens no span, or a `\` that ends the text (a literal).
+_PATTERN_PIECE = re.compile(r"([^|\\]+)|\\(.)|\|([^|]*)\||(\|)|(\\)", re.S)
+# what a hex span's tokens may hold: int(token, 16) then reads them as it
+# would anywhere, but never a digit outside ASCII
+_HEX_SPAN = re.compile(r"[\s0-9a-fA-FxX_+-]*")
+_NUMBER = re.compile(_INT)
+_DIGITS = re.compile(r"[0-9]+")
+_PORTS = re.compile(r"[0-9]+|\[[ \t]*[0-9]+[ \t]*(?:,[ \t]*[0-9]+[ \t]*)*\]")
+_NET = re.compile(rf"({_INT}\.{_INT}\.{_INT}\.{_INT})(?:/([0-9]+))?")
 
 
-def _tokenize_header(text: str) -> list[tuple[str, int]]:
-    """Whitespace tokens, except bracketed groups stay together."""
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        start = i
-        depth = 0
-        while i < n and (depth > 0 or not text[i].isspace()):
-            if text[i] == "[":
-                depth += 1
-            elif text[i] == "]":
-                depth -= 1
-                if depth < 0:
-                    raise ParseError("unbalanced ']' in header", i)
-            i += 1
-        if depth != 0:
-            raise ParseError("unbalanced '[' in header", start)
-        tokens.append((text[start:i], start))
-    return tokens
+def _int(text: str) -> int | None:
+    return int(text) if _NUMBER.fullmatch(text) else None
 
 
-def _parse_ports(token: str, position: int) -> PortSpec:
-    token = _strip(token)
+def _parse_ports(token: str) -> PortSpec:
     if token == "any" or token.startswith("$"):
         # port variables are out of the supported subset; treated as any
         return PORT_ANY
-    items = token[1:-1].split(",") if token.startswith("[") and token.endswith("]") else [token]
-    ports = []
-    for item in items:
-        item = _strip(item)
-        if not item.isdigit():
-            raise ParseError(f"unsupported port spec {item!r}", position)
-        port = int(item)
-        if not 0 <= port <= 65535:
-            raise ParseError(f"port {port} out of range", position)
-        ports.append(port)
+    if not _PORTS.fullmatch(token):
+        raise ParseError(f"unsupported port spec {token!r}")
+    ports = [int(p) for p in _DIGITS.findall(token)]
+    for port in ports:
+        if port > 65535:
+            raise ParseError(f"port {port} out of range")
     return PortSpec(ports=frozenset(ports))
 
 
-def _parse_one_addr(item: str, position: int) -> AddressSpec:
+def _parse_one_addr(item: str) -> AddressSpec:
     if item == "any":
         return ADDR_ANY
     if item.startswith("$"):
         return AddressSpec(var=item[1:])
-    if "/" in item:
-        base, _, plen = item.partition("/")
-        if not plen.isdigit() or not 0 <= int(plen) <= 32:
-            raise ParseError(f"bad CIDR prefix in {item!r}", position)
-        try:
-            return AddressSpec(nets=((parse_ip(base), int(plen)),))
-        except ValueError as exc:
-            raise ParseError(str(exc), position) from None
+    m = _NET.fullmatch(item)
+    if m is None:
+        raise ParseError(f"bad IPv4 address or network {item!r}")
+    address, prefix = m.groups()
+    plen = 32 if prefix is None else int(prefix)
+    if plen > 32:
+        raise ParseError(f"bad CIDR prefix in {item!r}")
     try:
-        return AddressSpec(nets=((parse_ip(item), 32),))
-    except ValueError as exc:
-        raise ParseError(str(exc), position) from None
+        return AddressSpec(nets=((parse_ip(address), plen),))
+    except ValueError as exc:  # an octet past 255
+        raise ParseError(str(exc)) from None
 
 
-def _parse_addr(token: str, position: int) -> AddressSpec:
-    token = _strip(token)
+def _parse_addr(token: str) -> AddressSpec:
     if token.startswith("[") and token.endswith("]"):
         nets: list[tuple[int, int]] = []
         for item in token[1:-1].split(","):
-            spec = _parse_one_addr(_strip(item), position)
+            spec = _parse_one_addr(item.strip(_WS))
             if spec.any_addr or spec.var is not None:
                 return spec  # any / variable dominates the list
             nets.extend(spec.nets)
         return AddressSpec(nets=tuple(nets))
-    return _parse_one_addr(token, position)
-
-
-def _split_options(block: str, base: int) -> list[tuple[str, str, int]]:
-    """Split `key: value; key; ...` honoring quotes and backslash escapes."""
-    parts = []
-    i, n = 0, len(block)
-    start = i
-    in_quote = False
-    while i < n:
-        ch = block[i]
-        if ch == "\\" and in_quote:
-            i += 2
-            continue
-        if ch == '"':
-            in_quote = not in_quote
-        elif ch == ";" and not in_quote:
-            parts.append((block[start:i], base + start))
-            start = i + 1
-        i += 1
-    if in_quote:
-        raise ParseError("unbalanced quote in options", base + start)
-    tail = _strip(block[start:])
-    if tail:
-        raise ParseError(f"option {tail!r} not terminated by ';'", base + start)
-    out = []
-    for raw, pos in parts:
-        raw = _strip(raw)
-        if not raw:
-            continue
-        key, sep, value = raw.partition(":")
-        out.append((_strip(key), _strip(value) if sep else "", pos))
-    return out
+    return _parse_one_addr(token)
 
 
 def _quote(text: str) -> str:
@@ -333,48 +326,50 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _unescape(text: str) -> str:
+    return _ESCAPE.sub(r"\1", text) if "\\" in text else text
+
+
 def _unquote(value: str, position: int) -> str:
     if len(value) < 2 or value[0] != '"' or value[-1] != '"':
         raise ParseError(f"expected quoted string, got {value!r}", position)
-    body = value[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        if body[i] == "\\" and i + 1 < len(body):
-            out.append(body[i + 1])
-            i += 2
-        else:
-            out.append(body[i])
-            i += 1
-    return "".join(out)
+    return _unescape(value[1:-1])
+
+
+def _items(value: str) -> list[str]:
+    """The comma-separated items of an option value, trimmed; commas inside
+    quotes do not split."""
+    return [item.strip(_WS) for item in _LIST_ITEM.findall(value)]
 
 
 def decode_pattern(text: str, position: int = 0) -> bytes:
     """Decode a content string: literal chars with |xx xx| hex spans. A
-    character above U+00FF is no single byte and is a ParseError."""
-    out = bytearray()
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "|":
-            end = text.find("|", i + 1)
-            if end < 0:
-                raise ParseError("unterminated hex span in content", position + i)
-            for tok in text[i + 1 : end].split():
-                try:
-                    out.append(int(tok, 16))  # ValueError also when outside 0..FF
-                except ValueError:
-                    raise ParseError(f"bad hex byte {tok!r} in content", position + i) from None
-            i = end + 1
-        else:
-            if ch == "\\" and i + 1 < n:
-                i += 1
-                ch = text[i]
-            if ord(ch) > 0xFF:
-                raise ParseError(f"character {ch!r} in content is not a byte; use a |xx| hex span", position + i)
-            out.append(ord(ch))
-            i += 1
-    return bytes(out)
+    character above U+00FF is no single byte and is a ParseError; errors
+    carry ``position``, the column of the content option."""
+    pieces = []
+    for literal, escaped, span, bar, backslash in _PATTERN_PIECE.findall(text):
+        if span:
+            pieces.append(_hex_bytes(span, position))
+        elif bar:
+            raise ParseError("unterminated hex span in content", position)
+        else:  # an empty span `||` adds the empty string
+            try:
+                pieces.append((literal or escaped or backslash).encode("latin-1"))
+            except UnicodeEncodeError as exc:
+                ch = exc.object[exc.start]
+                raise ParseError(f"character {ch!r} in content is not a byte; use a |xx| hex span", position) from None
+    return b"".join(pieces)
+
+
+def _hex_bytes(span: str, position: int) -> bytes:
+    """The bytes of a hex span: each whitespace-separated token read by
+    ``int(token, 16)``, which must give 0..255."""
+    if _HEX_SPAN.fullmatch(span):
+        try:
+            return bytes(int(tok, 16) for tok in span.split())
+        except ValueError:
+            pass
+    raise ParseError(f"bad hex byte in span {span!r} of content", position)
 
 
 def encode_pattern(data: bytes) -> str:
@@ -397,43 +392,27 @@ def encode_pattern(data: bytes) -> str:
     return "".join(out)
 
 
-def _split_commas_outside_quotes(value: str) -> list[str]:
-    parts = []
-    i, start, n = 0, 0, len(value)
-    in_quote = False
-    while i < n:
-        ch = value[i]
-        if ch == "\\" and in_quote:
-            i += 2
-            continue
-        if ch == '"':
-            in_quote = not in_quote
-        elif ch == "," and not in_quote:
-            parts.append(value[start:i])
-            start = i + 1
-        i += 1
-    parts.append(value[start:])
-    return [_strip(p) for p in parts]
-
-
 def _parse_content(value: str, position: int, warnings: list[str]) -> Content:
-    parts = _split_commas_outside_quotes(value)
-    if not parts or parts[0].startswith("!"):
-        raise ParseError("negated or empty content is unsupported", position)
-    pattern = decode_pattern(_unquote(parts[0], position), position)
+    m = _CONTENT.match(value)
+    if m is None:
+        raise ParseError(f"content must be a quoted pattern, got {value!r}", position)
+    pattern = decode_pattern(_unescape(m[1]), position)
     if not pattern:
         raise ParseError("content pattern is empty", position)
     depth: int | None = None
     offset = 0
     relative = False
-    for mod in parts[1:]:
+    for mod in _items(m[2]) if m[2] is not None else ():
         words = mod.split()
         if not words:
             continue
-        if words[0] == "depth" and len(words) == 2 and words[1].isdigit():
-            depth = int(words[1])
-        elif words[0] == "offset" and len(words) == 2 and words[1].isdigit():
-            offset = int(words[1])
+        if words[0] in ("depth", "offset") and len(words) == 2 and words[1].isdigit():
+            if not _DIGITS.fullmatch(words[1]):  # `²` is a digit to str.isdigit, but no number
+                raise ParseError(f"content {mod!r} is not in ASCII digits", position)
+            if words[0] == "depth":
+                depth = int(words[1])
+            else:
+                offset = int(words[1])
         elif words[0] == "relative":
             relative = True
         else:
@@ -442,15 +421,12 @@ def _parse_content(value: str, position: int, warnings: list[str]) -> Content:
 
 
 def _parse_byte_test(value: str, position: int, warnings: list[str]) -> ByteTest:
-    parts = [p for p in _split_commas_outside_quotes(value) if p]
+    parts = [p for p in _items(value) if p]
     if len(parts) < 4:
         raise ParseError("byte_test needs bytes,op,value,offset", position)
-    try:
-        nbytes = int(parts[0])
-        num = int(parts[2])
-        off = int(parts[3])
-    except ValueError:
-        raise ParseError(f"non-numeric byte_test field in {value!r}", position) from None
+    nbytes, num, off = _int(parts[0]), _int(parts[2]), _int(parts[3])
+    if nbytes is None or num is None or off is None:
+        raise ParseError(f"non-numeric byte_test field in {value!r}", position)
     relative = False
     for extra in parts[4:]:
         if extra == "relative":
@@ -462,7 +438,7 @@ def _parse_byte_test(value: str, position: int, warnings: list[str]) -> ByteTest
 
 def _parse_flow(value: str, warnings: list[str]) -> FlowOpt:
     to_client = to_server = established = only_stream = False
-    for tok in _split_commas_outside_quotes(value):
+    for tok in _items(value):
         if tok in ("to_client", "from_server"):
             to_client = True
         elif tok in ("to_server", "from_client"):
@@ -483,21 +459,40 @@ def parse_rule(line: str) -> Rule:
     Raises ParseError (with position) on malformed header, unbalanced
     quotes/parens, a content character that is not a byte, or a missing sid.
     """
+    return _parse_rule(line, {}, {})
+
+
+def _field_start(line: str, fields: list[str], index: int) -> int:
+    """Column of header field ``index``: fields are separated by whitespace
+    only, so each one is the first occurrence of its text after the last."""
+    at = 0
+    for text in fields[: index + 1]:
+        at = line.index(text, at) + len(text)
+    return at - len(fields[index])
+
+
+def _parse_rule(line: str, addrs: dict[str, AddressSpec], ports: dict[str, PortSpec]) -> Rule:
+    """``parse_rule``, reusing the address and port specs already parsed
+    from the same field text by this ruleset's earlier rules."""
     open_paren = line.find("(")
     close_paren = line.rfind(")")
     if open_paren < 0 or close_paren < open_paren:
         raise ParseError("rule has no ( options ) section", max(open_paren, 0))
 
-    tokens = _tokenize_header(line[:open_paren])
-    if len(tokens) != 7:
-        raise ParseError(f"header needs 7 fields, got {len(tokens)}", tokens[-1][1] if tokens else 0)
-    (action, apos), (proto, ppos), (src, spos), (sports, sppos), (arrow, dpos), (dst, dstpos), (dports, dppos) = tokens
+    fields = _HEADER_FIELD.findall(line, 0, open_paren)
+    for lone in ("[", "]"):
+        if lone in fields:
+            raise ParseError(f"unbalanced or nested {lone!r} in header", _field_start(line, fields, fields.index(lone)))
+    if len(fields) != 7:
+        last = _field_start(line, fields, len(fields) - 1) if fields else 0
+        raise ParseError(f"header needs 7 fields, got {len(fields)}", last)
+    action, proto, src, sports, arrow, dst, dports = fields
     if action not in RULE_ACTIONS:
-        raise ParseError(f"unsupported action {action!r}", apos)
+        raise ParseError(f"unsupported action {action!r}", _field_start(line, fields, 0))
     if proto not in RULE_PROTOS:
-        raise ParseError(f"unsupported protocol {proto!r}", ppos)
+        raise ParseError(f"unsupported protocol {proto!r}", _field_start(line, fields, 1))
     if arrow not in ("->", "<>"):
-        raise ParseError(f"bad direction {arrow!r}", dpos)
+        raise ParseError(f"bad direction {arrow!r}", _field_start(line, fields, 4))
 
     warnings: list[str] = []
     options: list = []
@@ -506,44 +501,58 @@ def parse_rule(line: str) -> Rule:
     references: list[str] = []
     opaque: list[tuple[str, str]] = []
     sid: int | None = None
-    rev = 0
+    rev: int | None = 0
 
-    for key, value, pos in _split_options(line[open_paren + 1 : close_paren], open_paren + 1):
+    for m in _OPTION.finditer(line, open_paren + 1, close_paren):
+        key, colon, value, quoted_key, tail, unclosed = m.groups()
+        if key is None:
+            if unclosed is not None:
+                raise ParseError("unbalanced quote in options", m.start())
+            if tail is not None:
+                if tail.strip(_WS):
+                    raise ParseError(f"option {tail.strip(_WS)!r} not terminated by ';'", m.start())
+                break
+            key, colon, value = quoted_key.strip(_WS).partition(":")
+        key = key.strip(_WS)
+        if not colon:
+            if not key:
+                continue  # an empty option, as in `;;`
+            value = ""
+        value = value.strip(_WS)
         if key == "msg":
-            msg = _unquote(value, pos)
+            msg = _unquote(value, m.start())
         elif key == "content":
-            options.append(_parse_content(value, pos, warnings))
-        elif key == "byte_test":
-            options.append(_parse_byte_test(value, pos, warnings))
-        elif key == "flow":
-            flow = _parse_flow(value, warnings)
-        elif key in ("depth", "offset") and options and isinstance(options[-1], Content):
-            # follower-style modifier attaching to the previous content
-            if not value.isdigit():
-                raise ParseError(f"bad {key} value {value!r}", pos)
-            options[-1] = (
-                Content(options[-1].pattern, depth=int(value), offset=options[-1].offset, relative=options[-1].relative)
-                if key == "depth"
-                else Content(options[-1].pattern, depth=options[-1].depth, offset=int(value), relative=options[-1].relative)
-            )
+            options.append(_parse_content(value, m.start(), warnings))
         elif key == "sid":
-            try:
-                sid = int(value)
-            except ValueError:
-                raise ParseError(f"bad sid {value!r}", pos) from None
+            sid = _int(value)
+            if sid is None:
+                raise ParseError(f"bad sid {value!r}", m.start())
         elif key == "rev":
-            try:
-                rev = int(value)
-            except ValueError:
-                raise ParseError(f"bad rev {value!r}", pos) from None
+            rev = _int(value)
+            if rev is None:
+                raise ParseError(f"bad rev {value!r}", m.start())
         elif key == "classtype":
             classtype = value
-        elif key == "metadata":
-            metadata = value
         elif key == "service":
             service = value
+        elif key == "flow":
+            flow = _parse_flow(value, warnings)
+        elif key == "byte_test":
+            options.append(_parse_byte_test(value, m.start(), warnings))
+        elif key == "metadata":
+            metadata = value
         elif key == "reference":
             references.append(value)
+        elif key in ("depth", "offset") and options and isinstance(options[-1], Content):
+            # follower-style modifier attaching to the previous content
+            if not _DIGITS.fullmatch(value):
+                raise ParseError(f"bad {key} value {value!r}", m.start())
+            prev = options[-1]
+            options[-1] = (
+                Content(prev.pattern, depth=int(value), offset=prev.offset, relative=prev.relative)
+                if key == "depth"
+                else Content(prev.pattern, depth=prev.depth, offset=int(value), relative=prev.relative)
+            )
         else:
             opaque.append((key, value))
             warnings.append(f"option {key!r} is outside the supported subset; treated as always-true")
@@ -551,14 +560,26 @@ def parse_rule(line: str) -> Rule:
     if sid is None:
         raise ParseError("missing sid", close_paren)
 
+    field = 2
+    try:
+        src_spec = addrs.get(src) or addrs.setdefault(src, _parse_addr(src))
+        field = 3
+        sports_spec = ports.get(sports) or ports.setdefault(sports, _parse_ports(sports))
+        field = 5
+        dst_spec = addrs.get(dst) or addrs.setdefault(dst, _parse_addr(dst))
+        field = 6
+        dports_spec = ports.get(dports) or ports.setdefault(dports, _parse_ports(dports))
+    except ParseError as exc:
+        raise ParseError(exc.message, _field_start(line, fields, field)) from None
+
     return Rule(
         action=action,
         proto=proto,
-        src=_parse_addr(src, spos),
-        src_ports=_parse_ports(sports, sppos),
+        src=src_spec,
+        src_ports=sports_spec,
         direction=arrow,
-        dst=_parse_addr(dst, dstpos),
-        dst_ports=_parse_ports(dports, dppos),
+        dst=dst_spec,
+        dst_ports=dports_spec,
         sid=sid,
         rev=rev,
         msg=msg,
@@ -634,14 +655,16 @@ def load_ruleset(text: str) -> RuleSet:
     """Load rules line by line; parse failures are collected, not fatal."""
     rs = RuleSet()
     seen_sids: set[int] = set()
+    addrs: dict[str, AddressSpec] = {}
+    ports: dict[str, PortSpec] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            rule = parse_rule(stripped)
+            rule = _parse_rule(stripped, addrs, ports)
         except ParseError as exc:
-            rs.errors.append((lineno, exc))
+            rs.errors.append((lineno, exc.with_traceback(None)))  # pins none of the loader's frames
             continue
         if rule.sid in seen_sids:
             rs.errors.append((lineno, ParseError(f"duplicate sid {rule.sid}")))

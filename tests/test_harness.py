@@ -4,6 +4,7 @@ import hashlib
 import os
 import sys
 import threading
+import time
 import zlib
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from ringids.harness.runner import (
 )
 from ringids.harness.synth import ConfigError, GeneratorSource, WorkloadSpec, craft_payload, gen_synth
 from ringids.packet import PacketPool, UnsupportedL3, canonical_key, decode
-from ringids.rules import load_ruleset
+from ringids.rules import load_ruleset, load_ruleset_file
 
 
 def decode_all(frames):
@@ -229,6 +230,24 @@ def test_passive_attack_run_alerts_but_allows():
     assert report.totals.allowed == report.totals.analyzed
 
 
+def test_attack_run_parses_the_rules_once(tmp_path, monkeypatch):
+    """The engine's parsed ruleset also picks the attack payload: one parse per run."""
+    rules = tmp_path / "r.rules"
+    rules.write_text('alert tcp any any -> any any (msg:"inj"; content:"INJECTME"; sid:900;)\n')
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return load_ruleset_file(path)
+
+    monkeypatch.setattr(runner, "load_ruleset_file", counting)
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=4, packet_count=500, seed=6,
+                      attack_sid=900, attack_rate=0.02)
+    report = run_experiment(wl, base_config(rules_path=str(rules)))
+    assert report.totals.alerts == 10
+    assert calls == [str(rules)]
+
+
 def test_crossing_cost_shifts_elapsed():
     wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=4, packet_count=500, seed=9)
     plain = run_experiment(wl, base_config(cost_model=None))
@@ -309,6 +328,17 @@ def test_real_clock_run_with_cost_model():
     assert t.received == 2000 == t.analyzed + t.dropped + t.residual
     assert any(iv.paging_pct > 0 for iv in report.intervals)
     assert report.elapsed_us >= 5 * 500
+
+
+def test_real_clock_prices_each_crossing_once():
+    """As in the sim run: the three set-up crossings, stop and shutdown each
+    add their cost once, and elapsed time stays within the call's wall time."""
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=4, packet_count=10, seed=9)
+    model = CostModel(crossing_cost_us=50_000.0, warmup_bytes=0)
+    t0 = time.monotonic()
+    report = run_experiment(wl, base_config(clock_mode="real", cost_model=model))
+    wall_us = (time.monotonic() - t0) * 1e6
+    assert 5 * 50_000 <= report.elapsed_us <= wall_us
 
 
 def test_real_clock_refuses_a_free_threaded_build(monkeypatch):
@@ -475,6 +505,20 @@ def test_cli_rejects_removed_and_abbreviated_options(tmp_path, monkeypatch):
         with pytest.raises(SystemExit):
             cli_main(["run", "--synth", "64,4", "--count", "10", *args])
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_names_rejected_rules_on_stderr(tmp_path, capsys):
+    rules = tmp_path / "r.rules"
+    rules.write_bytes(
+        b'alert tcp any any -> any any (content:"a\xffb"; sid:1;)\n'
+        b'alert tcp any any -> any any (content:"ok"; sid:2;)\n'
+    )
+    rc = cli_main(["run", "--synth", "64,4", "--count", "10", "--rules", str(rules)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("rules: line 1: ")
+    assert "received : 10" in captured.out
 
 
 def test_cli_missing_rules_file(tmp_path, capsys):

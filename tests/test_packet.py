@@ -269,3 +269,20 @@ def test_pool_slab_is_paged_in_only_when_written():
     slots = [big.store(f) for f in frames]
     assert resident_pages() - before <= 16  # 10 slots of 2 KiB span 5 pages
     assert [bytes(big.view(s)) for s in slots] == frames
+
+
+def test_pool_hands_out_slots_in_lifo_order():
+    """Released slots go out last-in first-out, before the lowest slot never used."""
+    pool = PacketPool(capacity=8)
+    handed = []
+    # "s" stores a frame; an int releases the slot handed out at that index
+    for op in ["s", "s", "s", 1, "s", "s", 0, 4, "s", "s", "s", 2, 6, "s", "s", "s", "s"]:
+        if op == "s":
+            handed.append(pool.store(bytes(64)))
+        else:
+            pool.release(handed[op])
+    assert handed == [0, 1, 2, 1, 3, 3, 0, 4, 0, 2, 5, 6]
+    assert pool.in_use_count() == 7
+    assert pool.store(bytes(64)) == 7
+    with pytest.raises(PoolExhausted):
+        pool.store(bytes(64))

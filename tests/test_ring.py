@@ -167,7 +167,7 @@ def test_pool_stress_over_rings(rapid_switching):
     assert errors == []
     assert sum(seen) > 0 and sum(seen) + dropped[0] == n
     assert pool.in_use_count() == 0
-    assert sorted(pool._free) == list(range(pool.capacity))
+    assert sorted(pool._released) == list(range(pool._next_unused))  # each slot came back once
 
 
 def test_burst_through_wraparound():

@@ -1,6 +1,8 @@
 """Rule parsing, ruleset loading, and compilation."""
 
 import dataclasses
+import hashlib
+import time
 from pathlib import Path
 
 import pytest
@@ -84,6 +86,17 @@ def test_missing_sid_is_error():
         'alert tcp any any -> any any (msg:"unterminated; sid:4;)',
         'alert tcp any any -> any any (content:!"neg"; sid:5;)',
         'alert tcp any any -> any any (content:"€"; sid:6;)',  # not a byte
+        'alert tcp any any -> any any (content:"|41"; sid:7;)',  # unterminated hex span
+        'alert tcp any any -> any any (content:"|4G|"; sid:8;)',  # not a hex byte
+        'alert tcp [1.2.3.4 any -> any any (sid:9;)',  # unclosed list
+        'alert tcp any any -> any any (sid:10; msg:"x")',  # last option has no ';'
+        'alert tcp 10.0.0.0/33 any -> any any (sid:11;)',  # prefix past 32
+        'alert tcp any 70000 -> any any (sid:12;)',  # port past 65535
+        'alert tcp any \u00b2 -> any any (sid:13;)',  # superscript two: a digit int() rejects
+        'alert tcp 10.0.0.0/\u00b2 any -> any any (sid:14;)',
+        'alert tcp any any -> any any (content:"abc", depth \u00b2; sid:15;)',
+        'alert tcp any any -> any any (content:"abc"; depth: \u00b2; sid:16;)',
+        'alert tcp any \u0661 -> any any (sid:17;)',  # Arabic-Indic one: a digit, but not ASCII
     ],
 )
 def test_malformed_rules_rejected(line):
@@ -167,6 +180,66 @@ def test_undecodable_byte_fails_only_its_rule(tmp_path):
     assert [r.sid for r in rs.rules] == [2]
     assert [lineno for lineno, _ in rs.errors] == [1]
     assert isinstance(rs.errors[0][1], ParseError)
+
+
+def test_non_ascii_digit_fails_only_its_rule(tmp_path):
+    path = tmp_path / "digits.rules"
+    path.write_text(
+        "alert tcp any \u00b2 -> any any (sid:1;)\n"
+        'alert tcp any any -> any any (content:"ok"; sid:2;)\n',
+        encoding="utf-8",
+    )
+    rs = load_ruleset_file(path)
+    assert [r.sid for r in rs.rules] == [2]
+    assert [lineno for lineno, _ in rs.errors] == [1]
+
+
+def test_recorded_errors_hold_no_traceback():
+    """A stored ParseError pins none of the loader's frames (or the rules text)."""
+    rs = load_ruleset(CORPUS.read_text())
+    assert rs.errors and all(exc.__traceback__ is None for _, exc in rs.errors)
+
+
+# sha256 over each corpus rule's format_rule text and warnings, then each
+# rejected line's number, message and column
+CORPUS_PARSE_DIGEST = "5c61b2ba85686cab59c517dec50d4ab168482cc863678d94dd66dde4a68a080f"
+
+
+def test_corpus_parse_matches_golden_digest():
+    rs = load_ruleset(CORPUS.read_text())
+    digest = hashlib.sha256()
+    for rule in rs.rules:
+        digest.update(repr((format_rule(rule), rule.warnings)).encode())
+    for lineno, exc in rs.errors:
+        digest.update(repr((lineno, exc.message, exc.position)).encode())
+    assert len(rs.rules) == 108
+    assert [lineno for lineno, _ in rs.errors] == [115, 116, 117, 118]
+    assert digest.hexdigest() == CORPUS_PARSE_DIGEST
+
+
+_PAD = 100_000
+_HOSTILE = {
+    "unterminated quote": 'alert tcp any any -> any any (msg:"' + "a" * _PAD + "; sid:1;)",
+    "run of escapes": 'alert tcp any any -> any any (msg:"' + "\\" * _PAD + ";)",
+    "10k options": "alert tcp any any -> any any (" + "nocase; " * 12_500 + ")",
+    "run of spaces": "alert tcp any any -> any any (" + " " * _PAD + "x)",
+    "unterminated hex span": 'alert tcp any any -> any any (content:"|' + "41 " * (_PAD // 3) + '"; sid:1;)',
+    "bad hex byte": 'alert tcp any any -> any any (content:"' + "a" * _PAD + '|4G|"; sid:1;)',
+    "unclosed list": "alert tcp [1.2.3.4" + ", 1.2.3.4" * (_PAD // 9) + " any -> any any (sid:1;)",
+    "unterminated option": 'alert tcp any any -> any any (sid:1; msg:"' + "a" * _PAD + '")',
+    "prefix past 32": "alert tcp [" + "10.0.0.0/8, " * (_PAD // 12) + "10.0.0.0/33] any -> any any (sid:1;)",
+    "port past 65535": "alert tcp any [" + "80, " * (_PAD // 4) + "70000] -> any any (sid:1;)",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_HOSTILE))
+def test_hostile_long_line_rejected_quickly(shape):
+    line = _HOSTILE[shape]
+    assert len(line) >= _PAD
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_rule(line)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_duplicate_sid_rejected():
