@@ -16,6 +16,8 @@ tuple seen, not once per frame. The memo is bounded and is cleared when full.
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .packet import (
@@ -32,44 +34,41 @@ RING_SELECT_BITS = 0x3F  # low six bits of the flow hash pick the ring
 RING_MEMO_ENTRIES = 16_384  # 5-tuples whose ring index a worker remembers
 
 
-def _rotl32(x: int, r: int) -> int:
-    return ((x << r) | (x >> (32 - r))) & 0xFFFFFFFF
+_BLOCK_READERS: dict[int, Callable] = {}  # whole-block byte count -> unpack of its 32-bit blocks
 
 
 def murmur3_32(data: bytes, seed: int = 0) -> int:
-    """MurmurHash3 x86 32-bit; the avalanche mix behind flow dispatch."""
-    c1 = 0xCC9E2D51
-    c2 = 0x1B873593
-    h = seed & 0xFFFFFFFF
+    """MurmurHash3 x86 32-bit; the avalanche mix behind flow dispatch.
+
+    The 32-bit blocks are read by one ``struct`` unpack, cached per block
+    count, and the rotations are written out in line: a flow key is hashed
+    once per new 5-tuple, so on flood traffic this runs for every frame.
+    """
     n = len(data)
-    rounded = n - (n & 3)
-    for i in range(0, rounded, 4):
-        k = int.from_bytes(data[i : i + 4], "little")
-        k = (k * c1) & 0xFFFFFFFF
-        k = _rotl32(k, 15)
-        k = (k * c2) & 0xFFFFFFFF
-        h ^= k
-        h = _rotl32(h, 13)
-        h = (h * 5 + 0xE6546B64) & 0xFFFFFFFF
-    k = 0
+    rounded = n & ~3
+    blocks = _BLOCK_READERS.get(rounded)
+    if blocks is None:
+        blocks = _BLOCK_READERS[rounded] = struct.Struct(f"<{rounded >> 2}I").unpack_from
+    h = seed & 0xFFFFFFFF
+    for k in blocks(data):
+        k = (k * 0xCC9E2D51) & 0xFFFFFFFF
+        h ^= (((k << 15) | (k >> 17)) * 0x1B873593) & 0xFFFFFFFF  # rotl 15, times c2
+        h = (((h << 13) | (h >> 19)) * 5 + 0xE6546B64) & 0xFFFFFFFF  # rotl 13
     tail = n & 3
-    if tail >= 3:
-        k ^= data[rounded + 2] << 16
-    if tail >= 2:
-        k ^= data[rounded + 1] << 8
-    if tail >= 1:
-        k ^= data[rounded]
-        k = (k * c1) & 0xFFFFFFFF
-        k = _rotl32(k, 15)
-        k = (k * c2) & 0xFFFFFFFF
-        h ^= k
+    if tail:
+        k = data[rounded]
+        if tail > 1:
+            k ^= data[rounded + 1] << 8
+            if tail > 2:
+                k ^= data[rounded + 2] << 16
+        k = (k * 0xCC9E2D51) & 0xFFFFFFFF
+        h ^= (((k << 15) | (k >> 17)) * 0x1B873593) & 0xFFFFFFFF
     h ^= n
     h ^= h >> 16
     h = (h * 0x85EBCA6B) & 0xFFFFFFFF
     h ^= h >> 13
     h = (h * 0xC2B2AE35) & 0xFFFFFFFF
-    h ^= h >> 16
-    return h
+    return h ^ (h >> 16)
 
 
 def rss_hash(tuple_: FiveTuple) -> int:
@@ -147,11 +146,11 @@ class AcquisitionWorker:
         tx_ring = self.tx_ring
         if tx_ring is None:
             return 0
-        moved = 0
-        for desc in tx_ring.dequeue_burst(tx_ring.capacity):
-            if self.sink is not None:
-                self.sink.write(bytes(self.pool.view(desc.slot)))
-            self.pool.release(desc.slot)
-            moved += 1
-        self.stats.tx_sent += moved
-        return moved
+        pool, sink = self.pool, self.sink
+        descs = tx_ring.dequeue_burst(tx_ring.capacity)
+        for desc in descs:
+            if sink is not None:
+                sink.write(pool.frame(desc.slot))
+            pool.release(desc.slot)
+        self.stats.tx_sent += len(descs)
+        return len(descs)

@@ -9,14 +9,21 @@ worker holds the ring's producer lock around its ``enqueue``. Matching is
 two-phase: the fast-pattern scan shortlists candidate rules, then every
 option of each candidate is checked in rule order with relative anchoring.
 
+Each analysed packet's payload is copied out of the pool once, as one
+``bytes`` slice of the slab; the prefilter, phase 2 and in-order reassembly
+all read that object. Reassembly of an in-order segment returns the very
+object it was given, so the prefilter knows by identity that the stream is
+the payload and scans it once.
+
 The alert line's timestamp text is built once per whole second and its rule
 text once per rule, each kept in a bounded cache. Nothing is cached per
 5-tuple: scans and floods bring a new tuple with almost every packet.
+Enum members are read through ``packet``'s module constants (``TCP``,
+``FORWARD``, ...), and the protocol's alert label through a table.
 """
 
 from __future__ import annotations
 
-import mmap
 import threading
 import time
 from dataclasses import dataclass
@@ -24,7 +31,19 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .flow import Flow, FlowTable, TableFull, update_flow
-from .packet import Direction, FiveTuple, PacketDescriptor, PacketPool, Proto, canonical_key, format_ip
+from .packet import (
+    FORWARD,
+    ICMP,
+    TCP,
+    UDP,
+    Direction,
+    FiveTuple,
+    PacketDescriptor,
+    PacketPool,
+    Proto,
+    canonical_key,
+    format_ip,
+)
 from .ring import Ring
 from .rules import ByteTest, CompiledRuleSet, Content, Rule, ports_match
 
@@ -33,19 +52,22 @@ SECOND_TEXT_MEMO_ENTRIES = 1_024  # whole seconds whose alert timestamp text is 
 RULE_TEXT_MEMO_ENTRIES = 4_096  # rules whose alert text is kept
 
 _new = tuple.__new__  # builds an Alert from fields known to be valid
+_PROTO_LABEL = {proto: proto.name for proto in Proto}  # alert-line protocol text
 
 
 @dataclass(slots=True)
 class PacketContext:
-    """Everything phase-2 evaluation sees for one packet."""
+    """Everything phase-2 evaluation sees for one packet.
+
+    ``payload`` is the packet's one copy of its payload. ``stream_bytes`` is
+    the same object when in-order reassembly delivered exactly the payload,
+    which ``prefilter`` tests with ``is``.
+    """
 
     tuple: FiveTuple
     flow: Flow | None = None
-    direction: Direction = Direction.FORWARD
-    # raw payload lives in the pool buffer at [payload_base, payload_base+payload_len)
-    buf: bytes | mmap.mmap = b""
-    payload_base: int = 0
-    payload_len: int = 0
+    direction: Direction = FORWARD
+    payload: bytes = b""
     stream_bytes: bytes | None = None  # newly reassembled, this packet only
 
 
@@ -94,7 +116,7 @@ def format_alert_fast(alert: Alert) -> str:
     rule_text = _rule_text(alert.sid, alert.rev, alert.msg, alert.classtype)
     t = alert.tuple
     return (
-        f"{_second_text(total_s)}.{us:06d} {rule_text} {{{t.proto.label}}}"
+        f"{_second_text(total_s)}.{us:06d} {rule_text} {{{_PROTO_LABEL[t.proto]}}}"
         f" {format_ip(t.src_ip)}:{t.src_port} -> {format_ip(t.dst_ip)}:{t.dst_port}"
     )
 
@@ -103,9 +125,9 @@ def _proto_matches(rule_proto: str, proto: Proto) -> bool:
     if rule_proto == "ip":
         return True
     return (
-        (rule_proto == "tcp" and proto is Proto.TCP)
-        or (rule_proto == "udp" and proto is Proto.UDP)
-        or (rule_proto == "icmp" and proto is Proto.ICMP)
+        (rule_proto == "tcp" and proto is TCP)
+        or (rule_proto == "udp" and proto is UDP)
+        or (rule_proto == "icmp" and proto is ICMP)
     )
 
 
@@ -156,7 +178,7 @@ def evaluate_rule(rule: Rule, compiled: CompiledRuleSet, ctx: PacketContext) -> 
     """Full phase-2 check: header, flow constraints, then payload options.
 
     Stream-only rules evaluate against the newly reassembled bytes; everything
-    else evaluates against the raw packet payload. Content offsets/depths are
+    else evaluates against the packet payload. Content offsets/depths are
     measured from the anchor (buffer start, or end of the previous match for
     relative options); a match must fit entirely within the depth window.
     """
@@ -166,31 +188,27 @@ def evaluate_rule(rule: Rule, compiled: CompiledRuleSet, ctx: PacketContext) -> 
         return False
 
     if rule.only_stream:
-        buf: bytes | bytearray = ctx.stream_bytes if ctx.stream_bytes is not None else b""
-        base = 0
-        length = len(buf)
+        buf = ctx.stream_bytes if ctx.stream_bytes is not None else b""
     else:
-        buf = ctx.buf
-        base = ctx.payload_base
-        length = ctx.payload_len
-    end = base + length
+        buf = ctx.payload
+    end = len(buf)
 
-    anchor = None  # absolute position just past the previous content match
+    anchor = None  # position just past the previous content match
     for opt in rule.options:
         if isinstance(opt, Content):
-            origin = anchor if (opt.relative and anchor is not None) else base
+            origin = anchor if (opt.relative and anchor is not None) else 0
             start = origin + opt.offset
             window_end = end if opt.depth is None else min(end, origin + opt.offset + opt.depth)
-            if start < base or window_end > end:
+            if start < 0 or window_end > end:
                 return False
             pos = buf.find(opt.pattern, start, window_end)
             if pos < 0:
                 return False
             anchor = pos + len(opt.pattern)
         elif isinstance(opt, ByteTest):
-            origin = anchor if (opt.relative and anchor is not None) else base
+            origin = anchor if (opt.relative and anchor is not None) else 0
             pos = origin + opt.offset
-            if pos < base or pos + opt.nbytes > end:
+            if pos < 0 or pos + opt.nbytes > end:
                 return False
             value = int.from_bytes(buf[pos : pos + opt.nbytes], "big")
             if opt.op == ">" and not value > opt.value:
@@ -207,20 +225,20 @@ def prefilter(compiled: CompiledRuleSet, ctx: PacketContext) -> set[int]:
     stream-only rules), plus the contentless rules, filtered by port.
 
     The protocol's automaton covers every rule of that protocol, so the
-    payload is scanned once, and the stream bytes only when they differ from
-    the payload (in-order reassembly delivers exactly the payload). Only the
-    fast-pattern hits are port-filtered here; ``port_group`` filters the
-    contentless rules on port sets compiled with the ruleset.
+    payload is scanned once, and the stream bytes only when they are not the
+    payload object itself (in-order reassembly delivers the payload as it
+    came). Only the fast-pattern hits are port-filtered here; ``port_group``
+    filters the contentless rules on port sets compiled with the ruleset.
     """
     t = ctx.tuple
     proto = t.proto
+    payload = ctx.payload
     stream = ctx.stream_bytes
     hits: set[int] = set()
-    if ctx.payload_len:
-        payload = memoryview(ctx.buf)[ctx.payload_base : ctx.payload_base + ctx.payload_len]
+    if payload:
         payload_hits, stream_hits = compiled.scan_payload(proto, payload)
         hits |= payload_hits
-        if stream and len(stream) == ctx.payload_len and stream == payload.tobytes():
+        if stream is payload:
             hits |= stream_hits
             stream = None
     if stream:
@@ -261,11 +279,6 @@ class AnalysisWorker:
         self._buf = pool.raw()
         self._slot_size = pool.slot_size
 
-    def _emit(self, alert: Alert) -> None:
-        self.stats.alerts += 1
-        if self.alert_sink is not None:
-            self.alert_sink.emit(alert, format_alert_fast(alert))
-
     def _finish(self, desc: PacketDescriptor, verdict: str) -> None:
         if verdict == "allow" and self.tx_ring is not None:
             with self.tx_lock:  # one producer at a time; the drain takes no lock
@@ -294,14 +307,13 @@ class AnalysisWorker:
                 flow.initiator_direction = direction
         except TableFull:
             stats.flowless += 1
-        payload_base = desc.slot * self._slot_size + desc.payload_offset
-        payload_len = desc.payload_len
+        base = desc.slot * self._slot_size + desc.payload_offset
+        payload = self._buf[base : base + desc.payload_len]  # the packet's one payload copy
         if flow is not None:
             update_flow(flow, desc, direction, now_us)
-            if t.proto is Proto.TCP and payload_len > 0:
-                payload = memoryview(self._buf)[payload_base : payload_base + payload_len]
+            if payload and t.proto is TCP:
                 stream = self.flow_table.reassemble(flow, direction, desc.tcp_seq, payload) or None
-        ctx = PacketContext(t, flow, direction, self._buf, payload_base, payload_len, stream)
+        ctx = PacketContext(t, flow, direction, payload, stream)
 
         compiled = self.compiled
         candidates = prefilter(compiled, ctx)
@@ -319,11 +331,14 @@ class AnalysisWorker:
         blocked = self.tx_ring is not None and any(r.blocks_in_inline for r in matched)
         verdict = "block" if blocked else "allow"
         action = "blocked" if blocked else "alerted"
+        sink = self.alert_sink
         alerts = []
         for rule in matched:
             alert = _new(Alert, (rule.sid, rule.rev, rule.msg, rule.classtype, now_us, t, desc.slot, action))
-            self._emit(alert)
+            if sink is not None:
+                sink.emit(alert, format_alert_fast(alert))
             alerts.append(alert)
+        stats.alerts += len(alerts)
         if blocked:
             stats.blocked += 1
         self._finish(desc, verdict)

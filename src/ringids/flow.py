@@ -7,6 +7,11 @@ directions without an observed handshake (replayed captures often start
 mid-connection). Reassembly resolves overlaps first-arrival-wins and is
 capped per direction; the per-flow memory footprint is tracked so the
 boundary cost model can price the table against the protected-memory budget.
+
+Like ``packet``, this module reads enum members through module constants
+(``NEW``, ``ESTABLISHED``, ``TCP``, ``FORWARD``, ...), not through their
+class: every packet runs the state machine, and a class attribute read on an
+enum takes the metaclass's slow lookup.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .packet import (
+    FORWARD,
+    TCP,
     TCP_ACK,
     TCP_FIN,
     TCP_RST,
@@ -23,7 +30,6 @@ from .packet import (
     Direction,
     FlowKey,
     PacketDescriptor,
-    Proto,
 )
 
 FLOW_BASE_BYTES = 4096  # fixed per-flow cost, upper end of the 2-4KB range
@@ -40,6 +46,16 @@ class FlowState(Enum):
     ESTABLISHED = "established"
     CLOSING = "closing"
     CLOSED = "closed"
+
+
+# read on the per-packet path instead of ``FlowState.NEW`` and the like
+NEW, SYN_SEEN, ESTABLISHED, CLOSING, CLOSED = (
+    FlowState.NEW,
+    FlowState.SYN_SEEN,
+    FlowState.ESTABLISHED,
+    FlowState.CLOSING,
+    FlowState.CLOSED,
+)
 
 
 class TableFull(Exception):
@@ -152,8 +168,8 @@ class Flow:
     key: FlowKey
     created_us: int
     last_seen_us: int
-    state: FlowState = FlowState.NEW
-    initiator_direction: Direction = Direction.FORWARD  # side that sent the first packet
+    state: FlowState = NEW
+    initiator_direction: Direction = FORWARD  # side that sent the first packet
     pkts_fwd: int = 0
     pkts_rev: int = 0
     saw_established: bool = False
@@ -168,7 +184,7 @@ class Flow:
         return FLOW_BASE_BYTES + self.fwd_buf.pending_bytes + self.rev_buf.pending_bytes
 
     def buffer(self, direction: Direction) -> SegmentBuffer:
-        return self.fwd_buf if direction is Direction.FORWARD else self.rev_buf
+        return self.fwd_buf if direction is FORWARD else self.rev_buf
 
     def is_to_server(self, direction: Direction) -> bool:
         """True when a packet in ``direction`` travels initiator -> responder."""
@@ -180,12 +196,12 @@ def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction, now_us
     old = flow.state
     if now_us > flow.last_seen_us:
         flow.last_seen_us = now_us
-    if direction is Direction.FORWARD:
+    if direction is FORWARD:
         flow.pkts_fwd += 1
     else:
         flow.pkts_rev += 1
 
-    if flow.key.proto is Proto.TCP:
+    if flow.key.proto is TCP:
         flags = desc.tcp_flags
         if flags & TCP_SYN and flags & TCP_FIN:
             flow.bad_flag_events += 1  # nonsensical combination; state unchanged
@@ -199,8 +215,8 @@ def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction, now_us
         _advance_tcp(flow, flags, direction)
     else:
         # connectionless: bidirectional traffic means established
-        if flow.state is FlowState.NEW and flow.pkts_fwd > 0 and flow.pkts_rev > 0:
-            flow.state = FlowState.ESTABLISHED
+        if flow.state is NEW and flow.pkts_fwd > 0 and flow.pkts_rev > 0:
+            flow.state = ESTABLISHED
             flow.saw_established = True
     return old, flow.state
 
@@ -208,29 +224,29 @@ def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction, now_us
 def _advance_tcp(flow: Flow, flags: int, direction: Direction) -> None:
     state = flow.state
     if flags & TCP_SYN and not flags & TCP_ACK:
-        if state is FlowState.NEW:
-            flow.state = FlowState.SYN_SEEN
+        if state is NEW:
+            flow.state = SYN_SEEN
             flow.initiator_direction = direction
         return
     if flags & TCP_SYN and flags & TCP_ACK:
         return  # handshake reply; established on the final ACK
     if flags & (TCP_FIN | TCP_RST):
-        if direction is Direction.FORWARD:
+        if direction is FORWARD:
             flow.fin_fwd = True
         else:
             flow.fin_rev = True
-        if state in (FlowState.ESTABLISHED, FlowState.SYN_SEEN, FlowState.NEW):
-            flow.state = FlowState.CLOSING
-        if flow.fin_fwd and flow.fin_rev and flow.state is FlowState.CLOSING:
-            flow.state = FlowState.CLOSED
+        if state is ESTABLISHED or state is SYN_SEEN or state is NEW:
+            flow.state = CLOSING
+        if flow.fin_fwd and flow.fin_rev and flow.state is CLOSING:
+            flow.state = CLOSED
         return
-    if state is FlowState.SYN_SEEN and flags & TCP_ACK:
-        flow.state = FlowState.ESTABLISHED
+    if state is SYN_SEEN and flags & TCP_ACK:
+        flow.state = ESTABLISHED
         flow.saw_established = True
         return
-    if state is FlowState.NEW and flow.pkts_fwd > 0 and flow.pkts_rev > 0:
+    if state is NEW and flow.pkts_fwd > 0 and flow.pkts_rev > 0:
         # no handshake observed but traffic in both directions
-        flow.state = FlowState.ESTABLISHED
+        flow.state = ESTABLISHED
         flow.saw_established = True
 
 
@@ -281,7 +297,7 @@ class FlowTable:
         for key, flow in list(self._flows.items()):
             limit = timeout_us
             if limit is None:
-                limit = TCP_TIMEOUT_US if flow.key.proto is Proto.TCP else UDP_TIMEOUT_US
+                limit = TCP_TIMEOUT_US if flow.key.proto is TCP else UDP_TIMEOUT_US
             if now_us - flow.last_seen_us > limit:
                 del self._flows[key]
                 self.footprint_bytes -= flow.footprint_bytes

@@ -5,7 +5,11 @@ One pipeline driver, two schedulers. ``_Step`` holds the work both share:
 analyse one dequeued descriptor at the time the scheduler passes in (flow
 expiry at each new interval, the verdict, the timing model's cost, stretched
 by the paging factor when the cost model is on); both count into
-fixed-width intervals (3 seconds each). In both, the acquisition side alone
+fixed-width intervals (3 seconds each), with ``+=`` on per-interval
+``defaultdict`` tables. The base and stretched cost sums that give an
+interval's paging share are kept only when a cost model is set; without one
+the share is 0, and a useless-mode worker's cost is a constant, so it reads
+no candidate or alert counts. In both, the acquisition side alone
 drains the inline TX ring to the sink, and drains it once more when the
 rings are empty. Both price each of the five lifecycle crossings once: the
 three set-up crossings start the run's time base, and stop and shutdown are
@@ -38,6 +42,7 @@ import math
 import sys
 import threading
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ..acquire import AcquisitionWorker
@@ -343,21 +348,25 @@ class Engine:
 
 
 class _IntervalAccumulator:
-    """Per-interval counts; each thread of a run fills its own, merged after."""
+    """Per-interval counts; each thread of a run fills its own, merged after.
+
+    The tables are ``defaultdict``s, so a count is one ``+=``; readers use
+    ``get``, which adds no entry.
+    """
 
     def __init__(self):
-        self.received: dict[int, int] = {}
-        self.dropped: dict[int, int] = {}
-        self.analyzed: dict[int, int] = {}
-        self.alerts: dict[int, int] = {}
-        self.base_us: dict[int, float] = {}
-        self.stretched_us: dict[int, float] = {}
+        self.received: defaultdict[int, int] = defaultdict(int)
+        self.dropped: defaultdict[int, int] = defaultdict(int)
+        self.analyzed: defaultdict[int, int] = defaultdict(int)
+        self.alerts: defaultdict[int, int] = defaultdict(int)
+        self.base_us: defaultdict[int, float] = defaultdict(float)  # cost model runs only
+        self.stretched_us: defaultdict[int, float] = defaultdict(float)  # cost model runs only
 
     def merge(self, other: "_IntervalAccumulator") -> None:
         for name, table in vars(other).items():
             mine = getattr(self, name)
             for idx, n in table.items():
-                mine[idx] = mine.get(idx, 0) + n
+                mine[idx] += n
 
     def last_index(self) -> int:
         """Highest interval index any table touched; -1 when none was."""
@@ -373,15 +382,16 @@ class _Step:
         self.ingest = engine.acquirer.ingest_frame
         self.workers = engine.workers
         self.packet_cost = cfg.timing.packet_cost
-        self.useless = cfg.useless
+        # a useless-mode packet costs the same whatever it holds
+        self.useless_cost = self.packet_cost(True, 0, 0, 0) if cfg.useless else None
         self.factor = engine.current_factor if model is not None else None  # None: unpriced
         self.expire_mark = [0] * len(engine.workers)  # last interval each worker swept
 
     def offer(self, frame, now_us: int, idx: int, acc: _IntervalAccumulator) -> None:
         """Acquisition side: decode and dispatch one frame."""
-        acc.received[idx] = acc.received.get(idx, 0) + 1
+        acc.received[idx] += 1
         if self.ingest(frame, now_us) < 0:
-            acc.dropped[idx] = acc.dropped.get(idx, 0) + 1
+            acc.dropped[idx] += 1
 
     def serve(self, i: int, desc, now_us: int, idx: int, acc: _IntervalAccumulator) -> tuple[float, float]:
         """Worker ``i`` analyses one descriptor; returns its base and
@@ -390,17 +400,22 @@ class _Step:
         if idx > self.expire_mark[i]:
             self.expire_mark[i] = idx
             w.flow_table.expire_flows(now_us)
-        stats = w.stats
-        cand0 = stats.candidates_evaluated
-        alerts0 = stats.alerts
-        w.process_packet(desc, now_us)
-        new_alerts = stats.alerts - alerts0
-        base = self.packet_cost(self.useless, desc.payload_len, stats.candidates_evaluated - cand0, new_alerts)
-        cost = base if self.factor is None else base * self.factor()
-        acc.analyzed[idx] = acc.analyzed.get(idx, 0) + 1
-        acc.alerts[idx] = acc.alerts.get(idx, 0) + new_alerts
-        acc.base_us[idx] = acc.base_us.get(idx, 0.0) + base
-        acc.stretched_us[idx] = acc.stretched_us.get(idx, 0.0) + cost
+        base = self.useless_cost
+        if base is None:
+            stats = w.stats
+            cand0 = stats.candidates_evaluated
+            _, alerts = w.process_packet(desc, now_us)
+            base = self.packet_cost(False, desc.payload_len, stats.candidates_evaluated - cand0, len(alerts))
+            if alerts:
+                acc.alerts[idx] += len(alerts)
+        else:
+            w.process_packet(desc, now_us)
+        acc.analyzed[idx] += 1
+        if self.factor is None:
+            return base, base
+        cost = base * self.factor()
+        acc.base_us[idx] += base
+        acc.stretched_us[idx] += cost
         return base, cost
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from ..packet import TCP_ACK, TCP_SYN, Proto
 from ..ring import ConfigError
@@ -267,24 +268,26 @@ def gen_synth(spec: WorkloadSpec, ruleset: RuleSet | None = None):
 
 
 class GeneratorSource:
-    """Frame source over a generator factory; restarts when ``repeat`` is set."""
+    """Frame source over a generator factory; restarts when ``repeat`` is set.
+
+    A burst is pulled with ``islice``, with no Python step per frame. A
+    restart that yields nothing ends the source, so repeating an empty
+    capture returns empty bursts instead of restarting forever.
+    """
 
     def __init__(self, factory, repeat: bool = False):
         self._factory = factory
         self._repeat = repeat
         self._it = iter(factory())
-        self._done = False
 
     def next_burst(self, n: int) -> list:
-        out = []
-        while len(out) < n and not self._done:
-            try:
-                out.append(next(self._it))
-            except StopIteration:
-                if self._repeat:
-                    self._it = iter(self._factory())
-                else:
-                    self._done = True
+        out = list(islice(self._it, n))
+        while self._repeat and len(out) < n:
+            self._it = iter(self._factory())
+            more = list(islice(self._it, n - len(out)))
+            if not more:
+                self._repeat = False
+            out += more
         return out
 
 

@@ -10,6 +10,11 @@ building, hashing and comparing one runs in C: a record is built for every
 frame, and the 5-tuple keys the dispatch memo. A record therefore compares
 equal to the plain tuple of its fields, and a ``FiveTuple`` equals the
 ``FlowKey`` with the same fields; the two never share a dict.
+
+The enum members are also bound to module constants (``TCP``, ``FORWARD``,
+...), and the per-frame code reads those. Reading a member through its class,
+as in ``Proto.TCP``, goes through the enum metaclass's attribute hook and
+costs about ten times a module global; a frame would pay it about ten times.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ TCP_ACK = 0x10
 _IPV4_HDR = struct.Struct(">BxH5xB2xII")  # version/IHL, total length, protocol, src, dst
 _TCP_HDR = struct.Struct(">HHI4xBB")  # ports, seq, data offset, flags
 _PORTS = struct.Struct(">HH")
+_FLOW_KEY_BYTES = struct.Struct(">BIHIH")  # protocol, then endpoints A and B
 
 
 class Proto(IntEnum):
@@ -55,7 +61,12 @@ class Direction(Enum):
     REVERSE = 1
 
     def flipped(self) -> "Direction":
-        return Direction.REVERSE if self is Direction.FORWARD else Direction.FORWARD
+        return REVERSE if self is FORWARD else FORWARD
+
+
+# read on the per-frame path instead of ``Proto.TCP`` and the like
+OTHER, ICMP, TCP, UDP = Proto.OTHER, Proto.ICMP, Proto.TCP, Proto.UDP
+FORWARD, REVERSE = Direction.FORWARD, Direction.REVERSE
 
 
 class DecodeError(Exception):
@@ -125,7 +136,7 @@ class FiveTuple(_FiveTupleFields):
     __slots__ = ()
 
     def __new__(cls, proto: Proto, src_ip, src_port: int, dst_ip, dst_port: int):
-        if proto in (Proto.ICMP, Proto.OTHER) and (src_port or dst_port):
+        if proto in (ICMP, OTHER) and (src_port or dst_port):
             raise ValueError("portless protocol with nonzero port")
         return _new(cls, (proto, _coerce_ip(src_ip), src_port, _coerce_ip(dst_ip), dst_port))
 
@@ -155,7 +166,7 @@ class FlowKey(NamedTuple):
 
     def encode(self) -> bytes:
         """Fixed 13-byte encoding used by the flow-affinity hash."""
-        return struct.pack(">BIHIH", int(self.proto), self.ip_a, self.port_a, self.ip_b, self.port_b)
+        return _FLOW_KEY_BYTES.pack(*self)
 
     def __str__(self) -> str:
         return (
@@ -172,8 +183,8 @@ def canonical_key(tuple_: FiveTuple) -> tuple[FlowKey, Direction]:
     """
     proto, src_ip, src_port, dst_ip, dst_port = tuple_
     if (src_ip, src_port) <= (dst_ip, dst_port):
-        return _new(FlowKey, (proto, src_ip, src_port, dst_ip, dst_port)), Direction.FORWARD
-    return _new(FlowKey, (proto, dst_ip, dst_port, src_ip, src_port)), Direction.REVERSE
+        return _new(FlowKey, (proto, src_ip, src_port, dst_ip, dst_port)), FORWARD
+    return _new(FlowKey, (proto, dst_ip, dst_port, src_ip, src_port)), REVERSE
 
 
 class PacketDescriptor(NamedTuple):
@@ -250,12 +261,12 @@ class PacketPool:
         self._in_use[slot] = False
         self._released.append(slot)
 
-    def view(self, slot: int) -> memoryview:
-        """Zero-copy view of the stored frame bytes."""
+    def frame(self, slot: int) -> bytes:
+        """A copy of the stored frame: one slice of the slab."""
         if not self._in_use[slot]:
-            raise PoolError(f"view of slot {slot} not in use")
+            raise PoolError(f"read of slot {slot} not in use")
         base = slot * self.slot_size
-        return memoryview(self._buf)[base : base + self._lengths[slot]]
+        return self._buf[base : base + self._lengths[slot]]
 
     def raw(self) -> mmap.mmap:
         """The whole pool slab, a writable buffer; slot ``i``'s frame starts
@@ -299,7 +310,7 @@ def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
     src_port = dst_port = 0
     tcp_flags = 0
     tcp_seq = 0
-    if proto_num == Proto.TCP:
+    if proto_num == TCP:
         if ip_end < l4 + 20:
             raise TruncatedFrame("TCP header does not fit")
         src_port, dst_port, tcp_seq, doff, tcp_flags = _TCP_HDR.unpack_from(frame, l4)
@@ -307,21 +318,21 @@ def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
         if doff < 20 or ip_end < l4 + doff:
             raise TruncatedFrame("TCP data offset inconsistent")
         payload_off = l4 + doff
-        proto = Proto.TCP
-    elif proto_num == Proto.UDP:
+        proto = TCP
+    elif proto_num == UDP:
         if ip_end < l4 + 8:
             raise TruncatedFrame("UDP header does not fit")
         src_port, dst_port = _PORTS.unpack_from(frame, l4)
         payload_off = l4 + 8
-        proto = Proto.UDP
-    elif proto_num == Proto.ICMP:
+        proto = UDP
+    elif proto_num == ICMP:
         if ip_end < l4 + 8:
             raise TruncatedFrame("ICMP header does not fit")
         payload_off = l4 + 8
-        proto = Proto.ICMP
+        proto = ICMP
     else:
         payload_off = l4
-        proto = Proto.OTHER
+        proto = OTHER
 
     slot = pool.store(frame)
     return _new(

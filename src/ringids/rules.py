@@ -6,15 +6,17 @@ Grammar: one rule per line, `#` comments and blank lines skipped,
     header  = action proto src_net src_ports direction dst_net dst_ports
     options = { [key [":" value]] ";" }
     content = quoted { "," modifier }
-    pattern = { char | "\\" char | "|" { hex } "|" }
+    pattern = { char | "\\" char | "|" { hex hex } "|" }
 
 Header fields are separated by whitespace; a bracketed list is one field,
 spaces and all. An option ends at the first `;` outside a quoted string
 (`"..."`, where `\\` escapes any character); its key is the text before its
 first `:`. A content value is a quoted pattern followed by depth N, offset N
-or relative modifiers; the pattern is text with `|41 42|` hex spans. Ports,
-prefix lengths, depth and offset are `[0-9]+`; sid, rev and byte_test
-fields are what ``int()`` reads, in ASCII digits only. Each production is
+or relative modifiers; the pattern is text with `|41 42|` hex spans, each
+byte two hex digits, with optional whitespace between bytes (`|4142|` is
+the same span). Ports, prefix lengths, depth, offset, sid and rev are
+`[0-9]+`; byte_test fields are what ``int()`` reads, in ASCII digits only,
+since they may be negative. Each production is
 one compiled regular expression, so no rule text is read a character at a
 time.
 
@@ -265,9 +267,9 @@ _ESCAPE = re.compile(r"\\(.)", re.S)
 # A piece of a content pattern: a literal run, an escaped character, a hex
 # span, a `|` that opens no span, or a `\` that ends the text (a literal).
 _PATTERN_PIECE = re.compile(r"([^|\\]+)|\\(.)|\|([^|]*)\||(\|)|(\\)", re.S)
-# what a hex span's tokens may hold: int(token, 16) then reads them as it
-# would anywhere, but never a digit outside ASCII
-_HEX_SPAN = re.compile(r"[\s0-9a-fA-FxX_+-]*")
+# a hex span: byte-wide pairs of hex digits, with ASCII whitespace between
+# bytes only, which is what bytes.fromhex reads
+_HEX_SPAN = re.compile(r"\s*(?:[0-9a-fA-F]{2}\s*)*", re.ASCII)
 _NUMBER = re.compile(_INT)
 _DIGITS = re.compile(r"[0-9]+")
 _PORTS = re.compile(r"[0-9]+|\[[ \t]*[0-9]+[ \t]*(?:,[ \t]*[0-9]+[ \t]*)*\]")
@@ -362,14 +364,11 @@ def decode_pattern(text: str, position: int = 0) -> bytes:
 
 
 def _hex_bytes(span: str, position: int) -> bytes:
-    """The bytes of a hex span: each whitespace-separated token read by
-    ``int(token, 16)``, which must give 0..255."""
-    if _HEX_SPAN.fullmatch(span):
-        try:
-            return bytes(int(tok, 16) for tok in span.split())
-        except ValueError:
-            pass
-    raise ParseError(f"bad hex byte in span {span!r} of content", position)
+    """The bytes of a hex span: two hex digits per byte, optionally spaced
+    between bytes, as Snort reads them; an odd digit count is an error."""
+    if not _HEX_SPAN.fullmatch(span):
+        raise ParseError(f"bad hex byte in span {span!r} of content", position)
+    return bytes.fromhex(span)
 
 
 def encode_pattern(data: bytes) -> str:
@@ -524,13 +523,13 @@ def _parse_rule(line: str, addrs: dict[str, AddressSpec], ports: dict[str, PortS
         elif key == "content":
             options.append(_parse_content(value, m.start(), warnings))
         elif key == "sid":
-            sid = _int(value)
-            if sid is None:
+            if not _DIGITS.fullmatch(value):
                 raise ParseError(f"bad sid {value!r}", m.start())
+            sid = int(value)
         elif key == "rev":
-            rev = _int(value)
-            if rev is None:
+            if not _DIGITS.fullmatch(value):
                 raise ParseError(f"bad rev {value!r}", m.start())
+            rev = int(value)
         elif key == "classtype":
             classtype = value
         elif key == "service":

@@ -87,8 +87,7 @@ def corpus_ruleset(corpus_text):
 def make_context(tuple_, payload: bytes, flow: Flow | None = None, direction=Direction.FORWARD,
                  stream: bytes | None = None) -> PacketContext:
     """Standalone context over a plain payload buffer (no pool)."""
-    return PacketContext(tuple=tuple_, flow=flow, direction=direction, buf=payload, payload_base=0,
-                         payload_len=len(payload), stream_bytes=stream)
+    return PacketContext(tuple=tuple_, flow=flow, direction=direction, payload=payload, stream_bytes=stream)
 
 
 def make_flow(tuple_, state=FlowState.ESTABLISHED, initiator=None):

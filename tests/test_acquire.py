@@ -1,13 +1,14 @@
 """Flow hashing, ring selection, frame dispatch and the TX drain."""
 
 import random
+import struct
 
 import pytest
 
 from ringids import acquire
 from ringids.acquire import AcquisitionWorker, murmur3_32, rss_hash, select_ring
 from ringids.harness.synth import build_ipv4_tcp_frame, build_ipv4_udp_frame
-from ringids.packet import FiveTuple, PacketPool, Proto, parse_ip
+from ringids.packet import FiveTuple, PacketPool, Proto, canonical_key, parse_ip
 from ringids.ring import Ring
 
 
@@ -16,6 +17,66 @@ def test_murmur3_published_vectors():
     assert murmur3_32(b"", 1) == 0x514E28B7
     assert murmur3_32(b"hello", 0) == 0x248BFA47
     assert murmur3_32(b"The quick brown fox jumps over the lazy dog", 0) == 0x2E4FF723
+
+
+def _rotl32(x: int, r: int) -> int:
+    return ((x << r) | (x >> (32 - r))) & 0xFFFFFFFF
+
+
+def reference_murmur3_32(data: bytes, seed: int = 0) -> int:
+    """The hash as first written, with a loop per block and helper rotations."""
+    c1 = 0xCC9E2D51
+    c2 = 0x1B873593
+    h = seed & 0xFFFFFFFF
+    n = len(data)
+    rounded = n - (n & 3)
+    for i in range(0, rounded, 4):
+        k = int.from_bytes(data[i : i + 4], "little")
+        k = (k * c1) & 0xFFFFFFFF
+        k = _rotl32(k, 15)
+        k = (k * c2) & 0xFFFFFFFF
+        h ^= k
+        h = _rotl32(h, 13)
+        h = (h * 5 + 0xE6546B64) & 0xFFFFFFFF
+    k = 0
+    tail = n & 3
+    if tail >= 3:
+        k ^= data[rounded + 2] << 16
+    if tail >= 2:
+        k ^= data[rounded + 1] << 8
+    if tail >= 1:
+        k ^= data[rounded]
+        k = (k * c1) & 0xFFFFFFFF
+        k = _rotl32(k, 15)
+        k = (k * c2) & 0xFFFFFFFF
+        h ^= k
+    h ^= n
+    h ^= h >> 16
+    h = (h * 0x85EBCA6B) & 0xFFFFFFFF
+    h ^= h >> 13
+    h = (h * 0xC2B2AE35) & 0xFFFFFFFF
+    h ^= h >> 16
+    return h
+
+
+def test_murmur3_equals_reference_for_every_length():
+    rng = random.Random(31)
+    for n in range(41):
+        for _ in range(60):
+            data = rng.randbytes(n)
+            seed = rng.choice([0, 1, 0xFFFFFFFF, rng.getrandbits(32), rng.getrandbits(40)])
+            assert murmur3_32(data, seed) == reference_murmur3_32(data, seed), (data, seed)
+
+
+def test_select_ring_of_rss_hash_equals_reference():
+    rng = random.Random(37)
+    for proto in Proto:
+        tuples = [random_tuple(rng, proto) for _ in range(10_000)]
+        for t in tuples:
+            key = canonical_key(t)[0]
+            want = reference_murmur3_32(struct.pack(">BIHIH", int(key.proto), key.ip_a, key.port_a, key.ip_b, key.port_b))
+            for n in range(1, 9):
+                assert select_ring(rss_hash(t), n) == select_ring(want, n)
 
 
 def test_rss_hash_symmetric_and_deterministic():
@@ -89,14 +150,15 @@ def test_dispatch_follows_hash_rule():
             if desc is None:
                 break
             assert select_ring(rss_hash(desc.tuple), 2) == idx
-            assert placed[frames.index(bytes(pool.view(desc.slot)))] == idx
+            assert placed[frames.index(pool.frame(desc.slot))] == idx
             assert desc.arrival_us == 5
             pool.release(desc.slot)
     assert pool.in_use_count() == 0
 
 
-def random_tuple(rng):
-    proto = rng.choice([Proto.TCP, Proto.UDP, Proto.ICMP, Proto.OTHER])
+def random_tuple(rng, proto=None):
+    if proto is None:
+        proto = rng.choice([Proto.TCP, Proto.UDP, Proto.ICMP, Proto.OTHER])
     ported = proto in (Proto.TCP, Proto.UDP)
     return FiveTuple(proto, rng.getrandbits(32), rng.randrange(65536) if ported else 0,
                      rng.getrandbits(32), rng.randrange(65536) if ported else 0)

@@ -2,6 +2,8 @@
 
 import hashlib
 import os
+import random
+import struct
 import sys
 import threading
 import time
@@ -19,7 +21,19 @@ from ringids.detect import AnalysisWorker
 from ringids.flow import FlowTable
 from ringids.harness import runner
 from ringids.harness.cli import main as cli_main
-from ringids.harness.pcapio import BadMagic, TruncatedRecord, pcap_read, pcap_write
+from ringids.harness.pcapio import (
+    GLOBAL_HEADER,
+    MAGIC_US,
+    MAGIC_US_SWAPPED,
+    READ_BLOCK,
+    RECORD_HEADER_LEN,
+    SNAPLEN,
+    BadMagic,
+    TruncatedRecord,
+    pcap_read,
+    pcap_source,
+    pcap_write,
+)
 from ringids.harness.runner import (
     CollectSink,
     ConservationError,
@@ -139,6 +153,118 @@ def test_pcap_big_endian_accepted(tmp_path):
         fh.write(frame)
     got = list(pcap_read(path))
     assert got == [(frame, 1_500_000)]
+
+
+def reference_pcap_read(path):
+    """The reader as first written: two ``read`` calls per record."""
+    with open(path, "rb") as fh:
+        header = fh.read(GLOBAL_HEADER.size)
+        if len(header) < GLOBAL_HEADER.size:
+            raise BadMagic("file shorter than a pcap global header")
+        magic = struct.unpack("<I", header[:4])[0]
+        if magic == MAGIC_US:
+            endian = "<"
+        elif magic == MAGIC_US_SWAPPED:
+            endian = ">"
+        else:
+            raise BadMagic(f"unknown pcap magic 0x{magic:08x}")
+        rec = struct.Struct(endian + "IIII")
+        while True:
+            head = fh.read(RECORD_HEADER_LEN)
+            if not head:
+                return
+            if len(head) < RECORD_HEADER_LEN:
+                raise TruncatedRecord("record header cut short")
+            ts_sec, ts_usec, incl_len, _orig = rec.unpack(head)
+            data = fh.read(incl_len)
+            if len(data) < incl_len:
+                raise TruncatedRecord("record body cut short")
+            yield data, ts_sec * 1_000_000 + ts_usec
+
+
+def read_all(reader, path):
+    """Every record ``reader`` yields, then the error it ends with (or None)."""
+    records = []
+    try:
+        for record in reader(path):
+            records.append(record)
+    except (BadMagic, TruncatedRecord) as exc:
+        return records, (type(exc), str(exc))
+    return records, None
+
+
+def write_capture(path, records, endian="<"):
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(endian + "IHHiIII", MAGIC_US, 2, 4, 0, 0, SNAPLEN, 1))
+        for frame, ts_us in records:
+            fh.write(struct.pack(endian + "IIII", ts_us // 1_000_000, ts_us % 1_000_000, len(frame), len(frame)))
+            fh.write(frame)
+
+
+@pytest.mark.parametrize("endian", ["<", ">"])
+def test_pcap_read_equals_reference(tmp_path, endian):
+    rng = random.Random(41)
+    path = tmp_path / "r.pcap"
+    cases = [[], [(b"", 0)], [(rng.randbytes(60), 7)], [(rng.randbytes(SNAPLEN), 12_345_678)]]
+    # records of random sizes, many straddling a block boundary
+    for _ in range(6):
+        cases.append([(rng.randbytes(rng.choice([0, 1, 60, 1514, rng.randrange(SNAPLEN + 1)])),
+                       rng.randrange(1 << 40)) for _ in range(rng.randrange(2, 40))])
+    # a record that ends exactly at the first block's end, then one more
+    first = READ_BLOCK - GLOBAL_HEADER.size - RECORD_HEADER_LEN
+    cases.append([(rng.randbytes(first), 1), (b"xyz", 2)])
+    for records in cases:
+        write_capture(path, records, endian)
+        got, error = read_all(pcap_read, path)
+        assert error is None
+        assert got == records
+        assert (got, error) == read_all(reference_pcap_read, path)
+
+
+def test_pcap_truncation_raises_after_every_complete_record(tmp_path):
+    rng = random.Random(43)
+    path = tmp_path / "t.pcap"
+    records = [(rng.randbytes(rng.randrange(SNAPLEN + 1)), i) for i in range(5)]
+    write_capture(path, records)
+    data = path.read_bytes()
+    starts = []  # file offset of each record header
+    pos = GLOBAL_HEADER.size
+    for frame, _ts in records:
+        starts.append(pos)
+        pos += RECORD_HEADER_LEN + len(frame)
+    cuts = {len(data) - 1}
+    for i, start in enumerate(starts):
+        cuts |= {start + 1, start + RECORD_HEADER_LEN - 1, start + RECORD_HEADER_LEN + 1}
+        cuts |= {start + RECORD_HEADER_LEN + len(records[i][0]) - 1}
+    for cut in sorted(cuts):
+        path.write_bytes(data[:cut])
+        complete = sum(1 for i, start in enumerate(starts) if start + RECORD_HEADER_LEN + len(records[i][0]) <= cut)
+        got, error = read_all(pcap_read, path)
+        assert got == records[:complete]
+        assert error is not None and error[0] is TruncatedRecord
+        assert (got, error) == read_all(reference_pcap_read, path)
+
+
+def test_repeating_source_over_empty_capture_ends(tmp_path):
+    path = tmp_path / "empty.pcap"
+    assert pcap_write(path, []) == 0
+    source = pcap_source(path, repeat=True)
+    assert run_with_watchdog(lambda: source.next_burst(4), timeout_s=10) == []
+    assert source.next_burst(4) == []
+    config = base_config()
+    wl = WorkloadSpec(kind="pcap", pcap_path=str(path), repeat=True)
+    report = run_with_watchdog(lambda: run_experiment(wl, config), timeout_s=30)
+    assert report.totals.received == 0
+
+
+def test_repeating_source_restarts_across_bursts(tmp_path):
+    path = tmp_path / "three.pcap"
+    frames = [bytes([i]) * 60 for i in range(3)]
+    pcap_write(path, frames)
+    source = pcap_source(path, repeat=True)
+    assert [source.next_burst(n) for n in (2, 2, 3, 1)] == [
+        frames[:2], [frames[2], frames[0]], [frames[1], frames[2], frames[0]], [frames[1]],
+    ]
 
 
 def base_config(**kw):

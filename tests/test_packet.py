@@ -46,7 +46,7 @@ def test_decode_tcp_frame_offsets_and_tuple(pool):
     assert desc.tcp_seq == 77
     assert desc.arrival_us == 5
     # padding beyond the IP length is not payload
-    assert bytes(pool.view(desc.slot)[desc.payload_offset : desc.payload_offset + desc.payload_len]) == b"hi"
+    assert pool.frame(desc.slot)[desc.payload_offset : desc.payload_offset + desc.payload_len] == b"hi"
 
 
 def test_decode_too_short_frame_is_truncated(pool):
@@ -158,8 +158,8 @@ def test_decode_roundtrip_random_payload(pool):
         frame = build_ipv4_tcp_frame(src, sp, dst, dp, flags=0x10, seq=3, payload=payload)
         desc = decode(frame, 0, pool)
         assert desc.tuple == FiveTuple(Proto.TCP, src, sp, dst, dp)
-        view = pool.view(desc.slot)
-        assert bytes(view[desc.payload_offset : desc.payload_offset + desc.payload_len]) == payload
+        frame = pool.frame(desc.slot)
+        assert frame[desc.payload_offset : desc.payload_offset + desc.payload_len] == payload
         pool.release(desc.slot)
 
 
@@ -268,7 +268,7 @@ def test_pool_slab_is_paged_in_only_when_written():
     before = resident_pages()
     slots = [big.store(f) for f in frames]
     assert resident_pages() - before <= 16  # 10 slots of 2 KiB span 5 pages
-    assert [bytes(big.view(s)) for s in slots] == frames
+    assert [big.frame(s) for s in slots] == frames
 
 
 def test_pool_hands_out_slots_in_lifo_order():

@@ -97,6 +97,16 @@ def test_missing_sid_is_error():
         'alert tcp any any -> any any (content:"abc", depth \u00b2; sid:15;)',
         'alert tcp any any -> any any (content:"abc"; depth: \u00b2; sid:16;)',
         'alert tcp any \u0661 -> any any (sid:17;)',  # Arabic-Indic one: a digit, but not ASCII
+        'alert tcp any any -> any any (content:"|f|"; sid:18;)',  # odd hex digit count
+        'alert tcp any any -> any any (content:"|0d0|"; sid:19;)',
+        'alert tcp any any -> any any (content:"|0 d|"; sid:20;)',  # space inside a byte
+        'alert tcp any any -> any any (content:"|+0x_4_1 -0|"; sid:21;)',  # int() spellings
+        'alert tcp any any -> any any (content:"|0x41|"; sid:22;)',
+        'alert tcp any any -> any any (sid: -5;)',  # sid and rev are unsigned decimals
+        'alert tcp any any -> any any (sid: +5;)',
+        'alert tcp any any -> any any (sid: 1_0;)',
+        'alert tcp any any -> any any (sid:23; rev: +1_0;)',
+        'alert tcp any any -> any any (sid:24; rev: -1;)',
     ],
 )
 def test_malformed_rules_rejected(line):
@@ -116,6 +126,14 @@ def test_parse_error_carries_position():
 def test_hex_span_decode_and_mixed_text():
     rule = parse_rule('alert tcp any any -> any any (content:"GET |2f 41| HTTP"; sid:9;)')
     assert rule.contents[0].pattern == b"GET /A HTTP"
+
+
+def test_hex_span_pairs_need_no_spaces():
+    def pattern(content):
+        return parse_rule(f'alert tcp any any -> any any (content:"{content}"; sid:9;)').contents[0].pattern
+
+    assert pattern("|0d0a|") == pattern("|0d 0a|") == b"\r\n"
+    assert pattern("| 0D0a\t41 |") == b"\r\nA"
 
 
 def test_escaped_characters_in_content():
