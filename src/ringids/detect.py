@@ -6,8 +6,11 @@ analyse it at. The compiled ruleset is shared read-only. The only shared
 mutable structures it touches are the pool's free list (releasing a slot is
 atomic) and, inline, the transmit ring, which every worker produces onto: a
 worker holds the ring's producer lock around its ``enqueue``. Matching is
-two-phase: the fast-pattern scan shortlists candidate rules, then every
-option of each candidate is checked in rule order with relative anchoring.
+two-phase. Phase 1 (``prefilter``) scans the packet with its bucket's
+automaton and keeps the fast-pattern hits and the bucket's contentless rules
+whose header admits the packet: the header is decided there, once. Phase 2
+(``evaluate_rule``) checks each candidate's flow constraints, then its
+payload options in rule order with relative anchoring.
 
 Each analysed packet's payload is copied out of the pool once, as one
 ``bytes`` slice of the slab; the prefilter, phase 2 and in-order reassembly
@@ -33,9 +36,7 @@ from typing import NamedTuple
 from .flow import Flow, FlowTable, TableFull, update_flow
 from .packet import (
     FORWARD,
-    ICMP,
     TCP,
-    UDP,
     Direction,
     FiveTuple,
     PacketDescriptor,
@@ -45,7 +46,7 @@ from .packet import (
     format_ip,
 )
 from .ring import Ring
-from .rules import ByteTest, CompiledRuleSet, Content, Rule, ports_match
+from .rules import ByteTest, CompiledRuleSet, Content, Rule
 
 _DAYS_PER_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 SECOND_TEXT_MEMO_ENTRIES = 1_024  # whole seconds whose alert timestamp text is kept
@@ -121,39 +122,6 @@ def format_alert_fast(alert: Alert) -> str:
     )
 
 
-def _proto_matches(rule_proto: str, proto: Proto) -> bool:
-    if rule_proto == "ip":
-        return True
-    return (
-        (rule_proto == "tcp" and proto is TCP)
-        or (rule_proto == "udp" and proto is UDP)
-        or (rule_proto == "icmp" and proto is ICMP)
-    )
-
-
-def _header_matches(rule: Rule, compiled: CompiledRuleSet, ctx: PacketContext) -> bool:
-    if not _proto_matches(rule.proto, ctx.tuple.proto):
-        return False
-    src, dst = compiled.resolved_addrs(rule.sid)
-    t = ctx.tuple
-    fwd = (
-        src.matches(t.src_ip)
-        and dst.matches(t.dst_ip)
-        and rule.src_ports.matches(t.src_port)
-        and rule.dst_ports.matches(t.dst_port)
-    )
-    if fwd:
-        return True
-    if rule.direction == "<>":
-        return (
-            src.matches(t.dst_ip)
-            and dst.matches(t.src_ip)
-            and rule.src_ports.matches(t.dst_port)
-            and rule.dst_ports.matches(t.src_port)
-        )
-    return False
-
-
 def _flow_matches(rule: Rule, ctx: PacketContext) -> bool:
     fo = rule.flow
     if fo is None:
@@ -174,16 +142,16 @@ def _flow_matches(rule: Rule, ctx: PacketContext) -> bool:
     return True
 
 
-def evaluate_rule(rule: Rule, compiled: CompiledRuleSet, ctx: PacketContext) -> bool:
-    """Full phase-2 check: header, flow constraints, then payload options.
+def evaluate_rule(rule: Rule, ctx: PacketContext) -> bool:
+    """Phase 2 for one candidate: flow constraints, then payload options.
 
-    Stream-only rules evaluate against the newly reassembled bytes; everything
-    else evaluates against the packet payload. Content offsets/depths are
-    measured from the anchor (buffer start, or end of the previous match for
-    relative options); a match must fit entirely within the depth window.
+    The header is not looked at: ``prefilter`` admitted the rule only for a
+    packet its header matches. Stream-only rules evaluate against the newly
+    reassembled bytes; everything else evaluates against the packet payload.
+    Content offsets/depths are measured from the anchor (buffer start, or end
+    of the previous match for relative options); a match must fit entirely
+    within the depth window.
     """
-    if not _header_matches(rule, compiled, ctx):
-        return False
     if not _flow_matches(rule, ctx):
         return False
 
@@ -221,14 +189,14 @@ def evaluate_rule(rule: Rule, compiled: CompiledRuleSet, ctx: PacketContext) -> 
 
 
 def prefilter(compiled: CompiledRuleSet, ctx: PacketContext) -> set[int]:
-    """Phase 1: sids whose fast pattern occurs in the packet (or stream for
-    stream-only rules), plus the contentless rules, filtered by port.
+    """Phase 1: the rules whose fast pattern occurs in the packet (or in its
+    stream bytes, for stream-only rules), plus the contentless rules, each
+    kept only when its header admits the packet (``CompiledRuleSet.admitted``).
 
     The protocol's automaton covers every rule of that protocol, so the
     payload is scanned once, and the stream bytes only when they are not the
     payload object itself (in-order reassembly delivers the payload as it
-    came). Only the fast-pattern hits are port-filtered here; ``port_group``
-    filters the contentless rules on port sets compiled with the ruleset.
+    came).
     """
     t = ctx.tuple
     proto = t.proto
@@ -244,12 +212,7 @@ def prefilter(compiled: CompiledRuleSet, ctx: PacketContext) -> set[int]:
     if stream:
         _, stream_hits = compiled.scan_payload(proto, stream)
         hits |= stream_hits
-    candidates = set(compiled.port_group(t))
-    rules = compiled.rules
-    for sid in hits:
-        if ports_match(rules[sid], t):
-            candidates.add(sid)
-    return candidates
+    return compiled.admitted(t, hits)
 
 
 class AnalysisWorker:
@@ -325,7 +288,7 @@ class AnalysisWorker:
         matched: list[Rule] = []
         for sid in sorted(candidates):  # a loop, not a comprehension: no closure cells on every call
             rule = rules[sid]
-            if evaluate_rule(rule, compiled, ctx):
+            if evaluate_rule(rule, ctx):
                 matched.append(rule)
 
         blocked = self.tx_ring is not None and any(r.blocks_in_inline for r in matched)

@@ -2,7 +2,7 @@
 
 Raw Ethernet frames are copied once into a shared byte pool; everything
 downstream (rings, flow tracking, rule matching) works on descriptors that
-reference the pool slot plus decoded header offsets. Payload bytes are never
+reference the pool slot plus decoded header fields. Payload bytes are never
 copied again except into reassembly buffers.
 
 ``FiveTuple``, ``FlowKey`` and ``PacketDescriptor`` are named tuples, so
@@ -35,7 +35,7 @@ TCP_RST = 0x04
 TCP_PSH = 0x08
 TCP_ACK = 0x10
 
-_IPV4_HDR = struct.Struct(">BxH5xB2xII")  # version/IHL, total length, protocol, src, dst
+_IPV4_HDR = struct.Struct(">BxH2xHxB2xII")  # version/IHL, total length, flags/fragment, protocol, src, dst
 _TCP_HDR = struct.Struct(">HHI4xBB")  # ports, seq, data offset, flags
 _PORTS = struct.Struct(">HH")
 _FLOW_KEY_BYTES = struct.Struct(">BIHIH")  # protocol, then endpoints A and B
@@ -198,8 +198,6 @@ class PacketDescriptor(NamedTuple):
     frame_len: int
     arrival_us: int
     tuple: FiveTuple
-    l3_offset: int = 0
-    l4_offset: int = 0
     payload_offset: int = 0
     payload_len: int = 0
     tcp_flags: int = 0
@@ -282,9 +280,11 @@ def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
 
     Sanity checks: IPv4 version, header lengths consistent with the frame,
     transport header fits. Every check runs before the pool is touched, so a
-    frame that fails one takes no slot. Raises UnsupportedL3 for non-IPv4
-    frames, TruncatedFrame for length inconsistencies, PoolExhausted /
-    FrameTooLarge for pool failures.
+    frame that fails one takes no slot. A later fragment of a datagram
+    (non-zero fragment offset) carries no transport header: it decodes as a
+    portless OTHER packet whose payload is everything after the IP header.
+    Raises UnsupportedL3 for non-IPv4 frames, TruncatedFrame for length
+    inconsistencies, PoolExhausted / FrameTooLarge for pool failures.
     """
     flen = len(frame)
     if flen < ETHER_HDR_LEN:
@@ -296,7 +296,7 @@ def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
     l3 = ETHER_HDR_LEN
     if flen < l3 + 20:
         raise TruncatedFrame("frame too short for IPv4 header")
-    ver_ihl, tot_len, proto_num, src_ip, dst_ip = _IPV4_HDR.unpack_from(frame, l3)
+    ver_ihl, tot_len, frag, proto_num, src_ip, dst_ip = _IPV4_HDR.unpack_from(frame, l3)
     if ver_ihl >> 4 != 4:
         raise UnsupportedL3(f"IP version {ver_ihl >> 4} behind an IPv4 ethertype")
     ihl = (ver_ihl & 0x0F) * 4
@@ -310,7 +310,10 @@ def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
     src_port = dst_port = 0
     tcp_flags = 0
     tcp_seq = 0
-    if proto_num == TCP:
+    if frag & 0x1FFF:  # a non-zero fragment offset: these bytes hold no transport header
+        payload_off = l4
+        proto = OTHER
+    elif proto_num == TCP:
         if ip_end < l4 + 20:
             raise TruncatedFrame("TCP header does not fit")
         src_port, dst_port, tcp_seq, doff, tcp_flags = _TCP_HDR.unpack_from(frame, l4)
@@ -342,8 +345,6 @@ def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
             flen,
             arrival_us,
             _new(FiveTuple, (proto, src_ip, src_port, dst_ip, dst_port)),
-            l3,
-            l4,
             payload_off,
             ip_end - payload_off,
             tcp_flags,

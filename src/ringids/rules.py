@@ -27,14 +27,16 @@ vacuously true, with a per-rule warning. Compilation picks each rule's
 longest content pattern as its fast pattern and builds one multi-pattern
 automaton per L4 bucket over that protocol's fast patterns plus the ``ip``
 rules' ones, so the prefilter scans each buffer once. Rules without content
-go to their bucket's contentless list, whose port specs are compiled to
-plain sets so that filtering a packet's group calls no method.
+go to their bucket's contentless list. Each rule's header is compiled once,
+to port sets and address ranges, and ``CompiledRuleSet.admitted`` is the one
+place it is checked: the bucket settles the protocol, and ports and addresses
+are tested together, either way round for ``<>``.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Container, Set
+from collections.abc import Collection, Container, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -220,19 +222,37 @@ class Rule:
         return False
 
 
-def ports_match(rule: Rule, tuple_: FiveTuple) -> bool:
-    """The rule's port specs admit the tuple, either way round for ``<>``."""
-    fwd = rule.src_ports.matches(tuple_.src_port) and rule.dst_ports.matches(tuple_.dst_port)
-    if rule.direction == "->":
-        return fwd
-    return fwd or (rule.src_ports.matches(tuple_.dst_port) and rule.dst_ports.matches(tuple_.src_port))
+class _Nets(tuple):
+    """A bracketed address list: ``ip in nets`` when some net's range holds it."""
+
+    __slots__ = ()
+
+    def __contains__(self, ip) -> bool:
+        return any(ip in net for net in self)
 
 
-def _port_filter(rule: Rule) -> tuple[int, Container[int], Container[int], bool]:
-    """The rule's port specs as plain sets, for ``CompiledRuleSet.port_group``."""
-    src = _ANY_PORT if rule.src_ports.any_port else rule.src_ports.ports
-    dst = _ANY_PORT if rule.dst_ports.any_port else rule.dst_ports.ports
-    return rule.sid, src, dst, rule.direction == "<>"
+def _addr_filter(spec: AddressSpec) -> Container[int] | None:
+    """An address spec as ranges of addresses; ``None`` for any."""
+    if spec.any_addr:
+        return None
+    nets = []
+    for net, prefix in spec.nets:
+        size = 1 << (32 - prefix)
+        start = net & -size  # the network's first address
+        nets.append(range(start, start + size))
+    return nets[0] if len(nets) == 1 else _Nets(nets)
+
+
+def _header(rule: Rule, variables: dict[str, AddressSpec]) -> tuple:
+    """The rule's header as (sid, src ports, dst ports, src addresses, dst addresses, ``<>``)."""
+    return (
+        rule.sid,
+        _ANY_PORT if rule.src_ports.any_port else rule.src_ports.ports,
+        _ANY_PORT if rule.dst_ports.any_port else rule.dst_ports.ports,
+        _addr_filter(rule.src.resolve(variables)),
+        _addr_filter(rule.dst.resolve(variables)),
+        rule.direction == "<>",
+    )
 
 
 _WS = " \t"  # what option text and list items are trimmed of
@@ -690,25 +710,23 @@ class CompiledRuleSet:
     maps back to the owning rule sids, split by whether the rule matches raw
     payload or reassembled stream bytes; a pattern shared by a protocol rule
     and an ``ip`` rule maps to both. Contentless rules are candidates on
-    every packet of their bucket whose ports they admit.
+    every packet of their bucket whose header admits it.
     """
 
     def __init__(self, ruleset: RuleSet):
         self.rules: dict[int, Rule] = {}
         self.contentless: list[int] = []
-        self._resolved: dict[int, tuple[AddressSpec, AddressSpec]] = {}
+        self._headers: dict[int, tuple] = {}  # sid -> compiled header
         self._matchers: dict[str, MultiPatternMatcher] = {}
         # per bucket: pattern id -> (payload-rule sids, stream-rule sids)
         self._pattern_rules: dict[str, list[tuple[list[int], list[int]]]] = {}
-        self._contentless: dict[str, tuple[int, ...]] = {}
-        # per bucket: each contentless rule as (sid, src ports, dst ports, ``<>``)
-        self._contentless_ports: dict[str, tuple[tuple[int, Container[int], Container[int], bool], ...]] = {}
+        self._contentless: dict[str, tuple[tuple, ...]] = {}  # per bucket: contentless rules' headers
 
         # per rule protocol: fast pattern -> (payload-rule sids, stream-rule sids)
         by_proto: dict[str, dict[bytes, tuple[list[int], list[int]]]] = {p: {} for p in RULE_PROTOS}
         for rule in ruleset.rules:
             self.rules[rule.sid] = rule
-            self._resolved[rule.sid] = (rule.src.resolve(ruleset.variables), rule.dst.resolve(ruleset.variables))
+            self._headers[rule.sid] = _header(rule, ruleset.variables)
             fast = rule.fast_pattern
             if fast is None:
                 self.contentless.append(rule.sid)
@@ -718,8 +736,9 @@ class CompiledRuleSet:
 
         for bucket in RULE_PROTOS:
             members = (bucket, "ip") if bucket != "ip" else ("ip",)
-            self._contentless[bucket] = tuple(sid for sid in self.contentless if self.rules[sid].proto in members)
-            self._contentless_ports[bucket] = tuple(_port_filter(self.rules[sid]) for sid in self._contentless[bucket])
+            self._contentless[bucket] = tuple(
+                self._headers[sid] for sid in self.contentless if self.rules[sid].proto in members
+            )
             merged: dict[bytes, tuple[list[int], list[int]]] = {}
             for proto in members:
                 for pattern, (payload_sids, stream_sids) in by_proto[proto].items():
@@ -736,22 +755,23 @@ class CompiledRuleSet:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def resolved_addrs(self, sid: int) -> tuple[AddressSpec, AddressSpec]:
-        return self._resolved[sid]
-
-    def contentless_for(self, proto: Proto) -> tuple[int, ...]:
-        """Contentless rules of ``proto``'s bucket: its own plus the ``ip`` ones."""
-        return self._contentless[_PROTO_BUCKET[proto]]
-
-    def port_group(self, tuple_: FiveTuple) -> list[int]:
-        """The contentless rules of the tuple's bucket whose ports admit it,
-        in ``contentless_for`` order: ``ports_match`` on the compiled port sets."""
-        sport, dport = tuple_.src_port, tuple_.dst_port
-        group = []  # a loop: a comprehension here would make closure cells on every call
-        for sid, src, dst, both_ways in self._contentless_ports[_PROTO_BUCKET[tuple_.proto]]:
-            if (sport in src and dport in dst) or (both_ways and dport in src and sport in dst):
-                group.append(sid)
-        return group
+    def admitted(self, tuple_: FiveTuple, hits: Collection[int]) -> set[int]:
+        """The candidates for a packet: the contentless rules of its bucket
+        plus the fast-pattern ``hits`` of its bucket's scan, each kept when
+        its header admits the tuple, either way round for ``<>``. Ports are
+        tested first: they reject most rules, and ``in`` on an address
+        ``range`` costs several times ``in`` on a port frozenset."""
+        proto, sip, sport, dip, dport = tuple_
+        headers = self._contentless[_PROTO_BUCKET[proto]]
+        if hits:  # most packets hit no fast pattern; a tuple iterates faster than a chain
+            headers += tuple(map(self._headers.__getitem__, hits))
+        candidates = set()
+        for sid, sp, dp, sa, da, both_ways in headers:
+            if (sport in sp and dport in dp and (sa is None or sip in sa) and (da is None or dip in da)) or (
+                both_ways and dport in sp and sport in dp and (sa is None or dip in sa) and (da is None or sip in da)
+            ):
+                candidates.add(sid)
+        return candidates
 
     def scan_payload(self, proto: Proto, data) -> tuple[Set[int], Set[int]]:
         """Scan one buffer once; returns (payload-rule sids, stream-rule sids) hit.

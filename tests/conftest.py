@@ -98,26 +98,59 @@ def make_flow(tuple_, state=FlowState.ESTABLISHED, initiator=None):
     return flow
 
 
+_RULE_PROTO = {Proto.TCP: "tcp", Proto.UDP: "udp", Proto.ICMP: "icmp"}
+
+
+def header_matches(rule, t: FiveTuple) -> bool:
+    """The rule's header admits the tuple, read off the parsed specs (no
+    compiled containers); ``$VAR`` addresses resolve as unbound, to any."""
+    if rule.proto != "ip" and rule.proto != _RULE_PROTO.get(t.proto):
+        return False
+    src, dst = rule.src.resolve(None), rule.dst.resolve(None)
+
+    def one_way(a, a_port, b, b_port):
+        return (
+            src.matches(a) and dst.matches(b) and rule.src_ports.matches(a_port) and rule.dst_ports.matches(b_port)
+        )
+
+    return one_way(t.src_ip, t.src_port, t.dst_ip, t.dst_port) or (
+        rule.direction == "<>" and one_way(t.dst_ip, t.dst_port, t.src_ip, t.src_port)
+    )
+
+
 def brute_force_matches(compiled, ctx) -> set[int]:
-    """Evaluate every rule directly, no prefilter."""
-    return {sid for sid, rule in compiled.rules.items() if evaluate_rule(rule, compiled, ctx)}
+    """Check every rule's header and then its flow and options, no prefilter."""
+    return {
+        sid for sid, rule in compiled.rules.items() if header_matches(rule, ctx.tuple) and evaluate_rule(rule, ctx)
+    }
 
 
 def pipeline_matches(compiled, ctx) -> set[int]:
-    return {sid for sid in prefilter(compiled, ctx) if evaluate_rule(compiled.rules[sid], compiled, ctx)}
+    return {sid for sid in prefilter(compiled, ctx) if evaluate_rule(compiled.rules[sid], ctx)}
 
 
 def random_context(rng: random.Random, compiled, proto: Proto | None = None) -> PacketContext:
     """A randomized packet context; payloads sometimes carry rule patterns
-    (possibly truncated into near-misses) so both phases get exercised.
-    ``proto`` fixes the protocol; by default it is drawn, mostly TCP."""
+    (possibly truncated into near-misses) so both phases get exercised, and
+    addresses often fall in a network the rules name, so that address-bound
+    headers match too. ``proto`` fixes the protocol; by default it is drawn,
+    mostly TCP."""
     if proto is None:
         proto = rng.choice([Proto.TCP, Proto.TCP, Proto.TCP, Proto.UDP, Proto.ICMP])
     ports = (0, 0)
     if proto in (Proto.TCP, Proto.UDP):
         pool = [80, 443, 25, 53, 8080, 1337, 6667, rng.randrange(1, 65536)]
         ports = (rng.choice(pool), rng.choice(pool))
-    t = FiveTuple(proto, rng.getrandbits(32), ports[0], rng.getrandbits(32), ports[1])
+    nets = [net for rule in compiled.rules.values() for spec in (rule.src, rule.dst) for net in spec.nets]
+
+    def address() -> int:
+        if nets and rng.random() < 0.5:
+            net, prefix = rng.choice(nets)
+            host_bits = 32 - prefix
+            return (net >> host_bits << host_bits) | rng.getrandbits(host_bits)
+        return rng.getrandbits(32)
+
+    t = FiveTuple(proto, address(), ports[0], address(), ports[1])
 
     payload = bytearray(rng.randbytes(rng.randrange(0, 160)))
     all_rules = list(compiled.rules.values())

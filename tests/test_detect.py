@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     HEARTBLEED_RULE,
     brute_force_matches,
+    header_matches,
     make_context,
     make_flow,
     pipeline_matches,
@@ -28,7 +29,7 @@ from ringids.harness.synth import build_ipv4_tcp_frame
 from ringids.matching import MultiPatternMatcher
 from ringids.packet import TCP_ACK, TCP_SYN, Direction, FiveTuple, PacketPool, Proto, decode, format_ip, parse_ip
 from ringids.ring import Ring
-from ringids.rules import compile_ruleset, load_ruleset, ports_match
+from ringids.rules import compile_ruleset, load_ruleset
 
 
 def compiled_of(*lines):
@@ -36,9 +37,12 @@ def compiled_of(*lines):
 
 
 def eval_single(line, ctx):
+    """Whether the rule on ``line`` matches: the two-phase pipeline and the
+    brute-force oracle must agree, so every semantics test checks both."""
     compiled = compiled_of(line)
-    rule = next(iter(compiled.rules.values()))
-    return evaluate_rule(rule, compiled, ctx)
+    matched = pipeline_matches(compiled, ctx)
+    assert matched == brute_force_matches(compiled, ctx)
+    return bool(matched)
 
 
 TCP_TUPLE = FiveTuple(Proto.TCP, "10.0.0.1", 5555, "10.0.0.2", 443)
@@ -471,9 +475,9 @@ def test_alert_line_equals_reference_past_cache_bounds():
         assert info.currsize == info.maxsize and info.misses > info.maxsize  # evictions ran
 
 
-# --- contentless port groups ------------------------------------------------
+# --- rule headers, decided once in phase 1 ------------------------------------
 
-PORT_GROUP_RULES = "\n".join([
+HEADER_RULES = "\n".join([
     'alert tcp any [80, 8080] <> any [1337, 6667] (flow: established; sid:910001;)',
     'alert tcp any any -> any 443 (flow: to_server; sid:910002;)',
     'alert udp any 53 <> any any (byte_test: 1,>,100,0; sid:910003;)',
@@ -481,17 +485,81 @@ PORT_GROUP_RULES = "\n".join([
     'alert tcp any 25 <> any [80, 443] (content:"MAIL"; sid:910005;)',
     'alert tcp any [25, 443] -> any [80, 1337] (byte_test: 1,>,50,1; sid:910006;)',
     'alert icmp any any -> any any (sid:910007;)',
+    'alert tcp 10.0.0.0/8 80 <> any any (byte_test: 1,>,10,0; sid:910008;)',
+    'alert tcp [10.1.0.0/16, 192.168.1.7] any -> 10.0.0.5 [80, 443] (sid:910009;)',
 ])
 
 
-def test_port_group_matches_ports_match_and_brute_force(corpus_text, scan_kernel):
-    """Contentless `->` and `<>` rules with ports on either side, over random
-    tuples whose ports often hit the rules' lists."""
-    compiled = compile_ruleset(load_ruleset(corpus_text + "\n" + PORT_GROUP_RULES))
+def test_admitted_matches_header_oracle_and_brute_force(corpus_text, scan_kernel):
+    """Contentless and fast-pattern rules, `->` and `<>`, with ports and
+    addresses on either side, over random tuples whose ports and addresses
+    often hit the rules' lists: of the bucket's contentless rules and any
+    fast-pattern hits from the bucket's automaton, phase 1 keeps exactly
+    those whose header the oracle says admits the tuple."""
+    compiled = compile_ruleset(load_ruleset(corpus_text + "\n" + HEADER_RULES))
     rng = random.Random(515)
     for _ in range(400):
         ctx = random_context(rng, compiled)
         t = ctx.tuple
         assert pipeline_matches(compiled, ctx) == brute_force_matches(compiled, ctx)
-        group = compiled.port_group(t)
-        assert group == [s for s in compiled.contentless_for(t.proto) if ports_match(compiled.rules[s], t)]
+        bucket = [sid for sid, rule in compiled.rules.items() if rule.proto in ("ip", t.proto.name.lower())]
+        hits = {sid for sid in bucket if sid not in compiled.contentless and rng.random() < 0.5}
+        expected = {sid for sid in {*compiled.contentless, *hits} if header_matches(compiled.rules[sid], t)}
+        assert compiled.admitted(t, hits) == expected
+
+
+def test_evaluate_rule_reads_no_header():
+    """Phase 2 checks flow and options only: the header is phase 1's."""
+    compiled = compiled_of('alert tcp 10.0.0.0/8 80 -> any 443 (content:"x"; sid:1;)')
+    udp = FiveTuple(Proto.UDP, "1.2.3.4", 9, "5.6.7.8", 9)
+    ctx = make_context(udp, b"x")
+    assert evaluate_rule(compiled.rules[1], ctx)
+    assert prefilter(compiled, ctx) == set() and not header_matches(compiled.rules[1], udp)
+
+
+def test_bidirectional_header_takes_ports_and_addresses_the_same_way_round():
+    """Ports that fit one way round and addresses that fit the other are no
+    match, for a fast-pattern rule and a contentless one alike."""
+    for options in ('content:"x"', "byte_test: 1,=,120,0"):
+        line = f"alert tcp 10.0.0.0/8 80 <> any any ({options}; sid:1;)"
+        crossed = FiveTuple(Proto.TCP, "1.2.3.4", 80, "10.1.1.1", 5555)
+        assert not eval_single(line, make_context(crossed, b"x"))
+        assert not eval_single(line, make_context(crossed.reversed(), b"x"))
+        forward = FiveTuple(Proto.TCP, "10.1.1.1", 80, "1.2.3.4", 5555)
+        assert eval_single(line, make_context(forward, b"x"))
+        assert eval_single(line, make_context(forward.reversed(), b"x"))
+
+
+def test_address_lists_and_prefix_edges():
+    """A bracketed list of nets, an unmasked net, `/0` and `/32`, at and
+    just past each network's edges."""
+    lines = [
+        'alert tcp [10.0.0.0/8, 192.168.1.7, 172.16.0.0/12] any -> any any (content:"x"; sid:1;)',
+        'alert tcp 0.0.0.0/0 any -> 10.0.0.5/32 any (content:"x"; sid:2;)',
+        'alert tcp 192.168.1.77/24 any <> [10.0.0.5, 0.0.0.0/0] any (byte_test: 1,=,120,0; sid:3;)',
+    ]
+    inside = {
+        1: ["10.0.0.0", "10.255.255.255", "192.168.1.7", "172.16.0.0", "172.31.255.255"],
+        3: ["192.168.1.0", "192.168.1.255"],
+    }
+    outside = {
+        1: ["9.255.255.255", "11.0.0.0", "192.168.1.6", "192.168.1.8", "172.15.255.255", "172.32.0.0"],
+        3: ["192.168.0.255", "192.168.2.0"],
+    }
+    for sid in (1, 3):
+        for src in inside[sid]:
+            assert eval_single(lines[sid - 1], make_context(FiveTuple(Proto.TCP, src, 1, "8.8.8.8", 2), b"x"))
+        for src in outside[sid]:
+            assert not eval_single(lines[sid - 1], make_context(FiveTuple(Proto.TCP, src, 1, "8.8.8.8", 2), b"x"))
+    for src in ("0.0.0.0", "255.255.255.255"):
+        assert eval_single(lines[1], make_context(FiveTuple(Proto.TCP, src, 1, "10.0.0.5", 2), b"x"))
+    for dst in ("10.0.0.4", "10.0.0.6"):
+        assert not eval_single(lines[1], make_context(FiveTuple(Proto.TCP, "1.1.1.1", 1, dst, 2), b"x"))
+
+    compiled = compiled_of(*lines)
+    edges = sorted({a for addrs in (*inside.values(), *outside.values()) for a in addrs}
+                   | {"0.0.0.0", "255.255.255.255", "10.0.0.4", "10.0.0.5", "10.0.0.6", "8.8.8.8"})
+    for src in edges:
+        for dst in edges:
+            ctx = make_context(FiveTuple(Proto.TCP, src, 1, dst, 2), b"x")
+            assert pipeline_matches(compiled, ctx) == brute_force_matches(compiled, ctx)

@@ -10,7 +10,7 @@ import types
 
 import pytest
 
-from ringids import detect, flow, packet
+from ringids import detect, flow, packet, rules
 
 ENUM_CLASSES = {"Proto", "Direction", "FlowState"}
 
@@ -23,7 +23,7 @@ HOT_FUNCTIONS = [
     flow.FlowTable.reassemble,
     detect.AnalysisWorker.process_packet,
     detect.prefilter,
-    detect._proto_matches,
+    rules.CompiledRuleSet.admitted,
     detect.format_alert_fast,
 ]
 

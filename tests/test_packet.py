@@ -25,7 +25,7 @@ from ringids.packet import (
     format_ip,
     parse_ip,
 )
-from ringids.harness.synth import build_ipv4_icmp_frame, build_ipv4_tcp_frame, build_ipv4_udp_frame
+from ringids.harness.synth import build_ipv4_frame, build_ipv4_icmp_frame, build_ipv4_tcp_frame, build_ipv4_udp_frame
 
 
 @pytest.fixture
@@ -39,14 +39,31 @@ def test_decode_tcp_frame_offsets_and_tuple(pool):
     )
     desc = decode(frame, 5, pool)
     assert desc.tuple == FiveTuple(Proto.TCP, "10.0.0.1", 1234, "10.0.0.2", 80)
-    assert desc.l3_offset == 14
-    assert desc.l4_offset == 34
     assert desc.payload_offset == 14 + 20 + 20
     assert desc.payload_len == 2
     assert desc.tcp_seq == 77
     assert desc.arrival_us == 5
     # padding beyond the IP length is not payload
     assert pool.frame(desc.slot)[desc.payload_offset : desc.payload_offset + desc.payload_len] == b"hi"
+
+
+def test_decode_later_fragment_is_portless_other(pool):
+    """A non-first fragment's bytes continue the datagram; they are no TCP
+    header, so the frame has no ports, flags or sequence number."""
+    data = b"GET /evil HTTP/1.1\r\nHost: x\r\n\r\n"
+    frame = bytearray(build_ipv4_frame(parse_ip("10.0.0.1"), parse_ip("10.0.0.2"), 6, data))
+    frame[20:22] = (0x2000 | 185).to_bytes(2, "big")  # more fragments, offset 185 x 8 bytes
+    desc = decode(bytes(frame), 0, pool)
+    assert desc.tuple == FiveTuple(Proto.OTHER, "10.0.0.1", 0, "10.0.0.2", 0)
+    assert (desc.tcp_flags, desc.tcp_seq) == (0, 0)
+    assert desc.payload_offset == 14 + 20
+    assert pool.frame(desc.slot)[desc.payload_offset : desc.payload_offset + desc.payload_len] == data
+
+    # the first fragment (offset 0, more fragments) still holds the TCP header
+    first = bytearray(build_ipv4_tcp_frame(parse_ip("10.0.0.1"), 1234, parse_ip("10.0.0.2"), 80, flags=0x18,
+                                           payload=b"hi"))
+    first[20:22] = (0x2000).to_bytes(2, "big")
+    assert decode(bytes(first), 0, pool).tuple == FiveTuple(Proto.TCP, "10.0.0.1", 1234, "10.0.0.2", 80)
 
 
 def test_decode_too_short_frame_is_truncated(pool):
@@ -181,7 +198,7 @@ def test_records_are_immutable_named_tuples():
     assert FiveTuple._fields == ("proto", "src_ip", "src_port", "dst_ip", "dst_port")
     assert FlowKey._fields == ("proto", "ip_a", "port_a", "ip_b", "port_b")
     assert PacketDescriptor._fields[:4] == ("slot", "frame_len", "arrival_us", "tuple")
-    assert desc[3:] == (t, 0, 0, 0, 0, 0, 0)
+    assert desc[3:] == (t, 0, 0, 0, 0)
     # records compare and hash as the plain tuple of their fields
     assert t == (Proto.TCP, parse_ip("10.0.0.1"), 1234, parse_ip("10.0.0.2"), 80)
     assert hash(t) == hash(tuple(t))
@@ -209,8 +226,9 @@ def test_five_tuple_constructor_coerces_and_validates():
 
 @st.composite
 def frames(draw):
-    """Arbitrary bytes, or a well-formed frame of any protocol with some
-    header bytes overwritten and its tail possibly cut off."""
+    """Arbitrary bytes, or a well-formed frame of any protocol, maybe a
+    fragment, with some header bytes overwritten and its tail possibly cut
+    off."""
     kind = draw(st.sampled_from(["raw", "tcp", "udp", "icmp", "other", "oversize"]))
     if kind == "raw":
         return draw(st.binary(max_size=80))
@@ -228,6 +246,8 @@ def frames(draw):
             frame[23] = draw(st.sampled_from([0, 2, 47, 50, 132, 255]))
         elif kind == "oversize":
             frame += bytes(SLOT_SIZE + 1 - len(frame) + draw(st.integers(0, 8)))
+    if draw(st.booleans()):  # flags and fragment offset: a first, later or lone fragment
+        frame[20:22] = draw(st.sampled_from([0x0000, 0x2000, 0x4000, 0x2001, 185, 0x1FFF, 0xFFFF])).to_bytes(2, "big")
     for pos, value in draw(st.lists(st.tuples(st.integers(12, 60), st.integers(0, 255)), max_size=3)):
         if pos < len(frame):
             frame[pos] = value
@@ -248,6 +268,8 @@ def test_decode_arbitrary_bytes_raises_only_decode_errors(frame):
     assert type(t) is FiveTuple and type(t.proto) is Proto
     assert t == FiveTuple(*t)  # the validating constructor accepts what decode built
     assert 0 <= desc.payload_offset and desc.payload_offset + desc.payload_len <= len(frame)
+    if int.from_bytes(frame[20:22], "big") & 0x1FFF:
+        assert t.proto is Proto.OTHER and desc.payload_offset == 14 + (frame[14] & 0x0F) * 4
     pool.release(desc.slot)
     assert pool.in_use_count() == 0
 

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ringids.packet import parse_ip
+from conftest import header_matches
+
+from ringids.packet import FiveTuple, parse_ip
 from ringids.rules import (
     ADDR_ANY,
     PORT_ANY,
@@ -356,10 +358,12 @@ def test_contentless_rules_split_per_protocol():
     )
     compiled = compile_ruleset(load_ruleset(text))
     assert compiled.contentless == [41, 42, 43, 44]
-    assert compiled.contentless_for(Proto.TCP) == (41, 43)
-    assert compiled.contentless_for(Proto.UDP) == (42, 43)
-    assert compiled.contentless_for(Proto.ICMP) == (43, 44)
-    assert compiled.contentless_for(Proto.OTHER) == (43,)
+    expected = {Proto.TCP: {41, 43}, Proto.UDP: {42, 43}, Proto.ICMP: {43, 44}, Proto.OTHER: {43}}
+    for proto, sids in expected.items():
+        ports = (1, 2) if proto in (Proto.TCP, Proto.UDP) else (0, 0)
+        t = FiveTuple(proto, "10.0.0.1", ports[0], "10.0.0.2", ports[1])
+        assert compiled.admitted(t, ()) == sids
+        assert sids == {sid for sid in compiled.contentless if header_matches(compiled.rules[sid], t)}
 
 
 def test_format_parse_roundtrip_over_corpus():
