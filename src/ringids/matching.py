@@ -10,11 +10,22 @@ one accept flag byte per state, and per-state pattern-id outputs merged along
 the failure chain. A scan is then one table load per byte, with no failure
 hops and no search.
 
-There are two kernels over the same table. ``_scan_states`` below is the
-pure-Python reference, and the fallback when the extension is absent. The C
-module ``_dfa`` (built by ``setup.py`` where a compiler exists) does the same
-walk and is used whenever it imports. Both return the set of accepting states
-entered; ``MultiPatternMatcher.scan`` maps those to pattern ids.
+There are two kernels over the same table. Both return the set of accepting
+states that the walk from state 0 enters; ``MultiPatternMatcher.scan`` maps
+those to pattern ids.
+
+- ``_scan_states`` below is the pure-Python reference: one walk, byte by
+  byte. It is also the fallback when the extension is absent.
+- The C module ``_dfa`` (built by ``setup.py`` where a compiler exists) is
+  used whenever it imports. One walk waits on each table load before the
+  next, so ``_dfa.scan(delta, accept, data, depth)`` walks long data as
+  interleaved lanes, one per region, whose loads overlap. ``depth`` is the
+  longest pattern's length. A state is the longest suffix of the input read
+  so far that is a trie prefix, never longer than ``depth``, so a lane
+  started from state 0 is in the reference's state once it has read
+  ``depth`` bytes: each lane after the first walks the ``depth - 1`` bytes
+  before its region without recording, and records from its region's first
+  byte on. Its result is the reference's, state for state.
 """
 
 from __future__ import annotations
@@ -50,8 +61,9 @@ class MultiPatternMatcher:
     """Set-of-patterns matcher; ``scan`` reports which pattern ids occur.
 
     Patterns are non-empty byte strings registered with integer ids before
-    ``build()``. Scanning an input of length n takes exactly n table steps.
-    The table costs 1 KiB per automaton state.
+    ``build()``. Scanning an input of length n takes n table steps on the
+    reference kernel; the C kernel's lanes add ``depth - 1`` steps each, and
+    overlap them. The table costs 1 KiB per automaton state.
     """
 
     def __init__(self):
@@ -61,6 +73,7 @@ class MultiPatternMatcher:
         self._delta = array("I", [0]) * 256
         self._accept = b"\x00"
         self._outputs: list[tuple[int, ...]] = [()]
+        self._depth = 0  # the longest pattern's length: no state is deeper in the trie
 
     def add(self, pattern: bytes, pattern_id: int) -> None:
         if self._built:
@@ -110,6 +123,7 @@ class MultiPatternMatcher:
         self._delta = delta
         self._accept = bytes(1 if out else 0 for out in outputs)
         self._outputs = [tuple(out) for out in outputs]
+        self._depth = max((len(pattern) for pattern, _ in self._patterns), default=0)
         self._built = True
         return self
 
@@ -121,8 +135,11 @@ class MultiPatternMatcher:
         """Return the ids of every pattern occurring anywhere in ``data``."""
         if not self._built:
             raise RuntimeError("build() must be called before scan()")
-        kernel = _dfa.scan if _dfa is not None else _scan_states
+        if _dfa is not None:
+            states = _dfa.scan(self._delta, self._accept, data, self._depth)
+        else:
+            states = _scan_states(self._delta, self._accept, data)
         found: set[int] = set()
-        for state in kernel(self._delta, self._accept, data):
+        for state in states:
             found.update(self._outputs[state])
         return found
