@@ -19,6 +19,7 @@ from .ring import ConfigError
 EPC_BYTES_DEFAULT = 96 * 1024 * 1024  # protected memory available for user data
 ENGINE_BASE_BYTES = 16 * 1024 * 1024  # resident engine code + fixed state
 RULESET_BYTES_PER_RULE = 28 * 1024 * 1024 / 3462  # full community-scale set ~= 28MB
+WARMUP_US_DEFAULT = 7_000_000  # 210 MiB paged in at 30 MiB/s
 
 
 class LifecycleState(Enum):
@@ -68,49 +69,20 @@ class CostModel:
     """Boundary-and-paging overhead parameters.
 
     crossing_cost_us applies only to the five lifecycle calls (the runtime
-    path is exitless). warmup_bytes at warmup_rate give the startup window in
-    which the engine is busy paging its own code and data in.
+    path is exitless). warmup_us is the startup window in which the engine is
+    busy paging its own code and data in.
     """
 
     epc_bytes: int = EPC_BYTES_DEFAULT
     crossing_cost_us: float = 0.0
     paging_penalty: float = 2.0
-    warmup_bytes: int = 210 * 1024 * 1024
-    warmup_rate: float = 30 * 1024 * 1024  # bytes per second
+    warmup_us: int = WARMUP_US_DEFAULT
 
     def __post_init__(self):
-        if min(self.epc_bytes, self.crossing_cost_us, self.paging_penalty, self.warmup_bytes, self.warmup_rate) < 0:
+        if min(self.epc_bytes, self.crossing_cost_us, self.paging_penalty, self.warmup_us) < 0:
             raise ConfigError("cost model coefficients must be >= 0")
         if self.epc_bytes < 1:  # paging_factor divides by it
             raise ConfigError("epc_bytes must be >= 1")
-
-    @classmethod
-    def from_config(
-        cls,
-        epc_mib: float = 96.0,
-        paging_penalty: float = 2.0,
-        warmup_seconds: float | None = None,
-        crossing_cost_us: float = 0.0,
-    ) -> "CostModel":
-        """Build from the harness config keys."""
-        kwargs = dict(
-            epc_bytes=int(epc_mib * 1024 * 1024),
-            paging_penalty=paging_penalty,
-            crossing_cost_us=crossing_cost_us,
-        )
-        if warmup_seconds is not None:
-            kwargs["warmup_bytes"] = int(warmup_seconds * cls.warmup_rate)
-        return cls(**kwargs)
-
-    @property
-    def warmup_seconds(self) -> float:
-        if self.warmup_rate <= 0:
-            return 0.0
-        return self.warmup_bytes / self.warmup_rate
-
-    @property
-    def warmup_us(self) -> int:
-        return int(self.warmup_seconds * 1_000_000)
 
 
 def paging_factor(model: CostModel | None, trusted_footprint_bytes: int) -> float:

@@ -7,8 +7,11 @@ mutable structures it touches are the pool's free list (releasing a slot is
 atomic) and, inline, the transmit ring, which every worker produces onto: a
 worker holds the ring's producer lock around its ``enqueue``. Matching is
 two-phase. Phase 1 (``prefilter``) scans the packet with its bucket's
-automaton and keeps the fast-pattern hits and the bucket's contentless rules
-whose header admits the packet: the header is decided there, once. Phase 2
+automaton, which reports rule sids, and keeps the fast-pattern hits and the
+bucket's contentless rules whose header admits the packet: the header is
+decided there, once. ``prefilter`` is also the one place that splits payload
+from stream: an only-stream rule is a hit when its fast pattern is in the
+reassembled stream bytes, any other rule when it is in the payload. Phase 2
 (``evaluate_rule``) checks each candidate's flow constraints, then its
 payload options in rule order with relative anchoring.
 
@@ -52,6 +55,7 @@ _DAYS_PER_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 SECOND_TEXT_MEMO_ENTRIES = 1_024  # whole seconds whose alert timestamp text is kept
 RULE_TEXT_MEMO_ENTRIES = 4_096  # rules whose alert text is kept
 
+_NO_HITS: frozenset[int] = frozenset()
 _new = tuple.__new__  # builds an Alert from fields known to be valid
 _PROTO_LABEL = {proto: proto.name for proto in Proto}  # alert-line protocol text
 
@@ -155,10 +159,7 @@ def evaluate_rule(rule: Rule, ctx: PacketContext) -> bool:
     if not _flow_matches(rule, ctx):
         return False
 
-    if rule.only_stream:
-        buf = ctx.stream_bytes if ctx.stream_bytes is not None else b""
-    else:
-        buf = ctx.payload
+    buf = ctx.stream_bytes if rule.only_stream else ctx.payload  # _flow_matches saw a stream
     end = len(buf)
 
     anchor = None  # position just past the previous content match
@@ -189,29 +190,28 @@ def evaluate_rule(rule: Rule, ctx: PacketContext) -> bool:
 
 
 def prefilter(compiled: CompiledRuleSet, ctx: PacketContext) -> set[int]:
-    """Phase 1: the rules whose fast pattern occurs in the packet (or in its
-    stream bytes, for stream-only rules), plus the contentless rules, each
-    kept only when its header admits the packet (``CompiledRuleSet.admitted``).
+    """Phase 1: the rules whose fast pattern occurs in their buffer, plus the
+    contentless rules, each kept only when its header admits the packet
+    (``CompiledRuleSet.admitted``). The buffer of an only-stream rule
+    (``compiled.stream_rules``) is the stream bytes, and of any other rule
+    the payload.
 
     The protocol's automaton covers every rule of that protocol, so the
-    payload is scanned once, and the stream bytes only when they are not the
-    payload object itself (in-order reassembly delivers the payload as it
-    came).
+    payload is scanned once. When the stream bytes are the payload object
+    itself (in-order reassembly delivers the payload as it came), that one
+    scan serves both. Otherwise the payload scan's only-stream hits are
+    dropped, and the stream bytes, if any, are scanned for only-stream hits.
     """
     t = ctx.tuple
     proto = t.proto
     payload = ctx.payload
     stream = ctx.stream_bytes
-    hits: set[int] = set()
-    if payload:
-        payload_hits, stream_hits = compiled.scan_payload(proto, payload)
-        hits |= payload_hits
-        if stream is payload:
-            hits |= stream_hits
-            stream = None
-    if stream:
-        _, stream_hits = compiled.scan_payload(proto, stream)
-        hits |= stream_hits
+    hits = compiled.scan_payload(proto, payload) if payload else _NO_HITS
+    stream_rules = compiled.stream_rules
+    if stream is not payload and stream_rules:
+        hits = hits - stream_rules
+        if stream:
+            hits |= compiled.scan_payload(proto, stream) & stream_rules
     return compiled.admitted(t, hits)
 
 

@@ -166,7 +166,6 @@ class SegmentBuffer:
 @dataclass
 class Flow:
     key: FlowKey
-    created_us: int
     last_seen_us: int
     state: FlowState = NEW
     initiator_direction: Direction = FORWARD  # side that sent the first packet
@@ -191,9 +190,8 @@ class Flow:
         return direction is self.initiator_direction
 
 
-def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction, now_us: int) -> tuple[FlowState, FlowState]:
-    """Advance counters and the state machine; returns (old, new) state."""
-    old = flow.state
+def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction, now_us: int) -> None:
+    """Advance counters and the state machine."""
     if now_us > flow.last_seen_us:
         flow.last_seen_us = now_us
     if direction is FORWARD:
@@ -205,7 +203,7 @@ def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction, now_us
         flags = desc.tcp_flags
         if flags & TCP_SYN and flags & TCP_FIN:
             flow.bad_flag_events += 1  # nonsensical combination; state unchanged
-            return old, flow.state
+            return
         if flags & TCP_SYN:
             # the SYN consumes one sequence number; stream data starts past it
             buf = flow.buffer(direction)
@@ -218,7 +216,6 @@ def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction, now_us
         if flow.state is NEW and flow.pkts_fwd > 0 and flow.pkts_rev > 0:
             flow.state = ESTABLISHED
             flow.saw_established = True
-    return old, flow.state
 
 
 def _advance_tcp(flow: Flow, flags: int, direction: Direction) -> None:
@@ -274,7 +271,7 @@ class FlowTable:
             return flow, False
         if len(self._flows) >= self.max_flows:
             raise TableFull(f"flow table at {self.max_flows} entries")
-        flow = Flow(key=key, created_us=now_us, last_seen_us=now_us)
+        flow = Flow(key=key, last_seen_us=now_us)
         self._flows[key] = flow
         self.footprint_bytes += flow.footprint_bytes
         self.created_total += 1

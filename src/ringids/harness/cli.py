@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..boundary import CostModel, OrderError
+from ..boundary import WARMUP_US_DEFAULT, CostModel, OrderError
 from ..rules import ParseError
 from .pcapio import pcap_write
 from .runner import (
@@ -99,8 +99,10 @@ def _run(args) -> int:
     workload = _workload_from_args(args)
     cost_model = None
     if args.cost_model == "on":
-        cost_model = CostModel.from_config(
-            epc_mib=args.epc_mib, paging_penalty=args.paging_penalty, warmup_seconds=args.warmup_seconds
+        cost_model = CostModel(
+            epc_bytes=int(args.epc_mib * 1024 * 1024),
+            paging_penalty=args.paging_penalty,
+            warmup_us=WARMUP_US_DEFAULT if args.warmup_seconds is None else round(args.warmup_seconds * 1_000_000),
         )
     config = EngineConfig(
         n_workers=args.threads,

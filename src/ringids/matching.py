@@ -8,11 +8,13 @@ starts as a copy of its failure state's row and its own children are written
 over it. The result is a flat ``array("I")`` ``delta[state * 256 + byte]``,
 one accept flag byte per state, and per-state pattern-id outputs merged along
 the failure chain. A scan is then one table load per byte, with no failure
-hops and no search.
+hops and no search. Pattern ids are the caller's: the ruleset registers each
+fast pattern under its rule's sid, and rules with equal patterns share one
+accepting state whose outputs name them all.
 
 There are two kernels over the same table. Both return the set of accepting
 states that the walk from state 0 enters; ``MultiPatternMatcher.scan`` maps
-those to pattern ids.
+those to the ids of their patterns.
 
 - ``_scan_states`` below is the pure-Python reference: one walk, byte by
   byte. It is also the fallback when the extension is absent.

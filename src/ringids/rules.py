@@ -26,11 +26,13 @@ reference. Any other option keyword is kept opaque and evaluates as
 vacuously true, with a per-rule warning. Compilation picks each rule's
 longest content pattern as its fast pattern and builds one multi-pattern
 automaton per L4 bucket over that protocol's fast patterns plus the ``ip``
-rules' ones, so the prefilter scans each buffer once. Rules without content
-go to their bucket's contentless list. Each rule's header is compiled once,
-to port sets and address ranges, and ``CompiledRuleSet.admitted`` is the one
-place it is checked: the bucket settles the protocol, and ports and addresses
-are tested together, either way round for ``<>``.
+rules' ones, so the prefilter scans each buffer once. Each pattern is
+registered under its rule's sid, so a scan reports rule sids directly. Rules
+without content go to their bucket's contentless list. Each rule's header is
+compiled once, to port sets and address ranges, and
+``CompiledRuleSet.admitted`` is the one place it is checked: the bucket
+settles the protocol, and ports and addresses are tested together, either
+way round for ``<>``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ RULE_ACTIONS = ("alert", "drop")
 RULE_PROTOS = ("tcp", "udp", "icmp", "ip")
 
 _PROTO_BUCKET = {Proto.TCP: "tcp", Proto.UDP: "udp", Proto.ICMP: "icmp", Proto.OTHER: "ip"}
-_NO_HITS: tuple[frozenset[int], frozenset[int]] = (frozenset(), frozenset())
+_NO_SIDS: frozenset[int] = frozenset()
 _ANY_PORT = range(65_536)  # every 16-bit port; `in` on a range is one bounds check
 
 
@@ -706,51 +708,36 @@ class CompiledRuleSet:
     Rules are grouped per L4 bucket (``tcp``, ``udp``, ``icmp``, and ``ip``
     for any other protocol), as Snort 2 groups fast patterns per protocol.
     Each bucket's automaton holds that protocol's fast patterns plus those of
-    the ``ip`` rules, so one scan covers every rule a packet can match. A hit
-    maps back to the owning rule sids, split by whether the rule matches raw
-    payload or reassembled stream bytes; a pattern shared by a protocol rule
-    and an ``ip`` rule maps to both. Contentless rules are candidates on
-    every packet of their bucket whose header admits it.
+    the ``ip`` rules, each under its rule's sid, so one scan covers every rule
+    a packet can match and reports sids; rules that share a pattern share its
+    accepting state, and a hit names them all. ``scan_payload`` does not know
+    which buffer it scans: ``detect.prefilter`` keeps the ``stream_rules``
+    hits of the stream scan and the others of the payload scan. Contentless
+    rules are candidates on every packet of their bucket whose header admits
+    it.
     """
 
     def __init__(self, ruleset: RuleSet):
         self.rules: dict[int, Rule] = {}
-        self.contentless: list[int] = []
         self._headers: dict[int, tuple] = {}  # sid -> compiled header
-        self._matchers: dict[str, MultiPatternMatcher] = {}
-        # per bucket: pattern id -> (payload-rule sids, stream-rule sids)
-        self._pattern_rules: dict[str, list[tuple[list[int], list[int]]]] = {}
-        self._contentless: dict[str, tuple[tuple, ...]] = {}  # per bucket: contentless rules' headers
-
-        # per rule protocol: fast pattern -> (payload-rule sids, stream-rule sids)
-        by_proto: dict[str, dict[bytes, tuple[list[int], list[int]]]] = {p: {} for p in RULE_PROTOS}
+        contentless: dict[str, list[tuple]] = {bucket: [] for bucket in RULE_PROTOS}
+        matchers = {bucket: MultiPatternMatcher() for bucket in RULE_PROTOS}
         for rule in ruleset.rules:
-            self.rules[rule.sid] = rule
-            self._headers[rule.sid] = _header(rule, ruleset.variables)
+            sid = rule.sid
+            self.rules[sid] = rule
+            header = self._headers[sid] = _header(rule, ruleset.variables)
             fast = rule.fast_pattern
-            if fast is None:
-                self.contentless.append(rule.sid)
-                continue
-            payload_sids, stream_sids = by_proto[rule.proto].setdefault(fast, ([], []))
-            (stream_sids if rule.only_stream else payload_sids).append(rule.sid)
-
-        for bucket in RULE_PROTOS:
-            members = (bucket, "ip") if bucket != "ip" else ("ip",)
-            self._contentless[bucket] = tuple(
-                self._headers[sid] for sid in self.contentless if self.rules[sid].proto in members
-            )
-            merged: dict[bytes, tuple[list[int], list[int]]] = {}
-            for proto in members:
-                for pattern, (payload_sids, stream_sids) in by_proto[proto].items():
-                    into_payload, into_stream = merged.setdefault(pattern, ([], []))
-                    into_payload.extend(payload_sids)
-                    into_stream.extend(stream_sids)
-            self._pattern_rules[bucket] = list(merged.values())
-            if merged:
-                m = MultiPatternMatcher()
-                for pid, pattern in enumerate(merged):
-                    m.add(pattern, pid)
-                self._matchers[bucket] = m.build()
+            for bucket in RULE_PROTOS if rule.proto == "ip" else (rule.proto,):
+                if fast is None:
+                    contentless[bucket].append(header)
+                else:
+                    matchers[bucket].add(fast, sid)
+        # per bucket: the contentless rules' headers, and an automaton whose
+        # pattern ids are the fast-pattern rules' sids
+        self._contentless = {bucket: tuple(headers) for bucket, headers in contentless.items()}
+        self._matchers = {bucket: m.build() for bucket, m in matchers.items() if len(m)}
+        # the rules matched on reassembled stream bytes, not on the payload
+        self.stream_rules = frozenset(sid for sid, rule in self.rules.items() if rule.only_stream)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -773,24 +760,12 @@ class CompiledRuleSet:
                 candidates.add(sid)
         return candidates
 
-    def scan_payload(self, proto: Proto, data) -> tuple[Set[int], Set[int]]:
-        """Scan one buffer once; returns (payload-rule sids, stream-rule sids) hit.
-
-        The result is read-only: a scan with no hits returns one shared pair
-        of empty frozensets."""
-        bucket = _PROTO_BUCKET[proto]
-        matcher = self._matchers.get(bucket)
-        pids = matcher.scan(data) if matcher is not None else ()
-        if not pids:
-            return _NO_HITS
-        payload_hits: set[int] = set()
-        stream_hits: set[int] = set()
-        table = self._pattern_rules[bucket]
-        for pid in pids:
-            payload_sids, stream_sids = table[pid]
-            payload_hits.update(payload_sids)
-            stream_hits.update(stream_sids)
-        return payload_hits, stream_hits
+    def scan_payload(self, proto: Proto, data) -> Set[int]:
+        """Scan one buffer once; returns the sids of the bucket's rules whose
+        fast pattern occurs in it, only-stream rules included. The result is
+        read-only: a bucket with no fast patterns returns a shared empty set."""
+        matcher = self._matchers.get(_PROTO_BUCKET[proto])
+        return matcher.scan(data) if matcher is not None else _NO_SIDS
 
 
 def compile_ruleset(ruleset: RuleSet) -> CompiledRuleSet:

@@ -1,4 +1,4 @@
-"""Shared fixtures: rules corpus, scan kernels, random packet contexts, brute-force oracle."""
+"""Shared fixtures: rules corpus, scan kernels, random packet contexts, brute-force and phase-1 oracles."""
 
 import importlib.util
 import random
@@ -92,7 +92,7 @@ def make_context(tuple_, payload: bytes, flow: Flow | None = None, direction=Dir
 
 def make_flow(tuple_, state=FlowState.ESTABLISHED, initiator=None):
     key, direction = canonical_key(tuple_)
-    flow = Flow(key=key, created_us=0, last_seen_us=0, state=state)
+    flow = Flow(key=key, last_seen_us=0, state=state)
     flow.initiator_direction = initiator if initiator is not None else direction
     flow.saw_established = state in (FlowState.ESTABLISHED, FlowState.CLOSING, FlowState.CLOSED)
     return flow
@@ -123,6 +123,22 @@ def brute_force_matches(compiled, ctx) -> set[int]:
     return {
         sid for sid, rule in compiled.rules.items() if header_matches(rule, ctx.tuple) and evaluate_rule(rule, ctx)
     }
+
+
+def reference_candidates(compiled, ctx) -> set[int]:
+    """Phase 1 spelled out: every rule whose header admits the tuple and that
+    is contentless or has its fast pattern in its buffer, which is the stream
+    bytes (none read as empty) for an only-stream rule and the payload for
+    any other."""
+    candidates = set()
+    for sid, rule in compiled.rules.items():
+        if not header_matches(rule, ctx.tuple):
+            continue
+        fast = rule.fast_pattern
+        buf = (ctx.stream_bytes or b"") if rule.only_stream else ctx.payload
+        if fast is None or fast in buf:
+            candidates.add(sid)
+    return candidates
 
 
 def pipeline_matches(compiled, ctx) -> set[int]:

@@ -1,8 +1,11 @@
 """Lifecycle ordering and the paging cost model."""
 
 import itertools
+import os
 
 import pytest
+
+from conftest import CORPUS_PATH
 
 from ringids.boundary import (
     CostModel,
@@ -14,6 +17,7 @@ from ringids.boundary import (
     ruleset_bytes,
     trusted_footprint,
 )
+from ringids.harness.cli import main as cli_main
 
 SEQUENCE = [
     LifecycleEvent.INITIALIZE,
@@ -93,7 +97,14 @@ def test_negative_coefficients_rejected():
         CostModel(paging_penalty=-1.0)
 
 
-def test_warmup_seconds_from_config():
-    model = CostModel.from_config(warmup_seconds=7.0)
-    assert model.warmup_seconds == pytest.approx(7.0)
-    assert model.warmup_us == 7_000_000
+def test_cli_warmup_seconds_sets_the_warmup_window(capsys):
+    """``--warmup-seconds 4`` keeps the engine paging itself in for the whole
+    first 3 s interval, so every frame waits and is analysed in the next."""
+    rc = cli_main(["run", "--synth", "256,16", "--count", "2000", "--rules", str(CORPUS_PATH),
+                   "--cost-model", "on", "--warmup-seconds", "4", "--report", "csv", "--alert-file", os.devnull])
+    assert rc == 0
+    rows = {tuple(line.split(",")[:2]): line.split(",") for line in capsys.readouterr().out.splitlines()}
+    header = rows[("row", "index")]
+    first, second = (dict(zip(header, rows[("interval", str(i))])) for i in (0, 1))
+    assert (first["received"], first["analyzed"], first["paging_pct"]) == ("2000", "0", "100.000")
+    assert (second["analyzed"], second["paging_pct"]) == ("2000", "0.000")

@@ -13,6 +13,7 @@ from conftest import (
     make_flow,
     pipeline_matches,
     random_context,
+    reference_candidates,
 )
 
 from ringids import detect
@@ -502,10 +503,45 @@ def test_admitted_matches_header_oracle_and_brute_force(corpus_text, scan_kernel
         ctx = random_context(rng, compiled)
         t = ctx.tuple
         assert pipeline_matches(compiled, ctx) == brute_force_matches(compiled, ctx)
-        bucket = [sid for sid, rule in compiled.rules.items() if rule.proto in ("ip", t.proto.name.lower())]
-        hits = {sid for sid in bucket if sid not in compiled.contentless and rng.random() < 0.5}
-        expected = {sid for sid in {*compiled.contentless, *hits} if header_matches(compiled.rules[sid], t)}
+        bucket = [rule for rule in compiled.rules.values() if rule.proto in ("ip", t.proto.name.lower())]
+        contentless = {rule.sid for rule in bucket if rule.fast_pattern is None}
+        hits = {rule.sid for rule in bucket if rule.fast_pattern is not None and rng.random() < 0.5}
+        expected = {sid for sid in contentless | hits if header_matches(compiled.rules[sid], t)}
         assert compiled.admitted(t, hits) == expected
+
+
+SHARED_PATTERN_RULES = "\n".join([
+    'alert tcp any any -> any any (content:"sharedfast"; sid:920001;)',
+    'alert ip any any -> any any (content:"sharedfast"; sid:920002;)',
+    'alert tcp any any -> any any (flow: only_stream; content:"sharedfast"; sid:920003;)',
+    'alert ip any any -> any any (flow: only_stream; content:"sharedfast"; sid:920004;)',
+    'alert tcp any any -> any any (flow: only_stream; byte_test: 1,>,3,0; sid:920005;)',
+])
+
+
+def test_prefilter_equals_reference_candidates(corpus_text, scan_kernel):
+    """Phase 1 yields exactly the reference's candidates, not merely a
+    superset of the matches: the timing model prices each one. The rules add
+    one fast pattern shared by tcp, ``ip`` and only-stream rules, and a
+    contentless only-stream rule; the stream is absent, empty, the payload
+    object itself, an equal copy or other bytes holding a pattern."""
+    compiled = compile_ruleset(load_ruleset(corpus_text + "\n" + SHARED_PATTERN_RULES))
+    patterns = [rule.fast_pattern for rule in compiled.rules.values() if rule.fast_pattern is not None]
+    rng = random.Random(1717)
+
+    def with_pattern(data: bytes) -> bytes:
+        pattern = b"sharedfast" if rng.random() < 0.5 else rng.choice(patterns)
+        pos = rng.randrange(len(data) + 1)
+        return data[:pos] + pattern + data[pos:]
+
+    for i in range(1500):
+        ctx = random_context(rng, compiled, proto=rng.choice([None, None, None, Proto.OTHER]))
+        if rng.random() < 0.3:
+            ctx.payload = with_pattern(ctx.payload)
+        payload = ctx.payload
+        streams = (None, b"", payload, bytes(bytearray(payload)), with_pattern(rng.randbytes(rng.randrange(60))))
+        ctx.stream_bytes = streams[i % len(streams)]
+        assert prefilter(compiled, ctx) == reference_candidates(compiled, ctx)
 
 
 def test_evaluate_rule_reads_no_header():

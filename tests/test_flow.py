@@ -42,7 +42,7 @@ def test_lookup_or_create_and_reverse_hits_same_flow():
     desc = make_desc()
     key, direction = key_of(desc)
     flow, created = table.lookup_or_create(key, 100)
-    assert created and flow.created_us == 100
+    assert created and flow.last_seen_us == 100
     assert flow.state is FlowState.NEW
     assert (flow.pkts_fwd, flow.pkts_rev) == (0, 0)
     rev_key, rev_dir = canonical_key(desc.tuple.reversed())
@@ -108,8 +108,8 @@ def test_nonsense_flags_recorded_not_transitioned():
     desc = make_desc(flags=TCP_SYN | TCP_FIN)
     key, d = key_of(desc)
     flow, _ = table.lookup_or_create(key, 0)
-    old, new = update_flow(flow, desc, d, 1)
-    assert old == new == FlowState.NEW
+    assert update_flow(flow, desc, d, 1) is None
+    assert flow.state is FlowState.NEW
     assert flow.bad_flag_events == 1
 
 

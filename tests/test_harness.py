@@ -378,7 +378,7 @@ def test_crossing_cost_shifts_elapsed():
     wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=4, packet_count=500, seed=9)
     plain = run_experiment(wl, base_config(cost_model=None))
     priced = run_experiment(
-        wl, base_config(cost_model=CostModel(crossing_cost_us=1000.0, warmup_bytes=0))
+        wl, base_config(cost_model=CostModel(crossing_cost_us=1000.0, warmup_us=0))
     )
     # five lifecycle crossings at 1ms each
     assert priced.elapsed_us - plain.elapsed_us == pytest.approx(5000, abs=5)
@@ -460,7 +460,7 @@ def test_real_clock_prices_each_crossing_once():
     """As in the sim run: the three set-up crossings, stop and shutdown each
     add their cost once, and elapsed time stays within the call's wall time."""
     wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=4, packet_count=10, seed=9)
-    model = CostModel(crossing_cost_us=50_000.0, warmup_bytes=0)
+    model = CostModel(crossing_cost_us=50_000.0, warmup_us=0)
     t0 = time.monotonic()
     report = run_experiment(wl, base_config(clock_mode="real", cost_model=model))
     wall_us = (time.monotonic() - t0) * 1e6
@@ -682,7 +682,7 @@ GOLDEN_SCHEDULES = {
         dict(packet_size=256, n_flows=48, duration_s=7.0, repeat=True, seed=7, attack_sid=30514, attack_rate=0.03),
         dict(n_workers=3, inline=True, ring_capacity=16, pool_capacity=20, rate_pps=700.0,
              cost_model=CostModel(epc_bytes=17 * 1024 * 1024, crossing_cost_us=5.0,
-                                  warmup_bytes=15 * 1024 * 1024)),
+                                  warmup_us=500_000)),
         ("36bd0318f75cda89", "f8110c4d74707433", "6ce5c072f23d1dfb"),
     ),
     # unpaced source, packet count not a multiple of the burst: ring-full drops

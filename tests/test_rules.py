@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import header_matches
 
-from ringids.packet import FiveTuple, parse_ip
+from ringids.packet import FiveTuple, Proto, parse_ip
 from ringids.rules import (
     ADDR_ANY,
     PORT_ANY,
@@ -298,25 +298,37 @@ def test_compile_fast_pattern_is_longest_content():
 def test_compile_contentless_bucket():
     rs = load_ruleset('alert tcp any any -> any any (flow: established; byte_test: 2,>,1,0; sid:12;)')
     compiled = compile_ruleset(rs)
-    assert compiled.contentless == [12]
+    assert compiled.scan_payload(Proto.TCP, b"\x00\x05 any bytes") == set()
+    assert compiled.admitted(FiveTuple(Proto.TCP, "10.0.0.1", 1, "10.0.0.2", 2), ()) == {12}
 
 
 def test_compile_every_rule_reachable():
+    """Every corpus rule is a candidate in each bucket it belongs to: a
+    fast-pattern rule through that bucket's scan of its pattern, a
+    contentless one with no hits at all, on a tuple its header admits."""
     rs = load_ruleset(CORPUS.read_text())
     compiled = compile_ruleset(rs)
-    fast_sids = set()
-    for bucket in ("tcp", "udp", "icmp", "ip"):
-        for payload_sids, stream_sids in compiled._pattern_rules[bucket]:
-            fast_sids.update(payload_sids)
-            fast_sids.update(stream_sids)
-    contentless = set(compiled.contentless)
-    assert fast_sids.isdisjoint(contentless)
-    assert fast_sids | contentless == {r.sid for r in rs.rules}
+    bucket_protos = {"tcp": [Proto.TCP], "udp": [Proto.UDP], "icmp": [Proto.ICMP], "ip": list(Proto)}
+
+    def address(spec):
+        return spec.nets[0][0] if spec.nets else parse_ip("192.0.2.1")
+
+    for rule in rs.rules:
+        for proto in bucket_protos[rule.proto]:
+            if proto in (Proto.TCP, Proto.UDP):
+                ports = [min(spec.ports) if spec.ports else 1 for spec in (rule.src_ports, rule.dst_ports)]
+            elif rule.src_ports.any_port and rule.dst_ports.any_port:
+                ports = [0, 0]
+            else:
+                continue  # no portless packet meets a port list
+            t = FiveTuple(proto, address(rule.src), ports[0], address(rule.dst), ports[1])
+            assert header_matches(rule, t)
+            hits = compiled.scan_payload(proto, rule.fast_pattern or b"")
+            assert (rule.sid in hits) == (rule.fast_pattern is not None)
+            assert rule.sid in compiled.admitted(t, hits)
 
 
 def test_shared_fast_pattern_yields_both_rules():
-    from ringids.packet import Proto
-
     text = "\n".join(
         [
             'alert tcp any any -> any any (content:"abc"; sid:21;)',
@@ -324,13 +336,13 @@ def test_shared_fast_pattern_yields_both_rules():
         ]
     )
     compiled = compile_ruleset(load_ruleset(text))
-    payload_hits, _ = compiled.scan_payload(Proto.TCP, b"xx abc yy")
-    assert payload_hits == {21, 22}
+    assert compiled.scan_payload(Proto.TCP, b"xx abc yy") == {21, 22}
 
 
 def test_fast_pattern_shared_by_tcp_and_ip_rules():
-    from ringids.packet import Proto
-
+    """A pattern shared by a tcp rule and ``ip`` rules names all of them in
+    the tcp bucket and only the ``ip`` ones elsewhere; the scan reports
+    only-stream rules too, and the prefilter tells them apart."""
     text = "\n".join(
         [
             'alert tcp any any -> any any (content:"abc"; sid:31;)',
@@ -340,14 +352,13 @@ def test_fast_pattern_shared_by_tcp_and_ip_rules():
         ]
     )
     compiled = compile_ruleset(load_ruleset(text))
-    assert compiled.scan_payload(Proto.TCP, b"xx abc yy") == ({31, 32}, {33})
+    assert compiled.scan_payload(Proto.TCP, b"xx abc yy") == {31, 32, 33}
     for proto in (Proto.UDP, Proto.ICMP, Proto.OTHER):
-        assert compiled.scan_payload(proto, b"xx abc yy") == ({32}, {33})
+        assert compiled.scan_payload(proto, b"xx abc yy") == {32, 33}
+    assert compiled.stream_rules == {33}
 
 
 def test_contentless_rules_split_per_protocol():
-    from ringids.packet import Proto
-
     text = "\n".join(
         [
             'alert tcp any any -> any any (flow: established; sid:41;)',
@@ -357,13 +368,13 @@ def test_contentless_rules_split_per_protocol():
         ]
     )
     compiled = compile_ruleset(load_ruleset(text))
-    assert compiled.contentless == [41, 42, 43, 44]
     expected = {Proto.TCP: {41, 43}, Proto.UDP: {42, 43}, Proto.ICMP: {43, 44}, Proto.OTHER: {43}}
     for proto, sids in expected.items():
+        assert compiled.scan_payload(proto, b"\x05 any bytes") == set()
         ports = (1, 2) if proto in (Proto.TCP, Proto.UDP) else (0, 0)
         t = FiveTuple(proto, "10.0.0.1", ports[0], "10.0.0.2", ports[1])
         assert compiled.admitted(t, ()) == sids
-        assert sids == {sid for sid in compiled.contentless if header_matches(compiled.rules[sid], t)}
+        assert sids == {sid for sid in compiled.rules if header_matches(compiled.rules[sid], t)}
 
 
 def test_format_parse_roundtrip_over_corpus():
