@@ -12,6 +12,13 @@ low six bits.
 A flow's ring never changes, so the worker memoises the ring index per
 5-tuple, as an RSS indirection table caches dispatch: the hash runs once per
 tuple seen, not once per frame. The memo is bounded and is cleared when full.
+
+``murmur3_32`` is the compiled twin from the optional extension ``_dfa``
+where it imports, and the Python body ``_murmur3_32`` otherwise; that body is
+the reference the twin's parity tests compare it against. ``decode`` is
+``packet.decode``, likewise a twin where the extension imports. The one
+extension holds every twin or none, so "native" in ``matching.kernel_name()``
+covers the scan kernel, the decoder and this hash.
 """
 
 from __future__ import annotations
@@ -30,6 +37,11 @@ from .packet import (
 )
 from .ring import Ring
 
+try:
+    from . import _dfa
+except ImportError:
+    _dfa = None
+
 RING_SELECT_BITS = 0x3F  # low six bits of the flow hash pick the ring
 RING_MEMO_ENTRIES = 16_384  # 5-tuples whose ring index a worker remembers
 
@@ -37,8 +49,11 @@ RING_MEMO_ENTRIES = 16_384  # 5-tuples whose ring index a worker remembers
 _BLOCK_READERS: dict[int, Callable] = {}  # whole-block byte count -> unpack of its 32-bit blocks
 
 
-def murmur3_32(data: bytes, seed: int = 0) -> int:
+def _murmur3_32(data: bytes, seed: int = 0) -> int:
     """MurmurHash3 x86 32-bit; the avalanche mix behind flow dispatch.
+
+    The reference for ``murmur3_32``'s compiled twin, and ``murmur3_32``
+    itself where the extension is absent.
 
     The 32-bit blocks are read by one ``struct`` unpack, cached per block
     count, and the rotations are written out in line: a flow key is hashed
@@ -69,6 +84,9 @@ def murmur3_32(data: bytes, seed: int = 0) -> int:
     h ^= h >> 13
     h = (h * 0xC2B2AE35) & 0xFFFFFFFF
     return h ^ (h >> 16)
+
+
+murmur3_32 = _murmur3_32 if _dfa is None else _dfa.murmur3_32
 
 
 def rss_hash(tuple_: FiveTuple) -> int:

@@ -11,6 +11,7 @@ warmup window during which consumption is throttled. The engine takes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -79,7 +80,10 @@ class CostModel:
     warmup_us: int = WARMUP_US_DEFAULT
 
     def __post_init__(self):
-        if min(self.epc_bytes, self.crossing_cost_us, self.paging_penalty, self.warmup_us) < 0:
+        coefficients = (self.epc_bytes, self.crossing_cost_us, self.paging_penalty, self.warmup_us)
+        if any(isinstance(c, float) and not math.isfinite(c) for c in coefficients):  # NaN would price silently
+            raise ConfigError("cost model coefficients must be finite")
+        if min(coefficients) < 0:
             raise ConfigError("cost model coefficients must be >= 0")
         if self.epc_bytes < 1:  # paging_factor divides by it
             raise ConfigError("epc_bytes must be >= 1")

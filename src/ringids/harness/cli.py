@@ -8,6 +8,7 @@ writes a synthetic workload to a capture file. Exit code 0 on a clean run,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from ..boundary import WARMUP_US_DEFAULT, CostModel, OrderError
@@ -99,6 +100,10 @@ def _run(args) -> int:
     workload = _workload_from_args(args)
     cost_model = None
     if args.cost_model == "on":
+        for flag, value in (("--epc-mib", args.epc_mib), ("--paging-penalty", args.paging_penalty),
+                            ("--warmup-seconds", args.warmup_seconds)):
+            if value is not None and not math.isfinite(value):  # int() and round() of one raise mid-conversion
+                raise ConfigError(f"{flag} must be a finite number, not {value}")
         cost_model = CostModel(
             epc_bytes=int(args.epc_mib * 1024 * 1024),
             paging_penalty=args.paging_penalty,

@@ -694,7 +694,7 @@ def _build_report(
                 "clock": cfg.clock_mode,
                 "rate_pps": cfg.rate_pps,
                 "cost_model": cfg.cost_model is not None,
-                "kernel": kernel_name(),
+                "kernel": kernel_name(),  # scan, frame decode and flow hash: all native or all pure-python
                 **clock_rates,
             },
         },

@@ -44,7 +44,11 @@ NATIVE_AVAILABLE = _dfa is not None
 
 
 def kernel_name() -> str:
-    """The kernel ``MultiPatternMatcher.scan`` runs: "native" or "pure-python"."""
+    """The kernels in use: "native" or "pure-python".
+
+    The extension holds every compiled twin or none, so this one name covers
+    the scan kernel, ``packet.decode`` and ``acquire.murmur3_32``.
+    """
     return "native" if _dfa is not None else "pure-python"
 
 

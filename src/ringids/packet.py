@@ -15,6 +15,15 @@ The enum members are also bound to module constants (``TCP``, ``FORWARD``,
 ...), and the per-frame code reads those. Reading a member through its class,
 as in ``Proto.TCP``, goes through the enum metaclass's attribute hook and
 costs about ten times a module global; a frame would pay it about ten times.
+
+``decode`` is the compiled twin from the optional extension ``_dfa`` where it
+imports, bound once here by ``_bind_decoder``: it runs every check of the
+Python body ``_decode`` in the same order with the same errors, takes its
+slot through ``pool.store`` after the last check, and builds both records in
+C. ``_decode`` is the reference its parity tests compare it against, and is
+``decode`` where the extension is absent. "native" in
+``matching.kernel_name()`` means all of the extension's twins are in use:
+the scan kernel, this decoder and ``acquire.murmur3_32``.
 """
 
 from __future__ import annotations
@@ -24,6 +33,11 @@ import struct
 from collections import deque
 from enum import Enum, IntEnum
 from typing import NamedTuple
+
+try:
+    from . import _dfa
+except ImportError:
+    _dfa = None
 
 ETHER_HDR_LEN = 14
 ETHERTYPE_IPV4 = 0x0800
@@ -275,8 +289,11 @@ class PacketPool:
         return self._next_unused - len(self._released)
 
 
-def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
+def _decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
     """Ingest one raw Ethernet frame: store it in the pool and decode headers.
+
+    The reference for ``decode``'s compiled twin, and ``decode`` itself where
+    the extension is absent.
 
     Sanity checks: IPv4 version, header lengths consistent with the frame,
     transport header fits. Every check runs before the pool is touched, so a
@@ -351,3 +368,12 @@ def decode(frame, arrival_us: int, pool: PacketPool) -> PacketDescriptor:
             tcp_seq,
         ),
     )
+
+
+def _bind_decoder(dfa):
+    """The compiled twin of ``_decode`` from the extension module ``dfa``,
+    bound to this module's records, protocol members and errors."""
+    return dfa.decoder(PacketDescriptor, FiveTuple, OTHER, ICMP, TCP, UDP, TruncatedFrame, UnsupportedL3)
+
+
+decode = _decode if _dfa is None else _bind_decoder(_dfa)

@@ -1,4 +1,5 @@
-"""Shared fixtures: rules corpus, scan kernels, random packet contexts, brute-force and phase-1 oracles."""
+"""Shared fixtures: rules corpus, scan and acquisition kernels, random packet contexts, brute-force and
+phase-1 oracles."""
 
 import importlib.util
 import random
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from ringids import matching
+from ringids import acquire, matching, packet
 from ringids.detect import PacketContext, evaluate_rule, prefilter
 from ringids.flow import Flow, FlowState
 from ringids.packet import Direction, FiveTuple, Proto, canonical_key
@@ -71,6 +72,21 @@ def scan_kernel(request, monkeypatch):
     handle = request.getfixturevalue("native_dfa") if request.param == "native" else None
     monkeypatch.setattr(matching, "_dfa", handle)
     assert matching.kernel_name() == request.param
+    return request.param
+
+
+@pytest.fixture(params=["pure-python", "native"])
+def acquisition_kernel(request, monkeypatch):
+    """Run the test once per acquisition kernel by swapping the frame decoder
+    and the flow hash between their compiled twins and their references."""
+    if request.param == "native":
+        dfa = request.getfixturevalue("native_dfa")
+        decode, murmur3_32 = packet._bind_decoder(dfa), dfa.murmur3_32
+    else:
+        decode, murmur3_32 = packet._decode, acquire._murmur3_32
+    monkeypatch.setattr(packet, "decode", decode)
+    monkeypatch.setattr(acquire, "decode", decode)
+    monkeypatch.setattr(acquire, "murmur3_32", murmur3_32)
     return request.param
 
 

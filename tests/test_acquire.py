@@ -68,6 +68,38 @@ def test_murmur3_equals_reference_for_every_length():
             assert murmur3_32(data, seed) == reference_murmur3_32(data, seed), (data, seed)
 
 
+def test_native_murmur3_equals_reference(native_dfa):
+    rng = random.Random(43)
+    for n in range(65):
+        data = rng.randbytes(n)
+        for seed in (0, 1, -1, 2**32 + 5):
+            want = acquire._murmur3_32(data, seed)
+            assert native_dfa.murmur3_32(data, seed) == native_dfa.murmur3_32(data, seed=seed) == want, (data, seed)
+            for copy in (bytearray(data), memoryview(data)):
+                assert native_dfa.murmur3_32(copy, seed) == want
+        assert native_dfa.murmur3_32(data) == acquire._murmur3_32(data)
+
+
+def test_native_murmur3_rejects_malformed_calls(native_dfa):
+    data = bytearray(b"flow key")
+    for args, kwargs in (((), {}), ((data, 0, 0), {}), ((), {"seed": 0}), ((data, 0), {"seed": 0})):
+        with pytest.raises(TypeError, match="takes data and an optional seed"):
+            native_dfa.murmur3_32(*args, **kwargs)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'salt'"):
+        native_dfa.murmur3_32(data, salt=0)
+    for not_a_buffer in (None, "flow key", list(data)):
+        with pytest.raises(TypeError):
+            native_dfa.murmur3_32(not_a_buffer)
+    for seed in (0.5, "0", None):
+        with pytest.raises(TypeError):
+            native_dfa.murmur3_32(data, seed)
+    view = memoryview(data)
+    with pytest.raises(BufferError):
+        native_dfa.murmur3_32(view[::2])
+    view.release()
+    data.append(0)  # resizing raises BufferError while a buffer export is held
+
+
 def test_select_ring_of_rss_hash_equals_reference():
     rng = random.Random(37)
     for proto in Proto:

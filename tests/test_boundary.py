@@ -97,6 +97,25 @@ def test_negative_coefficients_rejected():
         CostModel(paging_penalty=-1.0)
 
 
+@pytest.mark.parametrize("field", ["crossing_cost_us", "paging_penalty"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_coefficients_rejected(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        CostModel(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--paging-penalty", "nan"), ("--warmup-seconds", "nan"), ("--epc-mib", "inf"), ("--epc-mib", "nan")],
+)
+def test_cli_rejects_non_finite_cost_model_values(flag, value, capsys):
+    rc = cli_main(["run", "--synth", "64,4", "--count", "10", "--cost-model", "on", flag, value,
+                   "--alert-file", os.devnull])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {flag} must be a finite number") and err.count("\n") == 1
+
+
 def test_cli_warmup_seconds_sets_the_warmup_window(capsys):
     """``--warmup-seconds 4`` keeps the engine paging itself in for the whole
     first 3 s interval, so every frame waits and is analysed in the next."""

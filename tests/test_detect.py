@@ -16,7 +16,7 @@ from conftest import (
     reference_candidates,
 )
 
-from ringids import detect
+from ringids import detect, packet
 from ringids.detect import (
     Alert,
     AnalysisWorker,
@@ -26,7 +26,7 @@ from ringids.detect import (
 )
 from ringids.flow import FlowState, FlowTable
 from ringids.harness.runner import ListAlertSink
-from ringids.harness.synth import build_ipv4_tcp_frame
+from ringids.harness.synth import build_ipv4_frame, build_ipv4_icmp_frame, build_ipv4_tcp_frame, build_ipv4_udp_frame
 from ringids.matching import MultiPatternMatcher
 from ringids.packet import TCP_ACK, TCP_SYN, Direction, FiveTuple, PacketPool, Proto, decode, format_ip, parse_ip
 from ringids.ring import Ring
@@ -474,6 +474,33 @@ def test_alert_line_equals_reference_past_cache_bounds():
     for cache in caches:
         info = cache.cache_info()
         assert info.currsize == info.maxsize and info.misses > info.maxsize  # evictions ran
+
+
+def frame_carrying(t: FiveTuple) -> bytes:
+    if t.proto is Proto.TCP:
+        return build_ipv4_tcp_frame(t.src_ip, t.src_port, t.dst_ip, t.dst_port, flags=TCP_ACK, payload=b"x")
+    if t.proto is Proto.UDP:
+        return build_ipv4_udp_frame(t.src_ip, t.src_port, t.dst_ip, t.dst_port, payload=b"x")
+    if t.proto is Proto.ICMP:
+        return build_ipv4_icmp_frame(t.src_ip, t.dst_ip, payload=b"x")
+    return build_ipv4_frame(t.src_ip, t.dst_ip, 47, b"x")  # GRE: no transport header decode reads
+
+
+def test_alert_line_of_decoded_tuple_equals_reference(acquisition_kernel):
+    """Alert lines over the 5-tuples that decode builds, in C or in Python,
+    equal the reference formatter's, and each tuple is the frame's own."""
+    rng = random.Random(47)
+    pool = PacketPool(capacity=1)
+    for i in range(400):
+        proto = rng.choice(list(Proto))
+        ports = (rng.randrange(65536), rng.randrange(65536)) if proto in (Proto.TCP, Proto.UDP) else (0, 0)
+        t = FiveTuple(proto, rng.getrandbits(32), ports[0], rng.getrandbits(32), ports[1])
+        desc = packet.decode(frame_carrying(t), i, pool)
+        pool.release(desc.slot)
+        assert desc.tuple == t and desc.tuple.proto is proto
+        now_us = rng.randrange(THREE_YEARS_US)
+        alert = Alert(i, i % 7, f"m{i}", "c" if i % 2 else "", now_us, desc.tuple, 0, "alerted")
+        assert format_alert_fast(alert) == _ref_format_alert_fast(alert)
 
 
 # --- rule headers, decided once in phase 1 ------------------------------------

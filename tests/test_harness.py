@@ -702,11 +702,12 @@ GOLDEN_SCHEDULES = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCHEDULES))
-def test_sim_schedule_matches_golden_digests(name):
+def test_sim_schedule_matches_golden_digests(name, acquisition_kernel):
     """Digests of the report (totals, elapsed time, intervals), the alert
     lines and the forwarded-frame crc32 sequence, recorded from the sim
     driver before its per-frame loop was rewritten; any change to the
-    schedule changes them."""
+    schedule changes them. Frame decode and the flow hash give the same
+    digests in C as in Python."""
     spec, engine, want = GOLDEN_SCHEDULES[name]
     alerts, sink = ListAlertSink(), CrcSink()
     report = run_experiment(WorkloadSpec(kind="synth", **spec),

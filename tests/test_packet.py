@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ringids import packet
 from ringids.packet import (
     SLOT_SIZE,
     DecodeError,
     Direction,
     FiveTuple,
+    FrameTooLarge,
     FlowKey,
     PacketDescriptor,
     PacketPool,
@@ -272,6 +274,84 @@ def test_decode_arbitrary_bytes_raises_only_decode_errors(frame):
         assert t.proto is Proto.OTHER and desc.payload_offset == 14 + (frame[14] & 0x0F) * 4
     pool.release(desc.slot)
     assert pool.in_use_count() == 0
+
+
+@pytest.fixture(scope="module")
+def native_decode(native_dfa):
+    return packet._bind_decoder(native_dfa)
+
+
+def full_pool() -> PacketPool:
+    pool = PacketPool(capacity=1)
+    pool.store(bytes(60))
+    return pool
+
+
+def decode_outcome(decode_fn, frame, pool):
+    """The descriptor ``decode_fn`` returns or the type and message of what it
+    raises, then the pool's slots in use and writes."""
+    try:
+        result = decode_fn(frame, 9, pool)
+    except Exception as exc:  # noqa: BLE001 - any error must be the reference's
+        result = (type(exc), str(exc))
+    return result, pool.in_use_count(), pool.write_count
+
+
+def assert_twin_decodes_as_reference(native_decode, frame):
+    for variant in (frame, bytearray(frame), memoryview(frame)):
+        for make_pool in (lambda: PacketPool(capacity=2), full_pool):
+            ref_pool, twin_pool = make_pool(), make_pool()
+            want = decode_outcome(packet._decode, variant, ref_pool)
+            got = decode_outcome(native_decode, variant, twin_pool)
+            assert got == want
+            desc = got[0]
+            if isinstance(desc, PacketDescriptor):
+                assert type(desc) is PacketDescriptor and type(desc.tuple) is FiveTuple
+                assert desc.tuple.proto is want[0].tuple.proto
+                assert twin_pool.frame(desc.slot) == ref_pool.frame(want[0].slot) == bytes(frame)
+
+
+@given(frames())
+def test_native_decode_equals_reference(native_decode, frame):
+    """The compiled decoder gives the reference's descriptor or error, and
+    leaves the pool as the reference does, from bytes, a bytearray or a
+    memoryview and on a pool with or without a free slot."""
+    assert_twin_decodes_as_reference(native_decode, frame)
+
+
+def test_native_decode_pool_errors_equal_reference(native_decode):
+    udp = build_ipv4_udp_frame(parse_ip("1.0.0.1"), 1, parse_ip("1.0.0.2"), 2, payload=b"q")
+    oversize = udp + bytes(SLOT_SIZE + 1 - len(udp))
+    assert_twin_decodes_as_reference(native_decode, oversize)
+    assert decode_outcome(native_decode, oversize, PacketPool(capacity=2))[0][0] is FrameTooLarge
+    assert decode_outcome(native_decode, udp, full_pool()) == (
+        (PoolExhausted, "packet pool has no free slot"), 1, 1,
+    )
+
+
+def test_native_decode_rejects_malformed_calls(native_decode, native_dfa):
+    frame = bytearray(build_ipv4_udp_frame(parse_ip("1.0.0.1"), 1, parse_ip("1.0.0.2"), 2))
+    pool = PacketPool(capacity=2)
+    for args in ((), (frame, 0), (frame, 0, pool, 0)):
+        with pytest.raises(TypeError, match="takes 3 arguments"):
+            native_decode(*args)
+    for not_a_buffer in (None, "frame", list(frame)):
+        with pytest.raises(TypeError):
+            native_decode(not_a_buffer, 0, pool)
+    view = memoryview(frame)
+    with pytest.raises(BufferError):
+        native_decode(view[::2], 0, pool)
+    view.release()
+    with pytest.raises(AttributeError):
+        native_decode(frame, 0, object())  # no store method
+    assert pool.in_use_count() == pool.write_count == 0
+    frame.append(0)  # resizing raises BufferError while a buffer export is held
+    with pytest.raises(TypeError, match="takes 8 arguments"):
+        native_dfa.decoder(PacketDescriptor)
+    bound = (PacketDescriptor, FiveTuple, *Proto, TruncatedFrame, UnsupportedL3)
+    for pos, wrong in ((0, list), (1, "FiveTuple"), (6, ValueError()), (7, int)):
+        with pytest.raises(TypeError):
+            native_dfa.decoder(*bound[:pos], wrong, *bound[pos + 1:])
 
 
 def resident_pages() -> int:
