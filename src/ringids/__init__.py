@@ -17,7 +17,6 @@ from .matching import NATIVE_AVAILABLE, MultiPatternMatcher
 from .packet import (
     Direction,
     FiveTuple,
-    FlowKey,
     PacketDescriptor,
     PacketPool,
     PoolExhausted,

@@ -5,9 +5,10 @@ places its descriptor on the per-analysis-worker receive ring chosen from the
 flow hash; in inline mode it also drains the shared transmit ring back to the
 sink. Both runner schedulers (sim and real clock) call it from their
 acquisition side only, so the sink has one writer. The hash is MurmurHash3
-(x86 32-bit) over the canonical flow-key bytes, so both directions of a
-connection map to the same ring, and the ring index comes from the hash's
-low six bits.
+(x86 32-bit) over the 13 bytes of the flow's key, its canonical
+``FiveTuple`` packed big-endian, so both directions of a connection map to
+the same ring. The ring index comes from the hash's low six bits, so an
+engine runs at most 64 workers.
 
 A flow's ring never changes, so the worker memoises the ring index per
 5-tuple, as an RSS indirection table caches dispatch: the hash runs once per
@@ -28,6 +29,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .packet import (
+    _FLOW_KEY_BYTES,
     DecodeError,
     FiveTuple,
     PacketPool,
@@ -92,7 +94,7 @@ murmur3_32 = _murmur3_32 if _dfa is None else _dfa.murmur3_32
 def rss_hash(tuple_: FiveTuple) -> int:
     """Symmetric 32-bit flow hash: both directions of a flow hash identically."""
     key, _ = canonical_key(tuple_)
-    return murmur3_32(key.encode())
+    return murmur3_32(_FLOW_KEY_BYTES.pack(*key))
 
 
 def select_ring(hash_value: int, n_rings: int) -> int:

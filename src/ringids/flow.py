@@ -28,7 +28,7 @@ from .packet import (
     TCP_RST,
     TCP_SYN,
     Direction,
-    FlowKey,
+    FiveTuple,
     PacketDescriptor,
 )
 
@@ -165,7 +165,7 @@ class SegmentBuffer:
 
 @dataclass
 class Flow:
-    key: FlowKey
+    key: FiveTuple  # canonical, see packet.canonical_key
     last_seen_us: int
     state: FlowState = NEW
     initiator_direction: Direction = FORWARD  # side that sent the first packet
@@ -253,7 +253,7 @@ class FlowTable:
     def __init__(self, max_flows: int = 262_144, reassembly_cap: int = REASSEMBLY_CAP_BYTES):
         self.max_flows = max_flows
         self.reassembly_cap = reassembly_cap
-        self._flows: dict[FlowKey, Flow] = {}
+        self._flows: dict[FiveTuple, Flow] = {}
         self.footprint_bytes = 0
         self.created_total = 0
         self.evicted_total = 0
@@ -265,7 +265,7 @@ class FlowTable:
     def __iter__(self):
         return iter(self._flows.values())
 
-    def lookup_or_create(self, key: FlowKey, now_us: int) -> tuple[Flow, bool]:
+    def lookup_or_create(self, key: FiveTuple, now_us: int) -> tuple[Flow, bool]:
         flow = self._flows.get(key)
         if flow is not None:
             return flow, False

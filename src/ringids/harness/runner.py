@@ -45,7 +45,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from ..acquire import AcquisitionWorker
+from ..acquire import RING_SELECT_BITS, AcquisitionWorker
 from ..boundary import CostModel, Lifecycle, LifecycleEvent, paging_factor, trusted_footprint
 from ..clock import CounterClock
 from ..detect import AnalysisWorker
@@ -108,6 +108,11 @@ class EngineConfig:
         cap = self.ring_capacity
         if self.n_workers < 1:
             raise ConfigError(f"n_workers must be >= 1, got {self.n_workers}")
+        if self.n_workers > RING_SELECT_BITS + 1:
+            raise ConfigError(
+                f"n_workers must be <= {RING_SELECT_BITS + 1}, got {self.n_workers}:"
+                f" the flow hash's ring bits reach only {RING_SELECT_BITS + 1} rings"
+            )
         if self.burst_size < 1:
             raise ConfigError(f"burst_size must be >= 1, got {self.burst_size}")
         if cap < 1 or cap & (cap - 1):

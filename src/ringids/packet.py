@@ -5,11 +5,14 @@ downstream (rings, flow tracking, rule matching) works on descriptors that
 reference the pool slot plus decoded header fields. Payload bytes are never
 copied again except into reassembly buffers.
 
-``FiveTuple``, ``FlowKey`` and ``PacketDescriptor`` are named tuples, so
-building, hashing and comparing one runs in C: a record is built for every
-frame, and the 5-tuple keys the dispatch memo. A record therefore compares
-equal to the plain tuple of its fields, and a ``FiveTuple`` equals the
-``FlowKey`` with the same fields; the two never share a dict.
+``FiveTuple`` and ``PacketDescriptor`` are named tuples, so building,
+hashing and comparing one runs in C: a record is built for every frame, and
+the 5-tuple keys the dispatch memo. A record therefore compares equal to the
+plain tuple of its fields.
+
+A flow's key is its canonical ``FiveTuple``: the one whose source endpoint
+compares no higher than its destination. A packet already in canonical order
+is its own flow key, and ``canonical_key`` builds no record for it.
 
 The enum members are also bound to module constants (``TCP``, ``FORWARD``,
 ...), and the per-frame code reads those. Reading a member through its class,
@@ -52,7 +55,7 @@ TCP_ACK = 0x10
 _IPV4_HDR = struct.Struct(">BxH2xHxB2xII")  # version/IHL, total length, flags/fragment, protocol, src, dst
 _TCP_HDR = struct.Struct(">HHI4xBB")  # ports, seq, data offset, flags
 _PORTS = struct.Struct(">HH")
-_FLOW_KEY_BYTES = struct.Struct(">BIHIH")  # protocol, then endpoints A and B
+_FLOW_KEY_BYTES = struct.Struct(">BIHIH")  # a flow key's fields: protocol, then its two endpoints
 
 
 class Proto(IntEnum):
@@ -165,40 +168,18 @@ class FiveTuple(_FiveTupleFields):
         )
 
 
-class FlowKey(NamedTuple):
-    """Direction-normalized connection identity.
-
-    Endpoint A is the (ip, port) pair that compares lower, so both directions
-    of a connection canonicalize to the same key.
-    """
-
-    proto: Proto
-    ip_a: int
-    port_a: int
-    ip_b: int
-    port_b: int
-
-    def encode(self) -> bytes:
-        """Fixed 13-byte encoding used by the flow-affinity hash."""
-        return _FLOW_KEY_BYTES.pack(*self)
-
-    def __str__(self) -> str:
-        return (
-            f"{self.proto.label} {format_ip(self.ip_a)}:{self.port_a}"
-            f" <-> {format_ip(self.ip_b)}:{self.port_b}"
-        )
-
-
-def canonical_key(tuple_: FiveTuple) -> tuple[FlowKey, Direction]:
+def canonical_key(tuple_: FiveTuple) -> tuple[FiveTuple, Direction]:
     """Normalize a 5-tuple to its flow key and report the packet's direction.
 
+    The key is ``tuple_`` itself when its source endpoint compares no higher
+    than its destination, else the reversed tuple.
     canonical_key(t) == canonical_key(reverse(t)); a tuple whose endpoints are
     equal is defined as FORWARD.
     """
     proto, src_ip, src_port, dst_ip, dst_port = tuple_
     if (src_ip, src_port) <= (dst_ip, dst_port):
-        return _new(FlowKey, (proto, src_ip, src_port, dst_ip, dst_port)), FORWARD
-    return _new(FlowKey, (proto, dst_ip, dst_port, src_ip, src_port)), REVERSE
+        return tuple_, FORWARD
+    return _new(FiveTuple, (proto, dst_ip, dst_port, src_ip, src_port)), REVERSE
 
 
 class PacketDescriptor(NamedTuple):

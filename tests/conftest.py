@@ -1,5 +1,5 @@
-"""Shared fixtures: rules corpus, scan and acquisition kernels, random packet contexts, brute-force and
-phase-1 oracles."""
+"""Shared fixtures: rules corpus, the kernel set, random packet contexts, brute-force and phase-1
+oracles."""
 
 import importlib.util
 import random
@@ -67,26 +67,22 @@ def native_dfa(tmp_path_factory):
 
 
 @pytest.fixture(params=["pure-python", "native"])
-def scan_kernel(request, monkeypatch):
-    """Run the test once per scan kernel by swapping matching's native handle."""
-    handle = request.getfixturevalue("native_dfa") if request.param == "native" else None
-    monkeypatch.setattr(matching, "_dfa", handle)
-    assert matching.kernel_name() == request.param
-    return request.param
-
-
-@pytest.fixture(params=["pure-python", "native"])
-def acquisition_kernel(request, monkeypatch):
-    """Run the test once per acquisition kernel by swapping the frame decoder
-    and the flow hash between their compiled twins and their references."""
+def kernel(request, monkeypatch):
+    """Run the test once per kernel set, as a build has every compiled twin or
+    none: the scan kernel, the frame decoder and the flow hash are swapped
+    together between the extension and their Python references."""
     if request.param == "native":
         dfa = request.getfixturevalue("native_dfa")
         decode, murmur3_32 = packet._bind_decoder(dfa), dfa.murmur3_32
     else:
-        decode, murmur3_32 = packet._decode, acquire._murmur3_32
+        dfa, decode, murmur3_32 = None, packet._decode, acquire._murmur3_32
+    monkeypatch.setattr(matching, "_dfa", dfa)
     monkeypatch.setattr(packet, "decode", decode)
     monkeypatch.setattr(acquire, "decode", decode)
     monkeypatch.setattr(acquire, "murmur3_32", murmur3_32)
+    assert matching.kernel_name() == request.param
+    assert acquire.decode is packet.decode
+    assert (packet.decode is not packet._decode) == (acquire.murmur3_32 is not acquire._murmur3_32) == (dfa is not None)
     return request.param
 
 

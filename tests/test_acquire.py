@@ -106,7 +106,9 @@ def test_select_ring_of_rss_hash_equals_reference():
         tuples = [random_tuple(rng, proto) for _ in range(10_000)]
         for t in tuples:
             key = canonical_key(t)[0]
-            want = reference_murmur3_32(struct.pack(">BIHIH", int(key.proto), key.ip_a, key.port_a, key.ip_b, key.port_b))
+            want = reference_murmur3_32(
+                struct.pack(">BIHIH", int(key.proto), key.src_ip, key.src_port, key.dst_ip, key.dst_port)
+            )
             for n in range(1, 9):
                 assert select_ring(rss_hash(t), n) == select_ring(want, n)
 
@@ -115,6 +117,17 @@ def test_rss_hash_symmetric_and_deterministic():
     t = FiveTuple(Proto.TCP, "10.0.0.1", 1234, "10.0.0.2", 80)
     assert rss_hash(t) == rss_hash(t.reversed())
     assert rss_hash(t) == rss_hash(t)
+
+
+def test_rss_hash_hashes_the_canonical_tuple_bytes(monkeypatch):
+    """The hash input is the flow key's 13 bytes: protocol, then the lower
+    endpoint's address and port, then the higher one's, big-endian."""
+    seen = []
+    monkeypatch.setattr(acquire, "murmur3_32", lambda data: seen.append(bytes(data)) or 0)
+    t = FiveTuple(Proto.TCP, "10.0.0.1", 1234, "10.0.0.2", 80)
+    rss_hash(t)
+    rss_hash(t.reversed())
+    assert seen == [bytes.fromhex("06" "0a000001" "04d2" "0a000002" "0050")] * 2
 
 
 def test_rss_hash_golden_vector():

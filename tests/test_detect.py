@@ -205,7 +205,7 @@ def test_prefilter_scans_each_buffer_once(monkeypatch):
     assert scanned == [payload]
 
 
-def test_two_phase_equivalence_other_proto(corpus_text, scan_kernel):
+def test_two_phase_equivalence_other_proto(corpus_text, kernel):
     # portless ip rules, so that protocol-0 packets can match something
     extra = "\n".join([
         'alert ip any any -> any any (content:"portless|00|ip"; sid:900001;)',
@@ -227,7 +227,7 @@ def test_two_phase_equivalence_other_proto(corpus_text, scan_kernel):
     assert matched > 0
 
 
-def test_prefilter_no_false_negatives_random(corpus_ruleset, scan_kernel):
+def test_prefilter_no_false_negatives_random(corpus_ruleset, kernel):
     compiled = compile_ruleset(corpus_ruleset)
     from conftest import random_context
 
@@ -237,7 +237,7 @@ def test_prefilter_no_false_negatives_random(corpus_ruleset, scan_kernel):
         assert brute_force_matches(compiled, ctx) <= prefilter(compiled, ctx)
 
 
-def test_two_phase_equivalence_small(corpus_ruleset, scan_kernel):
+def test_two_phase_equivalence_small(corpus_ruleset, kernel):
     compiled = compile_ruleset(corpus_ruleset)
     from conftest import random_context
 
@@ -486,7 +486,7 @@ def frame_carrying(t: FiveTuple) -> bytes:
     return build_ipv4_frame(t.src_ip, t.dst_ip, 47, b"x")  # GRE: no transport header decode reads
 
 
-def test_alert_line_of_decoded_tuple_equals_reference(acquisition_kernel):
+def test_alert_line_of_decoded_tuple_equals_reference(kernel):
     """Alert lines over the 5-tuples that decode builds, in C or in Python,
     equal the reference formatter's, and each tuple is the frame's own."""
     rng = random.Random(47)
@@ -518,7 +518,7 @@ HEADER_RULES = "\n".join([
 ])
 
 
-def test_admitted_matches_header_oracle_and_brute_force(corpus_text, scan_kernel):
+def test_admitted_matches_header_oracle_and_brute_force(corpus_text, kernel):
     """Contentless and fast-pattern rules, `->` and `<>`, with ports and
     addresses on either side, over random tuples whose ports and addresses
     often hit the rules' lists: of the bucket's contentless rules and any
@@ -546,7 +546,7 @@ SHARED_PATTERN_RULES = "\n".join([
 ])
 
 
-def test_prefilter_equals_reference_candidates(corpus_text, scan_kernel):
+def test_prefilter_equals_reference_candidates(corpus_text, kernel):
     """Phase 1 yields exactly the reference's candidates, not merely a
     superset of the matches: the timing model prices each one. The rules add
     one fast pattern shared by tcp, ``ip`` and only-stream rules, and a

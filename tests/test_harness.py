@@ -610,6 +610,7 @@ def test_cli_inline_attack_alert_lines(tmp_path):
         pytest.param(["--take-first", "-2", "--rules", str(CORPUS_PATH)], id="take-first-negative"),
         pytest.param(["--rate", "-5"], id="rate-negative"),
         pytest.param(["--threads", "0"], id="threads-0"),
+        pytest.param(["--threads", "65"], id="threads-65"),
         pytest.param(["--ring-capacity", "3"], id="ring-capacity-3"),
         pytest.param(["--cost-model", "on", "--epc-mib", "-1"], id="epc-negative"),
         pytest.param(["--cost-model", "on", "--epc-mib", "0"], id="epc-0"),
@@ -702,12 +703,12 @@ GOLDEN_SCHEDULES = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCHEDULES))
-def test_sim_schedule_matches_golden_digests(name, acquisition_kernel):
+def test_sim_schedule_matches_golden_digests(name, kernel):
     """Digests of the report (totals, elapsed time, intervals), the alert
     lines and the forwarded-frame crc32 sequence, recorded from the sim
     driver before its per-frame loop was rewritten; any change to the
-    schedule changes them. Frame decode and the flow hash give the same
-    digests in C as in Python."""
+    schedule changes them. The compiled twins (scan, frame decode and flow
+    hash) give the same digests as their Python references."""
     spec, engine, want = GOLDEN_SCHEDULES[name]
     alerts, sink = ListAlertSink(), CrcSink()
     report = run_experiment(WorkloadSpec(kind="synth", **spec),

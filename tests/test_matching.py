@@ -61,7 +61,7 @@ def test_memoryview_input():
     assert m.scan(memoryview(buf)[1:6]) == {1}
 
 
-def test_randomized_against_naive_oracle(scan_kernel):
+def test_randomized_against_naive_oracle(kernel):
     rng = random.Random(1234)
     alphabet = bytes(range(0, 8))  # tiny alphabet forces heavy overlap
     for trial in range(40):
@@ -80,7 +80,7 @@ def test_randomized_against_naive_oracle(scan_kernel):
             assert m.scan(data) == naive_scan(patterns, data)
 
 
-def test_kernel_parity_on_realistic_payloads(scan_kernel):
+def test_kernel_parity_on_realistic_payloads(kernel):
     rng = random.Random(77)
     patterns = [(bytes(rng.randrange(256) for _ in range(rng.randrange(3, 12))), pid) for pid in range(200)]
     m = build(patterns)
@@ -93,7 +93,7 @@ def test_kernel_parity_on_realistic_payloads(scan_kernel):
         assert m.scan(data) == naive_scan(patterns, data)
 
 
-def test_byte_edges_and_large_automaton(scan_kernel):
+def test_byte_edges_and_large_automaton(kernel):
     # patterns and inputs at both ends of the byte range
     edges = [(b"\x00", 0), (b"\xff\xff", 1), (b"\x00\xff\x00", 2), (b"\xfe\xff", 3)]
     m = build(edges)

@@ -14,7 +14,6 @@ from ringids.packet import (
     Direction,
     FiveTuple,
     FrameTooLarge,
-    FlowKey,
     PacketDescriptor,
     PacketPool,
     PoolError,
@@ -140,8 +139,8 @@ def test_canonical_key_symmetry_and_direction():
 
 def test_canonical_key_equal_endpoints_is_forward():
     t = FiveTuple(Proto.TCP, "10.0.0.1", 80, "10.0.0.1", 80)
-    _, direction = canonical_key(t)
-    assert direction is Direction.FORWARD
+    key, direction = canonical_key(t)
+    assert key is t and direction is Direction.FORWARD
 
 
 def test_canonical_key_distinguishes_protocol():
@@ -160,12 +159,16 @@ def test_canonical_key_random_tuples_idempotent_reverse_invariant():
             rng.getrandbits(32),
             rng.randrange(65536),
         )
-        key, _ = canonical_key(t)
+        key, direction = canonical_key(t)
         assert canonical_key(t.reversed())[0] == key
+        # a tuple in canonical order is its own key; a reversed one gets a new FiveTuple
+        if direction is Direction.FORWARD:
+            assert key is t
+        else:
+            assert type(key) is FiveTuple and key == t.reversed()
         # canonicalizing the canonical orientation is a fixed point
-        canon_tuple = FiveTuple(key.proto, key.ip_a, key.port_a, key.ip_b, key.port_b)
-        key2, d2 = canonical_key(canon_tuple)
-        assert key2 == key and d2 is Direction.FORWARD
+        key2, d2 = canonical_key(key)
+        assert key2 is key and d2 is Direction.FORWARD
 
 
 def test_decode_roundtrip_random_payload(pool):
@@ -189,16 +192,14 @@ def test_ip_parse_format_roundtrip():
 
 def test_records_are_immutable_named_tuples():
     t = FiveTuple(Proto.TCP, "10.0.0.1", 1234, "10.0.0.2", 80)
-    key, _ = canonical_key(t)
     desc = PacketDescriptor(slot=3, frame_len=60, arrival_us=7, tuple=t)
-    for record, name in ((t, "src_ip"), (t, "proto"), (key, "ip_a"), (desc, "slot"), (desc, "tuple")):
+    for record, name in ((t, "src_ip"), (t, "proto"), (desc, "slot"), (desc, "tuple")):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
-    for record in (t, key, desc):
+    for record in (t, desc):
         with pytest.raises(AttributeError):
             record.extra = 1  # no instance dict to grow
     assert FiveTuple._fields == ("proto", "src_ip", "src_port", "dst_ip", "dst_port")
-    assert FlowKey._fields == ("proto", "ip_a", "port_a", "ip_b", "port_b")
     assert PacketDescriptor._fields[:4] == ("slot", "frame_len", "arrival_us", "tuple")
     assert desc[3:] == (t, 0, 0, 0, 0)
     # records compare and hash as the plain tuple of their fields
@@ -207,8 +208,6 @@ def test_records_are_immutable_named_tuples():
     assert type(t.reversed()) is FiveTuple
     assert t.reversed() == FiveTuple(Proto.TCP, "10.0.0.2", 80, "10.0.0.1", 1234)
     assert str(t) == "TCP 10.0.0.1:1234 -> 10.0.0.2:80"
-    assert str(key) == "TCP 10.0.0.1:1234 <-> 10.0.0.2:80"
-    assert key.encode() == bytes.fromhex("06" "0a000001" "04d2" "0a000002" "0050")
 
 
 def test_five_tuple_constructor_coerces_and_validates():
