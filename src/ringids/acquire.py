@@ -170,7 +170,7 @@ class AcquisitionWorker:
         descs = tx_ring.dequeue_burst(tx_ring.capacity)
         for desc in descs:
             if sink is not None:
-                sink.write(pool.frame(desc.slot))
+                sink.write(pool.frame(desc.slot, desc.frame_len))
             pool.release(desc.slot)
         self.stats.tx_sent += len(descs)
         return len(descs)

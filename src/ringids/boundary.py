@@ -101,6 +101,6 @@ def ruleset_bytes(rule_count: int) -> int:
     return int(rule_count * RULESET_BYTES_PER_RULE)
 
 
-def trusted_footprint(flow_table_bytes: int, rule_count: int, base_bytes: int = ENGINE_BASE_BYTES) -> int:
+def trusted_footprint(flow_table_bytes: int, rule_count: int) -> int:
     """Total protected working set: flow tables + ruleset + fixed base."""
-    return flow_table_bytes + ruleset_bytes(rule_count) + base_bytes
+    return flow_table_bytes + ruleset_bytes(rule_count) + ENGINE_BASE_BYTES

@@ -39,6 +39,7 @@ from typing import NamedTuple
 from .flow import Flow, FlowTable, TableFull, update_flow
 from .packet import (
     FORWARD,
+    SLOT_SIZE,
     TCP,
     Direction,
     FiveTuple,
@@ -240,7 +241,6 @@ class AnalysisWorker:
         self.useless_mode = useless_mode
         self.stats = WorkerStats()
         self._buf = pool.raw()
-        self._slot_size = pool.slot_size
 
     def _finish(self, desc: PacketDescriptor, verdict: str) -> None:
         if verdict == "allow" and self.tx_ring is not None:
@@ -270,7 +270,7 @@ class AnalysisWorker:
                 flow.initiator_direction = direction
         except TableFull:
             stats.flowless += 1
-        base = desc.slot * self._slot_size + desc.payload_offset
+        base = desc.slot * SLOT_SIZE + desc.payload_offset
         payload = self._buf[base : base + desc.payload_len]  # the packet's one payload copy
         if flow is not None:
             update_flow(flow, desc, direction, now_us)

@@ -135,8 +135,6 @@ class SegmentBuffer:
         if cur_pay:
             pieces.append((cur_seq, cur_pay))
         for pseq, ppay in pieces:
-            if not ppay:
-                continue
             pos = bisect_right(self._starts, pseq)
             self._starts.insert(pos, pseq)
             self._data[pseq] = ppay

@@ -13,7 +13,7 @@ import sys
 
 from ..boundary import WARMUP_US_DEFAULT, CostModel, OrderError
 from ..rules import ParseError
-from .pcapio import pcap_write
+from .pcapio import BadMagic, TruncatedRecord, pcap_write
 from .runner import (
     ConfigError,
     ConservationError,
@@ -156,7 +156,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _run(args)
         return _genpcap(args)
-    except (ConfigError, OrderError, ParseError, ConservationError, OSError) as exc:
+    except (ConfigError, OrderError, ParseError, ConservationError, OSError, BadMagic, TruncatedRecord) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,9 @@ read; writes are little-endian, linktype Ethernet. The reader takes the file
 in 64 KiB blocks and parses every record a block holds out of it, instead of
 two ``read`` calls per record; a record that straddles a block end waits for
 the next read. It never holds more than a block plus one record, so
-replaying a capture costs no memory in proportion to its size.
+replaying a capture costs no memory in proportion to its size. A record
+header that claims more than libpcap's largest snapshot length is rejected
+before its body is read, so a corrupt length allocates nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ GLOBAL_HEADER = struct.Struct("<IHHiIII")
 RECORD_HEADER_LEN = 16
 LINKTYPE_ETHERNET = 1
 SNAPLEN = 65535
+MAX_RECORD_LEN = 262_144  # libpcap's largest snapshot length; a longer record is corrupt
 READ_BLOCK = 64 * 1024  # bytes per read from the capture file
 _FRAME = itemgetter(0)  # the frame of a (frame, timestamp) record
 
@@ -63,6 +66,8 @@ def pcap_read(path):
             end = len(buf)
             while end - pos >= RECORD_HEADER_LEN:
                 ts_sec, ts_usec, incl_len, _orig = record_header(buf, pos)
+                if incl_len > MAX_RECORD_LEN:  # checked before the read that would allocate it
+                    raise TruncatedRecord(f"record claims {incl_len}B, over the {MAX_RECORD_LEN}B snapshot limit")
                 body = pos + RECORD_HEADER_LEN
                 if body + incl_len > end:
                     break
@@ -71,22 +76,13 @@ def pcap_read(path):
             need = RECORD_HEADER_LEN if end - pos < RECORD_HEADER_LEN else RECORD_HEADER_LEN + incl_len
 
 
-def pcap_write(path, frames, ts_spacing_us: int = 1) -> int:
-    """Write frames (bytes, or (bytes, ts_us) pairs) to a pcap file.
-
-    Bare frames get synthetic timestamps ts_spacing_us apart. Returns the
-    record count.
-    """
+def pcap_write(path, frames) -> int:
+    """Write frames to a pcap file with synthetic timestamps 0, 1, 2 ... us
+    apart. Returns the record count."""
     count = 0
     with open(path, "wb") as fh:
         fh.write(GLOBAL_HEADER.pack(MAGIC_US, 2, 4, 0, 0, SNAPLEN, LINKTYPE_ETHERNET))
-        next_ts = 0
-        for item in frames:
-            if isinstance(item, tuple):
-                frame, ts_us = item
-            else:
-                frame, ts_us = item, next_ts
-                next_ts += ts_spacing_us
+        for ts_us, frame in enumerate(frames):
             fh.write(struct.pack("<IIII", ts_us // 1_000_000, ts_us % 1_000_000, len(frame), len(frame)))
             fh.write(frame)
             count += 1

@@ -27,10 +27,12 @@ differ only in where the time comes from and in who calls the step:
 * real clock: acquisition on the calling thread plus one thread per worker;
   each descriptor is served at one reading of the counter clock. Intervals
   and elapsed time come from the wall clock, and a worker sleeps the paging
-  stretch of each dequeued burst. A worker exits once acquisition is done
-  and its ring is empty, and the acquisition side keeps draining TX until
-  every worker has exited, so a worker waiting on a full TX ring always gets
-  room.
+  stretch of each dequeued burst. With a cost model, each worker first
+  sleeps until the run's clock reaches the end of the warm-up window,
+  counted from the same base as in the sim run, while acquisition already
+  offers frames. A worker exits once acquisition is done and its ring is
+  empty, and the acquisition side keeps draining TX until every worker has
+  exited, so a worker waiting on a full TX ring always gets room.
 
 Reports carry run totals, throughput, and the interval records of drop rate
 and paging activity.
@@ -75,9 +77,7 @@ class TimingModel:
     per_candidate_us: float = 0.05
     per_alert_us: float = 0.5
 
-    def packet_cost(self, useless: bool, payload_len: int, candidates: int, alerts: int) -> float:
-        if useless:
-            return self.useless_us
+    def packet_cost(self, payload_len: int, candidates: int, alerts: int) -> float:
         return (
             self.analysis_us
             + self.per_byte_us * payload_len
@@ -343,13 +343,9 @@ class Engine:
         return sum(w.flow_table.footprint_bytes for w in self.workers)
 
     def current_factor(self) -> float:
-        model = self.config.cost_model
-        if model is None:
-            return 1.0  # skip summing the flow footprints; paging_factor is 1.0 here
-        return paging_factor(
-            model,
-            trusted_footprint(self.flow_footprint(), len(self.compiled)),
-        )
+        """The paging factor of the current trusted footprint; called only
+        when a cost model is set."""
+        return paging_factor(self.config.cost_model, trusted_footprint(self.flow_footprint(), len(self.compiled)))
 
 
 class _IntervalAccumulator:
@@ -388,7 +384,7 @@ class _Step:
         self.workers = engine.workers
         self.packet_cost = cfg.timing.packet_cost
         # a useless-mode packet costs the same whatever it holds
-        self.useless_cost = self.packet_cost(True, 0, 0, 0) if cfg.useless else None
+        self.useless_cost = cfg.timing.useless_us if cfg.useless else None
         self.factor = engine.current_factor if model is not None else None  # None: unpriced
         self.expire_mark = [0] * len(engine.workers)  # last interval each worker swept
 
@@ -410,7 +406,7 @@ class _Step:
             stats = w.stats
             cand0 = stats.candidates_evaluated
             _, alerts = w.process_packet(desc, now_us)
-            base = self.packet_cost(False, desc.payload_len, stats.candidates_evaluated - cand0, len(alerts))
+            base = self.packet_cost(desc.payload_len, stats.candidates_evaluated - cand0, len(alerts))
             if alerts:
                 acc.alerts[idx] += len(alerts)
         else:
@@ -507,8 +503,10 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
 def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccumulator, dict]:
     """Threaded execution against the counter clock; intervals and elapsed
     time come from the untrusted wall clock, as an external harness would
-    measure them. Refuses a free-threaded interpreter before any thread
-    starts: rings and pool are lock-free only under the interpreter lock."""
+    measure them. With a cost model, no worker dequeues before the warm-up
+    window ends: ``warmup_us`` after the set-up crossings, as in the sim run.
+    Refuses a free-threaded interpreter before any thread starts: rings and
+    pool are lock-free only under the interpreter lock."""
     if not getattr(sys, "_is_gil_enabled", lambda: True)():
         raise ConfigError("the real clock needs the interpreter lock; this build runs without it")
     cfg = engine.config
@@ -519,6 +517,8 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
     clock = CounterClock().start()
     # the set-up crossings start the time base, as in the sim run
     t0 = time.monotonic() - engine._crossing_us_total / 1e6
+    model = cfg.cost_model
+    warm_end_s = (model.warmup_us + engine._crossing_us_total) / 1e6 if model is not None else 0.0
     done = threading.Event()  # acquisition has offered its last frame
     accs = [_IntervalAccumulator() for _ in rx_rings]
     errors: list[Exception] = []
@@ -529,6 +529,9 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
     def work(i: int) -> None:
         ring, acc, serve = rx_rings[i], accs[i], step.serve
         try:
+            warming = warm_end_s - (time.monotonic() - t0)
+            if warming > 0:
+                time.sleep(warming)
             while True:
                 finished = done.is_set()  # read before the dequeue: nothing comes after it
                 descs = ring.dequeue_burst(cfg.burst_size)

@@ -2,8 +2,10 @@
 
 Raw Ethernet frames are copied once into a shared byte pool; everything
 downstream (rings, flow tracking, rule matching) works on descriptors that
-reference the pool slot plus decoded header fields. Payload bytes are never
-copied again except into reassembly buffers.
+reference the pool slot plus decoded header fields. After that store, each
+analysed packet copies its payload out of the slab once, the flow's
+reassembly buffers copy what they hold, and the inline TX drain copies each
+forwarded frame once to the sink.
 
 ``FiveTuple`` and ``PacketDescriptor`` are named tuples, so building,
 hashing and comparing one runs in C: a record is built for every frame, and
@@ -202,38 +204,35 @@ class PacketDescriptor(NamedTuple):
 class PacketPool:
     """Fixed pool of frame slots backing zero-copy descriptors.
 
-    A slot handed out with a descriptor is not reused until released. The
-    slab is an anonymous memory mapping: its pages read as zero and take
-    physical memory only when first written. ``store`` takes the slot
-    released last, else the lowest slot never used, so a run touches only
-    its high-water mark of slots; never-used slots are a counter, not a
-    list. One thread stores (acquisition) and alone advances the counter;
-    any thread may release (in real-clock runs the workers release while
-    acquisition stores). No lock is taken: released slots go on a ``deque``
-    whose ``pop`` and ``append`` are atomic under the interpreter lock, and a
-    slot is marked free before it goes back on it, so it is never handed out
-    while still marked in use. Slot contents are read-only between store and
-    release.
+    The pool keeps only the slab, one ownership byte per slot and the free
+    list. A stored frame's length lives in its descriptor (``frame_len``),
+    so ``frame`` takes it back from the caller. A slot handed out with a
+    descriptor is not reused until released. The slab is an anonymous
+    memory mapping: its pages read as zero and take physical memory only
+    when first written. ``store`` takes the slot released last, else the
+    lowest slot never used, so a run touches only its high-water mark of
+    slots; never-used slots are a counter, not a list. One thread stores
+    (acquisition) and alone advances the counter; any thread may release (in
+    real-clock runs the workers release while acquisition stores). No lock
+    is taken: released slots go on a ``deque`` whose ``pop`` and ``append``
+    are atomic under the interpreter lock, and a slot is marked free before
+    it goes back on it, so it is never handed out while still marked in use.
+    Slot contents are read-only between store and release.
     """
 
-    def __init__(self, capacity: int, slot_size: int = SLOT_SIZE):
+    def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("pool capacity must be positive")
-        if slot_size < 1518:
-            raise ValueError("slot size must cover a full Ethernet frame")
         self.capacity = capacity
-        self.slot_size = slot_size
-        self._buf = mmap.mmap(-1, capacity * slot_size)
-        self._lengths = [0] * capacity
-        self._in_use = [False] * capacity
+        self._buf = mmap.mmap(-1, capacity * SLOT_SIZE)
+        self._in_use = bytearray(capacity)  # 1 while the slot is handed out
         self._next_unused = 0  # slots below it have been handed out at least once
         self._released: deque[int] = deque()
-        self.write_count = 0  # pool writes; the zero-copy budget is 1 per packet
 
     def store(self, frame) -> int:
         n = len(frame)
-        if n > self.slot_size:
-            raise FrameTooLarge(f"frame of {n}B exceeds {self.slot_size}B slot")
+        if n > SLOT_SIZE:
+            raise FrameTooLarge(f"frame of {n}B exceeds {SLOT_SIZE}B slot")
         try:
             slot = self._released.pop()
         except IndexError:
@@ -241,29 +240,28 @@ class PacketPool:
             if slot == self.capacity:
                 raise PoolExhausted("packet pool has no free slot") from None
             self._next_unused = slot + 1
-        self._in_use[slot] = True
-        base = slot * self.slot_size
+        self._in_use[slot] = 1
+        base = slot * SLOT_SIZE
         self._buf[base : base + n] = frame
-        self._lengths[slot] = n
-        self.write_count += 1
         return slot
 
     def release(self, slot: int) -> None:
         if not 0 <= slot < self.capacity or not self._in_use[slot]:
             raise PoolError(f"release of slot {slot} not in use")
-        self._in_use[slot] = False
+        self._in_use[slot] = 0
         self._released.append(slot)
 
-    def frame(self, slot: int) -> bytes:
-        """A copy of the stored frame: one slice of the slab."""
+    def frame(self, slot: int, length: int) -> bytes:
+        """A copy of the ``length`` bytes stored at ``slot``, the frame's
+        descriptor ``frame_len``: one slice of the slab."""
         if not self._in_use[slot]:
             raise PoolError(f"read of slot {slot} not in use")
-        base = slot * self.slot_size
-        return self._buf[base : base + self._lengths[slot]]
+        base = slot * SLOT_SIZE
+        return self._buf[base : base + length]
 
     def raw(self) -> mmap.mmap:
         """The whole pool slab, a writable buffer; slot ``i``'s frame starts
-        at ``i * slot_size``."""
+        at ``i * SLOT_SIZE``."""
         return self._buf
 
     def in_use_count(self) -> int:

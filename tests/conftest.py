@@ -16,7 +16,7 @@ from hypothesis import settings
 from ringids import acquire, matching, packet
 from ringids.detect import PacketContext, evaluate_rule, prefilter
 from ringids.flow import Flow, FlowState
-from ringids.packet import Direction, FiveTuple, Proto, canonical_key
+from ringids.packet import Direction, FiveTuple, PacketPool, Proto, canonical_key
 from ringids.rules import load_ruleset
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -94,6 +94,23 @@ def corpus_text():
 @pytest.fixture(scope="session")
 def corpus_ruleset(corpus_text):
     return load_ruleset(corpus_text)
+
+
+class CountingPool(PacketPool):
+    """A pool that counts its writes; the zero-copy budget is one per packet.
+
+    The compiled decoder looks ``store`` up on the pool object, so its writes
+    are counted too.
+    """
+
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
+        self.writes = 0
+
+    def store(self, frame) -> int:
+        slot = super().store(frame)
+        self.writes += 1
+        return slot
 
 
 def make_context(tuple_, payload: bytes, flow: Flow | None = None, direction=Direction.FORWARD,

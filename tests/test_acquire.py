@@ -5,10 +5,11 @@ import struct
 
 import pytest
 
+from conftest import CountingPool
 from ringids import acquire
 from ringids.acquire import AcquisitionWorker, murmur3_32, rss_hash, select_ring
 from ringids.harness.synth import build_ipv4_tcp_frame, build_ipv4_udp_frame
-from ringids.packet import FiveTuple, PacketPool, Proto, canonical_key, parse_ip
+from ringids.packet import FiveTuple, Proto, canonical_key, parse_ip
 from ringids.ring import Ring
 
 
@@ -170,7 +171,7 @@ def frame_for(i, payload=b"data!"):
 def make_acquirer(n_frames=0, n_rings=2, ring_capacity=64, inline=False):
     """An acquisition worker; its TX ring is ``tx`` in inline mode only, as
     the engine builds it."""
-    pool = PacketPool(capacity=max(n_frames + 8, 16))
+    pool = CountingPool(capacity=max(n_frames + 8, 16))
     rings = [Ring(ring_capacity) for _ in range(n_rings)]
     tx = Ring(ring_capacity)
     sink = ListSink()
@@ -195,7 +196,7 @@ def test_dispatch_follows_hash_rule():
             if desc is None:
                 break
             assert select_ring(rss_hash(desc.tuple), 2) == idx
-            assert placed[frames.index(pool.frame(desc.slot))] == idx
+            assert placed[frames.index(pool.frame(desc.slot, desc.frame_len))] == idx
             assert desc.arrival_us == 5
             pool.release(desc.slot)
     assert pool.in_use_count() == 0
@@ -267,10 +268,10 @@ def test_unsupported_frame_on_full_pool_is_a_decode_failure():
     worker, pool, rings, _, _ = make_acquirer(n_rings=1)
     while pool.in_use_count() < pool.capacity:
         pool.store(frame_for(1))
-    writes = pool.write_count
+    writes = pool.writes
     assert ingest_all(worker, [bytes(ipv6)]) == [-1]
     assert (worker.stats.decode_failed, worker.stats.dropped) == (1, 0)
-    assert pool.write_count == writes  # rejected before the pool is touched
+    assert pool.writes == writes  # rejected before the pool is touched
     assert len(rings[0]) == 0
 
 

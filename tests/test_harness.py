@@ -7,6 +7,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -140,6 +141,22 @@ def test_pcap_truncated_record(tmp_path):
     Path(path).write_bytes(data[:-10])
     with pytest.raises(TruncatedRecord):
         list(pcap_read(path))
+
+
+def test_pcap_record_claim_is_checked_before_it_is_read(tmp_path):
+    """A 50-byte capture whose one record claims 100 MB is rejected before
+    the reader allocates what the record only claims."""
+    path = tmp_path / "claim.pcap"
+    header = GLOBAL_HEADER.pack(MAGIC_US, 2, 4, 0, 0, SNAPLEN, 1)
+    path.write_bytes(header + struct.pack("<IIII", 0, 0, 100_000_000, 100_000_000) + bytes(10))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedRecord):
+            list(pcap_read(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_pcap_big_endian_accepted(tmp_path):
@@ -447,7 +464,7 @@ def test_real_clock_run_with_cost_model():
     once the flow tables push the working set past the budget, and each of
     the five lifecycle crossings sleeps its cost."""
     wl = WorkloadSpec(kind="synth", packet_size=256, n_flows=64, packet_count=2000, seed=3)
-    model = CostModel(epc_bytes=17 * 1024 * 1024, crossing_cost_us=500.0)
+    model = CostModel(epc_bytes=17 * 1024 * 1024, crossing_cost_us=500.0, warmup_us=100_000)
     report = run_experiment(wl, base_config(n_workers=2, clock_mode="real", rules_path=str(CORPUS_PATH),
                                             cost_model=model))
     t = report.totals
@@ -465,6 +482,33 @@ def test_real_clock_prices_each_crossing_once():
     report = run_experiment(wl, base_config(clock_mode="real", cost_model=model))
     wall_us = (time.monotonic() - t0) * 1e6
     assert 5 * 50_000 <= report.elapsed_us <= wall_us
+
+
+def test_real_clock_honours_the_warm_up_window():
+    """As in the sim run, no worker dequeues before the cost model's warm-up
+    window ends, so the run lasts at least that long."""
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=4, packet_count=300, seed=3)
+    report = run_experiment(wl, base_config(clock_mode="real", cost_model=CostModel(warmup_us=200_000)))
+    assert report.elapsed_us >= 200_000
+    assert report.totals.analyzed == 300
+    report.validate()
+
+
+def test_real_clock_paces_the_source():
+    """Frame ``k`` is offered no earlier than ``k / rate``; only lower time
+    bounds are asserted, so a slow host cannot fail it."""
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=4, packet_count=200, seed=3)
+    report = run_experiment(wl, base_config(clock_mode="real", rate_pps=2_000.0))
+    assert report.totals.received == 200
+    assert report.elapsed_us >= 99_500
+
+
+def test_real_clock_stops_at_the_duration():
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=4, duration_s=0.25, repeat=True, seed=3)
+    report = run_experiment(wl, base_config(clock_mode="real", rate_pps=2_000.0))
+    assert 1 <= report.totals.received <= 501
+    assert len(report.intervals) == 1
+    report.validate()
 
 
 def test_real_clock_refuses_a_free_threaded_build(monkeypatch):
@@ -658,6 +702,30 @@ def test_cli_genpcap(tmp_path, capsys):
     rc = cli_main(["genpcap", "--synth", "100,8", "--count", "300", str(out)])
     assert rc == 0
     assert len(list(pcap_read(out))) == 300
+
+
+def test_cli_run_replays_a_capture(tmp_path, capsys):
+    capture = tmp_path / "gen.pcap"
+    assert cli_main(["genpcap", "--synth", "100,8", "--count", "300", str(capture)]) == 0
+    capsys.readouterr()
+    rc = cli_main(["run", "--pcap", str(capture), "--alert-file", str(tmp_path / "a.txt")])
+    assert rc == 0
+    assert "received : 300" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("damage", ["not-a-capture", "cut-short"])
+def test_cli_unreadable_capture_is_one_error_line(tmp_path, capsys, damage):
+    capture = tmp_path / "in.pcap"
+    if damage == "not-a-capture":
+        capture.write_text('alert tcp any any -> any any (content:"x"; sid:1;)\n')
+    else:
+        assert cli_main(["genpcap", "--synth", "100,8", "--count", "30", str(capture)]) == 0
+        capture.write_bytes(capture.read_bytes()[:-10])
+    capsys.readouterr()
+    rc = cli_main(["run", "--pcap", str(capture), "--alert-file", str(tmp_path / "a.txt")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class CrcSink:

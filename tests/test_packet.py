@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import CountingPool
 from ringids import packet
 from ringids.packet import (
     SLOT_SIZE,
@@ -31,7 +32,7 @@ from ringids.harness.synth import build_ipv4_frame, build_ipv4_icmp_frame, build
 
 @pytest.fixture
 def pool():
-    return PacketPool(capacity=8)
+    return CountingPool(capacity=8)
 
 
 def test_decode_tcp_frame_offsets_and_tuple(pool):
@@ -45,7 +46,7 @@ def test_decode_tcp_frame_offsets_and_tuple(pool):
     assert desc.tcp_seq == 77
     assert desc.arrival_us == 5
     # padding beyond the IP length is not payload
-    assert pool.frame(desc.slot)[desc.payload_offset : desc.payload_offset + desc.payload_len] == b"hi"
+    assert pool.frame(desc.slot, desc.frame_len)[desc.payload_offset : desc.payload_offset + desc.payload_len] == b"hi"
 
 
 def test_decode_later_fragment_is_portless_other(pool):
@@ -58,7 +59,7 @@ def test_decode_later_fragment_is_portless_other(pool):
     assert desc.tuple == FiveTuple(Proto.OTHER, "10.0.0.1", 0, "10.0.0.2", 0)
     assert (desc.tcp_flags, desc.tcp_seq) == (0, 0)
     assert desc.payload_offset == 14 + 20
-    assert pool.frame(desc.slot)[desc.payload_offset : desc.payload_offset + desc.payload_len] == data
+    assert pool.frame(desc.slot, desc.frame_len)[desc.payload_offset : desc.payload_offset + desc.payload_len] == data
 
     # the first fragment (offset 0, more fragments) still holds the TCP header
     first = bytearray(build_ipv4_tcp_frame(parse_ip("10.0.0.1"), 1234, parse_ip("10.0.0.2"), 80, flags=0x18,
@@ -90,7 +91,7 @@ def test_decode_non_ipv4_counts_but_not_ok(pool):
     frame[14] = 0x65  # IPv4 ethertype, IP version 6
     with pytest.raises(UnsupportedL3):
         decode(bytes(frame), 0, pool)
-    assert pool.in_use_count() == 0 and pool.write_count == 0  # rejected before the pool
+    assert pool.in_use_count() == 0 and pool.writes == 0  # rejected before the pool
 
 
 def test_decode_icmp_has_zero_ports_and_flowkey(pool):
@@ -126,7 +127,7 @@ def test_pool_single_write_per_packet(pool):
     for _ in range(5):
         desc = decode(frame, 0, pool)
         pool.release(desc.slot)
-    assert pool.write_count == 5
+    assert pool.writes == 5
 
 
 def test_canonical_key_symmetry_and_direction():
@@ -180,7 +181,7 @@ def test_decode_roundtrip_random_payload(pool):
         frame = build_ipv4_tcp_frame(src, sp, dst, dp, flags=0x10, seq=3, payload=payload)
         desc = decode(frame, 0, pool)
         assert desc.tuple == FiveTuple(Proto.TCP, src, sp, dst, dp)
-        frame = pool.frame(desc.slot)
+        frame = pool.frame(desc.slot, desc.frame_len)
         assert frame[desc.payload_offset : desc.payload_offset + desc.payload_len] == payload
         pool.release(desc.slot)
 
@@ -280,8 +281,8 @@ def native_decode(native_dfa):
     return packet._bind_decoder(native_dfa)
 
 
-def full_pool() -> PacketPool:
-    pool = PacketPool(capacity=1)
+def full_pool() -> CountingPool:
+    pool = CountingPool(capacity=1)
     pool.store(bytes(60))
     return pool
 
@@ -293,12 +294,12 @@ def decode_outcome(decode_fn, frame, pool):
         result = decode_fn(frame, 9, pool)
     except Exception as exc:  # noqa: BLE001 - any error must be the reference's
         result = (type(exc), str(exc))
-    return result, pool.in_use_count(), pool.write_count
+    return result, pool.in_use_count(), pool.writes
 
 
 def assert_twin_decodes_as_reference(native_decode, frame):
     for variant in (frame, bytearray(frame), memoryview(frame)):
-        for make_pool in (lambda: PacketPool(capacity=2), full_pool):
+        for make_pool in (lambda: CountingPool(capacity=2), full_pool):
             ref_pool, twin_pool = make_pool(), make_pool()
             want = decode_outcome(packet._decode, variant, ref_pool)
             got = decode_outcome(native_decode, variant, twin_pool)
@@ -307,7 +308,7 @@ def assert_twin_decodes_as_reference(native_decode, frame):
             if isinstance(desc, PacketDescriptor):
                 assert type(desc) is PacketDescriptor and type(desc.tuple) is FiveTuple
                 assert desc.tuple.proto is want[0].tuple.proto
-                assert twin_pool.frame(desc.slot) == ref_pool.frame(want[0].slot) == bytes(frame)
+                assert twin_pool.frame(desc.slot, desc.frame_len) == ref_pool.frame(want[0].slot, want[0].frame_len) == bytes(frame)
 
 
 @given(frames())
@@ -322,7 +323,7 @@ def test_native_decode_pool_errors_equal_reference(native_decode):
     udp = build_ipv4_udp_frame(parse_ip("1.0.0.1"), 1, parse_ip("1.0.0.2"), 2, payload=b"q")
     oversize = udp + bytes(SLOT_SIZE + 1 - len(udp))
     assert_twin_decodes_as_reference(native_decode, oversize)
-    assert decode_outcome(native_decode, oversize, PacketPool(capacity=2))[0][0] is FrameTooLarge
+    assert decode_outcome(native_decode, oversize, CountingPool(capacity=2))[0][0] is FrameTooLarge
     assert decode_outcome(native_decode, udp, full_pool()) == (
         (PoolExhausted, "packet pool has no free slot"), 1, 1,
     )
@@ -330,7 +331,7 @@ def test_native_decode_pool_errors_equal_reference(native_decode):
 
 def test_native_decode_rejects_malformed_calls(native_decode, native_dfa):
     frame = bytearray(build_ipv4_udp_frame(parse_ip("1.0.0.1"), 1, parse_ip("1.0.0.2"), 2))
-    pool = PacketPool(capacity=2)
+    pool = CountingPool(capacity=2)
     for args in ((), (frame, 0), (frame, 0, pool, 0)):
         with pytest.raises(TypeError, match="takes 3 arguments"):
             native_decode(*args)
@@ -343,7 +344,7 @@ def test_native_decode_rejects_malformed_calls(native_decode, native_dfa):
     view.release()
     with pytest.raises(AttributeError):
         native_decode(frame, 0, object())  # no store method
-    assert pool.in_use_count() == pool.write_count == 0
+    assert pool.in_use_count() == pool.writes == 0
     frame.append(0)  # resizing raises BufferError while a buffer export is held
     with pytest.raises(TypeError, match="takes 8 arguments"):
         native_dfa.decoder(PacketDescriptor)
@@ -364,12 +365,12 @@ def test_pool_slab_is_paged_in_only_when_written():
     before = resident_pages()
     big = PacketPool(100_000)  # a ~195 MiB slab
     grown = resident_pages() - before
-    assert grown * page < 8 * 2**20  # the bookkeeping lists, not the slab
+    assert grown * page < 2**20  # the ownership bytes, not the slab
     frames = [bytes([i]) * 1500 for i in range(10)]
     before = resident_pages()
     slots = [big.store(f) for f in frames]
     assert resident_pages() - before <= 16  # 10 slots of 2 KiB span 5 pages
-    assert [big.frame(s) for s in slots] == frames
+    assert [big.frame(s, len(f)) for s, f in zip(slots, frames)] == frames
 
 
 def test_pool_hands_out_slots_in_lifo_order():

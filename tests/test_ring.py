@@ -158,7 +158,7 @@ def test_pool_stress_over_rings(rapid_switching):
                     return
                 continue
             i, slot = item
-            if pool.frame(slot) != i.to_bytes(4, "big") * 16:
+            if pool.frame(slot, 64) != i.to_bytes(4, "big") * 16:
                 errors.append(f"slot {slot} of frame {i} was overwritten")
             pool.release(slot)
             seen[w] += 1
