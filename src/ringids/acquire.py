@@ -3,12 +3,14 @@
 The acquisition worker decodes each frame the runner offers into the pool and
 places its descriptor on the per-analysis-worker receive ring chosen from the
 flow hash; in inline mode it also drains the shared transmit ring back to the
-sink. Both runner schedulers (sim and real clock) call it from their
-acquisition side only, so the sink has one writer. The hash is MurmurHash3
-(x86 32-bit) over the 13 bytes of the flow's key, its canonical
-``FiveTuple`` packed big-endian, so both directions of a connection map to
-the same ring. The ring index comes from the hash's low six bits, so an
-engine runs at most 64 workers.
+sink. The runner drains that ring a burst at a time, so forwarded frames may
+wait on it holding their slots; a frame that finds the pool full drains the
+ring and tries once more before it is dropped. Both runner schedulers (sim
+and real clock) call it from their acquisition side only, so the sink has
+one writer. The hash is MurmurHash3 (x86 32-bit) over the 13 bytes of the
+flow's key, its canonical ``FiveTuple`` packed big-endian, so both
+directions of a connection map to the same ring. The ring index comes from
+the hash's low six bits, so an engine runs at most 64 workers.
 
 A flow's ring never changes, so the worker memoises the ring index per
 5-tuple, as an RSS indirection table caches dispatch: the hash runs once per
@@ -108,7 +110,7 @@ class AcquireStats:
     """Counters owned by one acquisition worker."""
 
     received: int = 0
-    dropped: int = 0  # RX ring full
+    dropped: int = 0  # RX ring full, or pool still full after a TX drain
     decode_failed: int = 0  # truncated / unsupported frames
     tx_sent: int = 0
 
@@ -142,14 +144,18 @@ class AcquisitionWorker:
         """Decode and dispatch one frame; returns the ring index or -1.
 
         -1 means the frame was counted but not enqueued (decode failure, a
-        full pool or a full ring) and holds no pool slot.
+        pool still full after a TX drain, or a full ring) and holds no pool
+        slot.
         """
         self.stats.received += 1
         try:
             desc = decode(frame, arrival_us, self.pool)
         except PoolExhausted:
-            self.stats.dropped += 1
-            return -1
+            # frames waiting to be forwarded hold slots: free them, then retry
+            if not self.drain_tx():
+                self.stats.dropped += 1
+                return -1
+            desc = decode(frame, arrival_us, self.pool)
         except DecodeError:
             self.stats.decode_failed += 1
             return -1

@@ -10,10 +10,16 @@ fixed-width intervals (3 seconds each), with ``+=`` on per-interval
 interval's paging share are kept only when a cost model is set; without one
 the share is 0, and a useless-mode worker's cost is a constant, so it reads
 no candidate or alert counts. In both, the acquisition side alone
-drains the inline TX ring to the sink, and drains it once more when the
-rings are empty. Both price each of the five lifecycle crossings once: the
-three set-up crossings start the run's time base, and stop and shutdown are
-added after it. Rings take no locks: RX ring ``i`` has one
+drains the inline TX ring to the sink, a burst at a time as DPDK's
+``rte_eth_tx_buffer`` does: once ``min(burst_size, TX ring capacity)``
+descriptors wait (checked by the sim driver after each serve, by the real
+driver after each offer), when a frame finds the pool full, before each
+real-clock pacing sleep, and at the end of the run. The ring is FIFO with
+one consumer, and the retry on a full pool frees every slot a drain after
+each frame would have freed, so the sink's frames and every drop are the
+same as with such a drain. Both price each of the five lifecycle crossings
+once: the three set-up crossings start the run's time base, and stop and
+shutdown are added after it. Rings take no locks: RX ring ``i`` has one
 producer (acquisition) and one consumer (worker ``i``), and the TX ring's
 producers, the inline workers, share one lock to enqueue. The schedulers
 differ only in where the time comes from and in who calls the step:
@@ -30,9 +36,10 @@ differ only in where the time comes from and in who calls the step:
   stretch of each dequeued burst. With a cost model, each worker first
   sleeps until the run's clock reaches the end of the warm-up window,
   counted from the same base as in the sim run, while acquisition already
-  offers frames. A worker exits once acquisition is done and its ring is
-  empty, and the acquisition side keeps draining TX until every worker has
-  exited, so a worker waiting on a full TX ring always gets room.
+  offers frames; an acquisition error cuts that wait short. A worker exits
+  once acquisition is done and its ring is empty, and the acquisition side
+  keeps draining TX until every worker has exited, so a worker waiting on a
+  full TX ring always gets room.
 
 Reports carry run totals, throughput, and the interval records of drop rate
 and paging activity.
@@ -245,14 +252,6 @@ class NullSink:
         self.bytes += len(frame)
 
 
-class CollectSink:
-    def __init__(self):
-        self.frames: list[bytes] = []
-
-    def write(self, frame) -> None:
-        self.frames.append(bytes(frame))
-
-
 class Engine:
     """Pipeline assembly driven through the five lifecycle calls."""
 
@@ -386,6 +385,9 @@ class _Step:
         # a useless-mode packet costs the same whatever it holds
         self.useless_cost = cfg.timing.useless_us if cfg.useless else None
         self.factor = engine.current_factor if model is not None else None  # None: unpriced
+        tx_ring = engine.acquirer.tx_ring
+        # inline: the acquisition side drains TX once this many descriptors wait
+        self.tx_burst = min(cfg.burst_size, tx_ring.capacity) if tx_ring is not None else 0
         self.expire_mark = [0] * len(engine.workers)  # last interval each worker swept
 
     def offer(self, frame, now_us: int, idx: int, acc: _IntervalAccumulator) -> None:
@@ -459,6 +461,7 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
 
     tx_ring = engine.acquirer.tx_ring
     drain_tx = engine.acquirer.drain_tx if tx_ring is not None else None
+    tx_burst = step.tx_burst
 
     def drain_worker(i: int, upto: float | None) -> None:
         ring = rx_rings[i]
@@ -472,9 +475,10 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
             desc = ring.dequeue()
             head_start[i] = None
             _, cost = serve(i, desc, int(start), int(start // INTERVAL_US), acc)
-            # A full drain after every serve means a worker always finds the
-            # TX ring empty, so its enqueue never waits for room.
-            if drain_tx is not None and tx_ring.head != tx_ring.tail:
+            # Draining once a burst waits, checked after every serve, leaves
+            # fewer than ``tx_burst <= capacity`` descriptors on the TX ring
+            # before each serve, so a worker's enqueue never waits for room.
+            if drain_tx is not None and tx_ring.tail - tx_ring.head >= tx_burst:
                 drain_tx()
             worker_t[i] = start + cost
 
@@ -504,7 +508,8 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
     """Threaded execution against the counter clock; intervals and elapsed
     time come from the untrusted wall clock, as an external harness would
     measure them. With a cost model, no worker dequeues before the warm-up
-    window ends: ``warmup_us`` after the set-up crossings, as in the sim run.
+    window ends: ``warmup_us`` after the set-up crossings, as in the sim run;
+    if acquisition raises, the workers stop waiting and exit at once.
     Refuses a free-threaded interpreter before any thread starts: rings and
     pool are lock-free only under the interpreter lock."""
     if not getattr(sys, "_is_gil_enabled", lambda: True)():
@@ -513,6 +518,7 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
     step = _Step(engine)
     acq = engine.acquirer
     rx_rings = engine.rx_rings
+    tx_ring, tx_burst = acq.tx_ring, step.tx_burst
     t_clock = time.monotonic()
     clock = CounterClock().start()
     # the set-up crossings start the time base, as in the sim run
@@ -520,6 +526,7 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
     model = cfg.cost_model
     warm_end_s = (model.warmup_us + engine._crossing_us_total) / 1e6 if model is not None else 0.0
     done = threading.Event()  # acquisition has offered its last frame
+    abort = threading.Event()  # acquisition raised: no worker waits out the warm-up
     accs = [_IntervalAccumulator() for _ in rx_rings]
     errors: list[Exception] = []
 
@@ -530,8 +537,8 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
         ring, acc, serve = rx_rings[i], accs[i], step.serve
         try:
             warming = warm_end_s - (time.monotonic() - t0)
-            if warming > 0:
-                time.sleep(warming)
+            if warming > 0 and abort.wait(warming):
+                return
             while True:
                 finished = done.is_set()  # read before the dequeue: nothing comes after it
                 descs = ring.dequeue_burst(cfg.burst_size)
@@ -560,12 +567,17 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
         for offered, frame in enumerate(_frames(engine.source, workload.packet_count, cfg.burst_size)):
             now = time.monotonic() - t0
             if rate > 0 and offered / rate > now:
+                acq.drain_tx()  # about to idle: no frame waits out the pacing for a burst to fill
                 time.sleep(offered / rate - now)
                 now = offered / rate
             if duration_s is not None and now > duration_s:
                 break
             step.offer(frame, clock.now_us(), interval(), acc)
-            acq.drain_tx()
+            if tx_ring is not None and tx_ring.tail - tx_ring.head >= tx_burst:
+                acq.drain_tx()
+    except BaseException:
+        abort.set()
+        raise
     finally:
         done.set()
         while any(t.is_alive() for t in threads):

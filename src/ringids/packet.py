@@ -79,9 +79,6 @@ class Direction(Enum):
     FORWARD = 0
     REVERSE = 1
 
-    def flipped(self) -> "Direction":
-        return REVERSE if self is FORWARD else FORWARD
-
 
 # read on the per-frame path instead of ``Proto.TCP`` and the like
 OTHER, ICMP, TCP, UDP = Proto.OTHER, Proto.ICMP, Proto.TCP, Proto.UDP
@@ -158,10 +155,6 @@ class FiveTuple(_FiveTupleFields):
         if proto in (ICMP, OTHER) and (src_port or dst_port):
             raise ValueError("portless protocol with nonzero port")
         return _new(cls, (proto, _coerce_ip(src_ip), src_port, _coerce_ip(dst_ip), dst_port))
-
-    def reversed(self) -> "FiveTuple":
-        proto, src_ip, src_port, dst_ip, dst_port = self
-        return _new(FiveTuple, (proto, dst_ip, dst_port, src_ip, src_port))
 
     def __str__(self) -> str:
         return (

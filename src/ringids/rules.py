@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .matching import MultiPatternMatcher
-from .packet import FiveTuple, Proto, format_ip, parse_ip
+from .packet import FiveTuple, Proto, parse_ip
 
 RULE_ACTIONS = ("alert", "drop")
 RULE_PROTOS = ("tcp", "udp", "icmp", "ip")
@@ -72,14 +72,6 @@ class PortSpec:
     def matches(self, port: int) -> bool:
         return self.any_port or port in self.ports
 
-    def render(self) -> str:
-        if self.any_port:
-            return "any"
-        ports = sorted(self.ports)
-        if len(ports) == 1:
-            return str(ports[0])
-        return "[" + ", ".join(str(p) for p in ports) + "]"
-
 
 PORT_ANY = PortSpec(any_port=True)
 
@@ -107,14 +99,6 @@ class AddressSpec:
             if ip >> shift == net >> shift:
                 return True
         return False
-
-    def render(self) -> str:
-        if self.var is not None:
-            return f"${self.var}"
-        if self.any_addr:
-            return "any"
-        parts = [format_ip(net) if prefix == 32 else f"{format_ip(net)}/{prefix}" for net, prefix in self.nets]
-        return parts[0] if len(parts) == 1 else "[" + ", ".join(parts) + "]"
 
 
 ADDR_ANY = AddressSpec(any_addr=True)
@@ -160,18 +144,6 @@ class FlowOpt:
     to_server: bool = False
     established: bool = False
     only_stream: bool = False
-
-    def render(self) -> str:
-        parts = []
-        if self.to_client:
-            parts.append("to_client")
-        if self.to_server:
-            parts.append("to_server")
-        if self.established:
-            parts.append("established")
-        if self.only_stream:
-            parts.append("only_stream")
-        return ", ".join(parts)
 
 
 @dataclass
@@ -345,11 +317,6 @@ def _parse_addr(token: str) -> AddressSpec:
     return _parse_one_addr(token)
 
 
-def _quote(text: str) -> str:
-    """Inverse of _unquote: backslash-escape ``\\`` and ``"``."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def _unescape(text: str) -> str:
     return _ESCAPE.sub(r"\1", text) if "\\" in text else text
 
@@ -391,26 +358,6 @@ def _hex_bytes(span: str, position: int) -> bytes:
     if not _HEX_SPAN.fullmatch(span):
         raise ParseError(f"bad hex byte in span {span!r} of content", position)
     return bytes.fromhex(span)
-
-
-def encode_pattern(data: bytes) -> str:
-    """Inverse of decode_pattern, hex-escaping anything non-printable."""
-    out = []
-    hex_run: list[str] = []
-
-    def flush():
-        if hex_run:
-            out.append("|" + " ".join(hex_run) + "|")
-            hex_run.clear()
-
-    for b in data:
-        if 0x20 <= b < 0x7F and chr(b) not in '"|;\\':
-            flush()
-            out.append(chr(b))
-        else:
-            hex_run.append(f"{b:02X}")
-    flush()
-    return "".join(out)
 
 
 def _parse_content(value: str, position: int, warnings: list[str]) -> Content:
@@ -612,46 +559,6 @@ def _parse_rule(line: str, addrs: dict[str, AddressSpec], ports: dict[str, PortS
         flow=flow,
         opaque=tuple(opaque),
         warnings=tuple(warnings),
-    )
-
-
-def format_rule(rule: Rule) -> str:
-    """Render a rule back to canonical one-line text (parse round-trips)."""
-    opts = []
-    if rule.msg:
-        opts.append(f"msg: {_quote(rule.msg)}")
-    if rule.flow is not None:
-        opts.append(f"flow: {rule.flow.render()}")
-    for opt in rule.options:
-        if isinstance(opt, Content):
-            mods = []
-            if opt.depth is not None:
-                mods.append(f"depth {opt.depth}")
-            if opt.offset:
-                mods.append(f"offset {opt.offset}")
-            if opt.relative:
-                mods.append("relative")
-            suffix = (", " + ", ".join(mods)) if mods else ""
-            opts.append(f'content: "{encode_pattern(opt.pattern)}"{suffix}')
-        else:
-            rel = ",relative" if opt.relative else ""
-            opts.append(f"byte_test: {opt.nbytes},{opt.op},{opt.value},{opt.offset}{rel}")
-    if rule.metadata:
-        opts.append(f"metadata: {rule.metadata}")
-    if rule.service:
-        opts.append(f"service: {rule.service}")
-    for ref in rule.references:
-        opts.append(f"reference: {ref}")
-    if rule.classtype:
-        opts.append(f"classtype: {rule.classtype}")
-    for key, value in rule.opaque:
-        opts.append(f"{key}: {value}" if value else key)
-    opts.append(f"sid: {rule.sid}")
-    opts.append(f"rev: {rule.rev}")
-    body = "; ".join(opts)
-    return (
-        f"{rule.action} {rule.proto} {rule.src.render()} {rule.src_ports.render()} "
-        f"{rule.direction} {rule.dst.render()} {rule.dst_ports.render()} ({body};)"
     )
 
 

@@ -113,6 +113,26 @@ class CountingPool(PacketPool):
         return slot
 
 
+class CollectSink:
+    """Frame sink that keeps a copy of every forwarded frame."""
+
+    def __init__(self):
+        self.frames: list[bytes] = []
+
+    def write(self, frame) -> None:
+        self.frames.append(bytes(frame))
+
+
+def reverse(t: FiveTuple) -> FiveTuple:
+    """The 5-tuple of the other direction of ``t``'s connection."""
+    proto, src_ip, src_port, dst_ip, dst_port = t
+    return FiveTuple(proto, dst_ip, dst_port, src_ip, src_port)
+
+
+def flipped(direction: Direction) -> Direction:
+    return Direction.REVERSE if direction is Direction.FORWARD else Direction.FORWARD
+
+
 def make_context(tuple_, payload: bytes, flow: Flow | None = None, direction=Direction.FORWARD,
                  stream: bytes | None = None) -> PacketContext:
     """Standalone context over a plain payload buffer (no pool)."""
@@ -215,7 +235,7 @@ def random_context(rng: random.Random, compiled, proto: Proto | None = None) -> 
             [FlowState.NEW, FlowState.ESTABLISHED, FlowState.ESTABLISHED, FlowState.CLOSING]
         )
         key, key_dir = canonical_key(t)
-        flow = make_flow(t, state=state, initiator=rng.choice([key_dir, key_dir.flipped()]))
+        flow = make_flow(t, state=state, initiator=rng.choice([key_dir, flipped(key_dir)]))
         direction = key_dir
 
     stream = None

@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from conftest import CountingPool
+from conftest import CollectSink, CountingPool, reverse
 from ringids import acquire
 from ringids.acquire import AcquisitionWorker, murmur3_32, rss_hash, select_ring
 from ringids.harness.synth import build_ipv4_tcp_frame, build_ipv4_udp_frame
@@ -116,7 +116,7 @@ def test_select_ring_of_rss_hash_equals_reference():
 
 def test_rss_hash_symmetric_and_deterministic():
     t = FiveTuple(Proto.TCP, "10.0.0.1", 1234, "10.0.0.2", 80)
-    assert rss_hash(t) == rss_hash(t.reversed())
+    assert rss_hash(t) == rss_hash(reverse(t))
     assert rss_hash(t) == rss_hash(t)
 
 
@@ -127,7 +127,7 @@ def test_rss_hash_hashes_the_canonical_tuple_bytes(monkeypatch):
     monkeypatch.setattr(acquire, "murmur3_32", lambda data: seen.append(bytes(data)) or 0)
     t = FiveTuple(Proto.TCP, "10.0.0.1", 1234, "10.0.0.2", 80)
     rss_hash(t)
-    rss_hash(t.reversed())
+    rss_hash(reverse(t))
     assert seen == [bytes.fromhex("06" "0a000001" "04d2" "0a000002" "0050")] * 2
 
 
@@ -142,7 +142,7 @@ def test_rss_hash_symmetry_random():
     for _ in range(2000):
         t = FiveTuple(Proto.UDP, rng.getrandbits(32), rng.randrange(65536),
                       rng.getrandbits(32), rng.randrange(65536))
-        assert rss_hash(t) == rss_hash(t.reversed())
+        assert rss_hash(t) == rss_hash(reverse(t))
 
 
 def test_select_ring_low_six_bits():
@@ -153,14 +153,6 @@ def test_select_ring_low_six_bits():
         assert select_ring(h, 1) == 0
     with pytest.raises(ValueError):
         select_ring(1, 0)
-
-
-class ListSink:
-    def __init__(self):
-        self.frames = []
-
-    def write(self, frame):
-        self.frames.append(bytes(frame))
 
 
 def frame_for(i, payload=b"data!"):
@@ -174,7 +166,7 @@ def make_acquirer(n_frames=0, n_rings=2, ring_capacity=64, inline=False):
     pool = CountingPool(capacity=max(n_frames + 8, 16))
     rings = [Ring(ring_capacity) for _ in range(n_rings)]
     tx = Ring(ring_capacity)
-    sink = ListSink()
+    sink = CollectSink()
     worker = AcquisitionWorker(pool, rings, tx_ring=tx if inline else None, sink=sink)
     return worker, pool, rings, tx, sink
 
@@ -216,7 +208,7 @@ def test_ring_memo_follows_hash_rule_and_stays_bounded(monkeypatch):
     for n_rings in range(1, 9):
         worker, *_ = make_acquirer(n_rings=n_rings)
         tuples = [random_tuple(rng) for _ in range(100)]
-        seen = tuples + [t.reversed() for t in tuples]
+        seen = tuples + [reverse(t) for t in tuples]
         for _ in range(3):  # revisits hit the memo or, after a clear, miss again
             rng.shuffle(seen)
             for t in seen:
@@ -304,6 +296,35 @@ def test_inline_tx_drain_pushes_frames_to_sink():
     assert sink.frames[0] == frames[0]
     assert pool.in_use_count() == 0
     assert worker.stats.tx_sent == 3
+
+
+def test_full_pool_drains_tx_before_dropping():
+    """When every slot is held by a descriptor waiting on the TX ring, a new
+    frame drains the ring to the sink and is stored; nothing is dropped."""
+    worker, pool, rings, tx, sink = make_acquirer(n_rings=1, inline=True)
+    frames = [frame_for(i) for i in range(pool.capacity)]
+    ingest_all(worker, frames)
+    for desc in rings[0].dequeue_burst(pool.capacity):
+        assert tx.enqueue(desc)
+    assert pool.in_use_count() == pool.capacity
+    assert worker.ingest_frame(frame_for(99), 0) == 0
+    assert sink.frames == frames
+    assert worker.stats.dropped == 0 and worker.stats.tx_sent == pool.capacity
+    assert pool.in_use_count() == 1 and len(tx) == 0
+    desc = rings[0].dequeue()
+    assert pool.frame(desc.slot, desc.frame_len) == frame_for(99)
+
+
+@pytest.mark.parametrize("inline", [True, False])
+def test_full_pool_with_empty_tx_ring_drops(inline):
+    """With nothing on the TX ring to free (or no TX ring), a frame that
+    finds the pool full is one drop and holds no slot."""
+    worker, pool, rings, tx, sink = make_acquirer(n_rings=1, inline=inline)
+    ingest_all(worker, [frame_for(i) for i in range(pool.capacity)])
+    assert worker.ingest_frame(frame_for(99), 0) == -1
+    assert (worker.stats.received, worker.stats.dropped) == (pool.capacity + 1, 1)
+    assert pool.in_use_count() == pool.capacity == len(rings[0])
+    assert not sink.frames
 
 
 def test_passive_mode_tx_drain_is_noop():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import flipped, reverse
+
 from ringids.flow import (
     FLOW_BASE_BYTES,
     Flow,
@@ -45,7 +47,7 @@ def test_lookup_or_create_and_reverse_hits_same_flow():
     assert created and flow.last_seen_us == 100
     assert flow.state is FlowState.NEW
     assert (flow.pkts_fwd, flow.pkts_rev) == (0, 0)
-    rev_key, rev_dir = canonical_key(desc.tuple.reversed())
+    rev_key, rev_dir = canonical_key(reverse(desc.tuple))
     flow2, created2 = table.lookup_or_create(rev_key, 200)
     assert flow2 is flow and not created2
     assert rev_dir != direction
@@ -68,7 +70,7 @@ def test_handshake_reaches_established():
     update_flow(flow, syn, d_fwd, 1)
     assert flow.state is FlowState.SYN_SEEN
     synack = make_desc(flags=TCP_SYN | TCP_ACK)
-    update_flow(flow, synack, d_fwd.flipped(), 2)
+    update_flow(flow, synack, flipped(d_fwd), 2)
     assert flow.state is FlowState.SYN_SEEN
     ack = make_desc(flags=TCP_ACK)
     update_flow(flow, ack, d_fwd, 3)
@@ -85,7 +87,7 @@ def test_bidirectional_fallback_established():
     flow, _ = table.lookup_or_create(key, 0)
     update_flow(flow, data, d, 1)
     assert flow.state is FlowState.NEW
-    update_flow(flow, data, d.flipped(), 2)
+    update_flow(flow, data, flipped(d), 2)
     assert flow.state is FlowState.ESTABLISHED
 
 
@@ -95,11 +97,11 @@ def test_fin_both_directions_closes():
     key, d = key_of(desc)
     flow, _ = table.lookup_or_create(key, 0)
     update_flow(flow, desc, d, 1)
-    update_flow(flow, desc, d.flipped(), 2)
+    update_flow(flow, desc, flipped(d), 2)
     assert flow.state is FlowState.ESTABLISHED
     update_flow(flow, make_desc(flags=TCP_FIN | TCP_ACK), d, 3)
     assert flow.state is FlowState.CLOSING
-    update_flow(flow, make_desc(flags=TCP_FIN | TCP_ACK), d.flipped(), 4)
+    update_flow(flow, make_desc(flags=TCP_FIN | TCP_ACK), flipped(d), 4)
     assert flow.state is FlowState.CLOSED
 
 
@@ -120,7 +122,7 @@ def test_udp_established_on_reverse():
     flow, _ = table.lookup_or_create(key, 0)
     update_flow(flow, desc, d, 1)
     assert flow.state is FlowState.NEW
-    update_flow(flow, desc, d.flipped(), 2)
+    update_flow(flow, desc, flipped(d), 2)
     assert flow.state is FlowState.ESTABLISHED
 
 

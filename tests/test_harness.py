@@ -15,7 +15,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_PATH, HEARTBLEED_RULE
+from conftest import CORPUS_PATH, HEARTBLEED_RULE, CollectSink
 
 from ringids.boundary import CostModel
 from ringids.detect import AnalysisWorker
@@ -36,7 +36,6 @@ from ringids.harness.pcapio import (
     pcap_write,
 )
 from ringids.harness.runner import (
-    CollectSink,
     ConservationError,
     Engine,
     EngineConfig,
@@ -713,19 +712,41 @@ def test_cli_run_replays_a_capture(tmp_path, capsys):
     assert "received : 300" in capsys.readouterr().out
 
 
+def cut_short_capture(tmp_path) -> Path:
+    """A 30-frame capture whose last record is missing its final bytes."""
+    capture = tmp_path / "in.pcap"
+    assert cli_main(["genpcap", "--synth", "100,8", "--count", "30", str(capture)]) == 0
+    capture.write_bytes(capture.read_bytes()[:-10])
+    return capture
+
+
 @pytest.mark.parametrize("damage", ["not-a-capture", "cut-short"])
 def test_cli_unreadable_capture_is_one_error_line(tmp_path, capsys, damage):
-    capture = tmp_path / "in.pcap"
     if damage == "not-a-capture":
+        capture = tmp_path / "in.pcap"
         capture.write_text('alert tcp any any -> any any (content:"x"; sid:1;)\n')
     else:
-        assert cli_main(["genpcap", "--synth", "100,8", "--count", "30", str(capture)]) == 0
-        capture.write_bytes(capture.read_bytes()[:-10])
+        capture = cut_short_capture(tmp_path)
     capsys.readouterr()
     rc = cli_main(["run", "--pcap", str(capture), "--alert-file", str(tmp_path / "a.txt")])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_real_clock_acquisition_error_cuts_the_warm_up_short(tmp_path, capsys):
+    """A worker waiting out the cost model's warm-up stops waiting when
+    acquisition raises, so the error is reported without the 2 s wait."""
+    capture = cut_short_capture(tmp_path)
+    capsys.readouterr()
+    argv = ["run", "--pcap", str(capture), "--clock", "real", "--cost-model", "on", "--warmup-seconds", "2",
+            "--alert-file", str(tmp_path / "a.txt")]
+    t0 = time.monotonic()
+    rc = run_with_watchdog(lambda: cli_main(argv), timeout_s=30)
+    took = time.monotonic() - t0
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:")
+    assert took < 1.0
 
 
 class CrcSink:
@@ -784,6 +805,22 @@ def test_sim_schedule_matches_golden_digests(name, kernel):
     got = (_digest((report.totals, report.elapsed_us, report.intervals)), _digest(alerts.lines), _digest(sink.crcs))
     assert got == want
     assert sink.types <= {bytes}
+
+
+@pytest.mark.parametrize("burst", [1, 2, 5, 16, 32, 64])
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCHEDULES))
+def test_golden_digests_do_not_depend_on_the_burst_size(name, burst):
+    """The TX ring is drained once ``min(burst, capacity)`` descriptors wait
+    and whenever the pool is full, so the sink still sees every frame in
+    order and no drop moves. 16, 32 and 64 reach or pass the 8- and 16-slot
+    rings of the golden configs."""
+    spec, engine, want = GOLDEN_SCHEDULES[name]
+    alerts, sink = ListAlertSink(), CrcSink()
+    report = run_experiment(WorkloadSpec(kind="synth", **spec),
+                            base_config(rules_path=str(CORPUS_PATH), **{**engine, "burst_size": burst}),
+                            alert_sink=alerts, sink=sink)
+    got = (_digest((report.totals, report.elapsed_us, report.intervals)), _digest(alerts.lines), _digest(sink.crcs))
+    assert got == want
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCHEDULES) + ["real_inline"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import header_matches
 
-from ringids.packet import FiveTuple, Proto, parse_ip
+from ringids.packet import FiveTuple, Proto, format_ip, parse_ip
 from ringids.rules import (
     ADDR_ANY,
     PORT_ANY,
@@ -22,13 +22,103 @@ from ringids.rules import (
     ParseError,
     PortSpec,
     compile_ruleset,
-    format_rule,
     load_ruleset,
     load_ruleset_file,
     parse_rule,
 )
 
 CORPUS = Path(__file__).parent / "data" / "corpus.rules"
+
+
+# --- rule text back from a parsed rule: the parser's round-trip oracle -------
+
+
+def _quote(text: str) -> str:
+    """Inverse of the parser's unquote: backslash-escape ``\\`` and ``"``."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def encode_pattern(data: bytes) -> str:
+    """Inverse of ``decode_pattern``, hex-escaping anything non-printable."""
+    out = []
+    hex_run: list[str] = []
+
+    def flush():
+        if hex_run:
+            out.append("|" + " ".join(hex_run) + "|")
+            hex_run.clear()
+
+    for b in data:
+        if 0x20 <= b < 0x7F and chr(b) not in '"|;\\':
+            flush()
+            out.append(chr(b))
+        else:
+            hex_run.append(f"{b:02X}")
+    flush()
+    return "".join(out)
+
+
+def _render_ports(spec: PortSpec) -> str:
+    if spec.any_port:
+        return "any"
+    ports = sorted(spec.ports)
+    if len(ports) == 1:
+        return str(ports[0])
+    return "[" + ", ".join(str(p) for p in ports) + "]"
+
+
+def _render_addr(spec: AddressSpec) -> str:
+    if spec.var is not None:
+        return f"${spec.var}"
+    if spec.any_addr:
+        return "any"
+    parts = [format_ip(net) if prefix == 32 else f"{format_ip(net)}/{prefix}" for net, prefix in spec.nets]
+    return parts[0] if len(parts) == 1 else "[" + ", ".join(parts) + "]"
+
+
+def _render_flow(flow: FlowOpt) -> str:
+    names = ("to_client", "to_server", "established", "only_stream")
+    return ", ".join(name for name in names if getattr(flow, name))
+
+
+def format_rule(rule) -> str:
+    """Render a rule back to canonical one-line text (parse round-trips)."""
+    opts = []
+    if rule.msg:
+        opts.append(f"msg: {_quote(rule.msg)}")
+    if rule.flow is not None:
+        opts.append(f"flow: {_render_flow(rule.flow)}")
+    for opt in rule.options:
+        if isinstance(opt, Content):
+            mods = []
+            if opt.depth is not None:
+                mods.append(f"depth {opt.depth}")
+            if opt.offset:
+                mods.append(f"offset {opt.offset}")
+            if opt.relative:
+                mods.append("relative")
+            suffix = (", " + ", ".join(mods)) if mods else ""
+            opts.append(f'content: "{encode_pattern(opt.pattern)}"{suffix}')
+        else:
+            rel = ",relative" if opt.relative else ""
+            opts.append(f"byte_test: {opt.nbytes},{opt.op},{opt.value},{opt.offset}{rel}")
+    if rule.metadata:
+        opts.append(f"metadata: {rule.metadata}")
+    if rule.service:
+        opts.append(f"service: {rule.service}")
+    for ref in rule.references:
+        opts.append(f"reference: {ref}")
+    if rule.classtype:
+        opts.append(f"classtype: {rule.classtype}")
+    for key, value in rule.opaque:
+        opts.append(f"{key}: {value}" if value else key)
+    opts.append(f"sid: {rule.sid}")
+    opts.append(f"rev: {rule.rev}")
+    body = "; ".join(opts)
+    return (
+        f"{rule.action} {rule.proto} {_render_addr(rule.src)} {_render_ports(rule.src_ports)} "
+        f"{rule.direction} {_render_addr(rule.dst)} {_render_ports(rule.dst_ports)} ({body};)"
+    )
 
 HEARTBLEED = (
     'alert tcp $HOME_NET [21, 25, 443, 465, 636, 992, 993, 995, 2484] -> $EXTERNAL_NET any '
