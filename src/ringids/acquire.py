@@ -3,9 +3,10 @@
 The acquisition worker decodes each frame the runner offers into the pool and
 places its descriptor on the per-analysis-worker receive ring chosen from the
 flow hash; in inline mode it also drains the shared transmit ring back to the
-sink. The runner drains that ring a burst at a time, so forwarded frames may
-wait on it holding their slots; a frame that finds the pool full drains the
-ring and tries once more before it is dropped. Both runner schedulers (sim
+sink. That ring holds the whole pool, so a worker's enqueue never waits.
+The runner drains it a burst at a time, so forwarded frames may wait on it
+holding their slots; a frame that finds the pool full drains the ring and
+tries once more before it is dropped. Both runner schedulers (sim
 and real clock) call it from their acquisition side only, so the sink has
 one writer. The hash is MurmurHash3 (x86 32-bit) over the 13 bytes of the
 flow's key, its canonical ``FiveTuple`` packed big-endian, so both

@@ -5,9 +5,11 @@ counters: the scheduler hands it each descriptor together with the time to
 analyse it at. The compiled ruleset is shared read-only. The only shared
 mutable structures it touches are the pool's free list (releasing a slot is
 atomic) and, inline, the transmit ring, which every worker produces onto: a
-worker holds the ring's producer lock around its ``enqueue``. Matching is
-two-phase. Phase 1 (``prefilter``) scans the packet with its bucket's
-automaton, which reports rule sids, and keeps the fast-pattern hits and the
+worker holds the ring's producer lock around its ``enqueue``. That ring
+holds the whole pool, so an enqueue always finds room; a refusal breaks
+that invariant and raises instead of waiting. Matching is two-phase.
+Phase 1 (``prefilter``) scans the packet with its bucket's automaton,
+which reports rule sids, and keeps the fast-pattern hits and the
 bucket's contentless rules whose header admits the packet: the header is
 decided there, once. ``prefilter`` is also the one place that splits payload
 from stream: an only-stream rule is a hit when its fast pattern is in the
@@ -31,7 +33,6 @@ Enum members are read through ``packet``'s module constants (``TCP``,
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -220,8 +221,9 @@ class AnalysisWorker:
     """One detection worker: analyzes each descriptor it is given, allows or
     blocks. Given a ``tx_ring`` it is inline: blocking rules drop, allowed
     packets go to the ring; without one it is passive and releases every slot.
-    Workers that share a ``tx_ring`` must share its ``tx_lock``. Each worker
-    builds its own ``flow_table`` and ``stats``."""
+    The ``tx_ring`` must hold every slot of the pool, so an allowed packet
+    never waits for room. Workers that share a ``tx_ring`` must share its
+    ``tx_lock``. Each worker builds its own ``flow_table`` and ``stats``."""
 
     def __init__(
         self,
@@ -245,8 +247,8 @@ class AnalysisWorker:
     def _finish(self, desc: PacketDescriptor, verdict: str) -> None:
         if verdict == "allow" and self.tx_ring is not None:
             with self.tx_lock:  # one producer at a time; the drain takes no lock
-                while not self.tx_ring.enqueue(desc):
-                    time.sleep(0)  # transmit side retries until the drain frees space
+                if not self.tx_ring.enqueue(desc):
+                    raise RuntimeError("TX ring full: it must hold every pool slot")
         else:
             self.pool.release(desc.slot)
 

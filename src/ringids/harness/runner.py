@@ -11,13 +11,14 @@ interval's paging share are kept only when a cost model is set; without one
 the share is 0, and a useless-mode worker's cost is a constant, so it reads
 no candidate or alert counts. In both, the acquisition side alone
 drains the inline TX ring to the sink, a burst at a time as DPDK's
-``rte_eth_tx_buffer`` does: once ``min(burst_size, TX ring capacity)``
-descriptors wait (checked by the sim driver after each serve, by the real
-driver after each offer), when a frame finds the pool full, before each
-real-clock pacing sleep, and at the end of the run. The ring is FIFO with
-one consumer, and the retry on a full pool frees every slot a drain after
-each frame would have freed, so the sink's frames and every drop are the
-same as with such a drain. Both price each of the five lifecycle crossings
+``rte_eth_tx_buffer`` does. The TX ring holds the whole pool, and each
+descriptor on it holds a slot, so nothing ever waits on it. ``offer``
+drains once ``min(burst_size, TX ring capacity)`` descriptors wait, as does
+a frame that finds the pool full, the real clock before each pacing sleep,
+and each run at its end. The ring is FIFO with one consumer, and the retry
+on a full pool frees every slot a drain after each frame would have freed,
+so the sink's frames and every drop are the same as with such a drain.
+Both price each of the five lifecycle crossings
 once: the three set-up crossings start the run's time base, and stop and
 shutdown are added after it. Rings take no locks: RX ring ``i`` has one
 producer (acquisition) and one consumer (worker ``i``), and the TX ring's
@@ -37,9 +38,8 @@ differ only in where the time comes from and in who calls the step:
   sleeps until the run's clock reaches the end of the warm-up window,
   counted from the same base as in the sim run, while acquisition already
   offers frames; an acquisition error cuts that wait short. A worker exits
-  once acquisition is done and its ring is empty, and the acquisition side
-  keeps draining TX until every worker has exited, so a worker waiting on a
-  full TX ring always gets room.
+  once acquisition is done and its ring is empty; the counter clock stops
+  however the run ends.
 
 Reports carry run totals, throughput, and the interval records of drop rate
 and paging activity.
@@ -83,6 +83,13 @@ class TimingModel:
     per_byte_us: float = 0.002
     per_candidate_us: float = 0.05
     per_alert_us: float = 0.5
+
+    def __post_init__(self):
+        """Every cost is finite and >= 0, and acquisition takes time, so sim time advances."""
+        if not all(math.isfinite(c) and c >= 0 for c in vars(self).values()):
+            raise ConfigError(f"timing model costs must be finite and >= 0, got {self}")
+        if self.acquire_us <= 0:
+            raise ConfigError(f"acquire_us must be > 0, got {self.acquire_us}")
 
     def packet_cost(self, payload_len: int, candidates: int, alerts: int) -> float:
         return (
@@ -295,14 +302,16 @@ class Engine:
         cfg = self.config
         self.pool = PacketPool(cfg.resolved_pool_capacity())
         self.rx_rings = [Ring(cfg.ring_capacity) for _ in range(cfg.n_workers)]
-        self.tx_ring = Ring(cfg.ring_capacity)
+        # holds every pool slot, so an inline worker's enqueue always has room
+        self.tx_ring = Ring(1 << (self.pool.capacity - 1).bit_length())
         self.ruleset = self.load_rules()
         self.compiled = compile_ruleset(self.ruleset)
 
     def start_device(self, source, sink) -> None:
         """Bind source/sink and build the workers; only inline workers get
         the TX ring, the one ring with several producers, and the lock they
-        share to produce onto it."""
+        share to produce onto it. The ring holds the pool, so their enqueue
+        never waits; the acquisition side alone drains it."""
         self.lifecycle.transition(LifecycleEvent.START_DEVICE)
         self._cross()
         cfg = self.config
@@ -379,22 +388,27 @@ class _Step:
     def __init__(self, engine: Engine):
         cfg = engine.config
         model = cfg.cost_model
-        self.ingest = engine.acquirer.ingest_frame
+        acq = engine.acquirer
+        self.ingest = acq.ingest_frame
+        self.drain_tx = acq.drain_tx
         self.workers = engine.workers
         self.packet_cost = cfg.timing.packet_cost
         # a useless-mode packet costs the same whatever it holds
         self.useless_cost = cfg.timing.useless_us if cfg.useless else None
         self.factor = engine.current_factor if model is not None else None  # None: unpriced
-        tx_ring = engine.acquirer.tx_ring
+        self.tx_ring = tx_ring = acq.tx_ring
         # inline: the acquisition side drains TX once this many descriptors wait
         self.tx_burst = min(cfg.burst_size, tx_ring.capacity) if tx_ring is not None else 0
         self.expire_mark = [0] * len(engine.workers)  # last interval each worker swept
 
     def offer(self, frame, now_us: int, idx: int, acc: _IntervalAccumulator) -> None:
-        """Acquisition side: decode and dispatch one frame."""
+        """Acquisition side: decode and dispatch one frame; drain TX once a burst waits."""
         acc.received[idx] += 1
         if self.ingest(frame, now_us) < 0:
             acc.dropped[idx] += 1
+        tx = self.tx_ring
+        if tx is not None and tx.tail - tx.head >= self.tx_burst:
+            self.drain_tx()
 
     def serve(self, i: int, desc, now_us: int, idx: int, acc: _IntervalAccumulator) -> tuple[float, float]:
         """Worker ``i`` analyses one descriptor; returns its base and
@@ -441,8 +455,10 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
     next-free time advances by the stretched per-packet cost.
 
     The schedule is one thread, so the driver compares ring cursors directly
-    to skip empty rings, and each worker remembers when its ring head will
-    start until it dequeues it (the head only changes by that worker's dequeue).
+    to skip empty rings. Acquisition time strictly increases (``acquire_us >
+    0``), so every descriptor waiting when a frame is offered at ``upto``
+    arrived before it, and a worker starts its next one before ``upto``
+    exactly when its own time is before ``upto``.
     """
     cfg = engine.config
     model = cfg.cost_model
@@ -453,33 +469,17 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
 
     rx_rings = engine.rx_rings
     worker_t = [warm_end + engine._crossing_us_total] * len(rx_rings)
-    head_start: list[float | None] = [None] * len(rx_rings)  # start time of the peeked ring head
     t_acq = engine._crossing_us_total
     duration_us = workload.duration_s * 1e6 if workload.duration_s is not None else None
     rate = cfg.rate_pps
     acquire_us = cfg.timing.acquire_us
 
-    tx_ring = engine.acquirer.tx_ring
-    drain_tx = engine.acquirer.drain_tx if tx_ring is not None else None
-    tx_burst = step.tx_burst
-
-    def drain_worker(i: int, upto: float | None) -> None:
+    def drain_worker(i: int, upto: float) -> None:
         ring = rx_rings[i]
-        while ring.head != ring.tail:
-            start = head_start[i]
-            if start is None:
-                start = max(worker_t[i], float(ring.peek().arrival_us))
-                head_start[i] = start
-            if upto is not None and start >= upto:
-                return
+        while ring.head != ring.tail and worker_t[i] < upto:
             desc = ring.dequeue()
-            head_start[i] = None
+            start = max(worker_t[i], float(desc.arrival_us))
             _, cost = serve(i, desc, int(start), int(start // INTERVAL_US), acc)
-            # Draining once a burst waits, checked after every serve, leaves
-            # fewer than ``tx_burst <= capacity`` descriptors on the TX ring
-            # before each serve, so a worker's enqueue never waits for room.
-            if drain_tx is not None and tx_ring.tail - tx_ring.head >= tx_burst:
-                drain_tx()
             worker_t[i] = start + cost
 
     offer = step.offer
@@ -497,9 +497,8 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
 
     engine.stop()
     for i in range(len(rx_rings)):
-        drain_worker(i, None)
-    if drain_tx is not None:
-        drain_tx()
+        drain_worker(i, math.inf)
+    step.drain_tx()
     end_us = max([t_acq] + worker_t)
     return int(math.ceil(end_us)), acc, {}
 
@@ -516,9 +515,7 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
         raise ConfigError("the real clock needs the interpreter lock; this build runs without it")
     cfg = engine.config
     step = _Step(engine)
-    acq = engine.acquirer
     rx_rings = engine.rx_rings
-    tx_ring, tx_burst = acq.tx_ring, step.tx_burst
     t_clock = time.monotonic()
     clock = CounterClock().start()
     # the set-up crossings start the time base, as in the sim run
@@ -567,30 +564,27 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
         for offered, frame in enumerate(_frames(engine.source, workload.packet_count, cfg.burst_size)):
             now = time.monotonic() - t0
             if rate > 0 and offered / rate > now:
-                acq.drain_tx()  # about to idle: no frame waits out the pacing for a burst to fill
+                step.drain_tx()  # about to idle: no frame waits out the pacing for a burst to fill
                 time.sleep(offered / rate - now)
                 now = offered / rate
             if duration_s is not None and now > duration_s:
                 break
             step.offer(frame, clock.now_us(), interval(), acc)
-            if tx_ring is not None and tx_ring.tail - tx_ring.head >= tx_burst:
-                acq.drain_tx()
     except BaseException:
         abort.set()
         raise
     finally:
         done.set()
-        while any(t.is_alive() for t in threads):
-            if not acq.drain_tx():
-                time.sleep(0.0005)
+        for t in threads:
+            t.join()
+        clock.stop()  # on every exit path: a spinning counter would outlive the run
+    clock_s = time.monotonic() - t_clock
     if errors:
         raise errors[0]
 
-    acq.drain_tx()  # a worker exits only on an empty ring, so TX alone can hold frames
+    step.drain_tx()  # a worker exits only on an empty ring, so TX alone can hold frames
     end = time.monotonic()
     engine.stop()  # its crossing is priced by run_experiment, as in the sim run
-    clock.stop()
-    clock_s = time.monotonic() - t_clock
     for other in accs:
         acc.merge(other)
     rates = {
@@ -652,13 +646,10 @@ def _build_report(
     bps = analyzed_bytes * 8 / elapsed_s
     mean_frame_bits = (analyzed_bytes * 8 / analyzed) if analyzed else 0.0
 
-    if workload.duration_s is not None:
-        n_intervals = math.ceil(workload.duration_s * 1e6 / INTERVAL_US)
-    else:
-        n_intervals = max(math.ceil(elapsed_us / INTERVAL_US), 1)
-    # backlog served after the planned span gets trailing records, so the
-    # interval series always sums to the totals
-    n_intervals = max(n_intervals, acc.last_index() + 1)
+    # a source may end before the duration; backlog served after the span
+    # gets trailing records, so the interval series always sums to the totals
+    span_us = elapsed_us if workload.duration_s is None else min(workload.duration_s * 1e6, elapsed_us)
+    n_intervals = max(math.ceil(span_us / INTERVAL_US), 1, acc.last_index() + 1)
     model = cfg.cost_model
     warm_end = model.warmup_us if model is not None else 0
     intervals = []

@@ -1,7 +1,7 @@
 """Bounded FIFO rings of descriptor references.
 
 The only runtime channel between acquisition and analysis. Operations never
-block: a full ring rejects the element (producer counts a drop or retries) and
+block: a full ring rejects the element (producer counts a drop) and
 an empty ring returns nothing (consumers poll). Capacity is a power of two and
 cursors are masked, the standard ring construction.
 

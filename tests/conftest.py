@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,27 @@ def corpus_text():
 @pytest.fixture(scope="session")
 def corpus_ruleset(corpus_text):
     return load_ruleset(corpus_text)
+
+
+def run_with_watchdog(fn, timeout_s: float):
+    """``fn()`` on a daemon thread, so that a hang fails the test instead of
+    blocking the suite."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, name="watched-run", daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    if thread.is_alive():
+        pytest.fail(f"run still going after {timeout_s} s")
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 class CountingPool(PacketPool):

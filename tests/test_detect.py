@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from conftest import (
     random_context,
     reference_candidates,
     reverse,
+    run_with_watchdog,
 )
 
 from ringids import detect, packet
@@ -336,6 +338,18 @@ def test_clean_packet_inline_goes_to_tx():
     assert verdict == "allow" and not alerts
     assert len(tx) == 1  # slot stays held until the acquisition side drains
     assert pool.in_use_count() == 1
+
+
+def test_inline_worker_raises_on_a_full_tx_ring():
+    """The TX ring holds the whole pool, so a refused enqueue is a broken
+    invariant: the worker raises at once instead of waiting for room."""
+    compiled = compiled_of('alert tcp any any -> any any (content:"attack"; sid:80;)')
+    worker, pool, tx, _ = make_worker(compiled, inline=True, n_ring=1)
+    worker.process_packet(ingest(pool, payload=b"innocuous"), 0)
+    desc = ingest(pool, payload=b"innocuous")
+    with pytest.raises(RuntimeError, match="TX ring full"):
+        run_with_watchdog(lambda: worker.process_packet(desc, 1), timeout_s=30)
+    assert len(tx) == 1
 
 
 def test_useless_mode_skips_analysis():

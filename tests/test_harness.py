@@ -15,7 +15,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_PATH, HEARTBLEED_RULE, CollectSink
+from conftest import CORPUS_PATH, HEARTBLEED_RULE, CollectSink, run_with_watchdog
 
 from ringids.boundary import CostModel
 from ringids.detect import AnalysisWorker
@@ -331,6 +331,41 @@ def test_duration_backlog_lands_in_trailing_intervals():
         assert sum(getattr(iv, field) for iv in report.intervals) == getattr(t, field), field
 
 
+def test_duration_longer_than_the_source_sizes_intervals_by_the_run():
+    """A duration the source never reaches sizes the interval series by the
+    span the run really had, however large the duration."""
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=4, packet_count=20, duration_s=1e300, seed=2)
+    report = run_with_watchdog(lambda: run_experiment(wl, base_config()), timeout_s=30)
+    assert report.totals.analyzed == 20
+    assert len(report.intervals) == 1
+
+
+@pytest.mark.parametrize("field", ["acquire_us", "useless_us", "analysis_us", "per_byte_us",
+                                   "per_candidate_us", "per_alert_us"])
+def test_timing_model_rejects_costs_it_cannot_schedule(field):
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ConfigError):
+            TimingModel(**{field: bad})
+    if field == "acquire_us":  # sim time would never advance
+        with pytest.raises(ConfigError):
+            TimingModel(acquire_us=0)
+    else:
+        assert getattr(TimingModel(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3, 64])
+@pytest.mark.parametrize("ring_capacity", [1, 8, 4096])
+@pytest.mark.parametrize("pool_capacity", [None, 1, 12, 20])
+@pytest.mark.parametrize("burst_size", [1, 32])
+def test_tx_ring_holds_the_whole_pool(n_workers, ring_capacity, pool_capacity, burst_size):
+    engine = Engine(base_config(n_workers=n_workers, ring_capacity=ring_capacity,
+                                pool_capacity=pool_capacity, burst_size=burst_size, inline=True))
+    engine.initialize()
+    cap = engine.tx_ring.capacity
+    assert cap & (cap - 1) == 0 and cap >= engine.pool.capacity
+    assert cap < 2 * engine.pool.capacity  # the smallest such power of two
+
+
 def test_useless_mode_strictly_faster():
     wl = WorkloadSpec(kind="synth", packet_size=256, n_flows=64, packet_count=6000, seed=5)
     full = run_experiment(wl, base_config(rules_path=str(CORPUS_PATH)))
@@ -519,27 +554,6 @@ def test_real_clock_refuses_a_free_threaded_build(monkeypatch):
     assert threading.active_count() == threads  # refused before any thread started
     report = run_experiment(wl, base_config(n_workers=2))  # one thread: the sim clock runs
     assert report.totals.analyzed == 100
-
-
-def run_with_watchdog(fn, timeout_s: float):
-    """``fn()`` on a daemon thread, so that a hang fails the test instead of
-    blocking the suite."""
-    out = {}
-
-    def target():
-        try:
-            out["value"] = fn()
-        except BaseException as exc:
-            out["error"] = exc
-
-    thread = threading.Thread(target=target, name="watched-run", daemon=True)
-    thread.start()
-    thread.join(timeout_s)
-    if thread.is_alive():
-        pytest.fail(f"run still going after {timeout_s} s")
-    if "error" in out:
-        raise out["error"]
-    return out["value"]
 
 
 DROP_INJECTED = 'drop tcp any any -> any any (msg:"inj"; content:"INJECTME"; sid:900;)'
@@ -747,6 +761,24 @@ def test_real_clock_acquisition_error_cuts_the_warm_up_short(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith("error:")
     assert took < 1.0
+
+
+def test_failed_real_clock_run_stops_the_counter_clock(tmp_path, capsys):
+    """An acquisition error ends the run without leaving the counter thread
+    spinning for the life of the process."""
+    capture = cut_short_capture(tmp_path)
+    argv = ["run", "--pcap", str(capture), "--clock", "real", "--alert-file", str(tmp_path / "a.txt")]
+    assert run_with_watchdog(lambda: cli_main(argv), timeout_s=30) == 1
+    assert "clock-counter" not in [t.name for t in threading.enumerate()]
+
+
+def test_cli_infinite_duration_ends_with_the_source(capsys):
+    rc = cli_main(["run", "--synth", "64,4", "--count", "20", "--duration", "inf", "--report", "csv"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    rows = out.splitlines()
+    assert sum(r.startswith("total,") for r in rows) == 1
+    assert sum(r.startswith("interval,") for r in rows) == 1
 
 
 class CrcSink:
