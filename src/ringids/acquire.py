@@ -2,10 +2,11 @@
 
 The acquisition worker decodes each frame the runner offers into the pool and
 places its descriptor on the per-analysis-worker receive ring chosen from the
-flow hash; in inline mode it also drains the shared transmit ring back to the
-sink. That ring holds the whole pool, so a worker's enqueue never waits.
-The runner drains it a burst at a time, so forwarded frames may wait on it
-holding their slots; a frame that finds the pool full drains the ring and
+flow hash; in inline mode it also drains the deque that workers append
+allowed descriptors to back to the sink. Each entry holds a pool slot, so
+an append never waits. The runner drains it a burst at a time, so forwarded
+frames may wait on it holding their slots; a frame that finds the pool full
+drains the deque and
 tries once more before it is dropped. Both runner schedulers (sim
 and real clock) call it from their acquisition side only, so the sink has
 one writer. The hash is MurmurHash3 (x86 32-bit) over the 13 bytes of the
@@ -28,6 +29,7 @@ covers the scan kernel, the decoder and this hash.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -117,13 +119,14 @@ class AcquireStats:
 
 
 class AcquisitionWorker:
-    """Moves frames onto the RX rings and, inline, the TX ring to the sink.
+    """Moves frames onto the RX rings and, inline, the TX deque to the sink.
 
-    It produces onto any RX ring; ``tx_ring`` is given in inline mode only,
-    and without it ``drain_tx`` does nothing. It builds its own ``stats``.
+    It produces onto any RX ring; ``tx_ring``, the workers' TX deque, is given
+    in inline mode only, and without it ``drain_tx`` does nothing. It builds
+    its own ``stats``.
     """
 
-    def __init__(self, pool: PacketPool, rx_rings: list[Ring], tx_ring: Ring | None = None, sink=None):
+    def __init__(self, pool: PacketPool, rx_rings: list[Ring], tx_ring: deque | None = None, sink=None):
         self.pool = pool
         self.rx_rings = rx_rings
         self.tx_ring = tx_ring
@@ -168,16 +171,18 @@ class AcquisitionWorker:
         return idx
 
     def drain_tx(self) -> int:
-        """Write up to a ring's worth of allowed packets back to the sink and
-        return their count; no-op in passive mode."""
+        """Write the allowed packets waiting at entry to the sink and return
+        their count; no-op in passive mode. What a worker appends meanwhile
+        waits for the next drain."""
         tx_ring = self.tx_ring
         if tx_ring is None:
             return 0
-        pool, sink = self.pool, self.sink
-        descs = tx_ring.dequeue_burst(tx_ring.capacity)
-        for desc in descs:
+        pool, sink, pop = self.pool, self.sink, tx_ring.popleft
+        n = len(tx_ring)
+        for _ in range(n):
+            desc = pop()
             if sink is not None:
                 sink.write(pool.frame(desc.slot, desc.frame_len))
             pool.release(desc.slot)
-        self.stats.tx_sent += len(descs)
-        return len(descs)
+        self.stats.tx_sent += n
+        return n

@@ -21,6 +21,7 @@ EPC_BYTES_DEFAULT = 96 * 1024 * 1024  # protected memory available for user data
 ENGINE_BASE_BYTES = 16 * 1024 * 1024  # resident engine code + fixed state
 RULESET_BYTES_PER_RULE = 28 * 1024 * 1024 / 3462  # full community-scale set ~= 28MB
 WARMUP_US_DEFAULT = 7_000_000  # 210 MiB paged in at 30 MiB/s
+MAX_MODEL_US = 86_400_000_000  # one day (28,800 report rows); nothing else bounds either time
 
 
 class LifecycleState(Enum):
@@ -71,7 +72,7 @@ class CostModel:
 
     crossing_cost_us applies only to the five lifecycle calls (the runtime
     path is exitless). warmup_us is the startup window in which the engine is
-    busy paging its own code and data in.
+    busy paging its own code and data in; both are at most ``MAX_MODEL_US``.
     """
 
     epc_bytes: int = EPC_BYTES_DEFAULT
@@ -87,6 +88,8 @@ class CostModel:
             raise ConfigError("cost model coefficients must be >= 0")
         if self.epc_bytes < 1:  # paging_factor divides by it
             raise ConfigError("epc_bytes must be >= 1")
+        if max(self.warmup_us, self.crossing_cost_us) > MAX_MODEL_US:
+            raise ConfigError(f"warmup_us and crossing_cost_us must be <= {MAX_MODEL_US} (one day)")
 
 
 def paging_factor(model: CostModel | None, trusted_footprint_bytes: int) -> float:

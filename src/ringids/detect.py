@@ -3,11 +3,11 @@
 An analysis worker is a per-packet function over its own flow table and
 counters: the scheduler hands it each descriptor together with the time to
 analyse it at. The compiled ruleset is shared read-only. The only shared
-mutable structures it touches are the pool's free list (releasing a slot is
-atomic) and, inline, the transmit ring, which every worker produces onto: a
-worker holds the ring's producer lock around its ``enqueue``. That ring
-holds the whole pool, so an enqueue always finds room; a refusal breaks
-that invariant and raises instead of waiting. Matching is two-phase.
+mutable structures it touches are the pool's free list and, inline, the
+transmit deque that every worker appends allowed descriptors to. Both are
+``collections.deque`` objects, whose ``append`` is thread-safe, so no
+worker takes a lock; each entry holds a pool slot, so an append never
+waits. Matching is two-phase.
 Phase 1 (``prefilter``) scans the packet with its bucket's automaton,
 which reports rule sids, and keeps the fast-pattern hits and the
 bucket's contentless rules whose header admits the packet: the header is
@@ -32,7 +32,7 @@ Enum members are read through ``packet``'s module constants (``TCP``,
 
 from __future__ import annotations
 
-import threading
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -50,7 +50,6 @@ from .packet import (
     canonical_key,
     format_ip,
 )
-from .ring import Ring
 from .rules import ByteTest, CompiledRuleSet, Content, Rule
 
 _DAYS_PER_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
@@ -219,26 +218,23 @@ def prefilter(compiled: CompiledRuleSet, ctx: PacketContext) -> set[int]:
 
 class AnalysisWorker:
     """One detection worker: analyzes each descriptor it is given, allows or
-    blocks. Given a ``tx_ring`` it is inline: blocking rules drop, allowed
-    packets go to the ring; without one it is passive and releases every slot.
-    The ``tx_ring`` must hold every slot of the pool, so an allowed packet
-    never waits for room. Workers that share a ``tx_ring`` must share its
-    ``tx_lock``. Each worker builds its own ``flow_table`` and ``stats``."""
+    blocks. Given a ``tx_ring`` deque it is inline: blocking rules drop,
+    allowed packets are appended to it; without one it is passive and
+    releases every slot. Workers may share one ``tx_ring`` without a lock.
+    Each worker builds its own ``flow_table`` and ``stats``."""
 
     def __init__(
         self,
         pool: PacketPool,
         compiled: CompiledRuleSet,
-        tx_ring: Ring | None = None,
+        tx_ring: deque | None = None,
         alert_sink=None,
         useless_mode: bool = False,
-        tx_lock: threading.Lock | None = None,
     ):
         self.pool = pool
         self.compiled = compiled
         self.flow_table = FlowTable()
         self.tx_ring = tx_ring
-        self.tx_lock = tx_lock if tx_lock is not None else threading.Lock()
         self.alert_sink = alert_sink
         self.useless_mode = useless_mode
         self.stats = WorkerStats()
@@ -246,9 +242,7 @@ class AnalysisWorker:
 
     def _finish(self, desc: PacketDescriptor, verdict: str) -> None:
         if verdict == "allow" and self.tx_ring is not None:
-            with self.tx_lock:  # one producer at a time; the drain takes no lock
-                if not self.tx_ring.enqueue(desc):
-                    raise RuntimeError("TX ring full: it must hold every pool slot")
+            self.tx_ring.append(desc)
         else:
             self.pool.release(desc.slot)
 

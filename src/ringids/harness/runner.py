@@ -10,20 +10,20 @@ fixed-width intervals (3 seconds each), with ``+=`` on per-interval
 interval's paging share are kept only when a cost model is set; without one
 the share is 0, and a useless-mode worker's cost is a constant, so it reads
 no candidate or alert counts. In both, the acquisition side alone
-drains the inline TX ring to the sink, a burst at a time as DPDK's
-``rte_eth_tx_buffer`` does. The TX ring holds the whole pool, and each
-descriptor on it holds a slot, so nothing ever waits on it. ``offer``
-drains once ``min(burst_size, TX ring capacity)`` descriptors wait, as does
-a frame that finds the pool full, the real clock before each pacing sleep,
-and each run at its end. The ring is FIFO with one consumer, and the retry
-on a full pool frees every slot a drain after each frame would have freed,
-so the sink's frames and every drop are the same as with such a drain.
+drains the inline TX deque to the sink, a burst at a time as DPDK's
+``rte_eth_tx_buffer`` does. Each descriptor on it holds a slot, so the pool
+bounds it and nothing ever waits on it. ``offer`` drains once
+``burst_size`` descriptors wait, as does a frame that finds the pool full,
+the real clock before each pacing sleep, and each run at its end. The
+deque is FIFO with one consumer, and the retry on a full pool frees every
+slot a drain after each frame would have freed, so the sink's frames and
+every drop are the same as with such a drain.
 Both price each of the five lifecycle crossings
 once: the three set-up crossings start the run's time base, and stop and
-shutdown are added after it. Rings take no locks: RX ring ``i`` has one
-producer (acquisition) and one consumer (worker ``i``), and the TX ring's
-producers, the inline workers, share one lock to enqueue. The schedulers
-differ only in where the time comes from and in who calls the step:
+shutdown are added after it. Nothing takes a lock: RX ring ``i`` has one
+producer (acquisition) and one consumer (worker ``i``), and the TX deque's
+``append`` and ``popleft`` are thread-safe. The schedulers differ only in
+where the time comes from and in who calls the step:
 
 * simulated clock (default): a deterministic single-threaded schedule. Each
   actor carries its own local time; the acquisition side is paced by the
@@ -51,7 +51,7 @@ import math
 import sys
 import threading
 import time
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from ..acquire import RING_SELECT_BITS, AcquisitionWorker
@@ -268,7 +268,7 @@ class Engine:
         self.alert_sink = alert_sink
         self.pool: PacketPool | None = None
         self.rx_rings: list[Ring] = []
-        self.tx_ring: Ring | None = None
+        self.tx_ring: deque | None = None
         self.source = None
         self.ruleset: RuleSet | None = None
         self.compiled = None
@@ -302,22 +302,19 @@ class Engine:
         cfg = self.config
         self.pool = PacketPool(cfg.resolved_pool_capacity())
         self.rx_rings = [Ring(cfg.ring_capacity) for _ in range(cfg.n_workers)]
-        # holds every pool slot, so an inline worker's enqueue always has room
-        self.tx_ring = Ring(1 << (self.pool.capacity - 1).bit_length())
+        self.tx_ring = deque()  # each entry holds a pool slot, so the pool bounds it
         self.ruleset = self.load_rules()
         self.compiled = compile_ruleset(self.ruleset)
 
     def start_device(self, source, sink) -> None:
         """Bind source/sink and build the workers; only inline workers get
-        the TX ring, the one ring with several producers, and the lock they
-        share to produce onto it. The ring holds the pool, so their enqueue
-        never waits; the acquisition side alone drains it."""
+        the TX deque, which they all append to without a lock; the
+        acquisition side alone drains it."""
         self.lifecycle.transition(LifecycleEvent.START_DEVICE)
         self._cross()
         cfg = self.config
         self.source = source
         tx_ring = self.tx_ring if cfg.inline else None
-        tx_lock = threading.Lock()
         self.acquirer = AcquisitionWorker(pool=self.pool, rx_rings=self.rx_rings, tx_ring=tx_ring, sink=sink)
         self.workers = [
             AnalysisWorker(
@@ -326,7 +323,6 @@ class Engine:
                 tx_ring=tx_ring,
                 alert_sink=self.alert_sink,
                 useless_mode=cfg.useless,
-                tx_lock=tx_lock,
             )
             for _ in range(cfg.n_workers)
         ]
@@ -396,9 +392,8 @@ class _Step:
         # a useless-mode packet costs the same whatever it holds
         self.useless_cost = cfg.timing.useless_us if cfg.useless else None
         self.factor = engine.current_factor if model is not None else None  # None: unpriced
-        self.tx_ring = tx_ring = acq.tx_ring
-        # inline: the acquisition side drains TX once this many descriptors wait
-        self.tx_burst = min(cfg.burst_size, tx_ring.capacity) if tx_ring is not None else 0
+        self.tx_ring = acq.tx_ring
+        self.tx_burst = cfg.burst_size  # inline: the acquisition side drains TX once this many wait
         self.expire_mark = [0] * len(engine.workers)  # last interval each worker swept
 
     def offer(self, frame, now_us: int, idx: int, acc: _IntervalAccumulator) -> None:
@@ -407,7 +402,7 @@ class _Step:
         if self.ingest(frame, now_us) < 0:
             acc.dropped[idx] += 1
         tx = self.tx_ring
-        if tx is not None and tx.tail - tx.head >= self.tx_burst:
+        if tx is not None and len(tx) >= self.tx_burst:
             self.drain_tx()
 
     def serve(self, i: int, desc, now_us: int, idx: int, acc: _IntervalAccumulator) -> tuple[float, float]:

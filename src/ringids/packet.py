@@ -246,9 +246,10 @@ class PacketPool:
 
     def frame(self, slot: int, length: int) -> bytes:
         """A copy of the ``length`` bytes stored at ``slot``, the frame's
-        descriptor ``frame_len``: one slice of the slab."""
-        if not self._in_use[slot]:
-            raise PoolError(f"read of slot {slot} not in use")
+        descriptor ``frame_len``: one slice of the slab. Any other read is a
+        PoolError."""
+        if not (0 <= slot < self.capacity and 0 <= length <= SLOT_SIZE) or not self._in_use[slot]:
+            raise PoolError(f"read of {length}B at slot {slot}, not a stored frame")
         base = slot * SLOT_SIZE
         return self._buf[base : base + length]
 

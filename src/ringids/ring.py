@@ -1,20 +1,20 @@
 """Bounded FIFO rings of descriptor references.
 
-The only runtime channel between acquisition and analysis. Operations never
+The channel from acquisition to each analysis worker; allowed frames return
+on a ``collections.deque``, as released pool slots do. Operations never
 block: a full ring rejects the element (producer counts a drop) and
 an empty ring returns nothing (consumers poll). Capacity is a power of two and
 cursors are masked, the standard ring construction.
 
-Every ring has one producer and one consumer, as a DPDK ``rte_ring`` created
-with ``RING_F_SP_ENQ | RING_F_SC_DEQ`` or Lamport's single-producer/
-single-consumer queue, so no operation takes a lock. The producer alone moves
-``tail``: it writes the slot, then publishes it by storing ``tail + 1``. The
-consumer alone moves ``head``: it takes the slot and clears it, then frees it
-by storing ``head + 1``. This relies on the interpreter lock, which runs each
-thread's bytecode in program order and makes every single load and store
-atomic; the real-clock runner refuses to start without it. A ring with
-several producers (the shared transmit ring) needs its producers to hold one
-lock of their own around ``enqueue``; the consumer still takes none.
+Every ring, with no exception, has one producer (acquisition) and one
+consumer (its worker), as a DPDK ``rte_ring`` created with ``RING_F_SP_ENQ |
+RING_F_SC_DEQ`` or Lamport's single-producer/single-consumer queue, so no
+operation takes a lock. The producer alone moves ``tail``: it writes the
+slot, then publishes it by storing ``tail + 1``. The consumer alone moves
+``head``: it takes the slot and clears it, then frees it by storing
+``head + 1``. This relies on the interpreter lock, which runs each thread's
+bytecode in program order and makes every single load and store atomic; the
+real-clock runner refuses to start without it.
 
 ``ConfigError`` is the package's one error for an invalid setting: a ring's
 capacity here, and the engine, workload and cost-model settings elsewhere.

@@ -2,6 +2,7 @@
 
 import random
 import struct
+from collections import deque
 
 import pytest
 
@@ -161,11 +162,11 @@ def frame_for(i, payload=b"data!"):
 
 
 def make_acquirer(n_frames=0, n_rings=2, ring_capacity=64, inline=False):
-    """An acquisition worker; its TX ring is ``tx`` in inline mode only, as
+    """An acquisition worker; its TX deque is ``tx`` in inline mode only, as
     the engine builds it."""
     pool = CountingPool(capacity=max(n_frames + 8, 16))
     rings = [Ring(ring_capacity) for _ in range(n_rings)]
-    tx = Ring(ring_capacity)
+    tx = deque()
     sink = CollectSink()
     worker = AcquisitionWorker(pool, rings, tx_ring=tx if inline else None, sink=sink)
     return worker, pool, rings, tx, sink
@@ -290,7 +291,7 @@ def test_inline_tx_drain_pushes_frames_to_sink():
     descs = rings[0].dequeue_burst(10)
     assert len(descs) == 3
     for d in descs:
-        assert tx.enqueue(d)
+        tx.append(d)
     assert worker.drain_tx() == 3
     assert len(sink.frames) == 3
     assert sink.frames[0] == frames[0]
@@ -305,7 +306,7 @@ def test_full_pool_drains_tx_before_dropping():
     frames = [frame_for(i) for i in range(pool.capacity)]
     ingest_all(worker, frames)
     for desc in rings[0].dequeue_burst(pool.capacity):
-        assert tx.enqueue(desc)
+        tx.append(desc)
     assert pool.in_use_count() == pool.capacity
     assert worker.ingest_frame(frame_for(99), 0) == 0
     assert sink.frames == frames
@@ -332,7 +333,7 @@ def test_passive_mode_tx_drain_is_noop():
     worker, pool, rings, tx, sink = make_acquirer(len(frames), n_rings=1, inline=False)
     ingest_all(worker, frames)
     desc = rings[0].dequeue()
-    assert tx.enqueue(desc)
+    tx.append(desc)
     assert worker.drain_tx() == 0
     assert not sink.frames
     assert len(tx) == 1

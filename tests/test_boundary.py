@@ -5,9 +5,10 @@ import os
 
 import pytest
 
-from conftest import CORPUS_PATH
+from conftest import CORPUS_PATH, run_with_watchdog
 
 from ringids.boundary import (
+    MAX_MODEL_US,
     CostModel,
     Lifecycle,
     LifecycleEvent,
@@ -18,6 +19,7 @@ from ringids.boundary import (
     trusted_footprint,
 )
 from ringids.harness.cli import main as cli_main
+from ringids.ring import ConfigError
 
 SEQUENCE = [
     LifecycleEvent.INITIALIZE,
@@ -102,6 +104,31 @@ def test_negative_coefficients_rejected():
 def test_non_finite_coefficients_rejected(field, value):
     with pytest.raises(ValueError, match="finite"):
         CostModel(**{field: value})
+
+
+@pytest.mark.parametrize("field, kind", [("warmup_us", int), ("crossing_cost_us", float)])
+def test_cost_model_times_are_at_most_one_day(field, kind):
+    """One day, the longest ``--duration`` a report's interval rows are
+    printed for, is accepted; one microsecond more is a ConfigError."""
+    assert MAX_MODEL_US == 86_400 * 1_000_000
+    assert getattr(CostModel(**{field: kind(MAX_MODEL_US)}), field) == MAX_MODEL_US
+    with pytest.raises(ConfigError, match="one day"):
+        CostModel(**{field: kind(MAX_MODEL_US + 1)})
+
+
+@pytest.mark.parametrize("clock", ["sim", "real"])
+def test_cli_rejects_a_warmup_past_one_day(clock, capsys):
+    """Refused before the run on either clock: unbounded, the sim report
+    would build about 3.3e29 interval rows, and the real clock's warm-up
+    wait overflows a timestamp."""
+    rc = run_with_watchdog(
+        lambda: cli_main(["run", "--synth", "64,4", "--count", "10", "--clock", clock, "--cost-model", "on",
+                          "--warmup-seconds", "1e30", "--alert-file", os.devnull]),
+        timeout_s=30,
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

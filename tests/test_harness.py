@@ -1,6 +1,7 @@
 """Workload generation, pcap I/O, experiment runs, and the CLI."""
 
 import hashlib
+import itertools
 import os
 import random
 import struct
@@ -351,19 +352,6 @@ def test_timing_model_rejects_costs_it_cannot_schedule(field):
             TimingModel(acquire_us=0)
     else:
         assert getattr(TimingModel(**{field: 0}), field) == 0
-
-
-@pytest.mark.parametrize("n_workers", [1, 2, 3, 64])
-@pytest.mark.parametrize("ring_capacity", [1, 8, 4096])
-@pytest.mark.parametrize("pool_capacity", [None, 1, 12, 20])
-@pytest.mark.parametrize("burst_size", [1, 32])
-def test_tx_ring_holds_the_whole_pool(n_workers, ring_capacity, pool_capacity, burst_size):
-    engine = Engine(base_config(n_workers=n_workers, ring_capacity=ring_capacity,
-                                pool_capacity=pool_capacity, burst_size=burst_size, inline=True))
-    engine.initialize()
-    cap = engine.tx_ring.capacity
-    assert cap & (cap - 1) == 0 and cap >= engine.pool.capacity
-    assert cap < 2 * engine.pool.capacity  # the smallest such power of two
 
 
 def test_useless_mode_strictly_faster():
@@ -842,10 +830,10 @@ def test_sim_schedule_matches_golden_digests(name, kernel):
 @pytest.mark.parametrize("burst", [1, 2, 5, 16, 32, 64])
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCHEDULES))
 def test_golden_digests_do_not_depend_on_the_burst_size(name, burst):
-    """The TX ring is drained once ``min(burst, capacity)`` descriptors wait
-    and whenever the pool is full, so the sink still sees every frame in
-    order and no drop moves. 16, 32 and 64 reach or pass the 8- and 16-slot
-    rings of the golden configs."""
+    """The TX deque is drained once ``burst`` descriptors wait and whenever
+    the pool is full, so the sink still sees every frame in order and no
+    drop moves. 32 and 64 pass the 12- and 20-slot pools of the inline
+    golden configs, where only a full pool drains."""
     spec, engine, want = GOLDEN_SCHEDULES[name]
     alerts, sink = ListAlertSink(), CrcSink()
     report = run_experiment(WorkloadSpec(kind="synth", **spec),
@@ -853,6 +841,31 @@ def test_golden_digests_do_not_depend_on_the_burst_size(name, burst):
                             alert_sink=alerts, sink=sink)
     got = (_digest((report.totals, report.elapsed_us, report.intervals)), _digest(alerts.lines), _digest(sink.crcs))
     assert got == want
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["passive", "inline"])
+def test_a_dying_real_clock_worker_fails_the_run(inline, monkeypatch):
+    """A worker that raises mid-run ends the run with its exception on the
+    calling thread, and leaves no analysis or counter-clock thread behind."""
+
+    class WorkerDied(Exception):
+        pass
+
+    calls = itertools.count(1)
+    process = AnalysisWorker.process_packet
+
+    def dying(worker, desc, now_us):
+        if next(calls) == 50:
+            raise WorkerDied("the 50th packet")
+        return process(worker, desc, now_us)
+
+    monkeypatch.setattr(AnalysisWorker, "process_packet", dying)
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=16, packet_count=2000, seed=8)
+    config = base_config(n_workers=2, clock_mode="real", inline=inline)
+    with pytest.raises(WorkerDied):
+        run_with_watchdog(lambda: run_experiment(wl, config), timeout_s=30)
+    left = [t.name for t in threading.enumerate() if t.name.startswith("analysis-") or t.name == "clock-counter"]
+    assert not left
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCHEDULES) + ["real_inline"])

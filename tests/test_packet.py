@@ -94,6 +94,43 @@ def test_decode_non_ipv4_counts_but_not_ok(pool):
     assert pool.in_use_count() == 0 and pool.writes == 0  # rejected before the pool
 
 
+def _edited(frame: bytes, *edits: tuple[int, bytes]) -> bytes:
+    out = bytearray(frame)
+    for pos, value in edits:
+        out[pos : pos + len(value)] = value
+    return bytes(out)
+
+
+def _tot_len(n: int) -> tuple[int, bytes]:
+    return 16, n.to_bytes(2, "big")  # the IPv4 total length field
+
+
+_TCP = build_ipv4_tcp_frame(parse_ip("1.1.1.1"), 1, parse_ip("2.2.2.2"), 2, flags=0x02)  # 20 + 20 B datagram
+_UDP = build_ipv4_udp_frame(parse_ip("1.1.1.1"), 1, parse_ip("2.2.2.2"), 2)  # 20 + 8 B datagram
+_ICMP = build_ipv4_icmp_frame(parse_ip("1.1.1.1"), parse_ip("2.2.2.2"))
+
+
+@pytest.mark.parametrize(
+    "frame, error, reason",
+    [
+        pytest.param(_edited(_TCP, (14, b"\x65")), UnsupportedL3, "IP version 6", id="ip-version-6"),
+        pytest.param(_edited(_UDP, (14, b"\x4f")), TruncatedFrame, "IPv4 header length", id="ihl-past-frame"),
+        pytest.param(_edited(_TCP, _tot_len(30)), TruncatedFrame, "TCP header does not fit", id="tcp-header"),
+        pytest.param(_edited(_TCP, (46, b"\x40")), TruncatedFrame, "TCP data offset", id="tcp-offset-below-5"),
+        pytest.param(_edited(_TCP, (46, b"\xf0")), TruncatedFrame, "TCP data offset", id="tcp-offset-past-datagram"),
+        pytest.param(_edited(_UDP, _tot_len(24)), TruncatedFrame, "UDP header does not fit", id="udp-header"),
+        pytest.param(_edited(_ICMP, _tot_len(24)), TruncatedFrame, "ICMP header does not fit", id="icmp-header"),
+    ],
+)
+def test_decode_rejects_each_malformed_header(kernel, frame, error, reason):
+    """One frame per error branch of the decoder, under the Python reference
+    and the compiled twin: the same error, and no slot taken."""
+    pool = CountingPool(capacity=2)
+    with pytest.raises(error, match=reason):
+        packet.decode(frame, 0, pool)
+    assert pool.in_use_count() == 0 and pool.writes == 0
+
+
 def test_decode_icmp_has_zero_ports_and_flowkey(pool):
     frame = build_ipv4_icmp_frame(parse_ip("10.0.0.9"), parse_ip("10.0.0.8"), payload=b"ping", pad_to=64)
     desc = decode(frame, 0, pool)
@@ -120,6 +157,20 @@ def test_pool_exhaustion_and_double_release():
     pool.release(desc.slot)
     with pytest.raises(PoolError):
         pool.release(desc.slot)
+
+
+@pytest.mark.parametrize("slot, length", [(-1, 10), (4, 10), (0, 5000), (0, SLOT_SIZE + 1), (0, -1)])
+def test_pool_frame_rejects_a_slot_or_length_outside_the_pool(slot, length):
+    """``frame`` checks its slot as ``release`` does, and its length against
+    one slot: slot -1 would wrap to the last slot, and a long read would run
+    into the slots after it."""
+    pool = PacketPool(capacity=4)
+    for i in range(4):
+        pool.store(bytes([i + 1]) * 64)
+    with pytest.raises(PoolError):
+        pool.frame(slot, length)
+    assert pool.frame(3, SLOT_SIZE) == bytes([4]) * 64 + bytes(SLOT_SIZE - 64)
+    assert pool.frame(0, 0) == b""
 
 
 def test_pool_single_write_per_packet(pool):

@@ -215,6 +215,36 @@ def test_parse_error_carries_position():
         pytest.fail("expected ParseError")
 
 
+@pytest.mark.parametrize(
+    "line, position",
+    [
+        ('alert tcp 1.2.3.256 any -> any any (sid:1;)', 10),  # an octet past 255
+        ('alert sctp any any -> any any (sid:2;)', 6),  # a protocol outside the subset
+        ('alert tcp any any -> any any (msg:hello; sid:3;)', 30),  # msg not quoted
+        ('alert tcp any any -> any any (content:""; sid:4;)', 30),
+        ('alert tcp any any -> any any (byte_test:1,>; sid:5;)', 30),  # value and offset missing
+        ('alert tcp any any -> any any (byte_test:1,>,x,0; sid:6;)', 30),
+    ],
+)
+def test_parse_error_points_at_its_field_or_option(line, position):
+    with pytest.raises(ParseError) as info:
+        parse_rule(line)
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize(
+    "option, warning",
+    [
+        ('content:"abc", nocase', "ignored content modifier 'nocase'"),
+        ("byte_test:1,>,1,0,big", "ignored byte_test modifier 'big'"),
+        ("flow:established,stateless", "ignored flow token 'stateless'"),
+    ],
+)
+def test_ignored_modifier_is_a_warning(option, warning):
+    rule = parse_rule(f"alert tcp any any -> any any ({option}; sid:1;)")
+    assert rule.warnings == (warning,)
+
+
 def test_hex_span_decode_and_mixed_text():
     rule = parse_rule('alert tcp any any -> any any (content:"GET |2f 41| HTTP"; sid:9;)')
     assert rule.contents[0].pattern == b"GET /A HTTP"
