@@ -48,7 +48,7 @@ from ringids.harness.runner import (
     run_experiment,
 )
 from ringids.harness.synth import ConfigError, GeneratorSource, WorkloadSpec, craft_payload, gen_synth
-from ringids.packet import PacketPool, UnsupportedL3, canonical_key, decode
+from ringids.packet import PacketPool, PoolExhausted, UnsupportedL3, canonical_key, decode
 from ringids.rules import load_ruleset, load_ruleset_file
 
 
@@ -352,6 +352,25 @@ def test_timing_model_rejects_costs_it_cannot_schedule(field):
             TimingModel(acquire_us=0)
     else:
         assert getattr(TimingModel(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3, 64])
+@pytest.mark.parametrize("ring_capacity", [1, 8, 4096])
+@pytest.mark.parametrize("pool_capacity", [None, 1, 12, 20])
+@pytest.mark.parametrize("burst_size", [1, 32])
+def test_tx_ring_holds_the_whole_pool(n_workers, ring_capacity, pool_capacity, burst_size):
+    """The TX is an unbounded deque: it takes a descriptor for every slot of
+    the pool, and the pool, which refuses the next frame, is its only bound."""
+    engine = Engine(base_config(n_workers=n_workers, ring_capacity=ring_capacity,
+                                pool_capacity=pool_capacity, burst_size=burst_size, inline=True))
+    engine.initialize()
+    tx, pool = engine.tx_ring, engine.pool
+    assert tx.maxlen is None and not tx
+    for _ in range(pool.capacity):
+        tx.append(pool.store(bytes(64)))
+    assert len(tx) == pool.in_use_count() == pool.capacity
+    with pytest.raises(PoolExhausted):
+        pool.store(bytes(64))
 
 
 def test_useless_mode_strictly_faster():
