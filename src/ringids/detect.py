@@ -42,6 +42,7 @@ from .packet import (
     FORWARD,
     SLOT_SIZE,
     TCP,
+    TCP_SYN,
     Direction,
     FiveTuple,
     PacketDescriptor,
@@ -271,7 +272,9 @@ class AnalysisWorker:
         if flow is not None:
             update_flow(flow, desc, direction, now_us)
             if payload and t.proto is TCP:
-                stream = self.flow_table.reassemble(flow, direction, desc.tcp_seq, payload) or None
+                # a SYN takes one sequence number, so its data starts one past it
+                seq = desc.tcp_seq + 1 if desc.tcp_flags & TCP_SYN else desc.tcp_seq
+                stream = self.flow_table.reassemble(flow, direction, seq, payload) or None
         ctx = PacketContext(t, flow, direction, payload, stream)
 
         compiled = self.compiled

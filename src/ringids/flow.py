@@ -286,13 +286,11 @@ class FlowTable:
         self.footprint_bytes += buf.pending_bytes - before
         return delivered
 
-    def expire_flows(self, now_us: int, timeout_us: int | None = None) -> list[Flow]:
-        """Evict flows idle longer than the timeout (per-protocol defaults)."""
+    def expire_flows(self, now_us: int) -> list[Flow]:
+        """Evict flows idle longer than their protocol's timeout."""
         evicted = []
         for key, flow in list(self._flows.items()):
-            limit = timeout_us
-            if limit is None:
-                limit = TCP_TIMEOUT_US if flow.key.proto is TCP else UDP_TIMEOUT_US
+            limit = TCP_TIMEOUT_US if flow.key.proto is TCP else UDP_TIMEOUT_US
             if now_us - flow.last_seen_us > limit:
                 del self._flows[key]
                 self.footprint_bytes -= flow.footprint_bytes

@@ -73,20 +73,7 @@ def _parse_synth(arg: str) -> tuple[int, int]:
 
 
 def _workload_from_args(args) -> WorkloadSpec:
-    if getattr(args, "pcap", None):
-        return WorkloadSpec(
-            kind="pcap",
-            pcap_path=args.pcap,
-            repeat=args.repeat,
-            duration_s=args.duration,
-            packet_count=args.count,
-            seed=args.seed,
-        )
-    size, flows = _parse_synth(args.synth)
-    return WorkloadSpec(
-        kind="synth",
-        packet_size=size,
-        n_flows=flows,
+    common = dict(
         repeat=args.repeat,
         duration_s=args.duration,
         packet_count=args.count,
@@ -94,6 +81,10 @@ def _workload_from_args(args) -> WorkloadSpec:
         attack_sid=args.attack_sid,
         attack_rate=args.attack_rate,
     )
+    if getattr(args, "pcap", None):
+        return WorkloadSpec(kind="pcap", pcap_path=args.pcap, **common)
+    size, flows = _parse_synth(args.synth)
+    return WorkloadSpec(kind="synth", packet_size=size, n_flows=flows, **common)
 
 
 def _run(args) -> int:

@@ -20,9 +20,10 @@ slot a drain after each frame would have freed, so the sink's frames and
 every drop are the same as with such a drain.
 Both price each of the five lifecycle crossings
 once: the three set-up crossings start the run's time base, and stop and
-shutdown are added after it. Nothing takes a lock: RX ring ``i`` has one
-producer (acquisition) and one consumer (worker ``i``), and the TX deque's
-``append`` and ``popleft`` are thread-safe. The schedulers differ only in
+shutdown are added after it. Nothing takes a lock: every channel is a
+deque, whose ``append`` and ``popleft`` are thread-safe. RX ring ``i`` is
+one with a bound, appended to by acquisition alone and popped by worker
+``i`` alone; the TX deque has none. The schedulers differ only in
 where the time comes from and in who calls the step:
 
 * simulated clock (default): a deterministic single-threaded schedule. Each
@@ -449,7 +450,7 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
     own per-frame cost when unpaced), workers modeled as queue servers whose
     next-free time advances by the stretched per-packet cost.
 
-    The schedule is one thread, so the driver compares ring cursors directly
+    The schedule is one thread, so the driver tests each ring's truth value
     to skip empty rings. Acquisition time strictly increases (``acquire_us >
     0``), so every descriptor waiting when a frame is offered at ``upto``
     arrived before it, and a worker starts its next one before ``upto``
@@ -471,7 +472,7 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
 
     def drain_worker(i: int, upto: float) -> None:
         ring = rx_rings[i]
-        while ring.head != ring.tail and worker_t[i] < upto:
+        while ring and worker_t[i] < upto:
             desc = ring.dequeue()
             start = max(worker_t[i], float(desc.arrival_us))
             _, cost = serve(i, desc, int(start), int(start // INTERVAL_US), acc)
@@ -486,7 +487,7 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
         if duration_us is not None and t_acq > duration_us:
             break
         for i, ring in enumerate(rx_rings):
-            if ring.head != ring.tail:
+            if ring:
                 drain_worker(i, t_acq)
         offer(frame, int(t_acq), int(t_acq // INTERVAL_US), acc)
 
@@ -504,8 +505,9 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
     measure them. With a cost model, no worker dequeues before the warm-up
     window ends: ``warmup_us`` after the set-up crossings, as in the sim run;
     if acquisition raises, the workers stop waiting and exit at once.
-    Refuses a free-threaded interpreter before any thread starts: rings and
-    pool are lock-free only under the interpreter lock."""
+    Refuses a free-threaded interpreter before any thread starts: the pool's
+    slot bookkeeping and the shared alert sinks rely on the interpreter
+    lock."""
     if not getattr(sys, "_is_gil_enabled", lambda: True)():
         raise ConfigError("the real clock needs the interpreter lock; this build runs without it")
     cfg = engine.config
@@ -595,7 +597,7 @@ def run_experiment(workload: WorkloadSpec, config: EngineConfig, alert_sink=None
     engine.initialize()
 
     if workload.kind == "synth":
-        source = synth_source(workload, engine.ruleset if workload.attack_sid else None)
+        source = synth_source(workload, engine.ruleset)
     elif workload.kind == "pcap":
         if not workload.pcap_path:
             raise ConfigError("pcap workload needs pcap_path")

@@ -45,6 +45,10 @@ class WorkloadSpec:
                 raise ConfigError("n_flows must be >= 1")
         if not 0.0 <= self.attack_rate <= 1.0:
             raise ConfigError("attack_rate must be a fraction in [0, 1]")
+        if self.attack_rate > 0 and self.attack_sid is None:
+            raise ConfigError("attack_rate needs attack_sid, the rule whose payload is injected")
+        if self.kind == "pcap" and (self.attack_sid is not None or self.attack_rate > 0):
+            raise ConfigError("attack injection needs a synth workload; a capture is replayed as it is")
         if self.packet_count is not None and self.packet_count < 0:
             raise ConfigError(f"packet_count must be >= 0, got {self.packet_count}")
         if self.duration_s is not None and not self.duration_s > 0:

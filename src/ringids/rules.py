@@ -21,9 +21,10 @@ one compiled regular expression, so no rule text is read a character at a
 time.
 
 Supported options: msg, content (+ depth/offset/relative
-modifiers), byte_test, flow, sid, rev, classtype, metadata, service,
-reference. Any other option keyword is kept opaque and evaluates as
-vacuously true, with a per-rule warning. Compilation picks each rule's
+modifiers; a depth shorter than the pattern is an error), byte_test, flow,
+sid, rev, classtype, metadata, service, reference. Any other option
+keyword is kept opaque and evaluates as vacuously true, with a per-rule
+warning. Compilation picks each rule's
 longest content pattern as its fast pattern and builds one multi-pattern
 automaton per L4 bucket over that protocol's fast patterns plus the ``ip``
 rules' ones, so the prefilter scans each buffer once. Each pattern is
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Collection, Container, Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .matching import MultiPatternMatcher
@@ -385,7 +386,17 @@ def _parse_content(value: str, position: int, warnings: list[str]) -> Content:
             relative = True
         else:
             warnings.append(f"ignored content modifier {mod!r}")
-    return Content(pattern=pattern, depth=depth, offset=offset, relative=relative)
+    return _fitting(Content(pattern=pattern, depth=depth, offset=offset, relative=relative), position)
+
+
+def _fitting(content: Content, position: int) -> Content:
+    """``content``, unless its depth is shorter than its pattern: such a
+    content can never match, and Snort 2 rejects it too."""
+    if content.depth is not None and content.depth < len(content.pattern):
+        raise ParseError(
+            f"content depth {content.depth} is shorter than its {len(content.pattern)}-byte pattern", position
+        )
+    return content
 
 
 def _parse_byte_test(value: str, position: int, warnings: list[str]) -> ByteTest:
@@ -490,7 +501,8 @@ def _parse_rule(line: str, addrs: dict[str, AddressSpec], ports: dict[str, PortS
         if key == "msg":
             msg = _unquote(value, m.start())
         elif key == "content":
-            options.append(_parse_content(value, m.start(), warnings))
+            content_at = m.start()
+            options.append(_parse_content(value, content_at, warnings))
         elif key == "sid":
             if not _DIGITS.fullmatch(value):
                 raise ParseError(f"bad sid {value!r}", m.start())
@@ -515,12 +527,7 @@ def _parse_rule(line: str, addrs: dict[str, AddressSpec], ports: dict[str, PortS
             # follower-style modifier attaching to the previous content
             if not _DIGITS.fullmatch(value):
                 raise ParseError(f"bad {key} value {value!r}", m.start())
-            prev = options[-1]
-            options[-1] = (
-                Content(prev.pattern, depth=int(value), offset=prev.offset, relative=prev.relative)
-                if key == "depth"
-                else Content(prev.pattern, depth=prev.depth, offset=int(value), relative=prev.relative)
-            )
+            options[-1] = _fitting(replace(options[-1], **{key: int(value)}), content_at)
         else:
             opaque.append((key, value))
             warnings.append(f"option {key!r} is outside the supported subset; treated as always-true")

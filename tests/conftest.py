@@ -44,6 +44,15 @@ def pytest_report_header(config):
     return f"ringids scan kernel: {matching.kernel_name()}"
 
 
+@pytest.fixture(autouse=True)
+def no_pipeline_thread_left():
+    """Fail a test that leaves an analysis worker or the counter clock
+    running: a spinning leftover thread slows every test after it."""
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith("analysis-") or t.name == "clock-counter"]
+    assert not left, f"pipeline threads still running after the test: {left}"
+
+
 @pytest.fixture(scope="session")
 def native_dfa(tmp_path_factory):
     """The compiled kernel module; built into a temporary directory when the

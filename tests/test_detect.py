@@ -366,6 +366,25 @@ def test_worker_tracks_flow_and_stream_rules():
     assert [a.sid for a in alerts] == [30514]
 
 
+@pytest.mark.parametrize("syn_data", [b"", b"X"])
+def test_syn_data_starts_one_past_its_sequence_number(syn_data):
+    """A SYN takes one sequence number, so a byte it carries sits at seq + 1
+    and the next segment follows it; the stream has no gap."""
+    compiled = compiled_of('alert tcp any any -> any any (flow: established, only_stream; content:"EVIL"; sid:7;)')
+    worker, pool, _, _ = make_worker(compiled)
+    server = dict(src="10.0.0.2", dst="10.0.0.1", sport=80, dport=1000)
+    worker.process_packet(ingest(pool, payload=syn_data, flags=TCP_SYN, seq=100, sport=1000, dport=80), 0)
+    worker.process_packet(ingest(pool, payload=b"", flags=TCP_SYN | TCP_ACK, seq=500, **server), 1)
+    data_seq = 101 + len(syn_data)
+    worker.process_packet(ingest(pool, payload=b"", flags=TCP_ACK, seq=data_seq, sport=1000, dport=80), 2)
+    _, alerts = worker.process_packet(
+        ingest(pool, payload=b"GET /EVIL", flags=TCP_ACK, seq=data_seq, sport=1000, dport=80), 3)
+    assert [a.sid for a in alerts] == [7]
+    key, direction = packet.canonical_key(FiveTuple(Proto.TCP, "10.0.0.1", 1000, "10.0.0.2", 80))
+    flow, _ = worker.flow_table.lookup_or_create(key, 3)
+    assert flow.buffer(direction).pending_bytes == 0
+
+
 def test_alert_fast_format_exact():
     alert = Alert(
         sid=30514, rev=9,

@@ -133,8 +133,8 @@ def test_expire_flows_and_footprint_conservation():
         flow, _ = table.lookup_or_create(key, i * 1_000_000)
         flow.last_seen_us = i * 1_000_000
     assert table.footprint_bytes == 10 * FLOW_BASE_BYTES
-    # timeout 4.5s at t=10s evicts flows last seen before 5.5s
-    evicted = table.expire_flows(10_000_000, timeout_us=4_500_000)
+    # the 30 s TCP timeout at t=35.5s evicts flows last seen before 5.5s
+    evicted = table.expire_flows(35_500_000)
     assert len(evicted) == 6
     assert len(table) == 4
     assert table.footprint_bytes == sum(f.footprint_bytes for f in table)

@@ -101,6 +101,27 @@ def test_synth_zero_attack_rate_injects_nothing():
     assert sum(b"XYZZY" in f for f in frames) == 0
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(kind="synth", attack_rate=0.5),
+        dict(kind="pcap", pcap_path="x.pcap", attack_sid=9),
+        dict(kind="pcap", pcap_path="x.pcap", attack_rate=0.5),
+        dict(kind="pcap", pcap_path="x.pcap", attack_sid=9, attack_rate=0.5),
+    ],
+)
+def test_attack_settings_that_inject_nothing_are_rejected(fields):
+    with pytest.raises(ConfigError, match="attack"):
+        WorkloadSpec(**fields)
+
+
+def test_attack_on_sid_zero_is_injected():
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=4, packet_count=400, seed=1,
+                      attack_sid=0, attack_rate=0.05)
+    report = run_experiment(wl, base_config(rules_text='alert tcp any any -> any any (content:"XYZZY"; sid:0;)'))
+    assert report.totals.alerts == 20  # ceil(0.05 * 400)
+
+
 def test_synth_attack_injection_exact_count():
     rules = load_ruleset('alert tcp any any -> any any (content:"XYZZY"; sid:9;)')
     spec = WorkloadSpec(kind="synth", packet_size=64, n_flows=4, packet_count=400, seed=1,
@@ -598,9 +619,9 @@ def test_real_run_expires_flows(monkeypatch):
     swept = []
     expire = FlowTable.expire_flows
 
-    def counting(table, now_us, timeout_us=None):
+    def counting(table, now_us):
         swept.append(now_us)
-        return expire(table, now_us, timeout_us)
+        return expire(table, now_us)
 
     monkeypatch.setattr(FlowTable, "expire_flows", counting)
     monkeypatch.setattr(runner, "INTERVAL_US", 1_000)
@@ -678,6 +699,7 @@ def test_cli_inline_attack_alert_lines(tmp_path):
         pytest.param(["--ring-capacity", "3"], id="ring-capacity-3"),
         pytest.param(["--cost-model", "on", "--epc-mib", "-1"], id="epc-negative"),
         pytest.param(["--cost-model", "on", "--epc-mib", "0"], id="epc-0"),
+        pytest.param(["--attack-rate", "0.5"], id="attack-rate-without-sid"),
     ],
 )
 def test_cli_bad_config_exit_code(args, capsys):
@@ -688,6 +710,17 @@ def test_cli_bad_config_exit_code(args, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("attack", [["--attack-sid", "9"], ["--attack-rate", "0.5"]])
+def test_cli_rejects_attack_injection_into_a_capture(tmp_path, capsys, attack):
+    capture = tmp_path / "gen.pcap"
+    assert cli_main(["genpcap", "--synth", "100,8", "--count", "30", str(capture)]) == 0
+    capsys.readouterr()
+    rc = cli_main(["run", "--pcap", str(capture), *attack])
+    captured = capsys.readouterr()
+    assert rc == 1 and not captured.out
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
 def test_cli_rejects_removed_and_abbreviated_options(tmp_path, monkeypatch):

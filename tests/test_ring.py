@@ -3,6 +3,7 @@ stress of the rings and the pool."""
 
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -178,6 +179,14 @@ def test_burst_through_wraparound():
     for i in range(6, 13):
         assert r.enqueue(i)
     assert not r.enqueue(13)
-    assert r.dequeue_burst(100) == list(range(5, 13))  # spans the end of the slot list
-    assert r._slots == [None] * 8  # a dequeued slot holds no reference
+    assert r.dequeue_burst(100) == list(range(5, 13))
     assert r.dequeue_burst(4) == [] and len(r) == 0
+    token = _Token()
+    ref = weakref.ref(token)
+    assert r.enqueue(token) and r.dequeue_burst(4) == [token]
+    del token
+    assert ref() is None  # the ring keeps no reference to a dequeued element
+
+
+class _Token:
+    """A weakly referenceable ring element."""

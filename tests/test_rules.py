@@ -269,6 +269,28 @@ def test_follower_style_depth_offset():
     assert (c.depth, c.offset) == (5, 2)
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        'content:"abcdef", depth 3',
+        'content:"abcdef"; depth:3',
+        'content:"abcdef", depth 9; depth:5',
+        'content:"abcdef"; offset:2; depth:0',
+    ],
+)
+def test_depth_shorter_than_its_pattern_is_an_error_at_the_content(options):
+    head = 'alert tcp any any -> any any (msg:"m"; content:"ab"; '
+    with pytest.raises(ParseError, match="shorter than its 6-byte pattern") as info:
+        parse_rule(f"{head}{options}; sid:7;)")
+    assert info.value.position == head.rindex(";") + 1  # where the content option starts
+
+
+def test_depth_equal_to_its_pattern_parses():
+    for options in ('content:"abcdef", depth 6', 'content:"abcdef"; depth:6'):
+        rule = parse_rule(f"alert tcp any any -> any any ({options}; sid:7;)")
+        assert rule.contents[0].depth == 6
+
+
 def test_unknown_options_kept_opaque_with_warning():
     rule = parse_rule('alert tcp any any -> any any (content:"x"; pcre:"/foo/i"; nocase; sid:4;)')
     assert ("pcre", '"/foo/i"') in rule.opaque
@@ -514,9 +536,10 @@ _addrs = st.one_of(
     st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 32)), min_size=1, max_size=4).map(
         lambda nets: AddressSpec(nets=tuple(nets))),
 )
-_contents = st.builds(Content, pattern=st.binary(min_size=1, max_size=24),
-                      depth=st.none() | st.integers(0, 65535), offset=st.integers(0, 65535),
-                      relative=st.booleans())
+_contents = st.binary(min_size=1, max_size=24).flatmap(
+    lambda pattern: st.builds(Content, pattern=st.just(pattern),
+                              depth=st.none() | st.integers(len(pattern), 65535), offset=st.integers(0, 65535),
+                              relative=st.booleans()))
 _byte_tests = st.builds(ByteTest, nbytes=st.sampled_from([1, 2, 4]), op=st.sampled_from([">", "<", "="]),
                         value=st.integers(-(2**31), 2**32), offset=st.integers(-64, 65535),
                         relative=st.booleans())
