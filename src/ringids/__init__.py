@@ -12,7 +12,7 @@ from .acquire import AcquisitionWorker, murmur3_32, rss_hash, select_ring
 from .boundary import CostModel, Lifecycle, LifecycleEvent, LifecycleState, OrderError, paging_factor
 from .clock import CounterClock, counter_to_us
 from .detect import Alert, AnalysisWorker, PacketContext, evaluate_rule, format_alert_fast, prefilter
-from .flow import Flow, FlowState, FlowTable, SegmentBuffer, TableFull, update_flow
+from .flow import Flow, FlowState, FlowTable, SegmentBuffer, update_flow
 from .matching import NATIVE_AVAILABLE, MultiPatternMatcher
 from .packet import (
     Direction,

@@ -2,12 +2,14 @@
 
 An analysis worker is a per-packet function over its own flow table and
 counters: the scheduler hands it each descriptor together with the time to
-analyse it at. The compiled ruleset is shared read-only. The only shared
-mutable structures it touches are the pool's free list and, inline, the
-transmit deque that every worker appends allowed descriptors to. Both are
-``collections.deque`` objects, whose ``append`` is thread-safe, so no
-worker takes a lock; each entry holds a pool slot, so an append never
-waits. Matching is two-phase.
+analyse it at. Every packet is analysed with its flow: the table bounds
+itself by evicting its least recently seen flow and sweeps idle flows on its
+own schedule, driven by those times (see ``flow``). The compiled ruleset is
+shared read-only. The only shared mutable structures it touches are the
+pool's free list and, inline, the transmit deque that every worker appends
+allowed descriptors to. Both are ``collections.deque`` objects, whose
+``append`` is thread-safe, so no worker takes a lock; each entry holds a
+pool slot, so an append never waits. Matching is two-phase.
 Phase 1 (``prefilter``) scans the packet with its bucket's automaton,
 which reports rule sids, and keeps the fast-pattern hits and the
 bucket's contentless rules whose header admits the packet: the header is
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .flow import Flow, FlowTable, TableFull, update_flow
+from .flow import Flow, FlowTable, update_flow
 from .packet import (
     FORWARD,
     SLOT_SIZE,
@@ -91,10 +93,13 @@ class Alert(NamedTuple):
 
 @dataclass
 class WorkerStats:
+    """One worker's counts. Every analysed packet (useless mode aside) has a
+    flow: the flow table evicts its least recently seen flow to make room, so
+    no packet is analysed without flow context."""
+
     analyzed: int = 0
     alerts: int = 0
     blocked: int = 0
-    flowless: int = 0  # packets analyzed without flow context (table full)
     candidates_evaluated: int = 0
     analyzed_bytes: int = 0
 
@@ -259,22 +264,17 @@ class AnalysisWorker:
 
         t = desc.tuple
         key, direction = canonical_key(t)
-        flow = None
-        stream = None
-        try:
-            flow, created = self.flow_table.lookup_or_create(key, now_us)
-            if created:
-                flow.initiator_direction = direction
-        except TableFull:
-            stats.flowless += 1
+        flow, created = self.flow_table.lookup_or_create(key, now_us)
+        if created:
+            flow.initiator_direction = direction
+        update_flow(flow, desc, direction)
         base = desc.slot * SLOT_SIZE + desc.payload_offset
         payload = self._buf[base : base + desc.payload_len]  # the packet's one payload copy
-        if flow is not None:
-            update_flow(flow, desc, direction, now_us)
-            if payload and t.proto is TCP:
-                # a SYN takes one sequence number, so its data starts one past it
-                seq = desc.tcp_seq + 1 if desc.tcp_flags & TCP_SYN else desc.tcp_seq
-                stream = self.flow_table.reassemble(flow, direction, seq, payload) or None
+        stream = None
+        if payload and t.proto is TCP:
+            # a SYN takes one sequence number, so its data starts one past it
+            seq = desc.tcp_seq + 1 if desc.tcp_flags & TCP_SYN else desc.tcp_seq
+            stream = self.flow_table.reassemble(flow, direction, seq, payload) or None
         ctx = PacketContext(t, flow, direction, payload, stream)
 
         compiled = self.compiled

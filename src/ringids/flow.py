@@ -8,6 +8,20 @@ mid-connection). Reassembly resolves overlaps first-arrival-wins and is
 capped per direction; the per-flow memory footprint is tracked so the
 boundary cost model can price the table against the protected-memory budget.
 
+A FlowTable keeps its flows in last-seen order, least recently seen first,
+and bounds itself. A lookup stamps the flow's last-seen time and moves it to
+the newest end; a new flow on a full table evicts the least recently seen
+one, as Snort's stream preprocessor prunes its oldest sessions. The price of
+the bound is that a sender who creates ``max_flows`` new 5-tuples between two
+packets of a connection evicts that connection's state, and its later
+packets start a new flow. Idle flows are swept on the table's own schedule:
+the first lookup whose time reaches the next multiple of ``SWEEP_US`` first
+expires every flow idle past its protocol's timeout. The sweep walks from the
+oldest end and stops at the first flow idle no longer than the shorter
+timeout, which finds every idle flow only because a table is handed times
+that never decrease; each worker's scheduler guarantees that, and the
+table's callers must too.
+
 Like ``packet``, this module reads enum members through module constants
 (``NEW``, ``ESTABLISHED``, ``TCP``, ``FORWARD``, ...), not through their
 class: every packet runs the state machine, and a class attribute read on an
@@ -17,6 +31,7 @@ enum takes the metaclass's slow lookup.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -35,7 +50,8 @@ from .packet import (
 FLOW_BASE_BYTES = 4096  # fixed per-flow cost, upper end of the 2-4KB range
 REASSEMBLY_CAP_BYTES = 64 * 1024  # pending bytes per direction
 TCP_TIMEOUT_US = 30_000_000
-UDP_TIMEOUT_US = 10_000_000
+UDP_TIMEOUT_US = 10_000_000  # non-TCP flows; the shorter timeout, where a sweep stops
+SWEEP_US = 3_000_000  # a table sweeps idle flows once per this much packet time
 SEQ_MASK = 0xFFFF_FFFF  # TCP sequence numbers are 32-bit serial numbers
 SEQ_HALF = 1 << 31
 
@@ -56,10 +72,6 @@ NEW, SYN_SEEN, ESTABLISHED, CLOSING, CLOSED = (
     FlowState.CLOSING,
     FlowState.CLOSED,
 )
-
-
-class TableFull(Exception):
-    """Flow table at max_flows; the packet is analyzed without flow context."""
 
 
 class SegmentBuffer:
@@ -188,10 +200,9 @@ class Flow:
         return direction is self.initiator_direction
 
 
-def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction, now_us: int) -> None:
-    """Advance counters and the state machine."""
-    if now_us > flow.last_seen_us:
-        flow.last_seen_us = now_us
+def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction) -> None:
+    """Advance counters and the state machine. The flow's last-seen time is
+    the table's to keep, in step with its order (``FlowTable.lookup_or_create``)."""
     if direction is FORWARD:
         flow.pkts_fwd += 1
     else:
@@ -246,12 +257,23 @@ def _advance_tcp(flow: Flow, flags: int, direction: Direction) -> None:
 
 
 class FlowTable:
-    """Private per-worker flow store with footprint accounting."""
+    """Private per-worker flow store with footprint accounting, in last-seen
+    order and bounded to ``max_flows`` flows (see the module docstring).
+
+    Every time it is handed must be no earlier than the last one. In a sim
+    run that time is the worker's schedule time, so a sweep runs at the first
+    packet a worker analyses in each new 3 s report interval; on the real
+    clock it is the counter clock that stamps the flows, not the wall clock
+    that cuts the report intervals.
+    """
 
     def __init__(self, max_flows: int = 262_144, reassembly_cap: int = REASSEMBLY_CAP_BYTES):
+        if max_flows < 1:
+            raise ValueError(f"max_flows must be >= 1, got {max_flows}: an empty table has nothing to evict")
         self.max_flows = max_flows
         self.reassembly_cap = reassembly_cap
-        self._flows: dict[FiveTuple, Flow] = {}
+        self._flows: OrderedDict[FiveTuple, Flow] = OrderedDict()  # least recently seen first
+        self._next_sweep_us = SWEEP_US
         self.footprint_bytes = 0
         self.created_total = 0
         self.evicted_total = 0
@@ -264,13 +286,22 @@ class FlowTable:
         return iter(self._flows.values())
 
     def lookup_or_create(self, key: FiveTuple, now_us: int) -> tuple[Flow, bool]:
+        """The flow of ``key``, seen at ``now_us`` and moved to the newest
+        end, and whether it is new. A new flow on a full table evicts the
+        least recently seen one. The first call in a new ``SWEEP_US`` period
+        expires idle flows before the lookup."""
+        if now_us >= self._next_sweep_us:
+            self._next_sweep_us = (now_us // SWEEP_US + 1) * SWEEP_US
+            self.expire_flows(now_us)
         flow = self._flows.get(key)
         if flow is not None:
+            self._flows.move_to_end(key)
+            flow.last_seen_us = now_us
             return flow, False
         if len(self._flows) >= self.max_flows:
-            raise TableFull(f"flow table at {self.max_flows} entries")
-        flow = Flow(key=key, last_seen_us=now_us)
-        self._flows[key] = flow
+            self.footprint_bytes -= self._flows.popitem(last=False)[1].footprint_bytes
+            self.evicted_total += 1
+        flow = self._flows[key] = Flow(key=key, last_seen_us=now_us)
         self.footprint_bytes += flow.footprint_bytes
         self.created_total += 1
         return flow, True
@@ -287,13 +318,23 @@ class FlowTable:
         return delivered
 
     def expire_flows(self, now_us: int) -> list[Flow]:
-        """Evict flows idle longer than their protocol's timeout."""
+        """Evict flows idle longer than their protocol's timeout, oldest first.
+
+        The walk starts at the oldest end and stops at the first flow idle no
+        longer than the non-TCP timeout, the shorter one: every flow after it
+        was seen no earlier, so none of them has timed out either. That holds
+        when no time handed to the table is earlier than one before it. TCP
+        flows idle between the two timeouts are walked past, not evicted.
+        """
         evicted = []
-        for key, flow in list(self._flows.items()):
-            limit = TCP_TIMEOUT_US if flow.key.proto is TCP else UDP_TIMEOUT_US
-            if now_us - flow.last_seen_us > limit:
-                del self._flows[key]
-                self.footprint_bytes -= flow.footprint_bytes
-                self.evicted_total += 1
+        for flow in self._flows.values():
+            idle = now_us - flow.last_seen_us
+            if idle <= UDP_TIMEOUT_US:
+                break
+            if idle > TCP_TIMEOUT_US or flow.key.proto is not TCP:
                 evicted.append(flow)
+        for flow in evicted:
+            del self._flows[flow.key]
+            self.footprint_bytes -= flow.footprint_bytes
+        self.evicted_total += len(evicted)
         return evicted

@@ -2,9 +2,9 @@
 
 One pipeline driver, two schedulers. ``_Step`` holds the work both share:
 ``offer`` hands one frame to the acquisition side and ``serve`` has a worker
-analyse one dequeued descriptor at the time the scheduler passes in (flow
-expiry at each new interval, the verdict, the timing model's cost, stretched
-by the paging factor when the cost model is on); both count into
+analyse one dequeued descriptor at the time the scheduler passes in (the
+verdict, the timing model's cost, stretched by the paging factor when the
+cost model is on); both count into
 fixed-width intervals (3 seconds each), with ``+=`` on per-interval
 ``defaultdict`` tables. The base and stretched cost sums that give an
 interval's paging share are kept only when a cost model is set; without one
@@ -41,6 +41,9 @@ where the time comes from and in who calls the step:
   offers frames; an acquisition error cuts that wait short. A worker exits
   once acquisition is done and its ring is empty; the counter clock stops
   however the run ends.
+
+Neither scheduler expires flows: each worker's flow table sweeps its idle
+flows itself, on the times the scheduler hands the worker (see ``flow``).
 
 Reports carry run totals, throughput, and the interval records of drop rate
 and paging activity.
@@ -380,7 +383,10 @@ class _IntervalAccumulator:
 
 
 class _Step:
-    """The per-frame and per-descriptor work both schedulers share."""
+    """The per-frame and per-descriptor work both schedulers share.
+
+    It expires no flows: each worker's flow table bounds itself and sweeps
+    its idle flows on the packet times it is handed."""
 
     def __init__(self, engine: Engine):
         cfg = engine.config
@@ -395,7 +401,6 @@ class _Step:
         self.factor = engine.current_factor if model is not None else None  # None: unpriced
         self.tx_ring = acq.tx_ring
         self.tx_burst = cfg.burst_size  # inline: the acquisition side drains TX once this many wait
-        self.expire_mark = [0] * len(engine.workers)  # last interval each worker swept
 
     def offer(self, frame, now_us: int, idx: int, acc: _IntervalAccumulator) -> None:
         """Acquisition side: decode and dispatch one frame; drain TX once a burst waits."""
@@ -410,9 +415,6 @@ class _Step:
         """Worker ``i`` analyses one descriptor; returns its base and
         paging-stretched cost in microseconds."""
         w = self.workers[i]
-        if idx > self.expire_mark[i]:
-            self.expire_mark[i] = idx
-            w.flow_table.expire_flows(now_us)
         base = self.useless_cost
         if base is None:
             stats = w.stats

@@ -95,15 +95,6 @@ def build_ipv4_tcp_frame(
     return build_ipv4_frame(src_ip, dst_ip, Proto.TCP, tcp + payload, pad_to)
 
 
-def build_ipv4_udp_frame(src_ip, src_port, dst_ip, dst_port, payload: bytes = b"", pad_to: int = 0) -> bytes:
-    udp = src_port.to_bytes(2, "big") + dst_port.to_bytes(2, "big") + (8 + len(payload)).to_bytes(2, "big") + b"\x00\x00"
-    return build_ipv4_frame(src_ip, dst_ip, Proto.UDP, udp + payload, pad_to)
-
-
-def build_ipv4_icmp_frame(src_ip, dst_ip, icmp_type: int = 8, payload: bytes = b"", pad_to: int = 0) -> bytes:
-    return build_ipv4_frame(src_ip, dst_ip, Proto.ICMP, bytes([icmp_type, 0, 0, 0, 0, 0, 0, 0]) + payload, pad_to)
-
-
 def craft_payload(rule: Rule) -> bytes:
     """Bytes satisfying the rule's content and byte_test chain.
 

@@ -247,10 +247,13 @@ _HEADER_FIELD = re.compile(r"(?:[^\s\[\]]+|\[[^\[\]]*\])+|[\[\]]")
 # ``str.partition`` to split it as written.
 _OPTION = re.compile(
     rf"""
-    (?P<key>[^:;"]*)(?:(?P<colon>:)(?P<value>{_VALUE}))?;
-  | (?P<quoted_key>[^:;"]*"{_QUOTED_BODY}"{_VALUE});
-  | (?P<tail>{_VALUE})\Z       # the text after the last `;`
-  | (?P<unclosed>.+)           # from an option whose quote never closes
+    [ \t]*(?P<at>)              # the option starts past the blanks after the previous `;`
+    (?:
+        (?P<key>[^:;"]*)(?:(?P<colon>:)(?P<value>{_VALUE}))?;
+      | (?P<quoted_key>[^:;"]*"{_QUOTED_BODY}"{_VALUE});
+      | (?P<tail>{_VALUE})\Z     # the text after the last `;`
+      | (?P<unclosed>.+)         # from an option whose quote never closes
+    )
     """,
     re.S | re.X,
 )
@@ -483,13 +486,13 @@ def _parse_rule(line: str, addrs: dict[str, AddressSpec], ports: dict[str, PortS
     rev: int | None = 0
 
     for m in _OPTION.finditer(line, open_paren + 1, close_paren):
-        key, colon, value, quoted_key, tail, unclosed = m.groups()
+        _, key, colon, value, quoted_key, tail, unclosed = m.groups()
         if key is None:
             if unclosed is not None:
-                raise ParseError("unbalanced quote in options", m.start())
+                raise ParseError("unbalanced quote in options", m.start("at"))
             if tail is not None:
                 if tail.strip(_WS):
-                    raise ParseError(f"option {tail.strip(_WS)!r} not terminated by ';'", m.start())
+                    raise ParseError(f"option {tail.strip(_WS)!r} not terminated by ';'", m.start("at"))
                 break
             key, colon, value = quoted_key.strip(_WS).partition(":")
         key = key.strip(_WS)
@@ -499,17 +502,17 @@ def _parse_rule(line: str, addrs: dict[str, AddressSpec], ports: dict[str, PortS
             value = ""
         value = value.strip(_WS)
         if key == "msg":
-            msg = _unquote(value, m.start())
+            msg = _unquote(value, m.start("at"))
         elif key == "content":
-            content_at = m.start()
+            content_at = m.start("at")
             options.append(_parse_content(value, content_at, warnings))
         elif key == "sid":
             if not _DIGITS.fullmatch(value):
-                raise ParseError(f"bad sid {value!r}", m.start())
+                raise ParseError(f"bad sid {value!r}", m.start("at"))
             sid = int(value)
         elif key == "rev":
             if not _DIGITS.fullmatch(value):
-                raise ParseError(f"bad rev {value!r}", m.start())
+                raise ParseError(f"bad rev {value!r}", m.start("at"))
             rev = int(value)
         elif key == "classtype":
             classtype = value
@@ -518,7 +521,7 @@ def _parse_rule(line: str, addrs: dict[str, AddressSpec], ports: dict[str, PortS
         elif key == "flow":
             flow = _parse_flow(value, warnings)
         elif key == "byte_test":
-            options.append(_parse_byte_test(value, m.start(), warnings))
+            options.append(_parse_byte_test(value, m.start("at"), warnings))
         elif key == "metadata":
             metadata = value
         elif key == "reference":
@@ -526,7 +529,7 @@ def _parse_rule(line: str, addrs: dict[str, AddressSpec], ports: dict[str, PortS
         elif key in ("depth", "offset") and options and isinstance(options[-1], Content):
             # follower-style modifier attaching to the previous content
             if not _DIGITS.fullmatch(value):
-                raise ParseError(f"bad {key} value {value!r}", m.start())
+                raise ParseError(f"bad {key} value {value!r}", m.start("at"))
             options[-1] = _fitting(replace(options[-1], **{key: int(value)}), content_at)
         else:
             opaque.append((key, value))

@@ -16,6 +16,7 @@ from hypothesis import settings
 
 from ringids import acquire, matching, packet
 from ringids.detect import PacketContext, evaluate_rule, prefilter
+from ringids.harness.synth import build_ipv4_frame
 from ringids.flow import Flow, FlowState
 from ringids.packet import Direction, FiveTuple, PacketPool, Proto, canonical_key
 from ringids.rules import load_ruleset
@@ -152,6 +153,15 @@ class CollectSink:
 
     def write(self, frame) -> None:
         self.frames.append(bytes(frame))
+
+
+def build_ipv4_udp_frame(src_ip, src_port, dst_ip, dst_port, payload: bytes = b"", pad_to: int = 0) -> bytes:
+    udp = src_port.to_bytes(2, "big") + dst_port.to_bytes(2, "big") + (8 + len(payload)).to_bytes(2, "big") + b"\x00\x00"
+    return build_ipv4_frame(src_ip, dst_ip, Proto.UDP, udp + payload, pad_to)
+
+
+def build_ipv4_icmp_frame(src_ip, dst_ip, icmp_type: int = 8, payload: bytes = b"", pad_to: int = 0) -> bytes:
+    return build_ipv4_frame(src_ip, dst_ip, Proto.ICMP, bytes([icmp_type, 0, 0, 0, 0, 0, 0, 0]) + payload, pad_to)
 
 
 def reverse(t: FiveTuple) -> FiveTuple:

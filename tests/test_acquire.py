@@ -6,10 +6,10 @@ from collections import deque
 
 import pytest
 
-from conftest import CollectSink, CountingPool, reverse
+from conftest import CollectSink, CountingPool, build_ipv4_udp_frame, reverse
 from ringids import acquire
 from ringids.acquire import AcquisitionWorker, murmur3_32, rss_hash, select_ring
-from ringids.harness.synth import build_ipv4_tcp_frame, build_ipv4_udp_frame
+from ringids.harness.synth import build_ipv4_tcp_frame
 from ringids.packet import FiveTuple, Proto, canonical_key, parse_ip
 from ringids.ring import Ring
 

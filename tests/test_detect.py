@@ -1,5 +1,6 @@
 """Rule evaluation semantics, prefilter completeness, verdicts, alert format."""
 
+import itertools
 import random
 from collections import deque
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from conftest import (
     HEARTBLEED_RULE,
     brute_force_matches,
+    build_ipv4_icmp_frame,
+    build_ipv4_udp_frame,
     flipped,
     header_matches,
     make_context,
@@ -30,7 +33,7 @@ from ringids.detect import (
 )
 from ringids.flow import FlowState, FlowTable
 from ringids.harness.runner import ListAlertSink
-from ringids.harness.synth import build_ipv4_frame, build_ipv4_icmp_frame, build_ipv4_tcp_frame, build_ipv4_udp_frame
+from ringids.harness.synth import build_ipv4_frame, build_ipv4_tcp_frame
 from ringids.matching import MultiPatternMatcher
 from ringids.packet import TCP_ACK, TCP_SYN, Direction, FiveTuple, PacketPool, Proto, decode, format_ip, parse_ip
 from ringids.rules import compile_ruleset, load_ruleset
@@ -286,25 +289,42 @@ def test_alert_action_passive_allows_and_alerts():
     assert worker.stats.analyzed == 1 and worker.stats.blocked == 0
 
 
-def test_full_flow_table_analyses_without_flow_context():
-    """A packet of a flow the full table cannot hold is analysed flowless:
-    content rules still match, flow-constrained ones cannot."""
+def test_connection_opened_after_the_table_fills_keeps_its_flow():
+    """A full table evicts its least recently seen flow for a new one, so a
+    connection opened after it fills is tracked and raises its
+    ``flow: established`` rule; a connection that keeps sending between the
+    new tuples keeps its flow throughout."""
     compiled = compiled_of(
         'alert tcp any any -> any any (content:"attack"; sid:1;)',
         'alert tcp any any -> any any (flow: established; content:"attack"; sid:2;)',
     )
     worker, pool, _, _ = make_worker(compiled)
-    worker.flow_table = FlowTable(max_flows=1)
-    for kw in (dict(flags=TCP_SYN, seq=0),
-               dict(flags=TCP_SYN | TCP_ACK, seq=0, src="10.0.0.2", dst="10.0.0.1", sport=443, dport=1000),
-               dict(seq=1)):
-        worker.process_packet(ingest(pool, payload=b"", **kw), 0)
-    _, first = worker.process_packet(ingest(pool, seq=1), 1)
-    _, second = worker.process_packet(ingest(pool, sport=2000), 2)
-    assert sorted(a.sid for a in first) == [1, 2]  # the tracked, established flow
-    assert [a.sid for a in second] == [1]
-    assert worker.stats.flowless == 1
-    assert len(worker.flow_table) == 1
+    worker.flow_table = FlowTable(max_flows=2)
+    now = itertools.count()
+    seq = itertools.count(1, 6)
+
+    def handshake(sport):
+        for kw in (dict(flags=TCP_SYN, seq=0, sport=sport),
+                   dict(flags=TCP_SYN | TCP_ACK, seq=0, src="10.0.0.2", dst="10.0.0.1", sport=443, dport=sport),
+                   dict(seq=1, sport=sport)):
+            yield worker.process_packet(ingest(pool, payload=b"", **kw), next(now))[1]
+
+    def send(sport):
+        return sorted(a.sid for a in worker.process_packet(ingest(pool, sport=sport, seq=next(seq)), next(now))[1])
+
+    list(handshake(1000))
+    assert send(1000) == [1, 2]
+    worker.process_packet(ingest(pool, payload=b"x", sport=2000), next(now))  # the table is full
+    kept = [send(1000)]
+    for alerts in handshake(3000):  # the new connection evicts port 2000's flow, seen least recently
+        assert alerts == []
+        kept.append(send(1000))
+    assert send(3000) == [1, 2]
+    assert kept == [[1, 2]] * 4
+    table = worker.flow_table
+    assert sorted(f.key.src_port for f in table) == [1000, 3000]
+    assert (table.created_total, table.evicted_total) == (3, 1)
+    assert table.footprint_bytes == sum(f.footprint_bytes for f in table)
     assert pool.in_use_count() == 0
 
 

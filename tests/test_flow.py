@@ -10,11 +10,13 @@ from conftest import flipped, reverse
 
 from ringids.flow import (
     FLOW_BASE_BYTES,
+    SWEEP_US,
+    TCP_TIMEOUT_US,
+    UDP_TIMEOUT_US,
     Flow,
     FlowState,
     FlowTable,
     SegmentBuffer,
-    TableFull,
     update_flow,
 )
 from ringids.packet import (
@@ -50,15 +52,29 @@ def test_lookup_or_create_and_reverse_hits_same_flow():
     rev_key, rev_dir = canonical_key(reverse(desc.tuple))
     flow2, created2 = table.lookup_or_create(rev_key, 200)
     assert flow2 is flow and not created2
+    assert flow.last_seen_us == 200  # the table stamps each lookup
     assert rev_dir != direction
 
 
-def test_table_full():
-    table = FlowTable(max_flows=1)
-    table.lookup_or_create(key_of(make_desc())[0], 0)
-    other = FiveTuple(Proto.TCP, "10.9.9.9", 1, "10.8.8.8", 2)
-    with pytest.raises(TableFull):
-        table.lookup_or_create(canonical_key(other)[0], 0)
+def test_full_table_evicts_the_flow_seen_least_recently():
+    table = FlowTable(max_flows=3)
+    keys = [canonical_key(FiveTuple(Proto.TCP, 0x0A000001 + i, 1000, 0x0A0000FF, 80))[0] for i in range(4)]
+    flows = [table.lookup_or_create(key, i)[0] for i, key in enumerate(keys[:3])]
+    for seq in (100, 200):  # a gap: the flow to be evicted holds buffered bytes
+        table.reassemble(flows[1], Direction.FORWARD, seq, b"ab")
+    assert flows[1].footprint_bytes == FLOW_BASE_BYTES + 2
+    table.lookup_or_create(keys[0], 3)  # touched, the first-created flow is the newest
+    _, created = table.lookup_or_create(keys[3], 4)
+    assert created
+    assert [f.key for f in table] == [keys[2], keys[0], keys[3]]  # least recently seen first
+    assert len(table) == table.max_flows
+    assert table.footprint_bytes == sum(f.footprint_bytes for f in table) == 3 * FLOW_BASE_BYTES
+    assert table.evicted_total == 1
+
+
+def test_table_of_no_flows_rejected():
+    with pytest.raises(ValueError):
+        FlowTable(max_flows=0)
 
 
 def test_handshake_reaches_established():
@@ -67,16 +83,15 @@ def test_handshake_reaches_established():
     key, d_fwd = key_of(syn)
     flow, _ = table.lookup_or_create(key, 0)
     flow.initiator_direction = d_fwd
-    update_flow(flow, syn, d_fwd, 1)
+    update_flow(flow, syn, d_fwd)
     assert flow.state is FlowState.SYN_SEEN
     synack = make_desc(flags=TCP_SYN | TCP_ACK)
-    update_flow(flow, synack, flipped(d_fwd), 2)
+    update_flow(flow, synack, flipped(d_fwd))
     assert flow.state is FlowState.SYN_SEEN
     ack = make_desc(flags=TCP_ACK)
-    update_flow(flow, ack, d_fwd, 3)
+    update_flow(flow, ack, d_fwd)
     assert flow.state is FlowState.ESTABLISHED
     assert flow.saw_established
-    assert flow.last_seen_us == 3
     assert flow.pkts_fwd == 2 and flow.pkts_rev == 1
 
 
@@ -85,9 +100,9 @@ def test_bidirectional_fallback_established():
     data = make_desc(flags=TCP_ACK)
     key, d = key_of(data)
     flow, _ = table.lookup_or_create(key, 0)
-    update_flow(flow, data, d, 1)
+    update_flow(flow, data, d)
     assert flow.state is FlowState.NEW
-    update_flow(flow, data, flipped(d), 2)
+    update_flow(flow, data, flipped(d))
     assert flow.state is FlowState.ESTABLISHED
 
 
@@ -96,12 +111,12 @@ def test_fin_both_directions_closes():
     desc = make_desc(flags=TCP_ACK)
     key, d = key_of(desc)
     flow, _ = table.lookup_or_create(key, 0)
-    update_flow(flow, desc, d, 1)
-    update_flow(flow, desc, flipped(d), 2)
+    update_flow(flow, desc, d)
+    update_flow(flow, desc, flipped(d))
     assert flow.state is FlowState.ESTABLISHED
-    update_flow(flow, make_desc(flags=TCP_FIN | TCP_ACK), d, 3)
+    update_flow(flow, make_desc(flags=TCP_FIN | TCP_ACK), d)
     assert flow.state is FlowState.CLOSING
-    update_flow(flow, make_desc(flags=TCP_FIN | TCP_ACK), flipped(d), 4)
+    update_flow(flow, make_desc(flags=TCP_FIN | TCP_ACK), flipped(d))
     assert flow.state is FlowState.CLOSED
 
 
@@ -110,7 +125,7 @@ def test_nonsense_flags_recorded_not_transitioned():
     desc = make_desc(flags=TCP_SYN | TCP_FIN)
     key, d = key_of(desc)
     flow, _ = table.lookup_or_create(key, 0)
-    assert update_flow(flow, desc, d, 1) is None
+    assert update_flow(flow, desc, d) is None
     assert flow.state is FlowState.NEW
     assert flow.bad_flag_events == 1
 
@@ -120,9 +135,9 @@ def test_udp_established_on_reverse():
     desc = make_desc(proto=Proto.UDP)
     key, d = key_of(desc)
     flow, _ = table.lookup_or_create(key, 0)
-    update_flow(flow, desc, d, 1)
+    update_flow(flow, desc, d)
     assert flow.state is FlowState.NEW
-    update_flow(flow, desc, flipped(d), 2)
+    update_flow(flow, desc, flipped(d))
     assert flow.state is FlowState.ESTABLISHED
 
 
@@ -149,6 +164,110 @@ def test_expire_uses_per_proto_defaults():
     # 11s idle: beyond the UDP timeout, within the TCP one
     evicted = table.expire_flows(11_000_000)
     assert [f.key.proto for f in evicted] == [Proto.UDP]
+
+
+# --- the bounded, last-seen-ordered table --------------------------------
+
+TABLE_KEYS = [
+    canonical_key(FiveTuple(proto, 0x0A000001, 1000 + i, 0x0A000002, 80))[0]
+    for proto in (Proto.TCP, Proto.UDP)
+    for i in range(3)
+]
+# advances that land idle times on and just past each timeout and sweep period
+_ADVANCE = st.one_of(
+    st.sampled_from([0, 1, SWEEP_US, UDP_TIMEOUT_US, TCP_TIMEOUT_US - UDP_TIMEOUT_US, TCP_TIMEOUT_US]),
+    st.integers(0, 12_000_000),
+)
+
+
+@given(
+    max_flows=st.integers(1, 4),
+    steps=st.lists(st.tuples(st.booleans(), st.integers(0, len(TABLE_KEYS) - 1), _ADVANCE), max_size=40),
+)
+def test_table_keys_equal_a_reference_model(max_flows, steps):
+    """Lookups and sweeps at non-decreasing times keep the table's keys
+    equal to a plain model's: a full sweep of every key idle past its
+    protocol's timeout, at each explicit sweep and at the first lookup of
+    each new ``SWEEP_US`` period, and, on a full table, eviction of the key
+    looked up least recently. Footprint is conserved after every step."""
+    table = FlowTable(max_flows=max_flows)
+    last_seen: dict[FiveTuple, int] = {}
+    last_lookup: dict[FiveTuple, int] = {}  # step of each key's latest lookup
+    next_sweep, now = SWEEP_US, 0
+
+    def full_sweep():
+        for key, seen in list(last_seen.items()):
+            if now - seen > (TCP_TIMEOUT_US if key.proto is Proto.TCP else UDP_TIMEOUT_US):
+                del last_seen[key], last_lookup[key]
+
+    for step, (sweep, k, advance) in enumerate(steps):
+        now += advance
+        key = TABLE_KEYS[k]
+        if sweep:
+            table.expire_flows(now)
+            full_sweep()
+        else:
+            if now >= next_sweep:
+                next_sweep = (now // SWEEP_US + 1) * SWEEP_US
+                full_sweep()
+            if key not in last_seen and len(last_seen) >= max_flows:
+                oldest = min(last_lookup, key=last_lookup.get)
+                del last_seen[oldest], last_lookup[oldest]
+            last_seen[key], last_lookup[key] = now, step
+            flow, _ = table.lookup_or_create(key, now)
+            if key.proto is Proto.TCP:  # each lookup buffers two bytes behind a gap
+                table.reassemble(flow, Direction.FORWARD, 10 * step, b"ab")
+        assert {f.key for f in table} == set(last_seen)
+        assert table.footprint_bytes == sum(f.footprint_bytes for f in table)
+        assert table.created_total - table.evicted_total == len(table)
+
+
+class _CountingFlow(Flow):
+    """A flow that records each read of its last-seen time."""
+
+    reads: list = []
+
+    @property
+    def last_seen_us(self):
+        self.reads.append(self)
+        return self.__dict__["last_seen_us"]
+
+    @last_seen_us.setter
+    def last_seen_us(self, value):
+        self.__dict__["last_seen_us"] = value
+
+
+def test_sweep_with_nothing_idle_past_the_shorter_timeout_examines_one_flow():
+    table = FlowTable()
+    n = 20_000
+    for i in range(n):
+        proto = Proto.TCP if i % 2 else Proto.UDP
+        table.lookup_or_create(canonical_key(FiveTuple(proto, 0x0A000000 + i, 1000, 0x0B000001, 80))[0], i)
+    for flow in table:
+        flow.__class__ = _CountingFlow
+    reads = _CountingFlow.reads = []
+    assert table.expire_flows(UDP_TIMEOUT_US) == []  # the oldest flow is idle exactly that long
+    assert len({id(f) for f in reads}) <= 1
+    # the count sees a walk: past both timeouts every flow is examined
+    reads.clear()
+    assert len(table.expire_flows(n + TCP_TIMEOUT_US + 1)) == n
+    assert len({id(f) for f in reads}) == n
+
+
+def test_lookups_sweep_once_per_sweep_period(monkeypatch):
+    swept = []
+    expire = FlowTable.expire_flows
+
+    def counting(table, now_us):
+        swept.append(now_us)
+        return expire(table, now_us)
+
+    monkeypatch.setattr(FlowTable, "expire_flows", counting)
+    table = FlowTable()
+    key = TABLE_KEYS[0]
+    for now in (0, SWEEP_US - 1, SWEEP_US, SWEEP_US + 1, 3 * SWEEP_US + 5, 3 * SWEEP_US + 6, 4 * SWEEP_US):
+        table.lookup_or_create(key, now)
+    assert swept == [SWEEP_US, 3 * SWEEP_US + 5, 4 * SWEEP_US]
 
 
 def test_footprint_in_documented_band_at_32k_flows():
@@ -199,7 +318,7 @@ def test_syn_seeds_reassembly_base():
     syn = make_desc(flags=TCP_SYN, seq=99)
     key, d = key_of(syn)
     flow, _ = table.lookup_or_create(key, 0)
-    update_flow(flow, syn, d, 0)
+    update_flow(flow, syn, d)
     assert flow.buffer(d).base_seq == 100
     # data before the gap is filled stays pending
     assert table.reassemble(flow, d, 110, b"late") == b""
@@ -211,7 +330,7 @@ def test_cap_triggers_gap_flush():
     syn = make_desc(flags=TCP_SYN, seq=99)
     key, d = key_of(syn)
     flow, _ = table.lookup_or_create(key, 0)
-    update_flow(flow, syn, d, 0)
+    update_flow(flow, syn, d)
     # hold a gap at 100 and exceed the pending cap
     assert table.reassemble(flow, d, 110, b"x" * 60) == b""
     delivered = table.reassemble(flow, d, 170, b"y" * 40)
@@ -302,7 +421,7 @@ def test_syn_at_top_of_sequence_space():
     syn = make_desc(flags=TCP_SYN, seq=2**32 - 1)
     key, d = key_of(syn)
     flow, _ = table.lookup_or_create(key, 0)
-    update_flow(flow, syn, d, 0)
+    update_flow(flow, syn, d)
     assert table.reassemble(flow, d, 3, b"late") == b""
     assert table.reassemble(flow, d, 0, b"abc") == b"abclate"
 

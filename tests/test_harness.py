@@ -20,6 +20,7 @@ from conftest import CORPUS_PATH, HEARTBLEED_RULE, CollectSink, run_with_watchdo
 
 from ringids.boundary import CostModel
 from ringids.detect import AnalysisWorker
+from ringids import flow
 from ringids.flow import FlowTable
 from ringids.harness import runner
 from ringids.harness.cli import main as cli_main
@@ -624,11 +625,42 @@ def test_real_run_expires_flows(monkeypatch):
         return expire(table, now_us)
 
     monkeypatch.setattr(FlowTable, "expire_flows", counting)
-    monkeypatch.setattr(runner, "INTERVAL_US", 1_000)
+    monkeypatch.setattr(flow, "SWEEP_US", 1_000)
     wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=8, packet_count=3000, seed=3)
     report = run_experiment(wl, base_config(n_workers=2, clock_mode="real"))
     assert report.totals.analyzed > 0
     assert swept
+
+
+def test_sim_run_sweeps_at_each_workers_first_packet_of_an_interval(monkeypatch):
+    """Each worker's flow table sweeps at the first packet the worker
+    analyses in each new 3 s report interval, and at no other packet."""
+    analysed: dict[int, list[int]] = {}
+    swept: dict[int, list[int]] = {}
+    process, expire = AnalysisWorker.process_packet, FlowTable.expire_flows
+
+    def recording(worker, desc, now_us):
+        analysed.setdefault(id(worker.flow_table), []).append(now_us)
+        return process(worker, desc, now_us)
+
+    def counting(table, now_us):
+        swept.setdefault(id(table), []).append(now_us)
+        return expire(table, now_us)
+
+    monkeypatch.setattr(AnalysisWorker, "process_packet", recording)
+    monkeypatch.setattr(FlowTable, "expire_flows", counting)
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=8, packet_count=3000, seed=3)
+    report = run_experiment(wl, base_config(n_workers=2, rate_pps=250.0))
+    assert len(report.intervals) == 4 and len(analysed) == 2
+    for table, times in analysed.items():
+        want, swept_interval = [], 0
+        for now_us in times:
+            if now_us // runner.INTERVAL_US > swept_interval:
+                swept_interval = now_us // runner.INTERVAL_US
+                want.append(now_us)
+        assert len(want) == 3
+        assert swept.pop(table) == want
+    assert not swept
 
 
 def test_smallflows_pcap_characteristics():

@@ -22,7 +22,9 @@ HOT_FUNCTIONS = [
     flow.update_flow,
     flow._advance_tcp,
     flow.Flow.buffer,
+    flow.FlowTable.lookup_or_create,
     flow.FlowTable.reassemble,
+    flow.FlowTable.expire_flows,
     detect.AnalysisWorker.process_packet,
     detect.prefilter,
     rules.CompiledRuleSet.admitted,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import CountingPool, reverse
+from conftest import CountingPool, build_ipv4_icmp_frame, build_ipv4_udp_frame, reverse
 from ringids import packet
 from ringids.packet import (
     SLOT_SIZE,
@@ -27,7 +27,7 @@ from ringids.packet import (
     format_ip,
     parse_ip,
 )
-from ringids.harness.synth import build_ipv4_frame, build_ipv4_icmp_frame, build_ipv4_tcp_frame, build_ipv4_udp_frame
+from ringids.harness.synth import build_ipv4_frame, build_ipv4_tcp_frame
 
 
 @pytest.fixture

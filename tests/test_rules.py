@@ -224,6 +224,7 @@ def test_parse_error_carries_position():
         ('alert tcp any any -> any any (content:""; sid:4;)', 30),
         ('alert tcp any any -> any any (byte_test:1,>; sid:5;)', 30),  # value and offset missing
         ('alert tcp any any -> any any (byte_test:1,>,x,0; sid:6;)', 30),
+        ('alert tcp any any -> any any (msg:"m"; sid:x;)', 39),  # the keyword after `; `, not the space
     ],
 )
 def test_parse_error_points_at_its_field_or_option(line, position):
@@ -282,7 +283,7 @@ def test_depth_shorter_than_its_pattern_is_an_error_at_the_content(options):
     head = 'alert tcp any any -> any any (msg:"m"; content:"ab"; '
     with pytest.raises(ParseError, match="shorter than its 6-byte pattern") as info:
         parse_rule(f"{head}{options}; sid:7;)")
-    assert info.value.position == head.rindex(";") + 1  # where the content option starts
+    assert info.value.position == head.rindex(";") + 2  # the content keyword, past the `; `
 
 
 def test_depth_equal_to_its_pattern_parses():
