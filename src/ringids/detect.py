@@ -26,8 +26,15 @@ object it was given, so the prefilter knows by identity that the stream is
 the payload and scans it once.
 
 The alert line's timestamp text is built once per whole second and its rule
-text once per rule, each kept in a bounded cache. Nothing is cached per
-5-tuple: scans and floods bring a new tuple with almost every packet.
+text once per rule, each kept in a bounded cache. What depends only on the
+5-tuple is decided once per flow direction, whose tuple is fixed, and kept in
+the flow's ``FlowSide`` record, as Suricata keeps a signature group per flow
+direction: the worker fills the admitted contentless rules at the direction's
+first analysed packet, and the alert endpoint text at its first alert. A
+flow of one packet, as a scan or flood brings, so pays one header check, as
+it would with no record, and builds no endpoint text unless it alerts. The
+record lives and dies with its flow, so the flow table's bound and sweep are
+its only bound; it is private to its worker, so no lock guards it.
 Enum members are read through ``packet``'s module constants (``TCP``,
 ``FORWARD``, ...), and the protocol's alert label through a table.
 """
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .flow import Flow, FlowTable, update_flow
+from .flow import Flow, FlowSide, FlowTable, update_flow
 from .packet import (
     FORWARD,
     SLOT_SIZE,
@@ -70,7 +77,9 @@ class PacketContext:
 
     ``payload`` is the packet's one copy of its payload. ``stream_bytes`` is
     the same object when in-order reassembly delivered exactly the payload,
-    which ``prefilter`` tests with ``is``.
+    which ``prefilter`` tests with ``is``. ``side`` is the flow's record for
+    the packet's direction, with its admitted contentless rules filled in; a
+    context without one has ``prefilter`` check every header.
     """
 
     tuple: FiveTuple
@@ -78,6 +87,7 @@ class PacketContext:
     direction: Direction = FORWARD
     payload: bytes = b""
     stream_bytes: bytes | None = None  # newly reassembled, this packet only
+    side: FlowSide | None = None
 
 
 class Alert(NamedTuple):
@@ -121,16 +131,20 @@ def _rule_text(sid: int, rev: int, msg: str, classtype: str) -> str:
     return f"[**] [1:{sid}:{rev}] {msg} [**]{cls}"
 
 
-def format_alert_fast(alert: Alert) -> str:
+def endpoint_text(t: FiveTuple) -> str:
+    """The alert line's tail for ``t``: `` {PROTO} a:p -> b:q``."""
+    return f" {{{_PROTO_LABEL[t.proto]}}} {format_ip(t.src_ip)}:{t.src_port} -> {format_ip(t.dst_ip)}:{t.dst_port}"
+
+
+def format_alert_fast(alert: Alert, endpoints: str | None = None) -> str:
     """One `fast` output line, bit-exact field layout:
-    ``MM/DD-HH:MM:SS.UUUUUU [**] [1:sid:rev] msg [**] [Classification: c] {PROTO} a:p -> b:q``."""
+    ``MM/DD-HH:MM:SS.UUUUUU [**] [1:sid:rev] msg [**] [Classification: c] {PROTO} a:p -> b:q``.
+    ``endpoints`` is ``endpoint_text(alert.tuple)`` when the caller has it."""
     total_s, us = divmod(alert.now_us, 1_000_000)
     rule_text = _rule_text(alert.sid, alert.rev, alert.msg, alert.classtype)
-    t = alert.tuple
-    return (
-        f"{_second_text(total_s)}.{us:06d} {rule_text} {{{_PROTO_LABEL[t.proto]}}}"
-        f" {format_ip(t.src_ip)}:{t.src_port} -> {format_ip(t.dst_ip)}:{t.dst_port}"
-    )
+    if endpoints is None:
+        endpoints = endpoint_text(alert.tuple)
+    return f"{_second_text(total_s)}.{us:06d} {rule_text}{endpoints}"
 
 
 def _flow_matches(rule: Rule, ctx: PacketContext) -> bool:
@@ -196,12 +210,14 @@ def evaluate_rule(rule: Rule, ctx: PacketContext) -> bool:
     return True
 
 
-def prefilter(compiled: CompiledRuleSet, ctx: PacketContext) -> set[int]:
+def prefilter(compiled: CompiledRuleSet, ctx: PacketContext) -> set[int] | tuple[int, ...]:
     """Phase 1: the rules whose fast pattern occurs in their buffer, plus the
     contentless rules, each kept only when its header admits the packet
     (``CompiledRuleSet.admitted``). The buffer of an only-stream rule
     (``compiled.stream_rules``) is the stream bytes, and of any other rule
-    the payload.
+    the payload. When nothing hits and the context has its direction's
+    record, the result is the record's sorted tuple of admitted contentless
+    sids, returned as it is; otherwise it is a new set.
 
     The protocol's automaton covers every rule of that protocol, so the
     payload is scanned once. When the stream bytes are the payload object
@@ -219,7 +235,10 @@ def prefilter(compiled: CompiledRuleSet, ctx: PacketContext) -> set[int]:
         hits = hits - stream_rules
         if stream:
             hits |= compiled.scan_payload(proto, stream) & stream_rules
-    return compiled.admitted(t, hits)
+    side = ctx.side
+    if hits or side is None:
+        return compiled.admitted(t, hits)
+    return side.candidates
 
 
 class AnalysisWorker:
@@ -275,9 +294,12 @@ class AnalysisWorker:
             # a SYN takes one sequence number, so its data starts one past it
             seq = desc.tcp_seq + 1 if desc.tcp_flags & TCP_SYN else desc.tcp_seq
             stream = self.flow_table.reassemble(flow, direction, seq, payload) or None
-        ctx = PacketContext(t, flow, direction, payload, stream)
-
         compiled = self.compiled
+        side = flow.side(direction)
+        if side.candidates is None:  # the direction's first packet: its tuple is fixed from here on
+            side.candidates = tuple(sorted(compiled.admitted(t, ())))
+        ctx = PacketContext(t, flow, direction, payload, stream, side)
+
         candidates = prefilter(compiled, ctx)
         if not candidates:
             self._finish(desc, "allow")
@@ -285,7 +307,8 @@ class AnalysisWorker:
         stats.candidates_evaluated += len(candidates)
         rules = compiled.rules
         matched: list[Rule] = []
-        for sid in sorted(candidates):  # a loop, not a comprehension: no closure cells on every call
+        # the record's tuple comes sorted; a loop, not a comprehension: no closure cells on every call
+        for sid in candidates if candidates.__class__ is tuple else sorted(candidates):
             rule = rules[sid]
             if evaluate_rule(rule, ctx):
                 matched.append(rule)
@@ -294,11 +317,13 @@ class AnalysisWorker:
         verdict = "block" if blocked else "allow"
         action = "blocked" if blocked else "alerted"
         sink = self.alert_sink
+        if matched and sink is not None and side.endpoints is None:
+            side.endpoints = endpoint_text(t)
         alerts = []
         for rule in matched:
             alert = _new(Alert, (rule.sid, rule.rev, rule.msg, rule.classtype, now_us, t, desc.slot, action))
             if sink is not None:
-                sink.emit(alert, format_alert_fast(alert))
+                sink.emit(alert, format_alert_fast(alert, side.endpoints))
             alerts.append(alert)
         stats.alerts += len(alerts)
         if blocked:

@@ -22,6 +22,21 @@ timeout, which finds every idle flow only because a table is handed times
 that never decrease; each worker's scheduler guarantees that, and the
 table's callers must too.
 
+A flow keeps one ``FlowSide`` record per direction (``Flow.fwd`` and
+``Flow.rev``), which ``Flow.side`` makes at the direction's first packet: a
+flow seen one way only, as most scan and flood flows are, never allocates the
+other. The record holds the direction's ``SegmentBuffer`` and what detection
+decides once for the direction's 5-tuple, which is fixed while the flow
+lives: the contentless rules whose header admits it, filled by the analysis
+worker at the direction's first packet, and the alert line's endpoint text,
+filled at its first alert. So the headers are checked once per direction, not
+once per packet, as Suricata keeps a signature group per flow direction. The
+record lives and dies with its flow, so the table's bound and sweep bound it
+too, and ``FLOW_BASE_BYTES`` covers its fixed part. It is the place for the
+rest of a direction's detection state: the automaton state and bounded tail
+that let a pattern span segments, the count of overlaps whose bytes
+conflict, and flowbits.
+
 Like ``packet``, this module reads enum members through module constants
 (``NEW``, ``ESTABLISHED``, ``TCP``, ``FORWARD``, ...), not through their
 class: every packet runs the state machine, and a class attribute read on an
@@ -173,6 +188,16 @@ class SegmentBuffer:
         return self._deliver()
 
 
+@dataclass(slots=True)
+class FlowSide:
+    """One direction of a flow: its reassembly buffer and what detection
+    decides once for the direction's fixed 5-tuple (see the module docstring)."""
+
+    buf: SegmentBuffer = field(default_factory=SegmentBuffer)
+    candidates: tuple[int, ...] | None = None  # admitted contentless sids, sorted
+    endpoints: str | None = None  # alert-line endpoint text, set at the first alert
+
+
 @dataclass
 class Flow:
     key: FiveTuple  # canonical, see packet.canonical_key
@@ -185,15 +210,26 @@ class Flow:
     fin_fwd: bool = False
     fin_rev: bool = False
     bad_flag_events: int = 0
-    fwd_buf: SegmentBuffer = field(default_factory=SegmentBuffer)
-    rev_buf: SegmentBuffer = field(default_factory=SegmentBuffer)
+    fwd: FlowSide | None = None  # made at the direction's first packet
+    rev: FlowSide | None = None
 
     @property
     def footprint_bytes(self) -> int:
-        return FLOW_BASE_BYTES + self.fwd_buf.pending_bytes + self.rev_buf.pending_bytes
+        total = FLOW_BASE_BYTES
+        for side in (self.fwd, self.rev):
+            if side is not None:
+                total += side.buf.pending_bytes
+        return total
 
-    def buffer(self, direction: Direction) -> SegmentBuffer:
-        return self.fwd_buf if direction is FORWARD else self.rev_buf
+    def side(self, direction: Direction) -> FlowSide:
+        """The record of ``direction``, made at its first use."""
+        if direction is FORWARD:
+            if self.fwd is None:
+                self.fwd = FlowSide()
+            return self.fwd
+        if self.rev is None:
+            self.rev = FlowSide()
+        return self.rev
 
     def is_to_server(self, direction: Direction) -> bool:
         """True when a packet in ``direction`` travels initiator -> responder."""
@@ -215,7 +251,7 @@ def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction) -> Non
             return
         if flags & TCP_SYN:
             # the SYN consumes one sequence number; stream data starts past it
-            buf = flow.buffer(direction)
+            buf = flow.side(direction).buf
             if buf.base_seq is None:
                 buf.base_seq = desc.tcp_seq + 1
                 buf.delivered_upto = buf.base_seq
@@ -308,7 +344,7 @@ class FlowTable:
 
     def reassemble(self, flow: Flow, direction: Direction, seq: int, payload) -> bytes:
         """Insert a TCP segment, keeping the footprint counter in step."""
-        buf = flow.buffer(direction)
+        buf = flow.side(direction).buf
         before = buf.pending_bytes
         delivered = buf.insert(seq, payload)
         if buf.pending_bytes > self.reassembly_cap:

@@ -2,13 +2,14 @@
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    CORPUS_PATH,
     HEARTBLEED_RULE,
     brute_force_matches,
     build_ipv4_icmp_frame,
@@ -32,11 +33,12 @@ from ringids.detect import (
     prefilter,
 )
 from ringids.flow import FlowState, FlowTable
+from ringids.harness import EngineConfig, WorkloadSpec, run_experiment
 from ringids.harness.runner import ListAlertSink
 from ringids.harness.synth import build_ipv4_frame, build_ipv4_tcp_frame
 from ringids.matching import MultiPatternMatcher
 from ringids.packet import TCP_ACK, TCP_SYN, Direction, FiveTuple, PacketPool, Proto, decode, format_ip, parse_ip
-from ringids.rules import compile_ruleset, load_ruleset
+from ringids.rules import CompiledRuleSet, compile_ruleset, load_ruleset
 
 
 def compiled_of(*lines):
@@ -402,7 +404,7 @@ def test_syn_data_starts_one_past_its_sequence_number(syn_data):
     assert [a.sid for a in alerts] == [7]
     key, direction = packet.canonical_key(FiveTuple(Proto.TCP, "10.0.0.1", 1000, "10.0.0.2", 80))
     flow, _ = worker.flow_table.lookup_or_create(key, 3)
-    assert flow.buffer(direction).pending_bytes == 0
+    assert flow.side(direction).buf.pending_bytes == 0
 
 
 def test_alert_fast_format_exact():
@@ -518,14 +520,15 @@ def test_alert_line_equals_reference_past_cache_bounds():
         assert info.currsize == info.maxsize and info.misses > info.maxsize  # evictions ran
 
 
-def frame_carrying(t: FiveTuple) -> bytes:
+def frame_carrying(t: FiveTuple, payload: bytes = b"x", seq: int = 0) -> bytes:
     if t.proto is Proto.TCP:
-        return build_ipv4_tcp_frame(t.src_ip, t.src_port, t.dst_ip, t.dst_port, flags=TCP_ACK, payload=b"x")
+        return build_ipv4_tcp_frame(t.src_ip, t.src_port, t.dst_ip, t.dst_port, flags=TCP_ACK, seq=seq,
+                                    payload=payload)
     if t.proto is Proto.UDP:
-        return build_ipv4_udp_frame(t.src_ip, t.src_port, t.dst_ip, t.dst_port, payload=b"x")
+        return build_ipv4_udp_frame(t.src_ip, t.src_port, t.dst_ip, t.dst_port, payload=payload)
     if t.proto is Proto.ICMP:
-        return build_ipv4_icmp_frame(t.src_ip, t.dst_ip, payload=b"x")
-    return build_ipv4_frame(t.src_ip, t.dst_ip, 47, b"x")  # GRE: no transport header decode reads
+        return build_ipv4_icmp_frame(t.src_ip, t.dst_ip, payload=payload)
+    return build_ipv4_frame(t.src_ip, t.dst_ip, 47, payload)  # GRE: no transport header decode reads
 
 
 def test_alert_line_of_decoded_tuple_equals_reference(kernel):
@@ -668,3 +671,161 @@ def test_address_lists_and_prefix_edges():
         for dst in edges:
             ctx = make_context(FiveTuple(Proto.TCP, src, 1, dst, 2), b"x")
             assert pipeline_matches(compiled, ctx) == brute_force_matches(compiled, ctx)
+
+
+# --- what a flow direction decides once ----------------------------------------
+
+RECORD_ADDRS = ["10.0.0.5", "10.1.2.3", "192.168.1.7", "192.168.1.9", "8.8.8.8"]
+RECORD_PORTS = [80, 8080, 1337, 6667, 443, 25, 53, 40000]
+RULE_ADDRS = ["any", "10.0.0.0/8", "[10.1.0.0/16, 192.168.1.7]", "10.0.0.5", "192.168.1.0/24"]
+RULE_PORTS = ["any", "80", "[80, 8080]", "[1337, 6667]", "443", "[25, 443]", "53"]
+RULE_OPTIONS = [
+    "", "flow: established; ", "byte_test: 1,>,10,0; ", "flow: only_stream; byte_test: 1,>,3,0; ",
+    'content:"MAIL"; ', 'content:"EVILPAT"; ', 'flow: only_stream; content:"EVILPAT"; ',
+    'content:"|18 03 00|", depth 3; ',
+]
+RECORD_PROTOS = [Proto.TCP, Proto.TCP, Proto.UDP, Proto.ICMP, Proto.OTHER]
+
+header_rule_lines = st.lists(
+    st.tuples(
+        st.sampled_from(["tcp", "tcp", "udp", "icmp", "ip"]), st.sampled_from(RULE_ADDRS),
+        st.sampled_from(RULE_PORTS), st.sampled_from(["->", "<>"]), st.sampled_from(RULE_ADDRS),
+        st.sampled_from(RULE_PORTS), st.sampled_from(RULE_OPTIONS),
+    ).map(lambda h: f"alert {h[0]} {h[1]} {h[2]} {h[3]} {h[4]} {h[5]} ({h[6]}sid:SID;)"),
+    min_size=1, max_size=8,
+)
+
+
+@st.composite
+def record_tuples(draw):
+    proto = draw(st.sampled_from(RECORD_PROTOS))
+    ports = st.sampled_from(RECORD_PORTS) if proto in (Proto.TCP, Proto.UDP) else st.just(0)
+    addrs = st.sampled_from(RECORD_ADDRS)
+    return FiveTuple(proto, parse_ip(draw(addrs)), draw(ports), parse_ip(draw(addrs)), draw(ports))
+
+
+def drive_and_check(compiled, packets, max_flows):
+    """Run ``(tuple, payload, seq)`` packets through one worker and check that
+    each packet's candidates, as a set, equal ``admitted`` over fast-pattern
+    hits recomputed from the context's buffers, and that each alert line
+    equals the reference formatter's; returns the alerts."""
+    worker, pool, _, sink = make_worker(compiled)
+    worker.flow_table = FlowTable(max_flows=max_flows)
+    seen = []
+
+    def recording(compiled_, ctx):
+        result = prefilter(compiled_, ctx)
+        seen.append((ctx, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(detect, "prefilter", recording)
+        for now_us, (t, payload, seq) in enumerate(packets):
+            worker.process_packet(decode(frame_carrying(t, payload, seq), now_us, pool), now_us)
+    assert len(seen) == len(packets) and pool.in_use_count() == 0
+    for ctx, result in seen:
+        t = ctx.tuple
+        assert ctx.side is ctx.flow.side(ctx.direction)
+        hits = set()
+        for sid, rule in compiled.rules.items():
+            if rule.fast_pattern is None or rule.proto not in ("ip", t.proto.name.lower()):
+                continue
+            buf = (ctx.stream_bytes or b"") if rule.only_stream else ctx.payload
+            if rule.fast_pattern in buf:
+                hits.add(sid)
+        assert set(result) == compiled.admitted(t, hits)
+    assert len(sink.lines) == len(sink.alerts) == worker.stats.alerts
+    for alert, line in zip(sink.alerts, sink.lines):
+        assert line == _ref_format_alert_fast(alert)
+    return sink.alerts
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=header_rule_lines,
+    with_corpus=st.booleans(),
+    tuples=st.lists(record_tuples(), min_size=1, max_size=4),
+    steps=st.lists(
+        st.tuples(st.integers(0, 3), st.booleans(), st.binary(max_size=24), st.integers(0, 99), st.integers(0, 3)),
+        min_size=1, max_size=30,
+    ),
+    max_flows=st.sampled_from([1, 2, 1024]),
+)
+def test_per_direction_records_give_the_candidates_and_lines_of_a_fresh_check(
+    corpus_text, kernel, lines, with_corpus, tuples, steps, max_flows
+):
+    """Both directions of random tuples, over random headers with and
+    without the corpus, with planted fast patterns and segments in and out
+    of order; a table of one flow evicts on every new tuple."""
+    text = "\n".join(line.replace("SID", str(940_001 + i)) for i, line in enumerate(lines))
+    compiled = compile_ruleset(load_ruleset((corpus_text + "\n" if with_corpus else "") + text))
+    patterns = [None] + sorted({r.fast_pattern for r in compiled.rules.values() if r.fast_pattern is not None})
+    next_seq = {}
+    packets = []
+    for index, backwards, noise, planted, gap in steps:
+        t = tuples[index % len(tuples)]
+        t = reverse(t) if backwards else t
+        pattern = patterns[planted % len(patterns)]
+        payload = noise if pattern is None else noise[: len(noise) // 2] + pattern + noise[len(noise) // 2 :]
+        seq = next_seq.get(t, 1) + (5 if gap == 3 else 0)  # a gap leaves the segment buffered
+        next_seq[t] = seq + len(payload)
+        packets.append((t, payload, seq))
+    drive_and_check(compiled, packets, max_flows)
+
+
+def test_evicted_flow_returning_the_other_way_round_starts_fresh_records(kernel):
+    """A one-flow table evicts a flow; its tuple comes back with the other
+    orientation first, and that direction's candidates and endpoint text are
+    its own, not those of the evicted flow's first direction."""
+    compiled = compiled_of(
+        "alert tcp any 80 -> any any (sid:1;)",
+        'alert tcp any any <> any any (content:"hit"; sid:2;)',
+    )
+    a = FiveTuple(Proto.TCP, parse_ip("10.0.0.1"), 80, parse_ip("10.0.0.2"), 5000)
+    b = FiveTuple(Proto.TCP, parse_ip("10.0.0.3"), 80, parse_ip("10.0.0.4"), 6000)
+    packets = [(a, b"hit", 1), (b, b"hit", 1), (reverse(a), b"hit", 1), (a, b"hit", 4), (reverse(a), b"", 4)]
+    alerts = drive_and_check(compiled, packets, max_flows=1)
+    # reverse(a) is not from port 80, so sid 1 never fires for it, though a's direction admitted it
+    assert [(alert.sid, alert.tuple) for alert in alerts] == [
+        (1, a), (2, a), (1, b), (2, b), (2, reverse(a)), (1, a), (2, a),
+    ]
+
+
+@pytest.mark.parametrize("alerting", [True, False], ids=["corpus", "no-alert"])
+def test_each_direction_checks_headers_once_and_builds_endpoints_only_if_it_alerts(monkeypatch, alerting):
+    """Work counts over a sim run of 800 frames on 16 synth connections,
+    both directions of each: one header check with no hits per direction,
+    and one endpoint text per direction that alerts, none on a run without
+    an alert."""
+    admitted, endpoint_text, process = CompiledRuleSet.admitted, detect.endpoint_text, AnalysisWorker.process_packet
+    no_hit_checks, built, tuples = Counter(), Counter(), set()
+
+    def counting_admitted(self, t, hits):
+        no_hit_checks[t] += not hits
+        return admitted(self, t, hits)
+
+    def counting_endpoint_text(t):
+        built[t] += 1
+        return endpoint_text(t)
+
+    def recording_process(self, desc, now_us):
+        tuples.add(desc.tuple)
+        return process(self, desc, now_us)
+
+    monkeypatch.setattr(CompiledRuleSet, "admitted", counting_admitted)
+    monkeypatch.setattr(detect, "endpoint_text", counting_endpoint_text)
+    monkeypatch.setattr(AnalysisWorker, "process_packet", recording_process)
+    rules = dict(rules_path=str(CORPUS_PATH)) if alerting else dict(
+        rules_text='alert tcp any any -> any any (content:"NEVER-SENT"; sid:1;)\nalert tcp any any -> any 9999 (sid:2;)'
+    )
+    sink = ListAlertSink()
+    wl = WorkloadSpec(kind="synth", packet_size=128, n_flows=16, packet_count=800, seed=4)
+    report = run_experiment(wl, EngineConfig(n_workers=2, clock_mode="sim", **rules), alert_sink=sink)
+    assert report.totals.analyzed == 800 and len(tuples) == 32
+    assert +no_hit_checks == Counter(tuples)
+    alerted = {alert.tuple for alert in sink.alerts}
+    assert built == Counter(alerted)
+    if alerting:
+        assert 0 < len(alerted) < len(tuples)
+    else:
+        assert report.totals.alerts == 0 and not built

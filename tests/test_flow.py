@@ -319,7 +319,7 @@ def test_syn_seeds_reassembly_base():
     key, d = key_of(syn)
     flow, _ = table.lookup_or_create(key, 0)
     update_flow(flow, syn, d)
-    assert flow.buffer(d).base_seq == 100
+    assert flow.side(d).buf.base_seq == 100
     # data before the gap is filled stays pending
     assert table.reassemble(flow, d, 110, b"late") == b""
     assert table.reassemble(flow, d, 100, b"0123456789") == b"0123456789late"
@@ -336,7 +336,7 @@ def test_cap_triggers_gap_flush():
     delivered = table.reassemble(flow, d, 170, b"y" * 40)
     assert delivered == b"x" * 60 + b"y" * 40  # oldest gap abandoned
     assert table.buffer_limit_events == 1
-    assert flow.buffer(d).gap_flushes == 1
+    assert flow.side(d).buf.gap_flushes == 1
 
 
 def oracle_first_wins(base: int, arrivals):

@@ -21,7 +21,7 @@ HOT_FUNCTIONS = [
     packet.canonical_key,
     flow.update_flow,
     flow._advance_tcp,
-    flow.Flow.buffer,
+    flow.Flow.side,
     flow.FlowTable.lookup_or_create,
     flow.FlowTable.reassemble,
     flow.FlowTable.expire_flows,
@@ -29,6 +29,7 @@ HOT_FUNCTIONS = [
     detect.prefilter,
     rules.CompiledRuleSet.admitted,
     detect.format_alert_fast,
+    detect.endpoint_text,
 ]
 
 
