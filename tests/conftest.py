@@ -1,6 +1,7 @@
 """Shared fixtures: rules corpus, the kernel set, random packet contexts, brute-force and phase-1
-oracles."""
+oracles, and the run digests the golden schedule and sweep tests compare."""
 
+import hashlib
 import importlib.util
 import random
 import shlex
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import sysconfig
 import threading
+import zlib
 from pathlib import Path
 
 import pytest
@@ -153,6 +155,22 @@ class CollectSink:
 
     def write(self, frame) -> None:
         self.frames.append(bytes(frame))
+
+
+class CrcSink:
+    """Forwarded frames as a crc32 sequence, plus the types the sink saw."""
+
+    def __init__(self):
+        self.crcs = []
+        self.types = set()
+
+    def write(self, frame) -> None:
+        self.types.add(type(frame))
+        self.crcs.append(zlib.crc32(frame))
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
 def build_ipv4_udp_frame(src_ip, src_port, dst_ip, dst_port, payload: bytes = b"", pad_to: int = 0) -> bytes:

@@ -1,6 +1,5 @@
 """Workload generation, pcap I/O, experiment runs, and the CLI."""
 
-import hashlib
 import itertools
 import os
 import random
@@ -9,14 +8,14 @@ import sys
 import threading
 import time
 import tracemalloc
-import zlib
 from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_PATH, HEARTBLEED_RULE, CollectSink, run_with_watchdog
+from conftest import CORPUS_PATH, HEARTBLEED_RULE, CollectSink, CrcSink, _digest, run_with_watchdog
+from sweep import DIGESTS_PATH, sweep_lines
 
 from ringids.boundary import CostModel
 from ringids.detect import AnalysisWorker
@@ -853,22 +852,6 @@ def test_cli_infinite_duration_ends_with_the_source(capsys):
     assert sum(r.startswith("interval,") for r in rows) == 1
 
 
-class CrcSink:
-    """Forwarded frames as a crc32 sequence, plus the types the sink saw."""
-
-    def __init__(self):
-        self.crcs = []
-        self.types = set()
-
-    def write(self, frame) -> None:
-        self.types.add(type(frame))
-        self.crcs.append(zlib.crc32(frame))
-
-
-def _digest(obj) -> str:
-    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
-
-
 GOLDEN_SCHEDULES = {
     # paged, paced and bounded by duration: warm-up drops, pool exhaustion,
     # paging that grows with the flow table, blocks and alerts in 3 intervals
@@ -975,3 +958,18 @@ def test_worker_time_never_decreases(name, monkeypatch):
     assert sum(len(times) for times in seen.values()) == report.totals.analyzed > 0
     for times in seen.values():
         assert all(a <= b for a, b in zip(times, times[1:]))
+
+
+def test_sweep_reproduces_the_committed_digests(tmp_path):
+    """Every config of ``tests/sweep.py`` gives its committed line: report,
+    alert and forwarded-frame digests and the flows expired. A refactor
+    moves no line; a change that moves one explains it."""
+    want = DIGESTS_PATH.read_text().splitlines()
+    assert sweep_lines(range(len(want)), tmp_path) == want
+
+
+def test_sweep_subset_under_each_kernel(kernel, tmp_path):
+    """Every fifth sweep config gives its committed line under either kernel set."""
+    want = DIGESTS_PATH.read_text().splitlines()
+    indices = range(0, len(want), 5)
+    assert sweep_lines(indices, tmp_path) == [want[i] for i in indices]
