@@ -37,7 +37,19 @@ from ringids.harness import EngineConfig, WorkloadSpec, run_experiment
 from ringids.harness.runner import ListAlertSink
 from ringids.harness.synth import build_ipv4_frame, build_ipv4_tcp_frame
 from ringids.matching import MultiPatternMatcher
-from ringids.packet import TCP_ACK, TCP_SYN, Direction, FiveTuple, PacketPool, Proto, decode, format_ip, parse_ip
+from ringids.packet import (
+    TCP_ACK,
+    TCP_FIN,
+    TCP_RST,
+    TCP_SYN,
+    Direction,
+    FiveTuple,
+    PacketPool,
+    Proto,
+    decode,
+    format_ip,
+    parse_ip,
+)
 from ringids.rules import CompiledRuleSet, compile_ruleset, load_ruleset
 
 
@@ -386,6 +398,55 @@ def test_worker_tracks_flow_and_stream_rules():
         3,
     )
     assert [a.sid for a in alerts] == [30514]
+
+
+_ENDS = {"c": ("10.0.0.1", "10.0.0.2", 1000, 80), "s": ("10.0.0.2", "10.0.0.1", 80, 1000)}  # client, server
+_SYNACK, _FIN = TCP_SYN | TCP_ACK, TCP_FIN | TCP_ACK
+_HANDSHAKE = [("c", TCP_SYN), ("s", _SYNACK), ("c", TCP_ACK)]
+
+
+@pytest.mark.parametrize("steps, want", [
+    pytest.param(_HANDSHAKE, ("ESTABLISHED", True, "c", False), id="handshake"),
+    pytest.param(_HANDSHAKE + [("c", _FIN), ("s", _FIN)], ("CLOSED", True, "c", False), id="fin-both"),
+    pytest.param(_HANDSHAKE + [("c", _FIN), ("s", TCP_RST)], ("CLOSED", True, "c", False), id="rst-closes-like-fin"),
+    pytest.param(_HANDSHAKE + [("s", TCP_RST)], ("CLOSING", True, "c", False), id="rst-one-side"),
+    pytest.param(_HANDSHAKE + [("c", _FIN), ("c", _FIN)], ("CLOSING", True, "c", False), id="second-fin-same-side"),
+    pytest.param([("c", TCP_SYN), ("s", _SYNACK), ("s", _FIN), ("c", TCP_ACK)], ("CLOSING", False, "c", False),
+                 id="fin-before-final-ack"),
+    pytest.param([("c", TCP_SYN, 99, b""), ("c", TCP_ACK, 300, b"DATA")], ("ESTABLISHED", True, "c", False),
+                 id="syn-anchors-the-stream"),
+    pytest.param([("c", TCP_SYN | TCP_FIN, 99, b""), ("c", TCP_ACK, 300, b"DATA")], ("NEW", False, "c", True),
+                 id="syn-fin-neither-moves-nor-anchors"),
+    pytest.param([("s", TCP_ACK), ("c", TCP_ACK)], ("ESTABLISHED", True, "s", False), id="mid-stream-both-ways"),
+    pytest.param([("c", TCP_ACK), ("c", TCP_ACK)], ("NEW", False, "c", False), id="mid-stream-one-way"),
+    pytest.param([("s", TCP_ACK), ("c", TCP_SYN)], ("SYN_SEEN", False, "c", False), id="syn-names-the-initiator"),
+    pytest.param([("s", _SYNACK), ("c", TCP_ACK)], ("ESTABLISHED", True, "s", False), id="syn-ack-first"),
+    pytest.param([("c", None), ("c", None)], ("NEW", False, "c", False), id="udp-one-way"),
+    pytest.param([("c", None), ("s", None)], ("ESTABLISHED", True, "c", False), id="udp-both-ways"),
+    pytest.param([("s", None), ("c", None)], ("ESTABLISHED", True, "s", False), id="udp-reply-first"),
+])
+def test_flow_state_after_a_flag_sequence(steps, want):
+    """A flow's state, whether it was ever established, and which side
+    (client or server) it takes for the initiator, after each sequence of
+    packets through a worker. A step is a side and TCP flags (None: a UDP
+    datagram), then optionally a sequence number and a payload (by default
+    100 and none). The last field is whether a payload reached the stream: a
+    SYN anchors its side's stream one past its sequence number, so data far
+    past it waits in the buffer."""
+    compiled = compiled_of('alert tcp any any -> any any (flow: only_stream; content:"DATA"; sid:1;)')
+    worker, pool, _, sink = make_worker(compiled)
+    for now, (side, flags, *segment) in enumerate(steps):
+        src, dst, sport, dport = _ENDS[side]
+        if flags is None:
+            desc = decode(build_ipv4_udp_frame(parse_ip(src), sport, parse_ip(dst), dport, b"x"), 0, pool)
+        else:
+            seq, payload = segment or (100, b"")
+            desc = ingest(pool, payload=payload, sport=sport, dport=dport, flags=flags, seq=seq, src=src, dst=dst)
+        worker.process_packet(desc, now)
+    (flow,) = worker.flow_table
+    initiator = flow.key if flow.initiator_direction is Direction.FORWARD else reverse(flow.key)
+    got = (flow.state.name, flow.saw_established, "c" if initiator.src_port == 1000 else "s", bool(sink.alerts))
+    assert got == want
 
 
 @pytest.mark.parametrize("syn_data", [b"", b"X"])
