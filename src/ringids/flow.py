@@ -343,11 +343,13 @@ class FlowTable:
         return flow, True
 
     def reassemble(self, flow: Flow, direction: Direction, seq: int, payload) -> bytes:
-        """Insert a TCP segment, keeping the footprint counter in step."""
+        """Insert a TCP segment, keeping the footprint counter in step. Gaps
+        are flushed, oldest first, until the pending bytes are under the cap,
+        each flush counted in ``buffer_limit_events``."""
         buf = flow.side(direction).buf
         before = buf.pending_bytes
         delivered = buf.insert(seq, payload)
-        if buf.pending_bytes > self.reassembly_cap:
+        while buf.pending_bytes > self.reassembly_cap:
             self.buffer_limit_events += 1
             delivered += buf.flush_oldest_gap()
         self.footprint_bytes += buf.pending_bytes - before

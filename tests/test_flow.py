@@ -339,6 +339,23 @@ def test_cap_triggers_gap_flush():
     assert flow.side(d).buf.gap_flushes == 1
 
 
+def test_cap_bounds_pending_bytes_behind_short_runs():
+    """An insert flushes gaps until the pending bytes are under the cap,
+    however short the oldest buffered runs are, and counts every flush."""
+    table = FlowTable(reassembly_cap=1_000)
+    key, d = key_of(make_desc())
+    flow, _ = table.lookup_or_create(key, 0)
+    table.reassemble(flow, d, 0, b"a")  # anchors the stream at 0
+    for pos in range(2, 800, 2):  # 399 one-byte pieces, each behind a one-byte hole
+        table.reassemble(flow, d, pos, b"p")
+    buf = flow.side(d).buf
+    for pos in range(801, 801 + 50 * 101, 101):  # 100 B segments, each behind a further hole
+        table.reassemble(flow, d, pos, b"s" * 100)
+        assert buf.pending_bytes <= table.reassembly_cap
+    assert table.buffer_limit_events == buf.gap_flushes > 50
+    assert table.footprint_bytes == flow.footprint_bytes
+
+
 def oracle_first_wins(base: int, arrivals):
     """Byte map in arrival order; first writer to a position wins."""
     mem = {}
