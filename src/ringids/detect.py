@@ -4,12 +4,16 @@ An analysis worker is a per-packet function over its own flow table and
 counters: the scheduler hands it each descriptor together with the time to
 analyse it at. Every packet is analysed with its flow: the table bounds
 itself by evicting its least recently seen flow and sweeps idle flows on its
-own schedule, driven by those times (see ``flow``). The compiled ruleset is
-shared read-only. The only shared mutable structures it touches are the
-pool's free list and, inline, the transmit deque that every worker appends
-allowed descriptors to. Both are ``collections.deque`` objects, whose
-``append`` is thread-safe, so no worker takes a lock; each entry holds a
-pool slot, so an append never waits. Matching is two-phase.
+own schedule, driven by those times (see ``flow``). The worker decides no
+flow state itself: the flow table names a new flow's initiator,
+``update_flow`` advances the state and returns the direction's record, and
+``stream_seq`` gives the sequence number a segment is reassembled at, one
+past a SYN's. The compiled ruleset is shared read-only. The only shared
+mutable structures a worker touches are the pool's free list and, inline,
+the transmit deque that every worker appends allowed descriptors to. Both
+are ``collections.deque`` objects, whose ``append`` is thread-safe, so no
+worker takes a lock; each entry holds a pool slot, so an append never waits.
+Matching is two-phase.
 Phase 1 (``prefilter``) scans the packet with its bucket's automaton,
 which reports rule sids, and keeps the fast-pattern hits and the
 bucket's contentless rules whose header admits the packet: the header is
@@ -46,12 +50,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .flow import Flow, FlowSide, FlowTable, update_flow
+from .flow import Flow, FlowSide, FlowTable, stream_seq, update_flow
 from .packet import (
     FORWARD,
     SLOT_SIZE,
     TCP,
-    TCP_SYN,
     Direction,
     FiveTuple,
     PacketDescriptor,
@@ -283,19 +286,14 @@ class AnalysisWorker:
 
         t = desc.tuple
         key, direction = canonical_key(t)
-        flow, created = self.flow_table.lookup_or_create(key, now_us)
-        if created:
-            flow.initiator_direction = direction
-        update_flow(flow, desc, direction)
+        flow = self.flow_table.lookup_or_create(key, direction, now_us)
+        side = update_flow(flow, desc, direction)
         base = desc.slot * SLOT_SIZE + desc.payload_offset
         payload = self._buf[base : base + desc.payload_len]  # the packet's one payload copy
         stream = None
         if payload and t.proto is TCP:
-            # a SYN takes one sequence number, so its data starts one past it
-            seq = desc.tcp_seq + 1 if desc.tcp_flags & TCP_SYN else desc.tcp_seq
-            stream = self.flow_table.reassemble(flow, direction, seq, payload) or None
+            stream = self.flow_table.reassemble(side, stream_seq(desc), payload) or None
         compiled = self.compiled
-        side = flow.side(direction)
         if side.candidates is None:  # the direction's first packet: its tuple is fixed from here on
             side.candidates = tuple(sorted(compiled.admitted(t, ())))
         ctx = PacketContext(t, flow, direction, payload, stream, side)

@@ -22,20 +22,32 @@ timeout, which finds every idle flow only because a table is handed times
 that never decrease; each worker's scheduler guarantees that, and the
 table's callers must too.
 
+This module alone decides flow state. ``FlowTable.lookup_or_create`` takes
+the direction of a new flow's first packet as the initiator's, and a SYN
+seen while the flow is new names its sender instead. ``update_flow`` runs
+the state machine and returns the packet's direction record. A SYN takes one
+sequence number, so ``stream_seq`` places a segment's first stream byte one
+past a SYN's sequence number; ``update_flow`` anchors a direction's stream
+there at its first SYN, and the worker hands ``FlowTable.reassemble`` the
+same position.
+
 A flow keeps one ``FlowSide`` record per direction (``Flow.fwd`` and
-``Flow.rev``), which ``Flow.side`` makes at the direction's first packet: a
-flow seen one way only, as most scan and flood flows are, never allocates the
-other. The record holds the direction's ``SegmentBuffer`` and what detection
+``Flow.rev``), which ``update_flow`` makes at the direction's first packet:
+a flow seen one way only, as most scan and flood flows are, never allocates
+the other, and "traffic in both directions" is "both records exist". The
+record holds all of a direction's state: its ``SegmentBuffer``, whether it
+sent FIN or RST (CLOSED needs both directions' flags), and what detection
 decides once for the direction's 5-tuple, which is fixed while the flow
 lives: the contentless rules whose header admits it, filled by the analysis
 worker at the direction's first packet, and the alert line's endpoint text,
 filled at its first alert. So the headers are checked once per direction, not
-once per packet, as Suricata keeps a signature group per flow direction. The
-record lives and dies with its flow, so the table's bound and sweep bound it
-too, and ``FLOW_BASE_BYTES`` covers its fixed part. It is the place for the
-rest of a direction's detection state: the automaton state and bounded tail
-that let a pattern span segments, the count of overlaps whose bytes
-conflict, and flowbits.
+once per packet, as Suricata keeps a signature group per flow direction.
+``Flow`` itself holds only what belongs to both directions. The record lives
+and dies with its flow, so the table's bound and sweep bound it too, and
+``FLOW_BASE_BYTES`` covers its fixed part. It is the place for the rest of a
+direction's detection state: the automaton state and bounded tail that let a
+pattern span segments, the count of overlaps whose bytes conflict, and
+flowbits.
 
 Like ``packet``, this module reads enum members through module constants
 (``NEW``, ``ESTABLISHED``, ``TCP``, ``FORWARD``, ...), not through their
@@ -45,10 +57,11 @@ enum takes the metaclass's slow lookup.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 from .packet import (
     FORWARD,
@@ -69,6 +82,7 @@ UDP_TIMEOUT_US = 10_000_000  # non-TCP flows; the shorter timeout, where a sweep
 SWEEP_US = 3_000_000  # a table sweeps idle flows once per this much packet time
 SEQ_MASK = 0xFFFF_FFFF  # TCP sequence numbers are 32-bit serial numbers
 SEQ_HALF = 1 << 31
+_START = itemgetter(0)  # a buffered piece's stream position
 
 
 class FlowState(Enum):
@@ -93,34 +107,29 @@ class SegmentBuffer:
     """Out-of-order segment store for one direction of a TCP stream.
 
     Segments are trimmed against existing data on insert (first arrival wins)
-    and delivered as the maximal contiguous run starting at delivered_upto;
-    an in-order segment that finds nothing buffered is delivered as it came.
+    and kept as one list of ``(start, bytes)`` pieces sorted by start; they
+    are delivered as the maximal contiguous run starting at delivered_upto.
+    An in-order segment that finds nothing buffered is delivered as it came.
 
-    ``delivered_upto`` and the buffered starts are stream positions, which
-    keep counting past 2**32. Each 32-bit sequence number is unwrapped with
-    RFC 1982 serial arithmetic to the position nearest ``delivered_upto``, so
-    a stream reassembles across a sequence wrap.
+    ``delivered_upto`` is None until a SYN (``update_flow``) or the first
+    segment anchors the stream. It and the buffered starts are stream
+    positions, which keep counting past 2**32. Each 32-bit sequence number is
+    unwrapped with RFC 1982 serial arithmetic to the position nearest
+    ``delivered_upto``, so a stream reassembles across a sequence wrap.
     """
 
-    def __init__(self, base_seq: int | None = None):
-        self.base_seq = base_seq
-        self.delivered_upto = base_seq if base_seq is not None else 0
-        self._starts: list[int] = []  # sorted segment start seqs
-        self._data: dict[int, bytes] = {}
+    def __init__(self, delivered_upto: int | None = None):
+        self.delivered_upto = delivered_upto
+        self._pieces: list[tuple[int, bytes]] = []  # (start, bytes), sorted by start, never overlapping
         self.pending_bytes = 0
         self.gap_flushes = 0
 
-    def _covered_end(self, idx: int) -> int:
-        start = self._starts[idx]
-        return start + len(self._data[start])
-
     def insert(self, seq: int, payload) -> bytes:
         """Add one segment; returns newly contiguous stream bytes (may be empty)."""
-        if self.base_seq is None:
-            self.base_seq = seq
-            self.delivered_upto = seq
         upto = self.delivered_upto
-        if not self._starts and (seq - upto) & SEQ_MASK == 0:
+        if upto is None:  # the first segment anchors the stream
+            upto = seq
+        if not self._pieces and (seq - upto) & SEQ_MASK == 0:
             # in order with nothing buffered: the segment is the delivery
             payload = bytes(payload)
             self.delivered_upto = upto + len(payload)
@@ -139,12 +148,13 @@ class SegmentBuffer:
             seq = self.delivered_upto
 
         # trim the new segment against already-buffered spans (first wins)
+        buffered = self._pieces
         pieces: list[tuple[int, bytes]] = []
         cur_seq, cur_pay = seq, payload
-        scan = max(bisect_right(self._starts, seq) - 1, 0)
-        while cur_pay and scan < len(self._starts):
-            s0 = self._starts[scan]
-            e0 = self._covered_end(scan)
+        scan = max(bisect_right(buffered, seq, key=_START) - 1, 0)
+        while cur_pay and scan < len(buffered):
+            s0, data = buffered[scan]
+            e0 = s0 + len(data)
             cur_end = cur_seq + len(cur_pay)
             if e0 <= cur_seq:
                 scan += 1
@@ -161,19 +171,17 @@ class SegmentBuffer:
                 cur_pay = b""
         if cur_pay:
             pieces.append((cur_seq, cur_pay))
-        for pseq, ppay in pieces:
-            pos = bisect_right(self._starts, pseq)
-            self._starts.insert(pos, pseq)
-            self._data[pseq] = ppay
-            self.pending_bytes += len(ppay)
+        for piece in pieces:
+            insort(buffered, piece, key=_START)
+            self.pending_bytes += len(piece[1])
 
         return self._deliver()
 
     def _deliver(self) -> bytes:
+        pieces = self._pieces
         out = bytearray()
-        while self._starts and self._starts[0] == self.delivered_upto:
-            start = self._starts.pop(0)
-            chunk = self._data.pop(start)
+        while pieces and pieces[0][0] == self.delivered_upto:
+            chunk = pieces.pop(0)[1]
             out += chunk
             self.delivered_upto += len(chunk)
             self.pending_bytes -= len(chunk)
@@ -181,19 +189,21 @@ class SegmentBuffer:
 
     def flush_oldest_gap(self) -> bytes:
         """Give up on the oldest missing span and deliver what follows."""
-        if not self._starts:
+        if not self._pieces:
             return b""
         self.gap_flushes += 1
-        self.delivered_upto = self._starts[0]
+        self.delivered_upto = self._pieces[0][0]
         return self._deliver()
 
 
 @dataclass(slots=True)
 class FlowSide:
-    """One direction of a flow: its reassembly buffer and what detection
-    decides once for the direction's fixed 5-tuple (see the module docstring)."""
+    """One direction of a flow: its reassembly buffer, whether it sent FIN or
+    RST, and what detection decides once for the direction's fixed 5-tuple
+    (see the module docstring)."""
 
     buf: SegmentBuffer = field(default_factory=SegmentBuffer)
+    fin: bool = False  # the direction sent FIN or RST
     candidates: tuple[int, ...] | None = None  # admitted contentless sids, sorted
     endpoints: str | None = None  # alert-line endpoint text, set at the first alert
 
@@ -203,12 +213,8 @@ class Flow:
     key: FiveTuple  # canonical, see packet.canonical_key
     last_seen_us: int
     state: FlowState = NEW
-    initiator_direction: Direction = FORWARD  # side that sent the first packet
-    pkts_fwd: int = 0
-    pkts_rev: int = 0
+    initiator_direction: Direction = FORWARD  # side that sent the first packet, or the first SYN
     saw_established: bool = False
-    fin_fwd: bool = False
-    fin_rev: bool = False
     bad_flag_events: int = 0
     fwd: FlowSide | None = None  # made at the direction's first packet
     rev: FlowSide | None = None
@@ -236,34 +242,34 @@ class Flow:
         return direction is self.initiator_direction
 
 
-def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction) -> None:
-    """Advance counters and the state machine. The flow's last-seen time is
-    the table's to keep, in step with its order (``FlowTable.lookup_or_create``)."""
-    if direction is FORWARD:
-        flow.pkts_fwd += 1
-    else:
-        flow.pkts_rev += 1
+def stream_seq(desc: PacketDescriptor) -> int:
+    """The sequence number of the segment's first stream byte: a SYN takes
+    one sequence number, so the data it carries starts one past it."""
+    return desc.tcp_seq + 1 if desc.tcp_flags & TCP_SYN else desc.tcp_seq
 
+
+def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction) -> FlowSide:
+    """Advance the state machine and return the record of the packet's
+    direction, made at the direction's first packet. A direction's first SYN
+    anchors its stream (``stream_seq``). The flow's last-seen time is the
+    table's to keep, in step with its order (``FlowTable.lookup_or_create``)."""
+    side = flow.side(direction)
     if flow.key.proto is TCP:
         flags = desc.tcp_flags
         if flags & TCP_SYN and flags & TCP_FIN:
             flow.bad_flag_events += 1  # nonsensical combination; state unchanged
-            return
-        if flags & TCP_SYN:
-            # the SYN consumes one sequence number; stream data starts past it
-            buf = flow.side(direction).buf
-            if buf.base_seq is None:
-                buf.base_seq = desc.tcp_seq + 1
-                buf.delivered_upto = buf.base_seq
-        _advance_tcp(flow, flags, direction)
-    else:
+            return side
+        if flags & TCP_SYN and side.buf.delivered_upto is None:
+            side.buf.delivered_upto = stream_seq(desc)
+        _advance_tcp(flow, side, flags, direction)
+    elif flow.state is NEW and flow.fwd is not None and flow.rev is not None:
         # connectionless: bidirectional traffic means established
-        if flow.state is NEW and flow.pkts_fwd > 0 and flow.pkts_rev > 0:
-            flow.state = ESTABLISHED
-            flow.saw_established = True
+        flow.state = ESTABLISHED
+        flow.saw_established = True
+    return side
 
 
-def _advance_tcp(flow: Flow, flags: int, direction: Direction) -> None:
+def _advance_tcp(flow: Flow, side: FlowSide, flags: int, direction: Direction) -> None:
     state = flow.state
     if flags & TCP_SYN and not flags & TCP_ACK:
         if state is NEW:
@@ -273,20 +279,18 @@ def _advance_tcp(flow: Flow, flags: int, direction: Direction) -> None:
     if flags & TCP_SYN and flags & TCP_ACK:
         return  # handshake reply; established on the final ACK
     if flags & (TCP_FIN | TCP_RST):
-        if direction is FORWARD:
-            flow.fin_fwd = True
-        else:
-            flow.fin_rev = True
+        side.fin = True
         if state is ESTABLISHED or state is SYN_SEEN or state is NEW:
             flow.state = CLOSING
-        if flow.fin_fwd and flow.fin_rev and flow.state is CLOSING:
+        other = flow.rev if direction is FORWARD else flow.fwd
+        if other is not None and other.fin and flow.state is CLOSING:
             flow.state = CLOSED
         return
     if state is SYN_SEEN and flags & TCP_ACK:
         flow.state = ESTABLISHED
         flow.saw_established = True
         return
-    if state is NEW and flow.pkts_fwd > 0 and flow.pkts_rev > 0:
+    if state is NEW and flow.fwd is not None and flow.rev is not None:
         # no handshake observed but traffic in both directions
         flow.state = ESTABLISHED
         flow.saw_established = True
@@ -321,11 +325,12 @@ class FlowTable:
     def __iter__(self):
         return iter(self._flows.values())
 
-    def lookup_or_create(self, key: FiveTuple, now_us: int) -> tuple[Flow, bool]:
+    def lookup_or_create(self, key: FiveTuple, direction: Direction, now_us: int) -> Flow:
         """The flow of ``key``, seen at ``now_us`` and moved to the newest
-        end, and whether it is new. A new flow on a full table evicts the
-        least recently seen one. The first call in a new ``SWEEP_US`` period
-        expires idle flows before the lookup."""
+        end. A new flow takes ``direction``, its first packet's, as the
+        initiator's, and on a full table evicts the least recently seen flow.
+        The first call in a new ``SWEEP_US`` period expires idle flows before
+        the lookup."""
         if now_us >= self._next_sweep_us:
             self._next_sweep_us = (now_us // SWEEP_US + 1) * SWEEP_US
             self.expire_flows(now_us)
@@ -333,20 +338,21 @@ class FlowTable:
         if flow is not None:
             self._flows.move_to_end(key)
             flow.last_seen_us = now_us
-            return flow, False
+            return flow
         if len(self._flows) >= self.max_flows:
             self.footprint_bytes -= self._flows.popitem(last=False)[1].footprint_bytes
             self.evicted_total += 1
-        flow = self._flows[key] = Flow(key=key, last_seen_us=now_us)
+        flow = self._flows[key] = Flow(key=key, last_seen_us=now_us, initiator_direction=direction)
         self.footprint_bytes += flow.footprint_bytes
         self.created_total += 1
-        return flow, True
+        return flow
 
-    def reassemble(self, flow: Flow, direction: Direction, seq: int, payload) -> bytes:
-        """Insert a TCP segment, keeping the footprint counter in step. Gaps
+    def reassemble(self, side: FlowSide, seq: int, payload) -> bytes:
+        """Insert a TCP segment into a flow's ``side`` at sequence number
+        ``seq`` (``stream_seq``), keeping the footprint counter in step. Gaps
         are flushed, oldest first, until the pending bytes are under the cap,
         each flush counted in ``buffer_limit_events``."""
-        buf = flow.side(direction).buf
+        buf = side.buf
         before = buf.pending_bytes
         delivered = buf.insert(seq, payload)
         while buf.pending_bytes > self.reassembly_cap:

@@ -464,7 +464,7 @@ def test_syn_data_starts_one_past_its_sequence_number(syn_data):
         ingest(pool, payload=b"GET /EVIL", flags=TCP_ACK, seq=data_seq, sport=1000, dport=80), 3)
     assert [a.sid for a in alerts] == [7]
     key, direction = packet.canonical_key(FiveTuple(Proto.TCP, "10.0.0.1", 1000, "10.0.0.2", 80))
-    flow, _ = worker.flow_table.lookup_or_create(key, 3)
+    flow = worker.flow_table.lookup_or_create(key, direction, 3)
     assert flow.side(direction).buf.pending_bytes == 0
 
 

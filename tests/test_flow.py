@@ -45,13 +45,14 @@ def test_lookup_or_create_and_reverse_hits_same_flow():
     table = FlowTable()
     desc = make_desc()
     key, direction = key_of(desc)
-    flow, created = table.lookup_or_create(key, 100)
-    assert created and flow.last_seen_us == 100
-    assert flow.state is FlowState.NEW
-    assert (flow.pkts_fwd, flow.pkts_rev) == (0, 0)
+    flow = table.lookup_or_create(key, direction, 100)
+    assert table.created_total == 1 and flow.last_seen_us == 100
+    assert flow.state is FlowState.NEW and flow.initiator_direction is direction
+    assert (flow.fwd, flow.rev) == (None, None)
     rev_key, rev_dir = canonical_key(reverse(desc.tuple))
-    flow2, created2 = table.lookup_or_create(rev_key, 200)
-    assert flow2 is flow and not created2
+    flow2 = table.lookup_or_create(rev_key, rev_dir, 200)
+    assert flow2 is flow and table.created_total == 1
+    assert flow.initiator_direction is direction
     assert flow.last_seen_us == 200  # the table stamps each lookup
     assert rev_dir != direction
 
@@ -59,13 +60,13 @@ def test_lookup_or_create_and_reverse_hits_same_flow():
 def test_full_table_evicts_the_flow_seen_least_recently():
     table = FlowTable(max_flows=3)
     keys = [canonical_key(FiveTuple(Proto.TCP, 0x0A000001 + i, 1000, 0x0A0000FF, 80))[0] for i in range(4)]
-    flows = [table.lookup_or_create(key, i)[0] for i, key in enumerate(keys[:3])]
+    flows = [table.lookup_or_create(key, Direction.FORWARD, i) for i, key in enumerate(keys[:3])]
     for seq in (100, 200):  # a gap: the flow to be evicted holds buffered bytes
-        table.reassemble(flows[1], Direction.FORWARD, seq, b"ab")
+        table.reassemble(flows[1].side(Direction.FORWARD), seq, b"ab")
     assert flows[1].footprint_bytes == FLOW_BASE_BYTES + 2
-    table.lookup_or_create(keys[0], 3)  # touched, the first-created flow is the newest
-    _, created = table.lookup_or_create(keys[3], 4)
-    assert created
+    table.lookup_or_create(keys[0], Direction.FORWARD, 3)  # touched, the first-created flow is the newest
+    table.lookup_or_create(keys[3], Direction.FORWARD, 4)
+    assert table.created_total == 4
     assert [f.key for f in table] == [keys[2], keys[0], keys[3]]  # least recently seen first
     assert len(table) == table.max_flows
     assert table.footprint_bytes == sum(f.footprint_bytes for f in table) == 3 * FLOW_BASE_BYTES
@@ -81,8 +82,7 @@ def test_handshake_reaches_established():
     table = FlowTable()
     syn = make_desc(flags=TCP_SYN)
     key, d_fwd = key_of(syn)
-    flow, _ = table.lookup_or_create(key, 0)
-    flow.initiator_direction = d_fwd
+    flow = table.lookup_or_create(key, d_fwd, 0)
     update_flow(flow, syn, d_fwd)
     assert flow.state is FlowState.SYN_SEEN
     synack = make_desc(flags=TCP_SYN | TCP_ACK)
@@ -92,14 +92,14 @@ def test_handshake_reaches_established():
     update_flow(flow, ack, d_fwd)
     assert flow.state is FlowState.ESTABLISHED
     assert flow.saw_established
-    assert flow.pkts_fwd == 2 and flow.pkts_rev == 1
+    assert flow.fwd is not None and flow.rev is not None
 
 
 def test_bidirectional_fallback_established():
     table = FlowTable()
     data = make_desc(flags=TCP_ACK)
     key, d = key_of(data)
-    flow, _ = table.lookup_or_create(key, 0)
+    flow = table.lookup_or_create(key, d, 0)
     update_flow(flow, data, d)
     assert flow.state is FlowState.NEW
     update_flow(flow, data, flipped(d))
@@ -110,7 +110,7 @@ def test_fin_both_directions_closes():
     table = FlowTable()
     desc = make_desc(flags=TCP_ACK)
     key, d = key_of(desc)
-    flow, _ = table.lookup_or_create(key, 0)
+    flow = table.lookup_or_create(key, d, 0)
     update_flow(flow, desc, d)
     update_flow(flow, desc, flipped(d))
     assert flow.state is FlowState.ESTABLISHED
@@ -124,8 +124,9 @@ def test_nonsense_flags_recorded_not_transitioned():
     table = FlowTable()
     desc = make_desc(flags=TCP_SYN | TCP_FIN)
     key, d = key_of(desc)
-    flow, _ = table.lookup_or_create(key, 0)
-    assert update_flow(flow, desc, d) is None
+    flow = table.lookup_or_create(key, d, 0)
+    side = update_flow(flow, desc, d)
+    assert side is flow.side(d) and side.buf.delivered_upto is None  # nor anchors the stream
     assert flow.state is FlowState.NEW
     assert flow.bad_flag_events == 1
 
@@ -134,7 +135,7 @@ def test_udp_established_on_reverse():
     table = FlowTable()
     desc = make_desc(proto=Proto.UDP)
     key, d = key_of(desc)
-    flow, _ = table.lookup_or_create(key, 0)
+    flow = table.lookup_or_create(key, d, 0)
     update_flow(flow, desc, d)
     assert flow.state is FlowState.NEW
     update_flow(flow, desc, flipped(d))
@@ -145,7 +146,7 @@ def test_expire_flows_and_footprint_conservation():
     table = FlowTable()
     keys = [canonical_key(FiveTuple(Proto.TCP, 0x0A000001 + i, 5, 0x0A00FF01, 80))[0] for i in range(10)]
     for i, key in enumerate(keys):
-        flow, _ = table.lookup_or_create(key, i * 1_000_000)
+        flow = table.lookup_or_create(key, Direction.FORWARD, i * 1_000_000)
         flow.last_seen_us = i * 1_000_000
     assert table.footprint_bytes == 10 * FLOW_BASE_BYTES
     # the 30 s TCP timeout at t=35.5s evicts flows last seen before 5.5s
@@ -159,8 +160,8 @@ def test_expire_uses_per_proto_defaults():
     table = FlowTable()
     tcp_key = canonical_key(FiveTuple(Proto.TCP, "10.0.0.1", 1, "10.0.0.2", 2))[0]
     udp_key = canonical_key(FiveTuple(Proto.UDP, "10.0.0.1", 1, "10.0.0.2", 2))[0]
-    table.lookup_or_create(tcp_key, 0)
-    table.lookup_or_create(udp_key, 0)
+    table.lookup_or_create(tcp_key, Direction.FORWARD, 0)
+    table.lookup_or_create(udp_key, Direction.FORWARD, 0)
     # 11s idle: beyond the UDP timeout, within the TCP one
     evicted = table.expire_flows(11_000_000)
     assert [f.key.proto for f in evicted] == [Proto.UDP]
@@ -214,9 +215,9 @@ def test_table_keys_equal_a_reference_model(max_flows, steps):
                 oldest = min(last_lookup, key=last_lookup.get)
                 del last_seen[oldest], last_lookup[oldest]
             last_seen[key], last_lookup[key] = now, step
-            flow, _ = table.lookup_or_create(key, now)
+            flow = table.lookup_or_create(key, Direction.FORWARD, now)
             if key.proto is Proto.TCP:  # each lookup buffers two bytes behind a gap
-                table.reassemble(flow, Direction.FORWARD, 10 * step, b"ab")
+                table.reassemble(flow.side(Direction.FORWARD), 10 * step, b"ab")
         assert {f.key for f in table} == set(last_seen)
         assert table.footprint_bytes == sum(f.footprint_bytes for f in table)
         assert table.created_total - table.evicted_total == len(table)
@@ -242,7 +243,7 @@ def test_sweep_with_nothing_idle_past_the_shorter_timeout_examines_one_flow():
     n = 20_000
     for i in range(n):
         proto = Proto.TCP if i % 2 else Proto.UDP
-        table.lookup_or_create(canonical_key(FiveTuple(proto, 0x0A000000 + i, 1000, 0x0B000001, 80))[0], i)
+        table.lookup_or_create(*canonical_key(FiveTuple(proto, 0x0A000000 + i, 1000, 0x0B000001, 80)), i)
     for flow in table:
         flow.__class__ = _CountingFlow
     reads = _CountingFlow.reads = []
@@ -266,7 +267,7 @@ def test_lookups_sweep_once_per_sweep_period(monkeypatch):
     table = FlowTable()
     key = TABLE_KEYS[0]
     for now in (0, SWEEP_US - 1, SWEEP_US, SWEEP_US + 1, 3 * SWEEP_US + 5, 3 * SWEEP_US + 6, 4 * SWEEP_US):
-        table.lookup_or_create(key, now)
+        table.lookup_or_create(key, Direction.FORWARD, now)
     assert swept == [SWEEP_US, 3 * SWEEP_US + 5, 4 * SWEEP_US]
 
 
@@ -280,34 +281,34 @@ def test_footprint_in_documented_band_at_32k_flows():
 
 
 def test_in_order_delivery():
-    buf = SegmentBuffer(base_seq=0)
+    buf = SegmentBuffer(delivered_upto=0)
     assert buf.insert(0, b"0123456789") == b"0123456789"
     assert buf.insert(10, b"abcde") == b"abcde"
     assert buf.delivered_upto == 15
 
 
 def test_gap_fill():
-    buf = SegmentBuffer(base_seq=0)
+    buf = SegmentBuffer(delivered_upto=0)
     assert buf.insert(10, b"ABCDEFGHIJ") == b""
     assert buf.insert(0, b"0123456789") == b"0123456789ABCDEFGHIJ"
 
 
 def test_first_arrival_wins_on_overlap():
-    buf = SegmentBuffer(base_seq=0)
+    buf = SegmentBuffer(delivered_upto=0)
     assert buf.insert(0, b"A" * 10) == b"A" * 10
     assert buf.insert(5, b"B" * 10) == b"B" * 5
     # stream is bytes 0-9 'A' then 10-14 'B'
 
 
 def test_overlap_pending_first_wins():
-    buf = SegmentBuffer(base_seq=0)
+    buf = SegmentBuffer(delivered_upto=0)
     assert buf.insert(5, b"X" * 10) == b""  # pending [5,15)
     assert buf.insert(3, b"y" * 10) == b""  # only [3,5) survives
     assert buf.insert(0, b"z" * 3) == b"zzzyyXXXXXXXXXX"
 
 
 def test_duplicate_segment_ignored():
-    buf = SegmentBuffer(base_seq=0)
+    buf = SegmentBuffer(delivered_upto=0)
     buf.insert(0, b"hello")
     assert buf.insert(0, b"hello") == b""
     assert buf.pending_bytes == 0
@@ -317,26 +318,26 @@ def test_syn_seeds_reassembly_base():
     table = FlowTable()
     syn = make_desc(flags=TCP_SYN, seq=99)
     key, d = key_of(syn)
-    flow, _ = table.lookup_or_create(key, 0)
-    update_flow(flow, syn, d)
-    assert flow.side(d).buf.base_seq == 100
+    flow = table.lookup_or_create(key, d, 0)
+    side = update_flow(flow, syn, d)
+    assert side.buf.delivered_upto == 100
     # data before the gap is filled stays pending
-    assert table.reassemble(flow, d, 110, b"late") == b""
-    assert table.reassemble(flow, d, 100, b"0123456789") == b"0123456789late"
+    assert table.reassemble(side, 110, b"late") == b""
+    assert table.reassemble(side, 100, b"0123456789") == b"0123456789late"
 
 
 def test_cap_triggers_gap_flush():
     table = FlowTable(reassembly_cap=64)
     syn = make_desc(flags=TCP_SYN, seq=99)
     key, d = key_of(syn)
-    flow, _ = table.lookup_or_create(key, 0)
-    update_flow(flow, syn, d)
+    flow = table.lookup_or_create(key, d, 0)
+    side = update_flow(flow, syn, d)
     # hold a gap at 100 and exceed the pending cap
-    assert table.reassemble(flow, d, 110, b"x" * 60) == b""
-    delivered = table.reassemble(flow, d, 170, b"y" * 40)
+    assert table.reassemble(side, 110, b"x" * 60) == b""
+    delivered = table.reassemble(side, 170, b"y" * 40)
     assert delivered == b"x" * 60 + b"y" * 40  # oldest gap abandoned
     assert table.buffer_limit_events == 1
-    assert flow.side(d).buf.gap_flushes == 1
+    assert side.buf.gap_flushes == 1
 
 
 def test_cap_bounds_pending_bytes_behind_short_runs():
@@ -344,13 +345,14 @@ def test_cap_bounds_pending_bytes_behind_short_runs():
     however short the oldest buffered runs are, and counts every flush."""
     table = FlowTable(reassembly_cap=1_000)
     key, d = key_of(make_desc())
-    flow, _ = table.lookup_or_create(key, 0)
-    table.reassemble(flow, d, 0, b"a")  # anchors the stream at 0
+    flow = table.lookup_or_create(key, d, 0)
+    side = flow.side(d)
+    table.reassemble(side, 0, b"a")  # anchors the stream at 0
     for pos in range(2, 800, 2):  # 399 one-byte pieces, each behind a one-byte hole
-        table.reassemble(flow, d, pos, b"p")
-    buf = flow.side(d).buf
+        table.reassemble(side, pos, b"p")
+    buf = side.buf
     for pos in range(801, 801 + 50 * 101, 101):  # 100 B segments, each behind a further hole
-        table.reassemble(flow, d, pos, b"s" * 100)
+        table.reassemble(side, pos, b"s" * 100)
         assert buf.pending_bytes <= table.reassembly_cap
     assert table.buffer_limit_events == buf.gap_flushes > 50
     assert table.footprint_bytes == flow.footprint_bytes
@@ -389,7 +391,7 @@ def test_reassembly_random_permutations_match_oracle():
         for _ in range(10):
             arrivals = chunks[:]
             rng.shuffle(arrivals)
-            buf = SegmentBuffer(base_seq=base)
+            buf = SegmentBuffer(delivered_upto=base)
             delivered = b"".join(buf.insert(s, p) for s, p in arrivals)
             assert delivered == oracle_first_wins(base, arrivals), f"stream {stream_no}"
             assert buf.delivered_upto == base + len(delivered)
@@ -400,7 +402,7 @@ def test_in_order_fast_path_equals_buffered_path():
     fast_hits = 0
     for _ in range(150):
         base = rng.randrange(0, 1 << 20)
-        fast, slow = SegmentBuffer(base_seq=base), SegmentBuffer(base_seq=base)
+        fast, slow = SegmentBuffer(delivered_upto=base), SegmentBuffer(delivered_upto=base)
         pos = base
         for _ in range(rng.randrange(1, 20)):
             size = rng.randrange(0, 90)
@@ -412,12 +414,12 @@ def test_in_order_fast_path_equals_buffered_path():
             else:
                 seq = max(base, pos - rng.randrange(1, 50))  # retransmit overlap
             payload = memoryview(bytearray(rng.randbytes(size)))
-            fast_hits += seq == fast.delivered_upto and not fast._starts
+            fast_hits += seq == fast.delivered_upto and not fast._pieces
             got = fast.insert(seq, payload)
             want = slow._insert_buffered(seq, payload)
             assert got == want and type(got) is bytes
-            assert (fast.delivered_upto, fast.pending_bytes, fast._starts, fast._data) == (
-                slow.delivered_upto, slow.pending_bytes, slow._starts, slow._data)
+            assert (fast.delivered_upto, fast.pending_bytes, fast._pieces) == (
+                slow.delivered_upto, slow.pending_bytes, slow._pieces)
             pos = max(pos, seq + size)
     assert fast_hits > 300
 
@@ -437,10 +439,10 @@ def test_syn_at_top_of_sequence_space():
     table = FlowTable()
     syn = make_desc(flags=TCP_SYN, seq=2**32 - 1)
     key, d = key_of(syn)
-    flow, _ = table.lookup_or_create(key, 0)
-    update_flow(flow, syn, d)
-    assert table.reassemble(flow, d, 3, b"late") == b""
-    assert table.reassemble(flow, d, 0, b"abc") == b"abclate"
+    flow = table.lookup_or_create(key, d, 0)
+    side = update_flow(flow, syn, d)
+    assert table.reassemble(side, 3, b"late") == b""
+    assert table.reassemble(side, 0, b"abc") == b"abclate"
 
 
 @given(
@@ -460,7 +462,7 @@ def test_reassembly_across_sequence_wrap_matches_oracle(isn_below_wrap, sizes, o
         cut = rng.randrange(len(payload))
         chunks.append((start + cut, rng.randbytes(len(payload) - cut + rng.randrange(0, 40))))
     rng.shuffle(chunks)
-    buf = SegmentBuffer(base_seq=isn)
+    buf = SegmentBuffer(delivered_upto=isn)
     delivered = b"".join(buf.insert(start & 0xFFFFFFFF, payload) for start, payload in chunks)
     assert delivered == oracle_first_wins(isn, chunks)
     assert buf.delivered_upto == isn + len(delivered)

@@ -19,6 +19,7 @@ HOT_FUNCTIONS = [
     # bytecode; its Python reference is checked under its name
     pytest.param(packet._decode, id="decode"),
     packet.canonical_key,
+    flow.stream_seq,
     flow.update_flow,
     flow._advance_tcp,
     flow.Flow.side,
