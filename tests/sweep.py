@@ -171,14 +171,10 @@ def mixed_capture(seed: int) -> list[bytes]:
     return frames
 
 
-def describe(workload: dict, engine: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in {**workload, **engine}.items())
-
-
 def run_config(i: int, workdir: Path) -> str:
     """Config ``i``'s digest line; a mixed capture is written under ``workdir``."""
     workload, engine = draw(i)
-    text = describe(workload, engine)
+    text = " ".join(f"{k}={v}" for k, v in {**workload, **engine}.items())
     if workload["kind"] == "pcap":
         path = workdir / f"sweep-{i}.pcap"
         pcap_write(path, mixed_capture(workload.pop("seed")))
@@ -211,17 +207,13 @@ def run_config(i: int, workdir: Path) -> str:
     return f"{i:03d} {' '.join(digests)} {expired} {text}"
 
 
-def sweep_lines(indices, workdir: Path) -> list[str]:
-    return [run_config(i, workdir) for i in indices]
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=N_CONFIGS, help="number of configs")
-    parser.add_argument("--out", type=Path, default=DIGESTS_PATH)
+    parser.add_argument("--out", type=Path, default=DIGESTS_PATH, help="file to write (default: the committed one)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
-        lines = sweep_lines(range(args.n), Path(workdir))
+        lines = [run_config(i, Path(workdir)) for i in range(args.n)]
     args.out.write_text("\n".join(lines) + "\n")
 
 

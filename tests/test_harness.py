@@ -15,7 +15,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_PATH, HEARTBLEED_RULE, CollectSink, CrcSink, _digest, run_with_watchdog
-from sweep import DIGESTS_PATH, sweep_lines
+from sweep import DIGESTS_PATH, run_config
 
 from ringids.boundary import CostModel
 from ringids.detect import AnalysisWorker
@@ -965,11 +965,11 @@ def test_sweep_reproduces_the_committed_digests(tmp_path):
     alert and forwarded-frame digests and the flows expired. A refactor
     moves no line; a change that moves one explains it."""
     want = DIGESTS_PATH.read_text().splitlines()
-    assert sweep_lines(range(len(want)), tmp_path) == want
+    assert [run_config(i, tmp_path) for i in range(len(want))] == want
 
 
 def test_sweep_subset_under_each_kernel(kernel, tmp_path):
     """Every fifth sweep config gives its committed line under either kernel set."""
     want = DIGESTS_PATH.read_text().splitlines()
     indices = range(0, len(want), 5)
-    assert sweep_lines(indices, tmp_path) == [want[i] for i in indices]
+    assert [run_config(i, tmp_path) for i in indices] == [want[i] for i in indices]
