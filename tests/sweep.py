@@ -91,7 +91,7 @@ def draw(i: int) -> tuple[dict, dict]:
         workload["packet_count"] = rng.randint(300, 3000)
     if rng.random() < 0.5:
         workload.update(attack_sid=30514, attack_rate=round(rng.uniform(0.01, 0.05), 3))
-        if long_run is False and workload["packet_count"] - 3 * workload["n_flows"] < 150:
+        if not long_run and workload["packet_count"] - 3 * workload["n_flows"] < 150:
             del workload["attack_sid"], workload["attack_rate"]  # too few data frames to carry it
     return workload, engine
 
