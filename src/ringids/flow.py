@@ -122,7 +122,6 @@ class SegmentBuffer:
         self.delivered_upto = delivered_upto
         self._pieces: list[tuple[int, bytes]] = []  # (start, bytes), sorted by start, never overlapping
         self.pending_bytes = 0
-        self.gap_flushes = 0
 
     def insert(self, seq: int, payload) -> bytes:
         """Add one segment; returns newly contiguous stream bytes (may be empty)."""
@@ -191,7 +190,6 @@ class SegmentBuffer:
         """Give up on the oldest missing span and deliver what follows."""
         if not self._pieces:
             return b""
-        self.gap_flushes += 1
         self.delivered_upto = self._pieces[0][0]
         return self._deliver()
 
