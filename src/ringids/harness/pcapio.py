@@ -1,13 +1,15 @@
 """Classic pcap container read/write.
 
-Microsecond-timestamp captures only (magic 0xa1b2c3d4), either byte order on
-read; writes are little-endian, linktype Ethernet. The reader takes the file
-in 64 KiB blocks and parses every record a block holds out of it, instead of
-two ``read`` calls per record; a record that straddles a block end waits for
-the next read. It never holds more than a block plus one record, so
-replaying a capture costs no memory in proportion to its size. A record
-header that claims more than libpcap's largest snapshot length is rejected
-before its body is read, so a corrupt length allocates nothing.
+Microsecond-timestamp Ethernet captures only (magic 0xa1b2c3d4, linktype 1),
+either byte order on read; writes are little-endian. A capture of another
+link type is rejected before its first record, as the decoder reads only
+Ethernet frames. The reader takes the file in 64 KiB blocks and parses every
+record a block holds out of it, instead of two ``read`` calls per record; a
+record that straddles a block end waits for the next read. It never holds
+more than a block plus one record, so replaying a capture costs no memory in
+proportion to its size. A record header that claims more than libpcap's
+largest snapshot length is rejected before its body is read, so a corrupt
+length allocates nothing.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ def pcap_read(path):
             endian = ">"
         else:
             raise BadMagic(f"unknown pcap magic 0x{magic:08x}")
+        linktype = struct.unpack_from(endian + "I", header, GLOBAL_HEADER.size - 4)[0]
+        if linktype != LINKTYPE_ETHERNET:
+            raise BadMagic(f"pcap linktype {linktype} is not Ethernet ({LINKTYPE_ETHERNET})")
         record_header = struct.Struct(endian + "IIII").unpack_from
         buf = b""
         pos = 0  # start of the first record not yet yielded

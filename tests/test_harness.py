@@ -47,7 +47,14 @@ from ringids.harness.runner import (
     _sim_run,
     run_experiment,
 )
-from ringids.harness.synth import ConfigError, GeneratorSource, WorkloadSpec, craft_payload, gen_synth
+from ringids.harness.synth import (
+    ConfigError,
+    GeneratorSource,
+    WorkloadSpec,
+    build_ipv4_tcp_frame,
+    craft_payload,
+    gen_synth,
+)
 from ringids.packet import PacketPool, PoolExhausted, UnsupportedL3, canonical_key, decode
 from ringids.rules import load_ruleset, load_ruleset_file
 
@@ -154,6 +161,30 @@ def test_pcap_bad_magic(tmp_path):
         list(pcap_read(path))
 
 
+def raw_ipv4_capture(path, endian):
+    """A ``LINKTYPE_RAW`` capture: five IPv4 packets carrying ``GET /evil``,
+    with no Ethernet header."""
+    frame = build_ipv4_tcp_frame(0x0A000001, 1234, 0x0A000002, 80, flags=0x18, seq=1, payload=b"GET /evil")
+    write_capture(path, [(frame[14:], ts) for ts in range(5)], endian, linktype=101)
+
+
+@pytest.mark.parametrize("endian", ["<", ">"])
+def test_pcap_linktype_other_than_ethernet_rejected(tmp_path, endian):
+    path = tmp_path / "raw.pcap"
+    raw_ipv4_capture(path, endian)
+    with pytest.raises(BadMagic, match="linktype 101"):
+        list(pcap_read(path))
+
+
+def test_cli_run_rejects_a_capture_that_is_not_ethernet(tmp_path, capsys):
+    """Replaying raw IP as Ethernet would decode nothing and exit 0."""
+    path = tmp_path / "raw.pcap"
+    raw_ipv4_capture(path, "<")
+    assert cli_main(["run", "--pcap", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:") and "Traceback" not in err
+
+
 def test_pcap_truncated_record(tmp_path):
     spec = WorkloadSpec(kind="synth", packet_size=80, n_flows=2, packet_count=4, seed=3)
     path = tmp_path / "t.pcap"
@@ -231,9 +262,9 @@ def read_all(reader, path):
     return records, None
 
 
-def write_capture(path, records, endian="<"):
+def write_capture(path, records, endian="<", linktype=1):
     with open(path, "wb") as fh:
-        fh.write(struct.pack(endian + "IHHiIII", MAGIC_US, 2, 4, 0, 0, SNAPLEN, 1))
+        fh.write(struct.pack(endian + "IHHiIII", MAGIC_US, 2, 4, 0, 0, SNAPLEN, linktype))
         for frame, ts_us in records:
             fh.write(struct.pack(endian + "IIII", ts_us // 1_000_000, ts_us % 1_000_000, len(frame), len(frame)))
             fh.write(frame)
