@@ -1,11 +1,11 @@
 """Build script: compiles the optional extension ``ringids._dfa``.
 
-``src/ringids/_dfa.c`` holds the compiled twins of three pure-Python
+``src/ringids/_dfa.c`` holds the compiled twins of two pure-Python
 functions. Each Python body stays as the reference its twin's parity tests
 compare it against, and as the fallback: the extension is optional, so a host
 without a C compiler installs and runs the package on the Python bodies. A
-build has every twin or none, so "native" in ``matching.kernel_name()`` and in
-``Report.config["engine"]["kernel"]`` covers all three.
+build has both twins or none, so "native" in ``matching.kernel_name()`` and in
+``Report.config["engine"]["kernel"]`` covers both.
 
 - ``scan(delta, accept, data, depth)`` walks the dense transition table that
   ``ringids.matching`` builds, and is the kernel ``MultiPatternMatcher.scan``
@@ -15,8 +15,6 @@ build has every twin or none, so "native" in ``matching.kernel_name()`` and in
   bytes before its region without recording: an automaton state is a suffix
   of the input no longer than ``depth``, so after ``depth`` bytes the lane is
   in the single walk's state, and the result is the reference's.
-- ``murmur3_32(data, seed=0)`` is ``acquire.murmur3_32``, the flow-dispatch
-  hash; the reference is ``acquire._murmur3_32``.
 - ``decoder(...)`` builds ``packet.decode``, the frame decode and pool store,
   bound to the package's records and errors; the reference is
   ``packet._decode``.

@@ -8,7 +8,7 @@ optional cost model emulates protected-memory paging and boundary-crossing
 overheads.
 """
 
-from .acquire import AcquisitionWorker, murmur3_32, rss_hash, select_ring
+from .acquire import AcquisitionWorker, rss_hash, select_ring
 from .boundary import CostModel, Lifecycle, LifecycleEvent, LifecycleState, OrderError, paging_factor
 from .clock import CounterClock, counter_to_us
 from .detect import Alert, AnalysisWorker, PacketContext, evaluate_rule, format_alert_fast, prefilter

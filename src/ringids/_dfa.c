@@ -1,12 +1,11 @@
-/* Compiled twins of three pure-Python reference functions, one optional extension.
+/* Compiled twins of two pure-Python reference functions, one optional extension.
  *
- * A build has every twin or none, so matching.kernel_name() names the switch
- * for all three: "native" where this module imports, "pure-python" where it
+ * A build has both twins or none, so matching.kernel_name() names the switch
+ * for both: "native" where this module imports, "pure-python" where it
  * does not. Each reference stays in Python, is what its parity tests compare
  * the twin against, and is the fallback where no C compiler exists.
  *
  *   scan      twin of matching._scan_states, the phase-1 automaton walk
- *   murmur3_32  twin of acquire._murmur3_32, the flow-dispatch hash
  *   decoder   builds the twin of packet._decode, the frame decode + pool store
  *
  * scan(delta, accept, data, depth) walks data through the dense table
@@ -180,83 +179,6 @@ done:
     PyBuffer_Release(&ab);
     PyBuffer_Release(&db);
     return hits;
-}
-
-/* ---- flow hash -------------------------------------------------------- */
-
-#define ROTL32(x, r) (((x) << (r)) | ((x) >> (32 - (r))))
-
-static uint32_t
-murmur3_mix(uint32_t k)
-{
-    k *= 0xCC9E2D51u;
-    return ROTL32(k, 15) * 0x1B873593u;
-}
-
-static uint32_t
-le32(const unsigned char *p)
-{
-    return (uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16 | (uint32_t)p[3] << 24;
-}
-
-/* MurmurHash3 x86 32-bit, reading each block little-endian whatever the host order. */
-static uint32_t
-murmur3(const unsigned char *p, Py_ssize_t n, uint32_t h)
-{
-    const Py_ssize_t rounded = n & ~(Py_ssize_t)3;
-    for (Py_ssize_t i = 0; i < rounded; i += 4) {
-        h ^= murmur3_mix(le32(p + i));
-        h = ROTL32(h, 13) * 5 + 0xE6546B64u;
-    }
-    uint32_t k = 0;
-    switch (n & 3) {
-    case 3:
-        k ^= (uint32_t)p[rounded + 2] << 16;
-        /* fall through */
-    case 2:
-        k ^= (uint32_t)p[rounded + 1] << 8;
-        /* fall through */
-    case 1:
-        h ^= murmur3_mix(k ^ p[rounded]);
-    }
-    h ^= (uint32_t)n;
-    h ^= h >> 16;
-    h *= 0x85EBCA6Bu;
-    h ^= h >> 13;
-    h *= 0xC2B2AE35u;
-    return h ^ (h >> 16);
-}
-
-static PyObject *
-murmur3_32(PyObject *self, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames)
-{
-    const Py_ssize_t nkw = kwnames == NULL ? 0 : PyTuple_GET_SIZE(kwnames);
-
-    (void)self;
-    if (nargs < 1 || nargs + nkw > 2) {
-        PyErr_Format(PyExc_TypeError, "murmur3_32() takes data and an optional seed (%zd arguments given)",
-                     nargs + nkw);
-        return NULL;
-    }
-    if (nkw == 1 && PyUnicode_CompareWithASCIIString(PyTuple_GET_ITEM(kwnames, 0), "seed") != 0) {
-        PyErr_Format(PyExc_TypeError, "murmur3_32() got an unexpected keyword argument %R",
-                     PyTuple_GET_ITEM(kwnames, 0));
-        return NULL;
-    }
-    PyObject *seed_obj = nargs + nkw == 2 ? args[1] : NULL; /* the seed follows data, by position or by name */
-    uint32_t seed = 0;
-    if (seed_obj != NULL) { /* any int, masked to its low 32 bits as the reference does */
-        const unsigned long masked = PyLong_AsUnsignedLongMask(seed_obj);
-        if (masked == (unsigned long)-1 && PyErr_Occurred())
-            return NULL;
-        seed = (uint32_t)masked;
-    }
-    Py_buffer view;
-    if (PyObject_GetBuffer(args[0], &view, PyBUF_SIMPLE) < 0)
-        return NULL;
-    const uint32_t h = murmur3(view.buf, view.len, seed);
-    PyBuffer_Release(&view);
-    return PyLong_FromUnsignedLong(h);
 }
 
 /* ---- frame decoder ---------------------------------------------------- */
@@ -477,8 +399,6 @@ static PyMethodDef methods[] = {
      "scan(delta, accept, data, depth) -> set of accepting states the walk over data from state 0 entered.\n\n"
      "depth is the length of the longest pattern. Data of at least\n"
      "LANES * (depth - 1 + MIN_REGION) + depth - 1 bytes is walked as LANES interleaved lanes."},
-    {"murmur3_32", (PyCFunction)(void (*)(void))murmur3_32, METH_FASTCALL | METH_KEYWORDS,
-     "murmur3_32(data, seed=0) -> MurmurHash3 x86 32-bit of data; the seed is masked to 32 bits."},
     {"decoder", (PyCFunction)(void (*)(void))decoder, METH_FASTCALL,
      "decoder(PacketDescriptor, FiveTuple, OTHER, ICMP, TCP, UDP, TruncatedFrame, UnsupportedL3) -> decode\n\n"
      "The frame decoder bound to the given record types, protocol members and errors:\n"
@@ -489,7 +409,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_dfa",
-    .m_doc = "Compiled twins: the dense-DFA scan kernel, the flow hash and the frame decoder.",
+    .m_doc = "Compiled twins: the dense-DFA scan kernel and the frame decoder.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -9,29 +9,27 @@ frames may wait on it holding their slots; a frame that finds the pool full
 drains the deque and
 tries once more before it is dropped. Both runner schedulers (sim
 and real clock) call it from their acquisition side only, so the sink has
-one writer. The hash is MurmurHash3 (x86 32-bit) over the 13 bytes of the
-flow's key, its canonical ``FiveTuple`` packed big-endian, so both
-directions of a connection map to the same ring. The ring index comes from
-the hash's low six bits, so an engine runs at most 64 workers.
+one writer. The hash is the standard library's CRC-32 over the 13 bytes of
+the flow's key, its canonical ``FiveTuple`` packed big-endian, so both
+directions of a connection map to the same ring, and the ring index is the
+hash modulo the ring count, so flows spread evenly over any number of rings.
 
 A flow's ring never changes, so the worker memoises the ring index per
 5-tuple, as an RSS indirection table caches dispatch: the hash runs once per
 tuple seen, not once per frame. The memo is bounded and is cleared when full.
 
-``murmur3_32`` is the compiled twin from the optional extension ``_dfa``
-where it imports, and the Python body ``_murmur3_32`` otherwise; that body is
-the reference the twin's parity tests compare it against. ``decode`` is
-``packet.decode``, likewise a twin where the extension imports. The one
-extension holds every twin or none, so "native" in ``matching.kernel_name()``
-covers the scan kernel, the decoder and this hash.
+``decode`` is ``packet.decode``, the compiled twin from the optional
+extension ``_dfa`` where it imports. The one extension holds both of its
+twins or none, so "native" in ``matching.kernel_name()`` covers the scan
+kernel and the decoder; the hash is C code from the standard library either
+way.
 """
 
 from __future__ import annotations
 
-import struct
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass
+from zlib import crc32
 
 from .packet import (
     _FLOW_KEY_BYTES,
@@ -44,68 +42,18 @@ from .packet import (
 )
 from .ring import Ring
 
-try:
-    from . import _dfa
-except ImportError:
-    _dfa = None
-
-RING_SELECT_BITS = 0x3F  # low six bits of the flow hash pick the ring
 RING_MEMO_ENTRIES = 16_384  # 5-tuples whose ring index a worker remembers
-
-
-_BLOCK_READERS: dict[int, Callable] = {}  # whole-block byte count -> unpack of its 32-bit blocks
-
-
-def _murmur3_32(data: bytes, seed: int = 0) -> int:
-    """MurmurHash3 x86 32-bit; the avalanche mix behind flow dispatch.
-
-    The reference for ``murmur3_32``'s compiled twin, and ``murmur3_32``
-    itself where the extension is absent.
-
-    The 32-bit blocks are read by one ``struct`` unpack, cached per block
-    count, and the rotations are written out in line: a flow key is hashed
-    once per new 5-tuple, so on flood traffic this runs for every frame.
-    """
-    n = len(data)
-    rounded = n & ~3
-    blocks = _BLOCK_READERS.get(rounded)
-    if blocks is None:
-        blocks = _BLOCK_READERS[rounded] = struct.Struct(f"<{rounded >> 2}I").unpack_from
-    h = seed & 0xFFFFFFFF
-    for k in blocks(data):
-        k = (k * 0xCC9E2D51) & 0xFFFFFFFF
-        h ^= (((k << 15) | (k >> 17)) * 0x1B873593) & 0xFFFFFFFF  # rotl 15, times c2
-        h = (((h << 13) | (h >> 19)) * 5 + 0xE6546B64) & 0xFFFFFFFF  # rotl 13
-    tail = n & 3
-    if tail:
-        k = data[rounded]
-        if tail > 1:
-            k ^= data[rounded + 1] << 8
-            if tail > 2:
-                k ^= data[rounded + 2] << 16
-        k = (k * 0xCC9E2D51) & 0xFFFFFFFF
-        h ^= (((k << 15) | (k >> 17)) * 0x1B873593) & 0xFFFFFFFF
-    h ^= n
-    h ^= h >> 16
-    h = (h * 0x85EBCA6B) & 0xFFFFFFFF
-    h ^= h >> 13
-    h = (h * 0xC2B2AE35) & 0xFFFFFFFF
-    return h ^ (h >> 16)
-
-
-murmur3_32 = _murmur3_32 if _dfa is None else _dfa.murmur3_32
 
 
 def rss_hash(tuple_: FiveTuple) -> int:
     """Symmetric 32-bit flow hash: both directions of a flow hash identically."""
-    key, _ = canonical_key(tuple_)
-    return murmur3_32(_FLOW_KEY_BYTES.pack(*key))
+    return crc32(_FLOW_KEY_BYTES.pack(*canonical_key(tuple_)[0]))
 
 
 def select_ring(hash_value: int, n_rings: int) -> int:
     if n_rings < 1:
         raise ValueError("need at least one ring")
-    return (hash_value & RING_SELECT_BITS) % n_rings
+    return hash_value % n_rings
 
 
 @dataclass

@@ -58,7 +58,7 @@ import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
-from ..acquire import RING_SELECT_BITS, AcquisitionWorker
+from ..acquire import AcquisitionWorker
 from ..boundary import CostModel, Lifecycle, LifecycleEvent, paging_factor, trusted_footprint
 from ..clock import CounterClock
 from ..detect import AnalysisWorker
@@ -70,6 +70,7 @@ from .pcapio import pcap_source
 from .synth import WorkloadSpec, synth_source
 
 INTERVAL_US = 3_000_000
+MAX_WORKERS = 64  # a real-clock run starts one analysis thread per worker
 
 
 class ConservationError(AssertionError):
@@ -126,10 +127,10 @@ class EngineConfig:
         cap = self.ring_capacity
         if self.n_workers < 1:
             raise ConfigError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.n_workers > RING_SELECT_BITS + 1:
+        if self.n_workers > MAX_WORKERS:
             raise ConfigError(
-                f"n_workers must be <= {RING_SELECT_BITS + 1}, got {self.n_workers}:"
-                f" the flow hash's ring bits reach only {RING_SELECT_BITS + 1} rings"
+                f"n_workers must be <= {MAX_WORKERS}, got {self.n_workers}:"
+                " a real-clock run starts one thread per worker"
             )
         if self.burst_size < 1:
             raise ConfigError(f"burst_size must be >= 1, got {self.burst_size}")
@@ -704,7 +705,7 @@ def _build_report(
                 "clock": cfg.clock_mode,
                 "rate_pps": cfg.rate_pps,
                 "cost_model": cfg.cost_model is not None,
-                "kernel": kernel_name(),  # scan, frame decode and flow hash: all native or all pure-python
+                "kernel": kernel_name(),  # scan and frame decode: both native or both pure-python
                 **clock_rates,
             },
         },

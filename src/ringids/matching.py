@@ -46,8 +46,8 @@ NATIVE_AVAILABLE = _dfa is not None
 def kernel_name() -> str:
     """The kernels in use: "native" or "pure-python".
 
-    The extension holds every compiled twin or none, so this one name covers
-    the scan kernel, ``packet.decode`` and ``acquire.murmur3_32``.
+    The extension holds both compiled twins or none, so this one name covers
+    the scan kernel and ``packet.decode``.
     """
     return "native" if _dfa is not None else "pure-python"
 

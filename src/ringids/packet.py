@@ -27,8 +27,8 @@ Python body ``_decode`` in the same order with the same errors, takes its
 slot through ``pool.store`` after the last check, and builds both records in
 C. ``_decode`` is the reference its parity tests compare it against, and is
 ``decode`` where the extension is absent. "native" in
-``matching.kernel_name()`` means all of the extension's twins are in use:
-the scan kernel, this decoder and ``acquire.murmur3_32``.
+``matching.kernel_name()`` means both of the extension's twins are in use:
+the scan kernel and this decoder.
 """
 
 from __future__ import annotations

@@ -81,21 +81,20 @@ def native_dfa(tmp_path_factory):
 
 @pytest.fixture(params=["pure-python", "native"])
 def kernel(request, monkeypatch):
-    """Run the test once per kernel set, as a build has every compiled twin or
-    none: the scan kernel, the frame decoder and the flow hash are swapped
-    together between the extension and their Python references."""
+    """Run the test once per kernel set, as a build has both compiled twins or
+    none: the scan kernel and the frame decoder are swapped together between
+    the extension and their Python references."""
     if request.param == "native":
         dfa = request.getfixturevalue("native_dfa")
-        decode, murmur3_32 = packet._bind_decoder(dfa), dfa.murmur3_32
+        decode = packet._bind_decoder(dfa)
     else:
-        dfa, decode, murmur3_32 = None, packet._decode, acquire._murmur3_32
+        dfa, decode = None, packet._decode
     monkeypatch.setattr(matching, "_dfa", dfa)
     monkeypatch.setattr(packet, "decode", decode)
     monkeypatch.setattr(acquire, "decode", decode)
-    monkeypatch.setattr(acquire, "murmur3_32", murmur3_32)
     assert matching.kernel_name() == request.param
     assert acquire.decode is packet.decode
-    assert (packet.decode is not packet._decode) == (acquire.murmur3_32 is not acquire._murmur3_32) == (dfa is not None)
+    assert (packet.decode is not packet._decode) == (dfa is not None)
     return request.param
 
 

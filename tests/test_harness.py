@@ -774,6 +774,14 @@ def test_cli_bad_config_exit_code(args, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_worker_count_bound_is_checked_by_the_config():
+    """The bound is on the threads a real-clock run would start; building
+    the config starts none."""
+    assert EngineConfig(n_workers=runner.MAX_WORKERS, clock_mode="real").n_workers == 64
+    with pytest.raises(ConfigError, match="one thread per worker"):
+        EngineConfig(n_workers=runner.MAX_WORKERS + 1)
+
+
 @pytest.mark.parametrize("attack", [["--attack-sid", "9"], ["--attack-rate", "0.5"]])
 def test_cli_rejects_attack_injection_into_a_capture(tmp_path, capsys, attack):
     capture = tmp_path / "gen.pcap"
@@ -891,20 +899,20 @@ GOLDEN_SCHEDULES = {
         dict(n_workers=3, inline=True, ring_capacity=16, pool_capacity=20, rate_pps=700.0,
              cost_model=CostModel(epc_bytes=17 * 1024 * 1024, crossing_cost_us=5.0,
                                   warmup_us=500_000)),
-        ("36bd0318f75cda89", "f8110c4d74707433", "6ce5c072f23d1dfb"),
+        ("36bd0318f75cda89", "f8110c4d74707433", "6301e6994780ef9a"),
     ),
     # unpaced source, packet count not a multiple of the burst: ring-full drops
     "passive_saturated": (
         dict(packet_size=512, n_flows=40, packet_count=3001, seed=3, attack_sid=30514, attack_rate=0.02),
         dict(n_workers=2, ring_capacity=16),
-        ("0a98056f29ace076", "2dce8f540634761d", "4f53cda18c2baa0c"),
+        ("dc7fd884641c53bd", "77b7dbb4de7b22e2", "4f53cda18c2baa0c"),
     ),
     # forwarding slower than acquisition, small pool and bursts
     "inline_saturated_small_pool": (
         dict(packet_size=64, n_flows=100, packet_count=2500, seed=5),
         dict(n_workers=2, inline=True, ring_capacity=8, pool_capacity=12, burst_size=5, useless=True,
              timing=TimingModel(useless_us=1.3)),
-        ("4022db34bf18365b", "4f53cda18c2baa0c", "3e83d3d3cc5a707e"),
+        ("6cedd4f145fb48d1", "4f53cda18c2baa0c", "cdb60ff69e13b97c"),
     ),
 }
 
@@ -913,9 +921,10 @@ GOLDEN_SCHEDULES = {
 def test_sim_schedule_matches_golden_digests(name, kernel):
     """Digests of the report (totals, elapsed time, intervals), the alert
     lines and the forwarded-frame crc32 sequence, recorded from the sim
-    driver before its per-frame loop was rewritten; any change to the
-    schedule changes them. The compiled twins (scan, frame decode and flow
-    hash) give the same digests as their Python references."""
+    driver before its per-frame loop was rewritten, and recorded again when
+    flow dispatch became CRC-32 modulo the worker count; any change to the
+    schedule changes them. The two compiled twins (scan and frame decode)
+    give the same digests as their Python references."""
     spec, engine, want = GOLDEN_SCHEDULES[name]
     alerts, sink = ListAlertSink(), CrcSink()
     report = run_experiment(WorkloadSpec(kind="synth", **spec),
