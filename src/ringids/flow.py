@@ -7,6 +7,9 @@ directions without an observed handshake (replayed captures often start
 mid-connection). Reassembly resolves overlaps first-arrival-wins and is
 capped per direction; the per-flow memory footprint is tracked so the
 boundary cost model can price the table against the protected-memory budget.
+A direction buffers out-of-order bytes as one run per contiguous span: its
+runs are sorted and never overlap or touch, so an insert reads only the runs
+it merges, however the sender has cut the stream.
 
 A FlowTable keeps its flows in last-seen order, least recently seen first,
 and bounds itself. A lookup stamps the flow's last-seen time and moves it to
@@ -57,7 +60,7 @@ enum takes the metaclass's slow lookup.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -82,7 +85,7 @@ UDP_TIMEOUT_US = 10_000_000  # non-TCP flows; the shorter timeout, where a sweep
 SWEEP_US = 3_000_000  # a table sweeps idle flows once per this much packet time
 SEQ_MASK = 0xFFFF_FFFF  # TCP sequence numbers are 32-bit serial numbers
 SEQ_HALF = 1 << 31
-_START = itemgetter(0)  # a buffered piece's stream position
+_START = itemgetter(0)  # a buffered run's stream position
 
 
 class FlowState(Enum):
@@ -106,10 +109,16 @@ NEW, SYN_SEEN, ESTABLISHED, CLOSING, CLOSED = (
 class SegmentBuffer:
     """Out-of-order segment store for one direction of a TCP stream.
 
-    Segments are trimmed against existing data on insert (first arrival wins)
-    and kept as one list of ``(start, bytes)`` pieces sorted by start; they
-    are delivered as the maximal contiguous run starting at delivered_upto.
-    An in-order segment that finds nothing buffered is delivered as it came.
+    Buffered bytes are kept as one list of ``(start, bytearray)`` runs with
+    one invariant: the runs are sorted, non-empty, and never overlap or
+    touch, so each contiguous span is one run. An insert finds the runs the
+    segment overlaps or touches with two bisections, extends the first of
+    them in place (or starts a new run), fills only the gaps between them
+    from the segment (first arrival wins) and splices the merged run back. It
+    reads only the runs it merges, so a retransmission over many filled holes
+    costs what one over a single run does. A run that starts at
+    ``delivered_upto`` is the whole contiguous delivery. An in-order segment
+    that finds nothing buffered is delivered as it came.
 
     ``delivered_upto`` is None until a SYN (``update_flow``) or the first
     segment anchors the stream. It and the buffered starts are stream
@@ -120,7 +129,7 @@ class SegmentBuffer:
 
     def __init__(self, delivered_upto: int | None = None):
         self.delivered_upto = delivered_upto
-        self._pieces: list[tuple[int, bytes]] = []  # (start, bytes), sorted by start, never overlapping
+        self._pieces: list[tuple[int, bytearray]] = []  # (start, run), sorted; runs never overlap or touch
         self.pending_bytes = 0
 
     def insert(self, seq: int, payload) -> bytes:
@@ -136,55 +145,46 @@ class SegmentBuffer:
         return self._insert_buffered(upto + ((seq - upto + SEQ_HALF) & SEQ_MASK) - SEQ_HALF, payload)
 
     def _insert_buffered(self, seq: int, payload) -> bytes:
-        """General insert at stream position ``seq``: trim, store, then
-        deliver the contiguous run."""
-        payload = bytes(payload)
+        """General insert at stream position ``seq``: merge the segment with
+        the runs it overlaps or touches into one run, taking from it only the
+        bytes no run holds (first arrival wins), then deliver."""
+        upto = self.delivered_upto
         end = seq + len(payload)
-        if end <= self.delivered_upto:
+        if end <= upto or end == seq:  # nothing new; an empty payload adds no run
             return b""
-        if seq < self.delivered_upto:
-            payload = payload[self.delivered_upto - seq :]
-            seq = self.delivered_upto
-
-        # trim the new segment against already-buffered spans (first wins)
-        buffered = self._pieces
-        pieces: list[tuple[int, bytes]] = []
-        cur_seq, cur_pay = seq, payload
-        scan = max(bisect_right(buffered, seq, key=_START) - 1, 0)
-        while cur_pay and scan < len(buffered):
-            s0, data = buffered[scan]
-            e0 = s0 + len(data)
-            cur_end = cur_seq + len(cur_pay)
-            if e0 <= cur_seq:
-                scan += 1
-                continue
-            if s0 >= cur_end:
-                break
-            if cur_seq < s0:
-                pieces.append((cur_seq, cur_pay[: s0 - cur_seq]))
-            if cur_end > e0:
-                cur_pay = cur_pay[e0 - cur_seq :]
-                cur_seq = e0
-                scan += 1
-            else:
-                cur_pay = b""
-        if cur_pay:
-            pieces.append((cur_seq, cur_pay))
-        for piece in pieces:
-            insort(buffered, piece, key=_START)
-            self.pending_bytes += len(piece[1])
-
+        if seq < upto:
+            payload = payload[upto - seq :]
+            seq = upto
+        runs = self._pieces
+        after = bisect_right(runs, seq, key=_START)  # runs from here on start past seq,
+        hi = bisect_right(runs, end, key=_START)  # and up to here no later than end
+        lo = after
+        if after and runs[after - 1][0] + len(runs[after - 1][1]) >= seq:
+            lo -= 1  # the run before reaches seq: extend it in place
+            start, merged = runs[lo]
+        else:
+            start, merged = seq, bytearray()
+        old = len(merged)  # bytes already buffered in the merged span
+        pos = start + old
+        for s0, data in runs[after:hi]:  # fill the gap before each run from the segment
+            merged += payload[pos - seq : s0 - seq]
+            merged += data
+            old += len(data)
+            pos = s0 + len(data)
+        if end > pos:
+            merged += payload[pos - seq :]
+        runs[lo:hi] = [(start, merged)]
+        self.pending_bytes += len(merged) - old
         return self._deliver()
 
     def _deliver(self) -> bytes:
-        pieces = self._pieces
-        out = bytearray()
-        while pieces and pieces[0][0] == self.delivered_upto:
-            chunk = pieces.pop(0)[1]
-            out += chunk
-            self.delivered_upto += len(chunk)
-            self.pending_bytes -= len(chunk)
-        return bytes(out)
+        runs = self._pieces
+        if not runs or runs[0][0] != self.delivered_upto:
+            return b""
+        run = runs.pop(0)[1]
+        self.delivered_upto += len(run)
+        self.pending_bytes -= len(run)
+        return bytes(run)
 
     def flush_oldest_gap(self) -> bytes:
         """Give up on the oldest missing span and deliver what follows."""

@@ -360,18 +360,33 @@ def test_cap_bounds_pending_bytes_behind_short_runs(monkeypatch):
     assert table.footprint_bytes == flow.footprint_bytes
 
 
+def first_wins_write(mem: dict, seq: int, payload) -> None:
+    """Write one arrival into the byte map; the first writer to a position wins."""
+    for i, b in enumerate(payload):
+        mem.setdefault(seq + i, b)
+
+
 def oracle_first_wins(base: int, arrivals):
     """Byte map in arrival order; first writer to a position wins."""
     mem = {}
     for seq, payload in arrivals:
-        for i, b in enumerate(payload):
-            mem.setdefault(seq + i, b)
+        first_wins_write(mem, seq, payload)
     out = bytearray()
     pos = base
     while pos in mem:
         out.append(mem[pos])
         pos += 1
     return bytes(out)
+
+
+def assert_runs_well_formed(buf: SegmentBuffer) -> None:
+    """The buffer's runs are sorted, non-empty, and neither overlap nor touch,
+    all past ``delivered_upto``, and ``pending_bytes`` is their total length."""
+    end = buf.delivered_upto
+    for start, run in buf._pieces:
+        assert run and start > end, (start, len(run), end)
+        end = start + len(run)
+    assert buf.pending_bytes == sum(len(run) for _, run in buf._pieces)
 
 
 def test_reassembly_random_permutations_match_oracle():
@@ -394,7 +409,13 @@ def test_reassembly_random_permutations_match_oracle():
             arrivals = chunks[:]
             rng.shuffle(arrivals)
             buf = SegmentBuffer(delivered_upto=base)
-            delivered = b"".join(buf.insert(s, p) for s, p in arrivals)
+            delivered, mem = b"", {}
+            for s, p in arrivals:
+                delivered += buf.insert(s, p)
+                first_wins_write(mem, s, p)
+                assert_runs_well_formed(buf)
+                buffered = {start + i: b for start, run in buf._pieces for i, b in enumerate(run)}
+                assert buffered == {at: b for at, b in mem.items() if at >= buf.delivered_upto}
             assert delivered == oracle_first_wins(base, arrivals), f"stream {stream_no}"
             assert buf.delivered_upto == base + len(delivered)
 
@@ -422,6 +443,7 @@ def test_in_order_fast_path_equals_buffered_path():
             assert got == want and type(got) is bytes
             assert (fast.delivered_upto, fast.pending_bytes, fast._pieces) == (
                 slow.delivered_upto, slow.pending_bytes, slow._pieces)
+            assert_runs_well_formed(fast)  # an empty payload adds no run
             pos = max(pos, seq + size)
     assert fast_hits > 300
 
