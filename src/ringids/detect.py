@@ -286,7 +286,7 @@ class AnalysisWorker:
 
         t = desc.tuple
         key, direction = canonical_key(t)
-        flow = self.flow_table.lookup_or_create(key, direction, now_us)
+        flow = self.flow_table.lookup_or_create(key, direction, now_us, desc.tcp_flags)
         side = update_flow(flow, desc, direction)
         base = desc.slot * SLOT_SIZE + desc.payload_offset
         payload = self._buf[base : base + desc.payload_len]  # the packet's one payload copy

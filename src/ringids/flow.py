@@ -27,7 +27,10 @@ table's callers must too.
 
 This module alone decides flow state. ``FlowTable.lookup_or_create`` takes
 the direction of a new flow's first packet as the initiator's, and a SYN
-seen while the flow is new names its sender instead. ``update_flow`` runs
+seen while the flow is new names its sender instead. A SYN on a CLOSED flow
+opens a new connection on the same 5-tuple, so the table replaces the closed
+flow with a new one; a closed flow that sees no new SYN stays until its idle
+timeout. ``update_flow`` runs
 the state machine and returns the packet's direction record. A SYN takes one
 sequence number, so ``stream_seq`` places a segment's first stream byte one
 past a SYN's sequence number; ``update_flow`` anchors a direction's stream
@@ -323,20 +326,26 @@ class FlowTable:
     def __iter__(self):
         return iter(self._flows.values())
 
-    def lookup_or_create(self, key: FiveTuple, direction: Direction, now_us: int) -> Flow:
+    def lookup_or_create(self, key: FiveTuple, direction: Direction, now_us: int, flags: int = 0) -> Flow:
         """The flow of ``key``, seen at ``now_us`` and moved to the newest
         end. A new flow takes ``direction``, its first packet's, as the
         initiator's, and on a full table evicts the least recently seen flow.
-        The first call in a new ``SWEEP_US`` period expires idle flows before
-        the lookup."""
+        A SYN without ACK (``flags``, the packet's TCP flags) on a CLOSED flow
+        opens a new connection on the tuple: the closed flow is evicted and a
+        new one made. The first call in a new ``SWEEP_US`` period expires
+        idle flows before the lookup."""
         if now_us >= self._next_sweep_us:
             self._next_sweep_us = (now_us // SWEEP_US + 1) * SWEEP_US
             self.expire_flows(now_us)
         flow = self._flows.get(key)
         if flow is not None:
-            self._flows.move_to_end(key)
-            flow.last_seen_us = now_us
-            return flow
+            if flow.state is not CLOSED or flags & (TCP_SYN | TCP_ACK) != TCP_SYN:
+                self._flows.move_to_end(key)
+                flow.last_seen_us = now_us
+                return flow
+            del self._flows[key]  # a new connection reuses the closed one's tuple
+            self.footprint_bytes -= flow.footprint_bytes
+            self.evicted_total += 1
         if len(self._flows) >= self.max_flows:
             self.footprint_bytes -= self._flows.popitem(last=False)[1].footprint_bytes
             self.evicted_total += 1
