@@ -63,7 +63,6 @@ class AcquireStats:
     received: int = 0
     dropped: int = 0  # RX ring full, or pool still full after a TX drain
     decode_failed: int = 0  # truncated / unsupported frames
-    tx_sent: int = 0
 
 
 class AcquisitionWorker:
@@ -132,5 +131,4 @@ class AcquisitionWorker:
             if sink is not None:
                 sink.write(pool.frame(desc.slot, desc.frame_len))
             pool.release(desc.slot)
-        self.stats.tx_sent += n
         return n
