@@ -30,12 +30,11 @@ the direction of a new flow's first packet as the initiator's, and a SYN
 seen while the flow is new names its sender instead. A SYN on a CLOSED flow
 opens a new connection on the same 5-tuple, so the table replaces the closed
 flow with a new one; a closed flow that sees no new SYN stays until its idle
-timeout. ``update_flow`` runs
-the state machine and returns the packet's direction record. A SYN takes one
-sequence number, so ``stream_seq`` places a segment's first stream byte one
-past a SYN's sequence number; ``update_flow`` anchors a direction's stream
-there at its first SYN, and the worker hands ``FlowTable.reassemble`` the
-same position.
+timeout. ``update_flow`` runs the state machine and returns the packet's
+direction record. A SYN takes one sequence number, so ``stream_seq`` places
+a segment's first stream byte one past a SYN's sequence number;
+``update_flow`` anchors a direction's stream there at its first SYN, and the
+worker hands ``FlowTable.reassemble`` the same position.
 
 A flow keeps one ``FlowSide`` record per direction (``Flow.fwd`` and
 ``Flow.rev``), which ``update_flow`` makes at the direction's first packet:
@@ -330,16 +329,16 @@ class FlowTable:
         """The flow of ``key``, seen at ``now_us`` and moved to the newest
         end. A new flow takes ``direction``, its first packet's, as the
         initiator's, and on a full table evicts the least recently seen flow.
-        A SYN without ACK (``flags``, the packet's TCP flags) on a CLOSED flow
-        opens a new connection on the tuple: the closed flow is evicted and a
-        new one made. The first call in a new ``SWEEP_US`` period expires
+        A SYN without ACK or FIN (``flags``, the packet's TCP flags) on a
+        CLOSED flow opens a new connection on the tuple: the closed flow is
+        evicted and a new one made. The first call in a new ``SWEEP_US`` period expires
         idle flows before the lookup."""
         if now_us >= self._next_sweep_us:
             self._next_sweep_us = (now_us // SWEEP_US + 1) * SWEEP_US
             self.expire_flows(now_us)
         flow = self._flows.get(key)
         if flow is not None:
-            if flow.state is not CLOSED or flags & (TCP_SYN | TCP_ACK) != TCP_SYN:
+            if flow.state is not CLOSED or flags & (TCP_SYN | TCP_ACK | TCP_FIN) != TCP_SYN:
                 self._flows.move_to_end(key)
                 flow.last_seen_us = now_us
                 return flow

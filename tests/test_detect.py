@@ -492,6 +492,8 @@ def test_syn_on_a_closed_flow_opens_a_new_connection():
     assert connection(0, 1000, 5000) == [7]
     (closed,) = table
     assert closed.state is FlowState.CLOSED
+    worker.process_packet(ingest(pool, payload=b"", flags=TCP_SYN | TCP_FIN, seq=90_000, **client), 10)
+    assert list(table) == [closed]  # a nonsensical SYN+FIN opens nothing
     assert connection(1_000_000, 90_000, 70_000) == [7]
     (reopened,) = table
     assert reopened is not closed and reopened.state is FlowState.CLOSED
