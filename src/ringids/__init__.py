@@ -4,12 +4,12 @@ Packet acquisition and analysis communicate only through bounded rings of
 pool-backed packet descriptors; analysis workers run a two-phase matcher over
 a Snort-subset rule language, track flows privately, and are handed each
 packet's time (a monotone counter clock's reading in real-clock runs). An
-optional cost model emulates protected-memory paging and boundary-crossing
-overheads.
+optional cost model emulates protected-memory paging and the startup window
+in which the engine pages itself in.
 """
 
 from .acquire import AcquisitionWorker, rss_hash, select_ring
-from .boundary import CostModel, Lifecycle, LifecycleEvent, LifecycleState, OrderError, paging_factor
+from .boundary import CostModel, paging_factor
 from .clock import CounterClock, counter_to_us
 from .detect import Alert, AnalysisWorker, PacketContext, evaluate_rule, format_alert_fast, prefilter
 from .flow import Flow, FlowState, FlowTable, SegmentBuffer, update_flow

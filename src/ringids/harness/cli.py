@@ -2,7 +2,8 @@
 
 `ringids run` drives one experiment and prints the report; `ringids genpcap`
 writes a synthetic workload to a capture file. Exit code 0 on a clean run,
-1 on configuration or lifecycle errors.
+1 on a configuration, rule, capture or file error, or a run whose packet
+accounting fails.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import math
 import sys
 
-from ..boundary import WARMUP_US_DEFAULT, CostModel, OrderError
+from ..boundary import WARMUP_US_DEFAULT, CostModel
 from ..rules import ParseError
 from .pcapio import BadMagic, TruncatedRecord, pcap_write
 from .runner import (
@@ -147,7 +148,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _run(args)
         return _genpcap(args)
-    except (ConfigError, OrderError, ParseError, ConservationError, OSError, BadMagic, TruncatedRecord) as exc:
+    except (ConfigError, ParseError, ConservationError, OSError, BadMagic, TruncatedRecord) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

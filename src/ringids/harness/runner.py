@@ -1,4 +1,4 @@
-"""Experiment runner: engine assembly, lifecycle, execution, reporting.
+"""Experiment runner: engine assembly, execution, reporting.
 
 One pipeline driver, two schedulers. ``_Step`` holds the work both share:
 ``offer`` hands one frame to the acquisition side and ``serve`` has a worker
@@ -18,10 +18,9 @@ the real clock before each pacing sleep, and each run at its end. The
 deque is FIFO with one consumer, and the retry on a full pool frees every
 slot a drain after each frame would have freed, so the sink's frames and
 every drop are the same as with such a drain.
-Both price each of the five lifecycle crossings
-once: the three set-up crossings start the run's time base, and stop and
-shutdown are added after it. Nothing takes a lock: every channel is a
-deque, whose ``append`` and ``popleft`` are thread-safe. RX ring ``i`` is
+Both start the run's time base at 0 when acquisition begins, and a cost
+model's warm-up window runs from there. Nothing takes a lock: every channel
+is a deque, whose ``append`` and ``popleft`` are thread-safe. RX ring ``i`` is
 one with a bound, appended to by acquisition alone and popped by worker
 ``i`` alone; the TX deque has none. The schedulers differ only in
 where the time comes from and in who calls the step:
@@ -30,14 +29,14 @@ where the time comes from and in who calls the step:
   actor carries its own local time; the acquisition side is paced by the
   source rate (or by its own per-frame cost, to saturate the pipeline) and
   each worker serves a descriptor at its own local time, then advances by
-  the stretched cost. After stop, each worker serves what is left on its
-  ring. Identical seed and config give identical reports.
+  the stretched cost. Once acquisition ends, each worker serves what is
+  left on its ring. Identical seed and config give identical reports.
 * real clock: acquisition on the calling thread plus one thread per worker;
   each descriptor is served at one reading of the counter clock. Intervals
   and elapsed time come from the wall clock, and a worker sleeps the paging
   stretch of each dequeued burst. With a cost model, each worker first
   sleeps until the run's clock reaches the end of the warm-up window,
-  counted from the same base as in the sim run, while acquisition already
+  ``warmup_us`` after the start as in the sim run, while acquisition already
   offers frames; an acquisition error cuts that wait short. A worker exits
   once acquisition is done and its ring is empty; the counter clock stops
   however the run ends.
@@ -59,7 +58,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from ..acquire import AcquisitionWorker
-from ..boundary import CostModel, Lifecycle, LifecycleEvent, paging_factor, trusted_footprint
+from ..boundary import CostModel, paging_factor, trusted_footprint
 from ..clock import CounterClock
 from ..detect import AnalysisWorker
 from ..matching import kernel_name
@@ -265,11 +264,11 @@ class NullSink:
 
 
 class Engine:
-    """Pipeline assembly driven through the five lifecycle calls."""
+    """Pipeline assembly, set up and torn down by ``run_experiment``: the
+    calls mirror Snort's DAQ (initialize, start, acquire, shutdown)."""
 
     def __init__(self, config: EngineConfig, alert_sink=None):
         self.config = config
-        self.lifecycle = Lifecycle()
         self.alert_sink = alert_sink
         self.pool: PacketPool | None = None
         self.rx_rings: list[Ring] = []
@@ -279,14 +278,6 @@ class Engine:
         self.compiled = None
         self.workers: list[AnalysisWorker] = []
         self.acquirer: AcquisitionWorker | None = None
-        self._crossing_us_total = 0.0
-
-    def _cross(self) -> None:
-        model = self.config.cost_model
-        if model is not None and model.crossing_cost_us > 0:
-            self._crossing_us_total += model.crossing_cost_us
-            if self.config.clock_mode == "real":
-                time.sleep(model.crossing_cost_us / 1e6)
 
     def load_rules(self) -> RuleSet:
         cfg = self.config
@@ -302,8 +293,6 @@ class Engine:
 
     def initialize(self) -> None:
         """Allocate pool and rings, parse and compile the ruleset."""
-        self.lifecycle.transition(LifecycleEvent.INITIALIZE)
-        self._cross()
         cfg = self.config
         self.pool = PacketPool(cfg.resolved_pool_capacity())
         self.rx_rings = [Ring(cfg.ring_capacity) for _ in range(cfg.n_workers)]
@@ -315,8 +304,6 @@ class Engine:
         """Bind source/sink and build the workers; only inline workers get
         the TX deque, which they all append to without a lock; the
         acquisition side alone drains it."""
-        self.lifecycle.transition(LifecycleEvent.START_DEVICE)
-        self._cross()
         cfg = self.config
         self.source = source
         tx_ring = self.tx_ring if cfg.inline else None
@@ -333,17 +320,11 @@ class Engine:
         ]
 
     def begin_acquire(self) -> None:
-        self.lifecycle.transition(LifecycleEvent.ACQUIRE)
-        self._cross()
-
-    def stop(self) -> None:
-        self.lifecycle.transition(LifecycleEvent.STOP)
-        self._cross()
+        """The run starts here. It does nothing itself: perfbench's
+        ``PassProbe`` wraps it and ``shutdown`` to time the run alone."""
 
     def shutdown(self) -> None:
         """Release everything; every pool slot must have come home."""
-        self.lifecycle.transition(LifecycleEvent.SHUTDOWN)
-        self._cross()
         in_use = self.pool.in_use_count() if self.pool is not None else 0
         if in_use:
             raise ConservationError(f"{in_use} pool slots still held at shutdown")
@@ -467,8 +448,8 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
     warm_end = float(model.warmup_us) if step.factor is not None else 0.0
 
     rx_rings = engine.rx_rings
-    worker_t = [warm_end + engine._crossing_us_total] * len(rx_rings)
-    t_acq = engine._crossing_us_total
+    worker_t = [warm_end] * len(rx_rings)
+    t_acq = 0.0
     duration_us = workload.duration_s * 1e6 if workload.duration_s is not None else None
     rate = cfg.rate_pps
     acquire_us = cfg.timing.acquire_us
@@ -494,7 +475,6 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
                 drain_worker(i, t_acq)
         offer(frame, int(t_acq), int(t_acq // INTERVAL_US), acc)
 
-    engine.stop()
     for i in range(len(rx_rings)):
         drain_worker(i, math.inf)
     step.drain_tx()
@@ -506,7 +486,7 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
     """Threaded execution against the counter clock; intervals and elapsed
     time come from the untrusted wall clock, as an external harness would
     measure them. With a cost model, no worker dequeues before the warm-up
-    window ends: ``warmup_us`` after the set-up crossings, as in the sim run;
+    window ends: ``warmup_us`` after the run starts, as in the sim run;
     if acquisition raises, the workers stop waiting and exit at once.
     Refuses a free-threaded interpreter before any thread starts: the pool's
     slot bookkeeping and the shared alert sinks rely on the interpreter
@@ -518,10 +498,9 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
     rx_rings = engine.rx_rings
     t_clock = time.monotonic()
     clock = CounterClock().start()
-    # the set-up crossings start the time base, as in the sim run
-    t0 = time.monotonic() - engine._crossing_us_total / 1e6
+    t0 = time.monotonic()
     model = cfg.cost_model
-    warm_end_s = (model.warmup_us + engine._crossing_us_total) / 1e6 if model is not None else 0.0
+    warm_end_s = model.warmup_us / 1e6 if model is not None else 0.0
     done = threading.Event()  # acquisition has offered its last frame
     abort = threading.Event()  # acquisition raised: no worker waits out the warm-up
     accs = [_IntervalAccumulator() for _ in rx_rings]
@@ -584,7 +563,6 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
 
     step.drain_tx()  # a worker exits only on an empty ring, so TX alone can hold frames
     end = time.monotonic()
-    engine.stop()  # its crossing is priced by run_experiment, as in the sim run
     for other in accs:
         acc.merge(other)
     rates = {
@@ -595,7 +573,8 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
 
 
 def run_experiment(workload: WorkloadSpec, config: EngineConfig, alert_sink=None, sink=None) -> Report:
-    """Drive a full lifecycle around the workload and return the report."""
+    """Set up an engine, run the workload through it, tear it down and
+    return the report."""
     engine = Engine(config, alert_sink=alert_sink)
     engine.initialize()
 
@@ -611,14 +590,12 @@ def run_experiment(workload: WorkloadSpec, config: EngineConfig, alert_sink=None
     sink = sink if sink is not None else NullSink()
     engine.start_device(source, sink)
     engine.begin_acquire()
-    crossings_before_run = engine._crossing_us_total  # set-up crossings are in the run's time base
 
     run = _sim_run if config.clock_mode == "sim" else _real_run
     elapsed_us, acc, clock_rates = run(engine, workload)
 
     residual = sum(len(r) for r in engine.rx_rings) + len(engine.tx_ring)
     engine.shutdown()
-    elapsed_us += int(engine._crossing_us_total - crossings_before_run)  # stop + shutdown
     return _build_report(engine, workload, elapsed_us, acc, residual, clock_rates)
 
 

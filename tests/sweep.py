@@ -57,7 +57,7 @@ _SERVER_PORTS = (80, 80, 443, 21, 8080)
 
 def draw(i: int) -> tuple[dict, dict]:
     """Config ``i``: the workload and engine fields, plain values only (the
-    cost model as its three coefficients), so the line can print them."""
+    cost model as its two coefficients), so the line can print them."""
     rng = random.Random(i)
     mixed = i % 3 == 2
     mode = rng.choice(("passive", "inline", "useless"))
@@ -71,8 +71,9 @@ def draw(i: int) -> tuple[dict, dict]:
     if rng.random() < 0.4:
         engine["pool_capacity"] = rng.randint(2, 40)
     if rng.random() < 0.4:
-        engine["cost_model"] = (rng.choice((256 * 1024, 4 * 1024 * 1024, 17 * 1024 * 1024)),
-                                rng.choice((0.0, 5.0)), rng.choice((0, 500_000)))
+        epc = rng.choice((256 * 1024, 4 * 1024 * 1024, 17 * 1024 * 1024))
+        rng.choice((0.0, 5.0))  # once a crossing price: still drawn, so that no later field moves
+        engine["cost_model"] = (epc, rng.choice((0, 500_000)))
     long_run = rng.random() < 0.3  # slow and past the TCP timeout, so idle flows expire
     if long_run:
         engine["rate_pps"] = round(rng.uniform(1.0, 6.0), 1)
@@ -183,8 +184,8 @@ def run_config(i: int, workdir: Path) -> str:
     else:
         engine["rules_path"] = str(CORPUS_PATH)
     if "cost_model" in engine:
-        epc, crossing, warmup = engine["cost_model"]
-        engine["cost_model"] = CostModel(epc_bytes=epc, crossing_cost_us=crossing, warmup_us=warmup)
+        epc, warmup = engine["cost_model"]
+        engine["cost_model"] = CostModel(epc_bytes=epc, warmup_us=warmup)
     expired = 0
     expire = FlowTable.expire_flows
 

@@ -1,4 +1,5 @@
-"""Lifecycle ordering and the paging cost model."""
+"""The paging cost model: its factor, the trusted footprint, and the checks on
+its coefficients and on the CLI flags that set them."""
 
 import itertools
 import os
@@ -10,60 +11,12 @@ from conftest import CORPUS_PATH, run_with_watchdog
 from ringids.boundary import (
     MAX_MODEL_US,
     CostModel,
-    Lifecycle,
-    LifecycleEvent,
-    LifecycleState,
-    OrderError,
     paging_factor,
     ruleset_bytes,
     trusted_footprint,
 )
 from ringids.harness.cli import main as cli_main
 from ringids.ring import ConfigError
-
-SEQUENCE = [
-    LifecycleEvent.INITIALIZE,
-    LifecycleEvent.START_DEVICE,
-    LifecycleEvent.ACQUIRE,
-    LifecycleEvent.STOP,
-    LifecycleEvent.SHUTDOWN,
-]
-
-
-def test_happy_path_sequence():
-    lc = Lifecycle()
-    states = [lc.transition(e) for e in SEQUENCE]
-    assert states == [
-        LifecycleState.INITIALIZED,
-        LifecycleState.DEVICE_STARTED,
-        LifecycleState.RUNNING,
-        LifecycleState.STOPPED,
-        LifecycleState.SHUTDOWN,
-    ]
-
-
-def test_every_single_step_deviation_fails():
-    # from every prefix of the correct sequence, any other next event errors
-    for prefix_len in range(len(SEQUENCE) + 1):
-        for wrong in LifecycleEvent:
-            expected = SEQUENCE[prefix_len] if prefix_len < len(SEQUENCE) else None
-            if wrong is expected:
-                continue
-            lc = Lifecycle()
-            for e in SEQUENCE[:prefix_len]:
-                lc.transition(e)
-            with pytest.raises(OrderError):
-                lc.transition(wrong)
-
-
-def test_acquire_before_initialize_and_double_shutdown():
-    lc = Lifecycle()
-    with pytest.raises(OrderError):
-        lc.transition(LifecycleEvent.ACQUIRE)
-    for e in SEQUENCE:
-        lc.transition(e)
-    with pytest.raises(OrderError):
-        lc.transition(LifecycleEvent.SHUTDOWN)
 
 
 def test_paging_factor_disabled_or_under_budget_is_one():
@@ -99,14 +52,14 @@ def test_negative_coefficients_rejected():
         CostModel(paging_penalty=-1.0)
 
 
-@pytest.mark.parametrize("field", ["crossing_cost_us", "paging_penalty"])
+@pytest.mark.parametrize("field", ["paging_penalty"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_coefficients_rejected(field, value):
     with pytest.raises(ValueError, match="finite"):
         CostModel(**{field: value})
 
 
-@pytest.mark.parametrize("field, kind", [("warmup_us", int), ("crossing_cost_us", float)])
+@pytest.mark.parametrize("field, kind", [("warmup_us", int)])
 def test_cost_model_times_are_at_most_one_day(field, kind):
     """One day, the longest ``--duration`` a report's interval rows are
     printed for, is accepted; one microsecond more is a ConfigError."""
