@@ -20,8 +20,9 @@ bucket's contentless rules whose header admits the packet: the header is
 decided there, once. ``prefilter`` is also the one place that splits payload
 from stream: an only-stream rule is a hit when its fast pattern is in the
 reassembled stream bytes, any other rule when it is in the payload. Phase 2
-(``evaluate_rule``) checks each candidate's flow constraints, then its
-payload options in rule order with relative anchoring.
+(``evaluate_rule``) checks each candidate's flow constraints, then whether
+some choice of match positions satisfies its payload options in rule order,
+with relative anchoring.
 
 Each analysed packet's payload is copied out of the pool once, as one
 ``bytes`` slice of the slab; the prefilter, phase 2 and in-order reassembly
@@ -176,30 +177,47 @@ def evaluate_rule(rule: Rule, ctx: PacketContext) -> bool:
     The header is not looked at: ``prefilter`` admitted the rule only for a
     packet its header matches. Stream-only rules evaluate against the newly
     reassembled bytes; everything else evaluates against the packet payload.
-    Content offsets/depths are measured from the anchor (buffer start, or end
-    of the previous match for relative options); a match must fit entirely
-    within the depth window.
+
+    The rule matches when some choice of match positions satisfies every
+    payload option in rule order, as in Snort. Content offsets/depths are
+    measured from the anchor (buffer start, or end of the previous content
+    match for relative options); a match must fit entirely within the depth
+    window. A byte test reads at its offset from the same anchor.
+
+    A first pass tries each content at its first occurrence only, so a rule
+    whose first choices match, or one without relative options, costs one
+    search per content. When that pass fails and a later option reads where
+    some content matched (``Rule.retried``), a search retries each such
+    content at its next occurrence, depth first, so a decoy copy of a rule's
+    first content cannot hide the real match. The search is memoised on
+    (option index, anchor), the fix Smith, Estan & Jha give for Snort's own
+    backtracking ("Backtracking Algorithmic Complexity Attacks Against a
+    NIDS", ACSAC 2006). Anchors reach each option in non-decreasing order, so
+    that memo is one frontier per retried content: the end of its last
+    window whose every occurrence failed. No occurrence is tried twice, and
+    the search costs at most about two ``find`` calls per option per buffer
+    byte.
     """
     if not _flow_matches(rule, ctx):
         return False
 
     buf = ctx.stream_bytes if rule.only_stream else ctx.payload  # _flow_matches saw a stream
-    end = len(buf)
+    # the single pass at first occurrences; the search only when it fails and could succeed
+    return _options_match(rule, buf, 0, None, None) or (True in rule.retried and _options_match(rule, buf, 0, None, {}))
 
-    anchor = None  # position just past the previous content match
-    for opt in rule.options:
-        if isinstance(opt, Content):
-            origin = anchor if (opt.relative and anchor is not None) else 0
-            start = origin + opt.offset
-            window_end = end if opt.depth is None else min(end, origin + opt.offset + opt.depth)
-            if start < 0 or window_end > end:
-                return False
-            pos = buf.find(opt.pattern, start, window_end)
-            if pos < 0:
-                return False
-            anchor = pos + len(opt.pattern)
-        elif isinstance(opt, ByteTest):
-            origin = anchor if (opt.relative and anchor is not None) else 0
+
+def _options_match(rule: Rule, buf: bytes, first: int, anchor: int | None, frontier: dict | None) -> bool:
+    """Whether ``rule.options[first:]`` match ``buf``, the previous content
+    match ending at ``anchor`` (None: no content matched yet). With
+    ``frontier`` None, each content is tried at its first occurrence only;
+    otherwise a retried content is tried at each occurrence in turn, and
+    ``frontier`` maps its index to the end of its last failed window."""
+    end = len(buf)
+    options = rule.options
+    for i in range(first, len(options)):
+        opt = options[i]
+        origin = anchor if (opt.relative and anchor is not None) else 0
+        if isinstance(opt, ByteTest):
             pos = origin + opt.offset
             if pos < 0 or pos + opt.nbytes > end:
                 return False
@@ -210,6 +228,26 @@ def evaluate_rule(rule: Rule, ctx: PacketContext) -> bool:
                 return False
             if opt.op == "=" and value != opt.value:
                 return False
+            continue
+        start = origin + opt.offset
+        window_end = end if opt.depth is None else min(end, start + opt.depth)
+        if start < 0:
+            return False
+        pattern = opt.pattern
+        if frontier is None or not rule.retried[i]:
+            pos = buf.find(pattern, start, window_end)
+            if pos < 0:
+                return False
+            anchor = pos + len(pattern)
+            continue
+        # occurrences that end by the last failed window's end have failed
+        pos = buf.find(pattern, max(start, frontier.get(i, 0) - len(pattern) + 1), window_end)
+        while pos >= 0:
+            if _options_match(rule, buf, i + 1, pos + len(pattern), frontier):
+                return True
+            pos = buf.find(pattern, pos + 1, window_end)
+        frontier[i] = window_end
+        return False
     return True
 
 

@@ -186,6 +186,22 @@ class Rule:
         return self.flow is not None and self.flow.only_stream
 
     @cached_property
+    def retried(self) -> tuple[bool, ...]:
+        """Per option: whether it is a content whose match position a later
+        option reads, through a relative option up to and including the next
+        content. Phase 2 retries such a content at its later occurrences."""
+        out = []
+        for i, opt in enumerate(self.options):
+            read = False
+            if isinstance(opt, Content):
+                for later in self.options[i + 1 :]:
+                    if later.relative or isinstance(later, Content):
+                        read = later.relative
+                        break
+            out.append(read)
+        return tuple(out)
+
+    @cached_property
     def blocks_in_inline(self) -> bool:
         """drop action, or a `policy ... drop` clause in metadata."""
         if self.action == "drop":

@@ -1,5 +1,5 @@
-"""Shared fixtures: rules corpus, the kernel set, random packet contexts, brute-force and phase-1
-oracles, and the run digests the golden schedule and sweep tests compare."""
+"""Shared fixtures: rules corpus, the kernel set, random packet contexts, brute-force, phase-1 and
+phase-2 oracles, and the run digests the golden schedule and sweep tests compare."""
 
 import hashlib
 import importlib.util
@@ -21,7 +21,7 @@ from ringids.detect import PacketContext, evaluate_rule, prefilter
 from ringids.harness.synth import build_ipv4_frame
 from ringids.flow import Flow, FlowState
 from ringids.packet import Direction, FiveTuple, PacketPool, Proto, canonical_key
-from ringids.rules import load_ruleset
+from ringids.rules import Content, load_ruleset
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = Path(__file__).parent / "data"
@@ -230,6 +230,38 @@ def brute_force_matches(compiled, ctx) -> set[int]:
     return {
         sid for sid, rule in compiled.rules.items() if header_matches(rule, ctx.tuple) and evaluate_rule(rule, ctx)
     }
+
+
+def reference_match(rule, buf: bytes) -> bool:
+    """Phase 2's payload options spelled out: whether some assignment of
+    match positions satisfies every option in rule order. It tries every
+    position of every content, so it may take exponential time, like
+    ``naive_scan``. A content's window starts at its offset from the anchor
+    (the end of the previous content match for a relative option, else the
+    buffer start) and, given a depth, ends that many bytes past its start; a
+    byte test reads at its offset from the same anchor."""
+    options = rule.options
+
+    def match(i: int, anchor: int | None) -> bool:
+        if i == len(options):
+            return True
+        opt = options[i]
+        origin = anchor if opt.relative and anchor is not None else 0
+        if isinstance(opt, Content):
+            pat = opt.pattern
+            lo = origin + opt.offset
+            hi = len(buf) if opt.depth is None else min(len(buf), lo + opt.depth)
+            return lo >= 0 and any(
+                buf[p : p + len(pat)] == pat and match(i + 1, p + len(pat)) for p in range(lo, hi - len(pat) + 1)
+            )
+        pos = origin + opt.offset
+        if pos < 0 or pos + opt.nbytes > len(buf):
+            return False
+        value = int.from_bytes(buf[pos : pos + opt.nbytes], "big")
+        holds = {">": value > opt.value, "<": value < opt.value, "=": value == opt.value}[opt.op]
+        return holds and match(i + 1, anchor)
+
+    return match(0, None)
 
 
 def reference_candidates(compiled, ctx) -> set[int]:

@@ -21,6 +21,7 @@ from conftest import (
     pipeline_matches,
     random_context,
     reference_candidates,
+    reference_match,
     reverse,
 )
 
@@ -50,7 +51,7 @@ from ringids.packet import (
     format_ip,
     parse_ip,
 )
-from ringids.rules import CompiledRuleSet, compile_ruleset, load_ruleset
+from ringids.rules import CompiledRuleSet, compile_ruleset, load_ruleset, parse_rule
 
 
 def compiled_of(*lines):
@@ -95,6 +96,51 @@ def test_relative_content_chain():
     # non-relative second content searches from the buffer start again
     line2 = 'alert tcp any any -> any any (content:"AB"; content:"CD", depth 2; sid:1;)'
     assert eval_single(line2, make_context(TCP_TUPLE, b"CDAB"))
+
+
+@pytest.mark.parametrize("payload, matches", [
+    (b"USER root\r\n", True),
+    (b"USER bob\r\nUSER root\r\n", True),  # a decoy first copy of the first content
+    (b"USER bob\r\nUSER rot\r\n", False),
+])
+def test_a_decoy_first_content_does_not_hide_the_match(payload, matches):
+    """A relative content is tried after each occurrence of the content it
+    follows, not only after the first."""
+    line = 'alert tcp any any -> any any (content:"USER "; content:"root", relative, depth 4; sid:1;)'
+    assert eval_single(line, make_context(TCP_TUPLE, payload)) is matches
+    assert reference_match(parse_rule(line), payload) is matches
+
+
+_PIECES = ("ab", "ba", "a", "b", "abab", "c")
+
+
+@st.composite
+def _rule_and_payload(draw):
+    """A rule of 1-4 payload options over a small alphabet, and a payload of
+    its pieces, so that contents occur many times and decoys are common."""
+    options = []
+    for _ in range(draw(st.integers(1, 4))):
+        relative = ", relative" if draw(st.integers(0, 2)) else ""
+        if draw(st.integers(0, 5)) == 0:
+            op, value, offset = draw(st.sampled_from("<>=")), draw(st.sampled_from((97, 98))), draw(st.integers(-1, 3))
+            options.append(f"byte_test: 1,{op},{value},{offset}{relative};")
+            continue
+        pattern = draw(st.sampled_from(_PIECES))
+        mods = relative
+        if draw(st.integers(0, 2)):
+            mods += f", depth {len(pattern) + draw(st.integers(0, 3))}"
+        if draw(st.integers(0, 3)) == 0:
+            mods += f", offset {draw(st.integers(0, 3))}"
+        options.append(f'content:"{pattern}"{mods};')
+    payload = "".join(draw(st.lists(st.sampled_from(_PIECES + ("x",)), min_size=2, max_size=16))).encode()
+    return f"alert tcp any any -> any any ({' '.join(options)} sid:1;)", payload
+
+
+@given(_rule_and_payload())
+def test_phase_two_matches_the_reference_over_every_choice_of_positions(case):
+    line, payload = case
+    rule = parse_rule(line)
+    assert evaluate_rule(rule, make_context(TCP_TUPLE, payload)) == reference_match(rule, payload)
 
 
 def test_byte_test_big_endian_and_strictness():

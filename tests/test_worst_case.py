@@ -5,9 +5,15 @@ one more packet costs against an explicit bound, so a change that makes the
 work grow with the attacker's input fails here on any host.
 """
 
+import pytest
+
+from ringids.detect import PacketContext, evaluate_rule
 from ringids.flow import SegmentBuffer
+from ringids.packet import FiveTuple, Proto
+from ringids.rules import parse_rule
 
 WORK_BOUND = 64  # reads of buffered runs per insert, whatever the buffer holds
+FINDS_PER_OPTION_BYTE = 2  # phase-2 searches per payload option per buffer byte
 
 
 class CountingList(list):
@@ -36,3 +42,30 @@ def test_retransmission_over_filled_holes_reads_a_bounded_number_of_runs():
     assert buf.insert(20_001, segment) == b""
     assert buf.pending_bytes == pending
     assert runs.reads <= WORK_BOUND, runs.reads
+
+
+class CountingBytes(bytes):
+    """Bytes that count their ``find`` calls."""
+
+    finds = 0
+
+    def find(self, *args):
+        self.finds += 1
+        return super().find(*args)
+
+
+@pytest.mark.parametrize("window", ["", ", depth 4"])
+def test_relative_contents_over_repeats_search_a_bounded_number_of_times(window):
+    """A first content and four relative ones, each a byte that fills a
+    1,460 B payload except the last, which never occurs. Every choice of
+    positions for the first four fails, about 1460**4 / 24 of them; the
+    memoised search tries each occurrence of each content once."""
+    rule = parse_rule(
+        'alert tcp any any -> any any (content:"a";'
+        + f' content:"a", relative{window};' * 3
+        + f' content:"b", relative{window}; sid:1;)'
+    )
+    payload = CountingBytes(b"a" * 1460)
+    assert not evaluate_rule(rule, PacketContext(FiveTuple(Proto.TCP, 1, 2, 3, 4), payload=payload))
+    bound = FINDS_PER_OPTION_BYTE * len(rule.options) * (len(payload) + 1)
+    assert 0 < payload.finds <= bound, (payload.finds, bound)
