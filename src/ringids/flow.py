@@ -27,10 +27,17 @@ table's callers must too.
 
 This module alone decides flow state. ``FlowTable.lookup_or_create`` takes
 the direction of a new flow's first packet as the initiator's, and a SYN
-seen while the flow is new names its sender instead. A SYN on a CLOSED flow
-opens a new connection on the same 5-tuple, so the table replaces the closed
-flow with a new one; a closed flow that sees no new SYN stays until its idle
-timeout. ``update_flow`` runs the state machine and returns the packet's
+seen while the flow is new names its sender instead. A FIN or RST counts
+only at a sequence number its sender could send, so that a spoofed packet
+cannot tear a connection down (Ptacek & Newsham's TCB teardown): a RST
+exactly at the direction's ``delivered_upto``, the next byte the detector
+expects from it (RFC 5961 3.2), and a FIN no more than
+``REASSEMBLY_CAP_BYTES`` past it. A direction with no anchor yet accepts
+either, and a rejected FIN or RST changes no state. FIN from both directions
+closes the flow, and an accepted RST closes it at once, since a reset ends
+both directions (RFC 9293 3.10.7.4). A SYN on a CLOSED flow opens a new
+connection on the same 5-tuple, so the table replaces the closed flow with a
+new one; a closed flow that sees no new SYN stays until its idle timeout. ``update_flow`` runs the state machine and returns the packet's
 direction record. A SYN takes one sequence number, so ``stream_seq`` places
 a segment's first stream byte one past a SYN's sequence number;
 ``update_flow`` anchors a direction's stream there at its first SYN, and the
@@ -41,7 +48,8 @@ A flow keeps one ``FlowSide`` record per direction (``Flow.fwd`` and
 a flow seen one way only, as most scan and flood flows are, never allocates
 the other, and "traffic in both directions" is "both records exist". The
 record holds all of a direction's state: its ``SegmentBuffer``, whether it
-sent FIN or RST (CLOSED needs both directions' flags), and what detection
+sent an accepted FIN or RST (a FIN closes the flow once both directions
+have sent one), and what detection
 decides once for the direction's 5-tuple, which is fixed while the flow
 lives: the contentless rules whose header admits it, filled by the analysis
 worker at the direction's first packet, and the alert line's endpoint text,
@@ -261,7 +269,7 @@ def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction) -> Flo
             return side
         if flags & TCP_SYN and side.buf.delivered_upto is None:
             side.buf.delivered_upto = stream_seq(desc)
-        _advance_tcp(flow, side, flags, direction)
+        _advance_tcp(flow, side, flags, desc.tcp_seq, direction)
     elif flow.state is NEW and flow.fwd is not None and flow.rev is not None:
         # connectionless: bidirectional traffic means established
         flow.state = ESTABLISHED
@@ -269,7 +277,7 @@ def update_flow(flow: Flow, desc: PacketDescriptor, direction: Direction) -> Flo
     return side
 
 
-def _advance_tcp(flow: Flow, side: FlowSide, flags: int, direction: Direction) -> None:
+def _advance_tcp(flow: Flow, side: FlowSide, flags: int, seq: int, direction: Direction) -> None:
     state = flow.state
     if flags & TCP_SYN and not flags & TCP_ACK:
         if state is NEW:
@@ -279,6 +287,15 @@ def _advance_tcp(flow: Flow, side: FlowSide, flags: int, direction: Direction) -
     if flags & TCP_SYN and flags & TCP_ACK:
         return  # handshake reply; established on the final ACK
     if flags & (TCP_FIN | TCP_RST):
+        upto = side.buf.delivered_upto  # None: no anchor, so any sequence number is accepted
+        if flags & TCP_RST:
+            if upto is not None and (seq - upto) & SEQ_MASK:
+                return  # only at the next expected sequence number (RFC 5961 3.2)
+            side.fin = True
+            flow.state = CLOSED  # a reset ends both directions (RFC 9293 3.10.7.4)
+            return
+        if upto is not None and (seq - upto) & SEQ_MASK > REASSEMBLY_CAP_BYTES:
+            return  # outside the sender's window
         side.fin = True
         if state is ESTABLISHED or state is SYN_SEEN or state is NEW:
             flow.state = CLOSING

@@ -448,17 +448,24 @@ def test_worker_tracks_flow_and_stream_rules():
 
 _ENDS = {"c": ("10.0.0.1", "10.0.0.2", 1000, 80), "s": ("10.0.0.2", "10.0.0.1", 80, 1000)}  # client, server
 _SYNACK, _FIN = TCP_SYN | TCP_ACK, TCP_FIN | TCP_ACK
-_HANDSHAKE = [("c", TCP_SYN), ("s", _SYNACK), ("c", TCP_ACK)]
+_HANDSHAKE = [("c", TCP_SYN), ("s", _SYNACK), ("c", TCP_ACK)]  # each side's stream starts at 101
+_C_FIN, _S_FIN, _S_RST = ("c", _FIN, 101, b""), ("s", _FIN, 101, b""), ("s", TCP_RST, 101, b"")
 
 
 @pytest.mark.parametrize("steps, want", [
     pytest.param(_HANDSHAKE, ("ESTABLISHED", True, "c", False), id="handshake"),
-    pytest.param(_HANDSHAKE + [("c", _FIN), ("s", _FIN)], ("CLOSED", True, "c", False), id="fin-both"),
-    pytest.param(_HANDSHAKE + [("c", _FIN), ("s", TCP_RST)], ("CLOSED", True, "c", False), id="rst-closes-like-fin"),
-    pytest.param(_HANDSHAKE + [("s", TCP_RST)], ("CLOSING", True, "c", False), id="rst-one-side"),
-    pytest.param(_HANDSHAKE + [("c", _FIN), ("c", _FIN)], ("CLOSING", True, "c", False), id="second-fin-same-side"),
-    pytest.param([("c", TCP_SYN), ("s", _SYNACK), ("s", _FIN), ("c", TCP_ACK)], ("CLOSING", False, "c", False),
+    pytest.param(_HANDSHAKE + [_C_FIN, _S_FIN], ("CLOSED", True, "c", False), id="fin-both"),
+    pytest.param(_HANDSHAKE + [_C_FIN, _S_RST], ("CLOSED", True, "c", False), id="rst-closes-like-fin"),
+    pytest.param(_HANDSHAKE + [_S_RST], ("CLOSED", True, "c", False), id="rst-one-side"),
+    pytest.param(_HANDSHAKE + [_C_FIN, _C_FIN], ("CLOSING", True, "c", False), id="second-fin-same-side"),
+    pytest.param([("c", TCP_SYN), ("s", _SYNACK), _S_FIN, ("c", TCP_ACK)], ("CLOSING", False, "c", False),
                  id="fin-before-final-ack"),
+    pytest.param(_HANDSHAKE + [("c", _FIN, 3_000_000_000, b"")], ("ESTABLISHED", True, "c", False),
+                 id="fin-off-window"),
+    pytest.param(_HANDSHAKE + [("s", TCP_RST, 102, b"")], ("ESTABLISHED", True, "c", False),
+                 id="rst-off-sequence"),
+    pytest.param(_HANDSHAKE + [_S_RST, ("c", TCP_SYN, 5000, b"")], ("SYN_SEEN", False, "c", False),
+                 id="syn-reopens-after-one-sided-rst"),
     pytest.param([("c", TCP_SYN, 99, b""), ("c", TCP_ACK, 300, b"DATA")], ("ESTABLISHED", True, "c", False),
                  id="syn-anchors-the-stream"),
     pytest.param([("c", TCP_SYN | TCP_FIN, 99, b""), ("c", TCP_ACK, 300, b"DATA")], ("NEW", False, "c", True),
@@ -478,7 +485,9 @@ def test_flow_state_after_a_flag_sequence(steps, want):
     datagram), then optionally a sequence number and a payload (by default
     100 and none). The last field is whether a payload reached the stream: a
     SYN anchors its side's stream one past its sequence number, so data far
-    past it waits in the buffer."""
+    past it waits in the buffer. So do a FIN and a RST: after a handshake at
+    the default sequence numbers each side's next byte is 101, where a RST
+    must sit and from which a FIN's window starts."""
     compiled = compiled_of('alert tcp any any -> any any (flow: only_stream; content:"DATA"; sid:1;)')
     worker, pool, _, sink = make_worker(compiled)
     for now, (side, flags, *segment) in enumerate(steps):
@@ -546,6 +555,54 @@ def test_syn_on_a_closed_flow_opens_a_new_connection():
     assert (table.created_total, table.evicted_total) == (2, 1)
     assert table.footprint_bytes == reopened.footprint_bytes
     assert pool.in_use_count() == 0
+
+
+_CLIENT, _SERVER = dict(sport=1000, dport=80), dict(src="10.0.0.2", dst="10.0.0.1", sport=80, dport=1000)
+
+
+def _sids_of(worker, pool, steps, now=0) -> list[int]:
+    """The sids a worker raises over ``steps`` of (ends, flags, seq, payload), one per microsecond."""
+    sids = []
+    for i, (ends, flags, seq, payload) in enumerate(steps):
+        desc = ingest(pool, payload=payload, flags=flags, seq=seq, **ends)
+        sids += [a.sid for a in worker.process_packet(desc, now + i)[1]]
+    return sids
+
+
+def test_a_reset_closes_the_flow_so_its_tuple_can_reopen():
+    """A handshake, ``GET /EVIL`` and a server RST at its next sequence
+    number alert, and the RST closes the flow for both directions. The same
+    exchange a second later, with new initial sequence numbers, alerts
+    again: its SYN replaces the closed flow."""
+    compiled = compiled_of('alert tcp any any -> any any (flow: established, only_stream; content:"EVIL"; sid:7;)')
+    worker, pool, _, _ = make_worker(compiled)
+
+    def connection(isn_c, isn_s):
+        return [(_CLIENT, TCP_SYN, isn_c, b""), (_SERVER, _SYNACK, isn_s, b""), (_CLIENT, TCP_ACK, isn_c + 1, b""),
+                (_CLIENT, TCP_ACK, isn_c + 1, b"GET /EVIL"), (_SERVER, TCP_RST, isn_s + 1, b"")]
+
+    assert _sids_of(worker, pool, connection(1000, 5000)) == [7]
+    assert [flow.state for flow in worker.flow_table] == [FlowState.CLOSED]
+    assert _sids_of(worker, pool, connection(90_000, 70_000), now=1_000_000) == [7]
+    assert (worker.flow_table.created_total, worker.flow_table.evicted_total) == (2, 1)
+
+
+@pytest.mark.parametrize("flags", [_FIN, TCP_RST], ids=["fin", "rst"])
+def test_a_spoofed_teardown_does_not_blind_the_stream(flags):
+    """A handshake and ``GET /``, then a FIN (or a RST) each way at sequence
+    numbers far outside either stream, then a SYN with a fresh initial
+    sequence number. The teardown is rejected, so the SYN opens nothing, and
+    the live connection's ``GET /EVILPATTERN`` at its own next sequence
+    number alerts."""
+    compiled = compiled_of(
+        'alert tcp any any -> any any (flow: established, only_stream; content:"EVILPATTERN"; sid:7;)')
+    worker, pool, _, _ = make_worker(compiled)
+    steps = [(_CLIENT, TCP_SYN, 100, b""), (_SERVER, _SYNACK, 500, b""), (_CLIENT, TCP_ACK, 101, b""),
+             (_CLIENT, TCP_ACK, 101, b"GET /"), (_CLIENT, flags, 3_000_000_000, b""),
+             (_SERVER, flags, 3_100_000_000, b""), (_CLIENT, TCP_SYN, 4_000_000, b""),
+             (_CLIENT, TCP_ACK, 106, b"GET /EVILPATTERN")]
+    assert _sids_of(worker, pool, steps) == [7]
+    assert [flow.state for flow in worker.flow_table] == [FlowState.ESTABLISHED]
 
 
 def test_alert_fast_format_exact():
