@@ -202,8 +202,9 @@ def evaluate_rule(rule: Rule, ctx: PacketContext) -> bool:
         return False
 
     buf = ctx.stream_bytes if rule.only_stream else ctx.payload  # _flow_matches saw a stream
-    # the single pass at first occurrences; the search only when it fails and could succeed
-    return _options_match(rule, buf, 0, None, None) or (True in rule.retried and _options_match(rule, buf, 0, None, {}))
+    if _options_match(rule, buf, 0, None, None):  # the single pass, at first occurrences
+        return True
+    return True in rule.retried and _options_match(rule, buf, 0, None, {})
 
 
 def _options_match(rule: Rule, buf: bytes, first: int, anchor: int | None, frontier: dict | None) -> bool:

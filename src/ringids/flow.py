@@ -37,8 +37,9 @@ either, and a rejected FIN or RST changes no state. FIN from both directions
 closes the flow, and an accepted RST closes it at once, since a reset ends
 both directions (RFC 9293 3.10.7.4). A SYN on a CLOSED flow opens a new
 connection on the same 5-tuple, so the table replaces the closed flow with a
-new one; a closed flow that sees no new SYN stays until its idle timeout. ``update_flow`` runs the state machine and returns the packet's
-direction record. A SYN takes one sequence number, so ``stream_seq`` places
+new one; a closed flow that sees no new SYN stays until its idle timeout.
+``update_flow`` runs the state machine and returns the packet's direction
+record. A SYN takes one sequence number, so ``stream_seq`` places
 a segment's first stream byte one past a SYN's sequence number;
 ``update_flow`` anchors a direction's stream there at its first SYN, and the
 worker hands ``FlowTable.reassemble`` the same position.
@@ -48,10 +49,9 @@ A flow keeps one ``FlowSide`` record per direction (``Flow.fwd`` and
 a flow seen one way only, as most scan and flood flows are, never allocates
 the other, and "traffic in both directions" is "both records exist". The
 record holds all of a direction's state: its ``SegmentBuffer``, whether it
-sent an accepted FIN or RST (a FIN closes the flow once both directions
-have sent one), and what detection
-decides once for the direction's 5-tuple, which is fixed while the flow
-lives: the contentless rules whose header admits it, filled by the analysis
+sent an accepted FIN (the flow closes once both directions have), and what
+detection decides once for the direction's 5-tuple, which is fixed while the
+flow lives: the contentless rules whose header admits it, filled by the analysis
 worker at the direction's first packet, and the alert line's endpoint text,
 filled at its first alert. So the headers are checked once per direction, not
 once per packet, as Suricata keeps a signature group per flow direction.
@@ -206,12 +206,12 @@ class SegmentBuffer:
 
 @dataclass(slots=True)
 class FlowSide:
-    """One direction of a flow: its reassembly buffer, whether it sent FIN or
-    RST, and what detection decides once for the direction's fixed 5-tuple
-    (see the module docstring)."""
+    """One direction of a flow: its reassembly buffer, whether it sent an
+    accepted FIN, and what detection decides once for the direction's fixed
+    5-tuple (see the module docstring)."""
 
     buf: SegmentBuffer = field(default_factory=SegmentBuffer)
-    fin: bool = False  # the direction sent FIN or RST
+    fin: bool = False  # the direction sent an accepted FIN
     candidates: tuple[int, ...] | None = None  # admitted contentless sids, sorted
     endpoints: str | None = None  # alert-line endpoint text, set at the first alert
 
@@ -291,7 +291,6 @@ def _advance_tcp(flow: Flow, side: FlowSide, flags: int, seq: int, direction: Di
         if flags & TCP_RST:
             if upto is not None and (seq - upto) & SEQ_MASK:
                 return  # only at the next expected sequence number (RFC 5961 3.2)
-            side.fin = True
             flow.state = CLOSED  # a reset ends both directions (RFC 9293 3.10.7.4)
             return
         if upto is not None and (seq - upto) & SEQ_MASK > REASSEMBLY_CAP_BYTES:

@@ -523,40 +523,6 @@ def test_syn_data_starts_one_past_its_sequence_number(syn_data):
     assert flow.side(direction).buf.pending_bytes == 0
 
 
-def test_syn_on_a_closed_flow_opens_a_new_connection():
-    """A handshake, ``GET /EVIL`` and FIN both ways alert. The same exchange
-    on the same 5-tuple a second later, with new initial sequence numbers,
-    alerts again: its SYN replaces the closed flow, so the new stream is not
-    reassembled against the old connection's sequence numbers."""
-    compiled = compiled_of('alert tcp any any -> any any (flow: established, only_stream; content:"EVIL"; sid:7;)')
-    worker, pool, _, _ = make_worker(compiled)
-    table = worker.flow_table
-    client = dict(sport=1000, dport=80)
-    server = dict(src="10.0.0.2", dst="10.0.0.1", sport=80, dport=1000)
-
-    def connection(now, isn_c, isn_s):
-        steps = [(client, TCP_SYN, isn_c, b""), (server, _SYNACK, isn_s, b""), (client, TCP_ACK, isn_c + 1, b""),
-                 (client, TCP_ACK, isn_c + 1, b"GET /EVIL"), (client, _FIN, isn_c + 10, b""),
-                 (server, _FIN, isn_s + 1, b"")]
-        sids = []
-        for i, (ends, flags, seq, payload) in enumerate(steps):
-            desc = ingest(pool, payload=payload, flags=flags, seq=seq, **ends)
-            sids += [a.sid for a in worker.process_packet(desc, now + i)[1]]
-        return sids
-
-    assert connection(0, 1000, 5000) == [7]
-    (closed,) = table
-    assert closed.state is FlowState.CLOSED
-    worker.process_packet(ingest(pool, payload=b"", flags=TCP_SYN | TCP_FIN, seq=90_000, **client), 10)
-    assert list(table) == [closed]  # a nonsensical SYN+FIN opens nothing
-    assert connection(1_000_000, 90_000, 70_000) == [7]
-    (reopened,) = table
-    assert reopened is not closed and reopened.state is FlowState.CLOSED
-    assert (table.created_total, table.evicted_total) == (2, 1)
-    assert table.footprint_bytes == reopened.footprint_bytes
-    assert pool.in_use_count() == 0
-
-
 _CLIENT, _SERVER = dict(sport=1000, dport=80), dict(src="10.0.0.2", dst="10.0.0.1", sport=80, dport=1000)
 
 
@@ -567,6 +533,33 @@ def _sids_of(worker, pool, steps, now=0) -> list[int]:
         desc = ingest(pool, payload=payload, flags=flags, seq=seq, **ends)
         sids += [a.sid for a in worker.process_packet(desc, now + i)[1]]
     return sids
+
+
+def test_syn_on_a_closed_flow_opens_a_new_connection():
+    """A handshake, ``GET /EVIL`` and FIN both ways alert. The same exchange
+    on the same 5-tuple a second later, with new initial sequence numbers,
+    alerts again: its SYN replaces the closed flow, so the new stream is not
+    reassembled against the old connection's sequence numbers."""
+    compiled = compiled_of('alert tcp any any -> any any (flow: established, only_stream; content:"EVIL"; sid:7;)')
+    worker, pool, _, _ = make_worker(compiled)
+    table = worker.flow_table
+
+    def connection(isn_c, isn_s):
+        return [(_CLIENT, TCP_SYN, isn_c, b""), (_SERVER, _SYNACK, isn_s, b""), (_CLIENT, TCP_ACK, isn_c + 1, b""),
+                (_CLIENT, TCP_ACK, isn_c + 1, b"GET /EVIL"), (_CLIENT, _FIN, isn_c + 10, b""),
+                (_SERVER, _FIN, isn_s + 1, b"")]
+
+    assert _sids_of(worker, pool, connection(1000, 5000)) == [7]
+    (closed,) = table
+    assert closed.state is FlowState.CLOSED
+    worker.process_packet(ingest(pool, payload=b"", flags=TCP_SYN | TCP_FIN, seq=90_000, **_CLIENT), 10)
+    assert list(table) == [closed]  # a nonsensical SYN+FIN opens nothing
+    assert _sids_of(worker, pool, connection(90_000, 70_000), now=1_000_000) == [7]
+    (reopened,) = table
+    assert reopened is not closed and reopened.state is FlowState.CLOSED
+    assert (table.created_total, table.evicted_total) == (2, 1)
+    assert table.footprint_bytes == reopened.footprint_bytes
+    assert pool.in_use_count() == 0
 
 
 def test_a_reset_closes_the_flow_so_its_tuple_can_reopen():
