@@ -184,37 +184,36 @@ def evaluate_rule(rule: Rule, ctx: PacketContext) -> bool:
     match for relative options); a match must fit entirely within the depth
     window. A byte test reads at its offset from the same anchor.
 
-    A first pass tries each content at its first occurrence only, so a rule
-    whose first choices match, or one without relative options, costs one
-    search per content. When that pass fails and a later option reads where
-    some content matched (``Rule.retried``), a search retries each such
-    content at its next occurrence, depth first, so a decoy copy of a rule's
+    Each content is tried at its first occurrence first, so a rule whose
+    first choices match, or one without relative options, costs one search
+    per content. When a later option reads where a content matched
+    (``Rule.retried``) and the rest of the rule fails, that content is
+    retried at its next occurrence, depth first, so a decoy copy of a rule's
     first content cannot hide the real match. The search is memoised on
     (option index, anchor), the fix Smith, Estan & Jha give for Snort's own
     backtracking ("Backtracking Algorithmic Complexity Attacks Against a
     NIDS", ACSAC 2006). Anchors reach each option in non-decreasing order, so
-    that memo is one frontier per retried content: the end of its last
-    window whose every occurrence failed. No occurrence is tried twice, and
-    the search costs at most about two ``find`` calls per option per buffer
-    byte.
+    that memo is one frontier per content: the end of its last window whose
+    every occurrence failed. No occurrence is tried twice, retrying stops
+    once the next content's frontier is the buffer's end, and the search
+    costs at most about two ``find`` calls per option per buffer byte.
     """
     if not _flow_matches(rule, ctx):
         return False
 
     buf = ctx.stream_bytes if rule.only_stream else ctx.payload  # _flow_matches saw a stream
-    if _options_match(rule, buf, 0, None, None):  # the single pass, at first occurrences
-        return True
-    return True in rule.retried and _options_match(rule, buf, 0, None, {})
+    return _options_match(rule, buf, 0, None, {})
 
 
-def _options_match(rule: Rule, buf: bytes, first: int, anchor: int | None, frontier: dict | None) -> bool:
+def _options_match(rule: Rule, buf: bytes, first: int, anchor: int | None, frontier: dict) -> bool:
     """Whether ``rule.options[first:]`` match ``buf``, the previous content
-    match ending at ``anchor`` (None: no content matched yet). With
-    ``frontier`` None, each content is tried at its first occurrence only;
-    otherwise a retried content is tried at each occurrence in turn, and
-    ``frontier`` maps its index to the end of its last failed window."""
+    match ending at ``anchor`` (None: no content matched yet). A retried
+    content is tried at each occurrence in turn; ``frontier`` maps a
+    content's index to the end of its last window whose every occurrence
+    failed."""
     end = len(buf)
     options = rule.options
+    retried = rule.retried
     for i in range(first, len(options)):
         opt = options[i]
         origin = anchor if (opt.relative and anchor is not None) else 0
@@ -235,9 +234,10 @@ def _options_match(rule: Rule, buf: bytes, first: int, anchor: int | None, front
         if start < 0:
             return False
         pattern = opt.pattern
-        if frontier is None or not rule.retried[i]:
+        if not retried[i]:
             pos = buf.find(pattern, start, window_end)
             if pos < 0:
+                frontier[i] = window_end
                 return False
             anchor = pos + len(pattern)
             continue
@@ -246,6 +246,8 @@ def _options_match(rule: Rule, buf: bytes, first: int, anchor: int | None, front
         while pos >= 0:
             if _options_match(rule, buf, i + 1, pos + len(pattern), frontier):
                 return True
+            if frontier.get(i + 1, -1) == end:  # the next content fails at every later anchor
+                break
             pos = buf.find(pattern, pos + 1, window_end)
         frontier[i] = window_end
         return False

@@ -69,3 +69,15 @@ def test_relative_contents_over_repeats_search_a_bounded_number_of_times(window)
     assert not evaluate_rule(rule, PacketContext(FiveTuple(Proto.TCP, 1, 2, 3, 4), payload=payload))
     bound = FINDS_PER_OPTION_BYTE * len(rule.options) * (len(payload) + 1)
     assert 0 < payload.finds <= bound, (payload.finds, bound)
+
+
+def test_a_relative_content_that_fails_for_good_stops_the_retries():
+    """The corpus's common shape, a content and a relative one with no
+    depth, on a 1,460 B payload that holds the second content first and
+    then 1,456 copies of the first. Once the second content is not found
+    past the first copy, no later copy can help, so the search makes one
+    ``find`` per option, not about two per copy."""
+    rule = parse_rule('alert tcp any any -> any any (content:"a"; content:"ZZZZ", relative; sid:1;)')
+    payload = CountingBytes(b"ZZZZ" + b"a" * 1456)
+    assert not evaluate_rule(rule, PacketContext(FiveTuple(Proto.TCP, 1, 2, 3, 4), payload=payload))
+    assert payload.finds == len(rule.options), payload.finds
