@@ -28,12 +28,15 @@ table's callers must too.
 This module alone decides flow state. ``FlowTable.lookup_or_create`` takes
 the direction of a new flow's first packet as the initiator's, and a SYN
 seen while the flow is new names its sender instead. A FIN or RST counts
-only at a sequence number its sender could send, so that a spoofed packet
-cannot tear a connection down (Ptacek & Newsham's TCB teardown): a RST
-exactly at the direction's ``delivered_upto``, the next byte the detector
-expects from it (RFC 5961 3.2), and a FIN no more than
-``REASSEMBLY_CAP_BYTES`` past it. A direction with no anchor yet accepts
-either, and a rejected FIN or RST changes no state. FIN from both directions
+only at a sequence number its sender could send, so that an off-path
+sender, who does not know the connection's sequence numbers, cannot tear it
+down (Ptacek & Newsham's TCB teardown): a RST exactly at the direction's
+``delivered_upto``, the next byte the detector expects from it (RFC 5961
+3.2), or one past it once the direction has sent its FIN, which takes a
+sequence number; and a FIN no more than ``REASSEMBLY_CAP_BYTES`` past it.
+An endpoint of the connection knows both directions' numbers, so the checks
+do not stop it. A direction with no anchor yet accepts either, and a
+rejected FIN or RST changes no state. FIN from both directions
 closes the flow, and an accepted RST closes it at once, since a reset ends
 both directions (RFC 9293 3.10.7.4). A SYN on a CLOSED flow opens a new
 connection on the same 5-tuple, so the table replaces the closed flow with a
@@ -289,8 +292,8 @@ def _advance_tcp(flow: Flow, side: FlowSide, flags: int, seq: int, direction: Di
     if flags & (TCP_FIN | TCP_RST):
         upto = side.buf.delivered_upto  # None: no anchor, so any sequence number is accepted
         if flags & TCP_RST:
-            if upto is not None and (seq - upto) & SEQ_MASK:
-                return  # only at the next expected sequence number (RFC 5961 3.2)
+            if upto is not None and (seq - upto - side.fin) & SEQ_MASK:
+                return  # only at the next expected sequence number, past a FIN (RFC 5961 3.2)
             flow.state = CLOSED  # a reset ends both directions (RFC 9293 3.10.7.4)
             return
         if upto is not None and (seq - upto) & SEQ_MASK > REASSEMBLY_CAP_BYTES:

@@ -457,6 +457,8 @@ _C_FIN, _S_FIN, _S_RST = ("c", _FIN, 101, b""), ("s", _FIN, 101, b""), ("s", TCP
     pytest.param(_HANDSHAKE + [_C_FIN, _S_FIN], ("CLOSED", True, "c", False), id="fin-both"),
     pytest.param(_HANDSHAKE + [_C_FIN, _S_RST], ("CLOSED", True, "c", False), id="rst-closes-like-fin"),
     pytest.param(_HANDSHAKE + [_S_RST], ("CLOSED", True, "c", False), id="rst-one-side"),
+    pytest.param(_HANDSHAKE + [_C_FIN, ("c", TCP_RST, 102, b"")], ("CLOSED", True, "c", False),
+                 id="rst-past-its-own-fin"),
     pytest.param(_HANDSHAKE + [_C_FIN, _C_FIN], ("CLOSING", True, "c", False), id="second-fin-same-side"),
     pytest.param([("c", TCP_SYN), ("s", _SYNACK), _S_FIN, ("c", TCP_ACK)], ("CLOSING", False, "c", False),
                  id="fin-before-final-ack"),
