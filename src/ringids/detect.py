@@ -201,6 +201,8 @@ def evaluate_rule(rule: Rule, ctx: PacketContext) -> bool:
     if not _flow_matches(rule, ctx):
         return False
 
+    if not rule.options:  # contentless: no search to call, no memo to build
+        return True
     buf = ctx.stream_bytes if rule.only_stream else ctx.payload  # _flow_matches saw a stream
     return _options_match(rule, buf, 0, None, {})
 
