@@ -489,7 +489,8 @@ def test_flow_state_after_a_flag_sequence(steps, want):
     SYN anchors its side's stream one past its sequence number, so data far
     past it waits in the buffer. So do a FIN and a RST: after a handshake at
     the default sequence numbers each side's next byte is 101, where a RST
-    must sit and from which a FIN's window starts."""
+    must sit (102 once its side has sent a FIN) and from which a FIN's window
+    starts."""
     compiled = compiled_of('alert tcp any any -> any any (flow: only_stream; content:"DATA"; sid:1;)')
     worker, pool, _, sink = make_worker(compiled)
     for now, (side, flags, *segment) in enumerate(steps):
