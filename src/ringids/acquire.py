@@ -110,7 +110,9 @@ class AcquisitionWorker:
         except DecodeError:
             self.stats.decode_failed += 1
             return -1
-        idx = self.ring_for(desc.tuple)
+        idx = self._ring_of.get(desc.tuple)  # ring_for's memo, read here on a hit
+        if idx is None:
+            idx = self.ring_for(desc.tuple)
         if not self.rx_rings[idx].enqueue(desc):
             self.pool.release(desc.slot)
             self.stats.dropped += 1
@@ -124,11 +126,12 @@ class AcquisitionWorker:
         tx_ring = self.tx_ring
         if tx_ring is None:
             return 0
-        pool, sink, pop = self.pool, self.sink, tx_ring.popleft
+        pop, frame, release = tx_ring.popleft, self.pool.frame, self.pool.release
+        write = self.sink.write if self.sink is not None else None
         n = len(tx_ring)
         for _ in range(n):
             desc = pop()
-            if sink is not None:
-                sink.write(pool.frame(desc.slot, desc.frame_len))
-            pool.release(desc.slot)
+            if write is not None:
+                write(frame(desc.slot, desc.frame_len))
+            release(desc.slot)
         return n

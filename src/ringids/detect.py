@@ -8,7 +8,9 @@ own schedule, driven by those times (see ``flow``). The worker decides no
 flow state itself: the flow table names a new flow's initiator,
 ``update_flow`` advances the state and returns the direction's record, and
 ``stream_seq`` gives the sequence number a segment is reassembled at, one
-past a SYN's. The compiled ruleset is shared read-only. The only shared
+past a SYN's. A descriptor comes from untrusted memory, so the worker
+checks its bounds before it reads the pool (see ``process_packet``). The
+compiled ruleset is shared read-only. The only shared
 mutable structures a worker touches are the pool's free list and, inline,
 the transmit deque that every worker appends allowed descriptors to. Both
 are ``collections.deque`` objects, whose ``append`` is thread-safe, so no
@@ -73,6 +75,7 @@ RULE_TEXT_MEMO_ENTRIES = 4_096  # rules whose alert text is kept
 _NO_HITS: frozenset[int] = frozenset()
 _new = tuple.__new__  # builds an Alert from fields known to be valid
 _PROTO_LABEL = {proto: proto.name for proto in Proto}  # alert-line protocol text
+REJECT = "reject"  # the verdict on a descriptor that fails the worker's check
 
 
 @dataclass(slots=True)
@@ -112,6 +115,7 @@ class WorkerStats:
     no packet is analysed without flow context."""
 
     analyzed: int = 0
+    rejected: int = 0  # descriptors that failed the check, dropped unread
     alerts: int = 0
     blocked: int = 0
     candidates_evaluated: int = 0
@@ -310,6 +314,7 @@ class AnalysisWorker:
         self.useless_mode = useless_mode
         self.stats = WorkerStats()
         self._buf = pool.raw()
+        self._slots = pool.capacity
 
     def _finish(self, desc: PacketDescriptor, verdict: str) -> None:
         if verdict == "allow" and self.tx_ring is not None:
@@ -319,19 +324,42 @@ class AnalysisWorker:
 
     def process_packet(self, desc: PacketDescriptor, now_us: int) -> tuple[str, list[Alert]]:
         """Analyze one dequeued descriptor at time ``now_us``; returns
-        (verdict, alerts). Flow state and alert timestamps use ``now_us``."""
+        (verdict, alerts). Flow state and alert timestamps use ``now_us``.
+
+        The descriptor comes from untrusted memory, so it is checked before
+        any field is used, in two stages. Stage one, on every descriptor:
+        ``0 <= slot < pool.capacity`` and ``0 <= frame_len <= SLOT_SIZE``,
+        before useless mode returns, because that releases or forwards the
+        slot. Stage two, on the analysis path only: ``0 <= payload_offset``,
+        ``0 <= payload_len``, ``payload_offset + payload_len <= frame_len``,
+        and ``proto`` is a ``Proto`` member. These bounds are the security
+        check: they keep every read inside the descriptor's own slot. The
+        pool's ownership byte sits in untrusted memory too, so checking it
+        would catch only a buggy acquirer, and it is not checked. A
+        descriptor that fails never raises and never touches the pool: it
+        counts in ``stats.rejected`` and gets the verdict ``REJECT``."""
         stats = self.stats
-        stats.analyzed += 1
-        stats.analyzed_bytes += desc.frame_len
+        frame_len = desc.frame_len
+        if not (0 <= desc.slot < self._slots and 0 <= frame_len <= SLOT_SIZE):
+            stats.rejected += 1
+            return REJECT, []
         if self.useless_mode:
+            stats.analyzed += 1
+            stats.analyzed_bytes += frame_len
             self._finish(desc, "allow")
             return "allow", []
 
         t = desc.tuple
+        offset = desc.payload_offset
+        if not 0 <= offset <= offset + desc.payload_len <= frame_len or t.proto.__class__ is not Proto:
+            stats.rejected += 1
+            return REJECT, []
+        stats.analyzed += 1
+        stats.analyzed_bytes += frame_len
         key, direction = canonical_key(t)
         flow = self.flow_table.lookup_or_create(key, direction, now_us, desc.tcp_flags)
         side = update_flow(flow, desc, direction)
-        base = desc.slot * SLOT_SIZE + desc.payload_offset
+        base = desc.slot * SLOT_SIZE + offset
         payload = self._buf[base : base + desc.payload_len]  # the packet's one payload copy
         stream = None
         if payload and t.proto is TCP:

@@ -4,12 +4,15 @@ One pipeline driver, two schedulers. ``_Step`` holds the work both share:
 ``offer`` hands one frame to the acquisition side and ``serve`` has a worker
 analyse one dequeued descriptor at the time the scheduler passes in (the
 verdict, the timing model's cost, stretched by the paging factor when the
-cost model is on); both count into
-fixed-width intervals (3 seconds each), with ``+=`` on per-interval
-``defaultdict`` tables. The base and stretched cost sums that give an
-interval's paging share are kept only when a cost model is set; without one
-the share is 0, and a useless-mode worker's cost is a constant, so it reads
-no candidate or alert counts. In both, the acquisition side alone
+cost model is on). Neither counts anything per frame. The report's
+fixed-width intervals (3 seconds each) come from the layers' own counters
+(``AcquireStats``, ``WorkerStats``): each side's ``_Tally`` credits what
+its counters gained to the interval it was in, when its time first reaches
+the next interval edge and once at the end. The base and stretched cost
+sums that give an interval's paging share are added per descriptor, and
+only when a cost model is set; without one the share is 0, and a
+useless-mode worker's cost is a constant, so it reads no candidate or alert
+counts. In both, the acquisition side alone
 drains the inline TX deque to the sink, a burst at a time as DPDK's
 ``rte_eth_tx_buffer`` does. Each descriptor on it holds a slot, so the pool
 bounds it and nothing ever waits on it. ``offer`` drains once
@@ -44,8 +47,8 @@ where the time comes from and in who calls the step:
 Neither scheduler expires flows: each worker's flow table sweeps its idle
 flows itself, on the times the scheduler hands the worker (see ``flow``).
 
-Reports carry run totals, throughput, and the interval records of drop rate
-and paging activity.
+Reports carry run totals, throughput, the interval records of drop rate
+and paging activity, and the count of reassembly gaps flushed.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from dataclasses import dataclass, field
 from ..acquire import AcquisitionWorker
 from ..boundary import CostModel, paging_factor, trusted_footprint
 from ..clock import CounterClock
-from ..detect import AnalysisWorker
+from ..detect import REJECT, AnalysisWorker
 from ..matching import kernel_name
 from ..packet import PacketPool
 from ..ring import ConfigError, Ring
@@ -167,7 +170,7 @@ class ReportTotals:
     received: int = 0
     analyzed: int = 0
     allowed: int = 0
-    dropped: int = 0  # ring-full drops plus malformed frames
+    dropped: int = 0  # ring-full drops, malformed frames and descriptors a worker rejected
     blocked: int = 0
     alerts: int = 0
     decode_failed: int = 0
@@ -184,6 +187,7 @@ class Report:
     intervals: list[IntervalRecord]
     config: dict
     rule_errors: list[tuple[int, ParseError]] = field(default_factory=list)  # (line, error) per rejected rule
+    reassembly_flushes: int = 0  # gaps flushed to keep a flow's reassembly buffer under its cap
 
     def validate(self) -> None:
         t = self.totals
@@ -204,6 +208,7 @@ class Report:
             f"  dropped  : {t.dropped} (malformed: {t.decode_failed})",
             f"  blocked  : {t.blocked}",
             f"  alerts   : {t.alerts}",
+            f"  flushed  : {self.reassembly_flushes} reassembly gaps",
             f"  elapsed  : {self.elapsed_us / 1e6:.3f} s",
             f"  rate     : {self.pps:,.0f} pkt/s, {self.bps / 1e6:,.2f} Mbit/s",
             "",
@@ -341,8 +346,7 @@ class Engine:
 class _IntervalAccumulator:
     """Per-interval counts; each thread of a run fills its own, merged after.
 
-    The tables are ``defaultdict``s, so a count is one ``+=``; readers use
-    ``get``, which adds no entry.
+    The tables are ``defaultdict``s; readers use ``get``, which adds no entry.
     """
 
     def __init__(self):
@@ -364,8 +368,61 @@ class _IntervalAccumulator:
         return max((idx for table in vars(self).values() for idx in table), default=-1)
 
 
+class _Tally:
+    """One side's own counters, credited to ``acc``'s interval tables at the
+    side's interval edges.
+
+    ``read`` returns the side's running counts, one per table named in
+    ``tables``. A side's time never goes back, so its scheduler calls
+    ``cross`` at the first time at or past ``edge``: what the counts gained
+    since the last edge goes to ``idx``, the interval the side was in, and
+    the side moves to that time's interval. ``close`` credits the rest once
+    the side is done. Only a count that grew writes its table, so a table
+    gets an entry exactly where one ``+=`` per event would have made one.
+    """
+
+    __slots__ = ("acc", "idx", "edge", "read", "tables", "last")
+
+    def __init__(self, acc: _IntervalAccumulator, read, tables: tuple[str, ...]):
+        self.acc = acc
+        self.idx = 0
+        self.edge = INTERVAL_US  # start of the next interval
+        self.read = read
+        self.tables = [getattr(acc, name) for name in tables]
+        self.last = read()
+
+    def cross(self, t_us: float) -> None:
+        self.close()
+        self.idx = idx = int(t_us // INTERVAL_US)
+        self.edge = (idx + 1) * INTERVAL_US
+
+    def close(self) -> None:
+        counts, idx = self.read(), self.idx
+        for table, n, before in zip(self.tables, counts, self.last):
+            if n != before:
+                table[idx] += n - before
+        self.last = counts
+
+
+def _intake_tally(engine: Engine, acc: _IntervalAccumulator) -> _Tally:
+    """The acquisition side's tally: frames received, and frames dropped or malformed."""
+    s = engine.acquirer.stats
+    return _Tally(acc, lambda: (s.received, s.dropped + s.decode_failed), ("received", "dropped"))
+
+
+def _worker_tally(worker: AnalysisWorker, acc: _IntervalAccumulator) -> _Tally:
+    """A worker's tally: descriptors analysed, descriptors rejected (dropped) and alerts."""
+    s = worker.stats
+    return _Tally(acc, lambda: (s.analyzed, s.rejected, s.alerts), ("analyzed", "dropped", "alerts"))
+
+
 class _Step:
     """The per-frame and per-descriptor work both schedulers share.
+
+    It counts nothing itself: the acquisition worker and the analysis
+    workers count their own events, and each side's ``_Tally`` turns those
+    counts into interval counts at its interval edges. Only the cost sums
+    are kept per descriptor, when a cost model is set.
 
     It expires no flows: each worker's flow table bounds itself and sweeps
     its idle flows on the packet times it is handed."""
@@ -384,33 +441,35 @@ class _Step:
         self.tx_ring = acq.tx_ring
         self.tx_burst = cfg.burst_size  # inline: the acquisition side drains TX once this many wait
 
-    def offer(self, frame, now_us: int, idx: int, acc: _IntervalAccumulator) -> None:
+    def offer(self, frame, now_us: int) -> None:
         """Acquisition side: decode and dispatch one frame; drain TX once a burst waits."""
-        acc.received[idx] += 1
-        if self.ingest(frame, now_us) < 0:
-            acc.dropped[idx] += 1
+        self.ingest(frame, now_us)
         tx = self.tx_ring
         if tx is not None and len(tx) >= self.tx_burst:
             self.drain_tx()
 
-    def serve(self, i: int, desc, now_us: int, idx: int, acc: _IntervalAccumulator) -> tuple[float, float]:
+    def serve(self, i: int, desc, now_us: int, tally: _Tally) -> tuple[float, float]:
         """Worker ``i`` analyses one descriptor; returns its base and
-        paging-stretched cost in microseconds."""
+        paging-stretched cost in microseconds. A useless-mode descriptor
+        costs the mode's constant, rejected or not; any other descriptor the
+        worker rejects costs nothing. With a cost model, both costs are
+        added to the interval ``tally`` is in."""
         w = self.workers[i]
         base = self.useless_cost
         if base is None:
             stats = w.stats
             cand0 = stats.candidates_evaluated
-            _, alerts = w.process_packet(desc, now_us)
-            base = self.packet_cost(desc.payload_len, stats.candidates_evaluated - cand0, len(alerts))
-            if alerts:
-                acc.alerts[idx] += len(alerts)
+            verdict, alerts = w.process_packet(desc, now_us)
+            if verdict is REJECT:
+                base = 0.0
+            else:
+                base = self.packet_cost(desc.payload_len, stats.candidates_evaluated - cand0, len(alerts))
         else:
             w.process_packet(desc, now_us)
-        acc.analyzed[idx] += 1
         if self.factor is None:
             return base, base
         cost = base * self.factor()
+        acc, idx = tally.acc, tally.idx
         acc.base_us[idx] += base
         acc.stretched_us[idx] += cost
         return base, cost
@@ -434,17 +493,22 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
     own per-frame cost when unpaced), workers modeled as queue servers whose
     next-free time advances by the stretched per-packet cost.
 
-    The schedule is one thread, so the driver tests each ring's truth value
-    to skip empty rings. Acquisition time strictly increases (``acquire_us >
-    0``), so every descriptor waiting when a frame is offered at ``upto``
-    arrived before it, and a worker starts its next one before ``upto``
-    exactly when its own time is before ``upto``.
+    The schedule is one thread, so every side's tally writes the one
+    accumulator. Acquisition time strictly increases (``acquire_us > 0``),
+    so every descriptor waiting when a frame is offered at ``upto`` arrived
+    before it, and a worker starts its next one before ``upto`` exactly
+    when its own time is before ``upto``: the driver visits a worker only
+    when its ring holds work and its time is before the frame's. Each side
+    crosses an interval edge at the first frame or descriptor at or past
+    it, and every tally closes once the last worker is done.
     """
     cfg = engine.config
     model = cfg.cost_model
     step = _Step(engine)
     serve = step.serve
     acc = _IntervalAccumulator()
+    intake = _intake_tally(engine, acc)
+    tallies = [_worker_tally(w, acc) for w in engine.workers]
     warm_end = float(model.warmup_us) if step.factor is not None else 0.0
 
     rx_rings = engine.rx_rings
@@ -455,29 +519,41 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
     acquire_us = cfg.timing.acquire_us
 
     def drain_worker(i: int, upto: float) -> None:
-        ring = rx_rings[i]
-        while ring and worker_t[i] < upto:
+        ring, tally, t = rx_rings[i], tallies[i], worker_t[i]
+        while ring and t < upto:
             desc = ring.dequeue()
-            start = max(worker_t[i], float(desc.arrival_us))
-            _, cost = serve(i, desc, int(start), int(start // INTERVAL_US), acc)
-            worker_t[i] = start + cost
+            arrival = desc.arrival_us
+            start = float(arrival) if arrival > t else t
+            if start >= tally.edge:
+                tally.cross(start)
+            t = start + serve(i, desc, int(start), tally)[1]
+        worker_t[i] = t
 
     offer = step.offer
+    acq_edge = intake.edge
+    lanes = list(enumerate(rx_rings))  # built once: enumerate would build a tuple per ring per frame
     for offered, frame in enumerate(_frames(engine.source, workload.packet_count, cfg.burst_size)):
         if rate > 0:
-            t_acq = max(t_acq + acquire_us, offered * 1e6 / rate)
+            due, t_acq = offered * 1e6 / rate, t_acq + acquire_us
+            if due > t_acq:  # max(t_acq + acquire_us, due), without the call
+                t_acq = due
         else:
             t_acq += acquire_us
         if duration_us is not None and t_acq > duration_us:
             break
-        for i, ring in enumerate(rx_rings):
-            if ring:
+        for i, ring in lanes:
+            if ring and worker_t[i] < t_acq:
                 drain_worker(i, t_acq)
-        offer(frame, int(t_acq), int(t_acq // INTERVAL_US), acc)
+        if t_acq >= acq_edge:
+            intake.cross(t_acq)
+            acq_edge = intake.edge
+        offer(frame, int(t_acq))
 
     for i in range(len(rx_rings)):
         drain_worker(i, math.inf)
     step.drain_tx()
+    for tally in [intake, *tallies]:
+        tally.close()
     end_us = max([t_acq] + worker_t)
     return int(math.ceil(end_us)), acc, {}
 
@@ -485,7 +561,11 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
 def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccumulator, dict]:
     """Threaded execution against the counter clock; intervals and elapsed
     time come from the untrusted wall clock, as an external harness would
-    measure them. With a cost model, no worker dequeues before the warm-up
+    measure them. Each thread has its own accumulator and tallies; the
+    acquisition side crosses an interval edge at the first frame it offers
+    past it, a worker at the first burst it dequeues past it, and the
+    calling thread closes every tally once the workers have exited. With a
+    cost model, no worker dequeues before the warm-up
     window ends: ``warmup_us`` after the run starts, as in the sim run;
     if acquisition raises, the workers stop waiting and exit at once.
     Refuses a free-threaded interpreter before any thread starts: the pool's
@@ -504,13 +584,11 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
     done = threading.Event()  # acquisition has offered its last frame
     abort = threading.Event()  # acquisition raised: no worker waits out the warm-up
     accs = [_IntervalAccumulator() for _ in rx_rings]
+    tallies = [_worker_tally(w, a) for w, a in zip(engine.workers, accs)]
     errors: list[Exception] = []
 
-    def interval() -> int:
-        return int((time.monotonic() - t0) * 1e6 // INTERVAL_US)
-
     def work(i: int) -> None:
-        ring, acc, serve = rx_rings[i], accs[i], step.serve
+        ring, tally, serve = rx_rings[i], tallies[i], step.serve
         try:
             warming = warm_end_s - (time.monotonic() - t0)
             if warming > 0 and abort.wait(warming):
@@ -523,10 +601,12 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
                         return
                     time.sleep(0)
                     continue
-                idx = interval()
+                now_us = (time.monotonic() - t0) * 1e6
+                if now_us >= tally.edge:
+                    tally.cross(now_us)
                 stretch = 0.0
                 for desc in descs:
-                    base, cost = serve(i, desc, clock.now_us(), idx, acc)
+                    base, cost = serve(i, desc, clock.now_us(), tally)
                     stretch += cost - base
                 if stretch > 0:
                     time.sleep(stretch / 1e6)
@@ -538,6 +618,7 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
         t.start()
 
     acc = _IntervalAccumulator()
+    intake = _intake_tally(engine, acc)
     rate, duration_s = cfg.rate_pps, workload.duration_s
     try:
         for offered, frame in enumerate(_frames(engine.source, workload.packet_count, cfg.burst_size)):
@@ -548,7 +629,9 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
                 now = offered / rate
             if duration_s is not None and now > duration_s:
                 break
-            step.offer(frame, clock.now_us(), interval(), acc)
+            if now * 1e6 >= intake.edge:
+                intake.cross(now * 1e6)
+            step.offer(frame, clock.now_us())
     except BaseException:
         abort.set()
         raise
@@ -563,6 +646,8 @@ def _real_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAcc
 
     step.drain_tx()  # a worker exits only on an empty ring, so TX alone can hold frames
     end = time.monotonic()
+    for tally in [intake, *tallies]:
+        tally.close()
     for other in accs:
         acc.merge(other)
     rates = {
@@ -608,11 +693,12 @@ def _build_report(
     analyzed_bytes = sum(w.stats.analyzed_bytes for w in engine.workers)
     blocked = sum(w.stats.blocked for w in engine.workers)
     alerts = sum(w.stats.alerts for w in engine.workers)
+    rejected = sum(w.stats.rejected for w in engine.workers)
     totals = ReportTotals(
         received=acq.received,
         analyzed=analyzed,
         allowed=analyzed - blocked,
-        dropped=acq.dropped + acq.decode_failed,
+        dropped=acq.dropped + acq.decode_failed + rejected,
         blocked=blocked,
         alerts=alerts,
         decode_failed=acq.decode_failed,
@@ -663,6 +749,7 @@ def _build_report(
         mean_frame_bits=mean_frame_bits,
         intervals=intervals,
         rule_errors=list(engine.ruleset.errors),
+        reassembly_flushes=sum(w.flow_table.buffer_limit_events for w in engine.workers),
         config={
             "workload": {
                 "kind": workload.kind,

@@ -428,6 +428,90 @@ def test_useless_mode_skips_analysis():
     assert len(worker.flow_table) == 0
 
 
+# --- descriptors from a hostile acquirer ---------------------------------
+
+SECRET_RULE = 'alert tcp any any -> any any (msg:"secret"; content:"SECRET"; sid:9;)'
+
+# each forgery of a good descriptor, as a hostile acquisition side could hand it over
+FORGERIES = {
+    "offset back one slot": lambda d: d._replace(payload_offset=d.payload_offset - packet.SLOT_SIZE),
+    "slot past the pool": lambda d: d._replace(slot=99),
+    "payload past the frame": lambda d: d._replace(payload_len=d.frame_len + packet.SLOT_SIZE),
+    "proto not a member": lambda d: d._replace(tuple=d.tuple._replace(proto=99)),
+    "frame past its slot": lambda d: d._replace(frame_len=packet.SLOT_SIZE + 1),
+    "negative slot": lambda d: d._replace(slot=-1),
+}
+
+
+def _guarded_worker(inline=False, useless=False):
+    """A worker over the SECRET rule whose 72-slot pool records every slot released."""
+    worker, pool, tx, sink = make_worker(compiled_of(SECRET_RULE), inline=inline, useless=useless)
+    released = []
+    release = pool.release
+    pool.release = lambda slot: released.append(slot) or release(slot)
+    return worker, pool, tx, sink, released
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGERIES))
+def test_a_forged_descriptor_is_dropped_unread(forgery):
+    """Slot 0 and slot 2 hold another flow's ``SECRET``, and the good
+    descriptor in slot 1 holds none. Each forgery of the good descriptor
+    points its read outside its own slot, or names no protocol: the worker
+    reads nothing, raises nothing, alerts nothing, leaves the pool alone and
+    counts the descriptor as rejected."""
+    worker, pool, tx, sink, released = _guarded_worker()
+    ingest(pool, payload=b"SECRET" * 4, sport=7)
+    good = ingest(pool, payload=b"nothing here", sport=1000)
+    ingest(pool, payload=b"SECRET" * 4, sport=7)
+    assert good.slot == 1
+    verdict, alerts = worker.process_packet(FORGERIES[forgery](good), 5)
+    assert alerts == [] and sink.alerts == []
+    assert worker.stats.analyzed == 0 and len(worker.flow_table) == 0
+    assert released == [] and pool.in_use_count() == 3
+    assert (verdict, worker.stats.rejected) == (detect.REJECT, 1)
+    verdict, alerts = worker.process_packet(good, 6)  # the good one, untouched, still analyses
+    assert (verdict, alerts, released) == ("allow", [], [good.slot])
+
+
+@pytest.mark.parametrize("forgery", ["slot past the pool", "frame past its slot", "negative slot"])
+def test_useless_mode_checks_the_slot_before_forwarding(forgery):
+    """Useless mode forwards every descriptor, so it checks the slot and the
+    frame length first: a forged one is neither forwarded nor released."""
+    worker, pool, tx, _, released = _guarded_worker(inline=True, useless=True)
+    good = ingest(pool, payload=b"x")
+    assert worker.process_packet(FORGERIES[forgery](good), 0) == (detect.REJECT, [])
+    assert len(tx) == 0 and released == []
+    assert (worker.stats.analyzed, worker.stats.rejected) == (0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([None, None, *sorted(FORGERIES)]),
+                          st.sampled_from([b"", b"hello", b"xSECRETx", b"SECRET" * 50]),
+                          st.integers(1000, 1003)),
+                min_size=1, max_size=40))
+def test_a_hostile_acquirer_changes_nothing_for_the_good_descriptors(steps):
+    """Forged and good descriptors mixed: nothing raises, no forged one is
+    analysed, only the good descriptors' slots are released, and the good
+    descriptors raise exactly the alerts they raise with no forgery among
+    them."""
+    worker, pool, _, _, released = _guarded_worker()
+    clean, clean_pool, _, _, _ = _guarded_worker()
+    good_slots, good_sids, clean_sids = [], [], []
+    for now, (forgery, payload, sport) in enumerate(steps):
+        desc = ingest(pool, payload=payload, sport=sport, seq=1 + now * 300)
+        if forgery is not None:
+            assert worker.process_packet(FORGERIES[forgery](desc), now) == (detect.REJECT, [])
+            continue
+        good_slots.append(desc.slot)
+        good_sids.append([a.sid for a in worker.process_packet(desc, now)[1]])
+        twin = ingest(clean_pool, payload=payload, sport=sport, seq=1 + now * 300)
+        clean_sids.append([a.sid for a in clean.process_packet(twin, now)[1]])
+    forged = sum(f is not None for f, _, _ in steps)
+    assert (worker.stats.analyzed, worker.stats.rejected) == (len(steps) - forged, forged)
+    assert released == good_slots
+    assert good_sids == clean_sids
+
+
 def test_worker_tracks_flow_and_stream_rules():
     compiled = compiled_of(HEARTBLEED_RULE)
     worker, pool, _, sink = make_worker(compiled)

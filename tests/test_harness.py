@@ -19,7 +19,7 @@ from sweep import DIGESTS_PATH, run_config
 
 from ringids.boundary import CostModel
 from ringids.detect import AnalysisWorker
-from ringids import flow
+from ringids import acquire, flow
 from ringids.flow import FlowTable
 from ringids.harness import runner
 from ringids.harness.cli import main as cli_main
@@ -55,7 +55,7 @@ from ringids.harness.synth import (
     craft_payload,
     gen_synth,
 )
-from ringids.packet import PacketPool, PoolExhausted, UnsupportedL3, canonical_key, decode
+from ringids.packet import TCP_ACK, TCP_SYN, PacketPool, PoolExhausted, UnsupportedL3, canonical_key, decode
 from ringids.rules import load_ruleset, load_ruleset_file
 
 
@@ -681,6 +681,65 @@ def test_smallflows_pcap_characteristics():
     assert len(keys) == 1209
     mean = sum(len(f) for f in frames) / len(frames)
     assert abs(mean - 646) < 25
+
+
+def test_real_clock_intervals_sum_to_the_totals_across_edges(monkeypatch):
+    """A paced real-clock replay over several 40 ms intervals: the
+    acquisition side and each worker cross the edges on their own
+    threads, and the interval series still sums to the totals."""
+    monkeypatch.setattr(runner, "INTERVAL_US", 40_000)
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=16, packet_count=600, seed=8,
+                      attack_sid=900, attack_rate=0.05)
+    config = base_config(n_workers=2, clock_mode="real", rate_pps=3000.0, rules_text=DROP_INJECTED)
+    report = run_with_watchdog(lambda: run_experiment(wl, config), timeout_s=30)
+    t = report.totals
+    assert len(report.intervals) >= 2 and t.received == 600 and t.alerts > 0
+    for name in ("received", "analyzed", "dropped", "alerts"):
+        assert sum(getattr(iv, name) for iv in report.intervals) == getattr(t, name), name
+
+
+def test_a_rejected_descriptor_counts_as_dropped_in_its_interval(monkeypatch):
+    """An acquisition side that hands every seventh descriptor over with a
+    slot past the pool, its real slot freed first: the workers reject those
+    unread, and each counts in its interval's ``dropped`` and the totals'."""
+    real = acquire.decode
+    n = itertools.count()
+
+    def hostile(frame, arrival_us, pool):
+        desc = real(frame, arrival_us, pool)
+        if next(n) % 7:
+            return desc
+        pool.release(desc.slot)
+        return desc._replace(slot=pool.capacity + 3)
+
+    monkeypatch.setattr(acquire, "decode", hostile)
+    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=16, duration_s=7.0, repeat=True, seed=2)
+    report = run_experiment(wl, base_config(n_workers=2, rate_pps=1000.0))
+    t = report.totals
+    assert len(report.intervals) == 3
+    assert t.dropped == -(-t.received // 7) and t.decode_failed == 0
+    assert t.analyzed == t.received - t.dropped
+    assert sum(iv.dropped for iv in report.intervals) == t.dropped
+    assert all(iv.dropped > 0 for iv in report.intervals)
+
+
+def test_reassembly_flushes_reach_the_report(tmp_path, monkeypatch):
+    """A SYN, then 60 segments of 1,400 B each behind a one-byte hole: the
+    pending bytes pass the reassembly cap, so gaps are flushed, and the
+    report carries and prints the count, outside the digested totals."""
+    flushes = []
+    flush = flow.SegmentBuffer.flush_oldest_gap
+    monkeypatch.setattr(flow.SegmentBuffer, "flush_oldest_gap", lambda buf: flushes.append(1) or flush(buf))
+    client, server = (0x0A000001, 1000), (0x0A000002, 80)
+    frames = [build_ipv4_tcp_frame(*client, *server, flags=TCP_SYN, seq=0)]
+    frames += [build_ipv4_tcp_frame(*client, *server, flags=TCP_ACK, seq=2 + k * 1401, payload=b"s" * 1400)
+               for k in range(60)]
+    path = tmp_path / "gaps.pcap"
+    pcap_write(path, frames)
+    report = run_experiment(WorkloadSpec(kind="pcap", pcap_path=str(path)), base_config(n_workers=2))
+    assert report.totals.analyzed == 61
+    assert report.reassembly_flushes == len(flushes) > 0
+    assert f"flushed  : {len(flushes)} reassembly gaps" in report.to_text()
 
 
 # --- CLI ------------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""Work per hostile input, pinned by counts, not timings.
+"""Work per input, pinned by counts, not timings.
 
-Each test builds an input an outside sender can choose and counts the work
+Most tests build an input an outside sender can choose and count the work
 one more packet costs against an explicit bound, so a change that makes the
-work grow with the attacker's input fails here on any host.
+work grow with the attacker's input fails here on any host. The last counts
+the driver's own bookkeeping per frame.
 """
 
 import pytest
 
+from conftest import CORPUS_PATH
+
 from ringids.detect import PacketContext, evaluate_rule
 from ringids.flow import SegmentBuffer
+from ringids.harness import EngineConfig, WorkloadSpec, run_experiment, runner
 from ringids.packet import FiveTuple, Proto
 from ringids.rules import parse_rule
 
@@ -81,3 +85,49 @@ def test_a_relative_content_that_fails_for_good_stops_the_retries():
     payload = CountingBytes(b"ZZZZ" + b"a" * 1456)
     assert not evaluate_rule(rule, PacketContext(FiveTuple(Proto.TCP, 1, 2, 3, 4), payload=payload))
     assert payload.finds == len(rule.options), payload.finds
+
+
+class CountingTable(dict):
+    """An interval table that counts the writes made to it; a missing key
+    reads as the table's zero without adding an entry."""
+
+    def __init__(self, zero, writes: list):
+        super().__init__()
+        self.zero = zero
+        self.writes = writes
+
+    def __missing__(self, key):
+        return self.zero
+
+    def __setitem__(self, key, value):
+        self.writes.append(key)
+        super().__setitem__(key, value)
+
+
+def test_a_run_writes_each_interval_table_once_per_side_per_interval(monkeypatch):
+    """20,000 frames, offered and served within one 3 s interval by the
+    acquisition side and two workers: each interval table is written at
+    most once per side per interval, not once per frame, and a table that
+    several sides write sums their counts."""
+    writes: dict[str, list] = {}
+    init = runner._IntervalAccumulator.__init__
+
+    def counting(acc):
+        init(acc)
+        for name, table in vars(acc).items():
+            setattr(acc, name, CountingTable(table.default_factory(), writes.setdefault(name, [])))
+
+    monkeypatch.setattr(runner._IntervalAccumulator, "__init__", counting)
+    wl = WorkloadSpec(kind="synth", packet_size=200, n_flows=64, packet_count=20_000, seed=3,
+                      attack_sid=30514, attack_rate=0.01)
+    config = EngineConfig(n_workers=2, rules_path=str(CORPUS_PATH), ring_capacity=64)
+    report = run_experiment(wl, config)
+    t = report.totals
+    assert t.received == 20_000
+    assert t.alerts > 0 and t.dropped > 0  # every counted table is written
+    (iv,) = report.intervals
+    assert (iv.received, iv.analyzed, iv.dropped, iv.alerts) == (t.received, t.analyzed, t.dropped, t.alerts)
+    sides = 1 + config.n_workers  # acquisition and each worker
+    for name in ("received", "dropped", "analyzed", "alerts"):
+        assert 0 < len(writes[name]) <= sides, (name, len(writes[name]))
+    assert writes["base_us"] == writes["stretched_us"] == []  # kept per descriptor, with a cost model only
