@@ -531,7 +531,7 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
 
     offer = step.offer
     acq_edge = intake.edge
-    lanes = list(enumerate(rx_rings))  # built once: enumerate would build a tuple per ring per frame
+    lanes = list(zip(range(len(rx_rings)), rx_rings, tallies))
     for offered, frame in enumerate(_frames(engine.source, workload.packet_count, cfg.burst_size)):
         if rate > 0:
             due, t_acq = offered * 1e6 / rate, t_acq + acquire_us
@@ -541,9 +541,16 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
             t_acq += acquire_us
         if duration_us is not None and t_acq > duration_us:
             break
-        for i, ring in lanes:
-            if ring and worker_t[i] < t_acq:
-                drain_worker(i, t_acq)
+        for i, ring, tally in lanes:  # drain_worker(i, t_acq) for each, inlined: one call less per frame
+            t = worker_t[i]
+            while ring and t < t_acq:
+                desc = ring.dequeue()
+                arrival = desc.arrival_us
+                start = float(arrival) if arrival > t else t
+                if start >= tally.edge:
+                    tally.cross(start)
+                t = start + serve(i, desc, int(start), tally)[1]
+            worker_t[i] = t
         if t_acq >= acq_edge:
             intake.cross(t_acq)
             acq_edge = intake.edge
