@@ -84,11 +84,13 @@ class AcquisitionWorker:
     def ring_for(self, tuple_: FiveTuple) -> int:
         """Ring index of a 5-tuple: ``select_ring(rss_hash(t), n)``, memoised."""
         idx = self._ring_of.get(tuple_)
-        if idx is None:
-            if len(self._ring_of) >= RING_MEMO_ENTRIES:
-                self._ring_of.clear()
-            idx = select_ring(rss_hash(tuple_), len(self.rx_rings))
-            self._ring_of[tuple_] = idx
+        return self._dispatch(tuple_) if idx is None else idx
+
+    def _dispatch(self, tuple_: FiveTuple) -> int:
+        """``ring_for`` on a memo miss: hash the tuple and memoise its ring."""
+        if len(self._ring_of) >= RING_MEMO_ENTRIES:
+            self._ring_of.clear()
+        idx = self._ring_of[tuple_] = select_ring(rss_hash(tuple_), len(self.rx_rings))
         return idx
 
     def ingest_frame(self, frame, arrival_us: int) -> int:
@@ -110,9 +112,9 @@ class AcquisitionWorker:
         except DecodeError:
             self.stats.decode_failed += 1
             return -1
-        idx = self._ring_of.get(desc.tuple)  # ring_for's memo, read here on a hit
+        idx = self._ring_of.get(desc.tuple)  # ring_for, without its call on a memo hit
         if idx is None:
-            idx = self.ring_for(desc.tuple)
+            idx = self._dispatch(desc.tuple)
         if not self.rx_rings[idx].enqueue(desc):
             self.pool.release(desc.slot)
             self.stats.dropped += 1

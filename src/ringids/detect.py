@@ -336,8 +336,12 @@ class AnalysisWorker:
         check: they keep every read inside the descriptor's own slot. The
         pool's ownership byte sits in untrusted memory too, so checking it
         would catch only a buggy acquirer, and it is not checked. A
-        descriptor that fails never raises and never touches the pool: it
-        counts in ``stats.rejected`` and gets the verdict ``REJECT``."""
+        descriptor that fails counts in ``stats.rejected`` and gets the
+        verdict ``REJECT``. One that fails stage one names no slot the
+        worker can trust: it never raises and never touches the pool. One
+        that fails stage two names a slot inside the pool, and the worker
+        releases it as it releases any dropped packet's, so the pool keeps
+        its size and the shutdown check that every slot came home holds."""
         stats = self.stats
         frame_len = desc.frame_len
         if not (0 <= desc.slot < self._slots and 0 <= frame_len <= SLOT_SIZE):
@@ -353,6 +357,7 @@ class AnalysisWorker:
         offset = desc.payload_offset
         if not 0 <= offset <= offset + desc.payload_len <= frame_len or t.proto.__class__ is not Proto:
             stats.rejected += 1
+            self._finish(desc, REJECT)
             return REJECT, []
         stats.analyzed += 1
         stats.analyzed_bytes += frame_len

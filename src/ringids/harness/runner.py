@@ -59,6 +59,7 @@ import threading
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ..acquire import AcquisitionWorker
 from ..boundary import CostModel, paging_factor, trusted_footprint
@@ -500,7 +501,9 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
     when its own time is before ``upto``: the driver visits a worker only
     when its ring holds work and its time is before the frame's. Each side
     crosses an interval edge at the first frame or descriptor at or past
-    it, and every tally closes once the last worker is done.
+    it. Past the last frame (or the duration) the same pass runs once more
+    with no frame and no time limit, draining every ring, and every tally
+    closes once the last worker is done.
     """
     cfg = engine.config
     model = cfg.cost_model
@@ -518,32 +521,27 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
     rate = cfg.rate_pps
     acquire_us = cfg.timing.acquire_us
 
-    def drain_worker(i: int, upto: float) -> None:
-        ring, tally, t = rx_rings[i], tallies[i], worker_t[i]
-        while ring and t < upto:
-            desc = ring.dequeue()
-            arrival = desc.arrival_us
-            start = float(arrival) if arrival > t else t
-            if start >= tally.edge:
-                tally.cross(start)
-            t = start + serve(i, desc, int(start), tally)[1]
-        worker_t[i] = t
-
     offer = step.offer
     acq_edge = intake.edge
+    inf = math.inf
     lanes = list(zip(range(len(rx_rings)), rx_rings, tallies))
-    for offered, frame in enumerate(_frames(engine.source, workload.packet_count, cfg.burst_size)):
-        if rate > 0:
-            due, t_acq = offered * 1e6 / rate, t_acq + acquire_us
-            if due > t_acq:  # max(t_acq + acquire_us, due), without the call
-                t_acq = due
+    frames = enumerate(_frames(engine.source, workload.packet_count, cfg.burst_size))
+    for offered, frame in chain(frames, [(-1, None)]):  # None: no frame left, so every ring drains
+        if frame is None:
+            upto = inf
         else:
-            t_acq += acquire_us
-        if duration_us is not None and t_acq > duration_us:
-            break
-        for i, ring, tally in lanes:  # drain_worker(i, t_acq) for each, inlined: one call less per frame
+            if rate > 0:
+                due, t_acq = offered * 1e6 / rate, t_acq + acquire_us
+                if due > t_acq:  # max(t_acq + acquire_us, due), without the call
+                    t_acq = due
+            else:
+                t_acq += acquire_us
+            upto = t_acq
+            if duration_us is not None and t_acq > duration_us:
+                frame, upto = None, inf  # past the duration: offer nothing more
+        for i, ring, tally in lanes:
             t = worker_t[i]
-            while ring and t < t_acq:
+            while ring and t < upto:
                 desc = ring.dequeue()
                 arrival = desc.arrival_us
                 start = float(arrival) if arrival > t else t
@@ -551,13 +549,13 @@ def _sim_run(engine: Engine, workload: WorkloadSpec) -> tuple[int, _IntervalAccu
                     tally.cross(start)
                 t = start + serve(i, desc, int(start), tally)[1]
             worker_t[i] = t
+        if frame is None:
+            break
         if t_acq >= acq_edge:
             intake.cross(t_acq)
             acq_edge = intake.edge
         offer(frame, int(t_acq))
 
-    for i in range(len(rx_rings)):
-        drain_worker(i, math.inf)
     step.drain_tx()
     for tally in [intake, *tallies]:
         tally.close()

@@ -452,13 +452,19 @@ def _guarded_worker(inline=False, useless=False):
     return worker, pool, tx, sink, released
 
 
+# forgeries that name no slot inside the pool, or a frame longer than a slot
+STAGE_ONE = {"slot past the pool", "frame past its slot", "negative slot"}
+
+
 @pytest.mark.parametrize("forgery", sorted(FORGERIES))
 def test_a_forged_descriptor_is_dropped_unread(forgery):
     """Slot 0 and slot 2 hold another flow's ``SECRET``, and the good
     descriptor in slot 1 holds none. Each forgery of the good descriptor
     points its read outside its own slot, or names no protocol: the worker
-    reads nothing, raises nothing, alerts nothing, leaves the pool alone and
-    counts the descriptor as rejected."""
+    reads nothing, raises nothing, alerts nothing and counts the descriptor
+    as rejected. A forgery that names no slot inside the pool leaves the
+    pool alone, and the good descriptor still analyses; any other names
+    slot 1, and the worker releases it."""
     worker, pool, tx, sink, released = _guarded_worker()
     ingest(pool, payload=b"SECRET" * 4, sport=7)
     good = ingest(pool, payload=b"nothing here", sport=1000)
@@ -467,13 +473,16 @@ def test_a_forged_descriptor_is_dropped_unread(forgery):
     verdict, alerts = worker.process_packet(FORGERIES[forgery](good), 5)
     assert alerts == [] and sink.alerts == []
     assert worker.stats.analyzed == 0 and len(worker.flow_table) == 0
-    assert released == [] and pool.in_use_count() == 3
     assert (verdict, worker.stats.rejected) == (detect.REJECT, 1)
+    if forgery not in STAGE_ONE:
+        assert released == [good.slot] and pool.in_use_count() == 2
+        return
+    assert released == [] and pool.in_use_count() == 3
     verdict, alerts = worker.process_packet(good, 6)  # the good one, untouched, still analyses
     assert (verdict, alerts, released) == ("allow", [], [good.slot])
 
 
-@pytest.mark.parametrize("forgery", ["slot past the pool", "frame past its slot", "negative slot"])
+@pytest.mark.parametrize("forgery", sorted(STAGE_ONE))
 def test_useless_mode_checks_the_slot_before_forwarding(forgery):
     """Useless mode forwards every descriptor, so it checks the slot and the
     frame length first: a forged one is neither forwarded nor released."""
@@ -491,24 +500,26 @@ def test_useless_mode_checks_the_slot_before_forwarding(forgery):
                 min_size=1, max_size=40))
 def test_a_hostile_acquirer_changes_nothing_for_the_good_descriptors(steps):
     """Forged and good descriptors mixed: nothing raises, no forged one is
-    analysed, only the good descriptors' slots are released, and the good
-    descriptors raise exactly the alerts they raise with no forgery among
-    them."""
+    analysed, a slot is released for each good descriptor and each forgery
+    that names a slot inside the pool, and the good descriptors raise
+    exactly the alerts they raise with no forgery among them."""
     worker, pool, _, _, released = _guarded_worker()
     clean, clean_pool, _, _, _ = _guarded_worker()
-    good_slots, good_sids, clean_sids = [], [], []
+    slots, good_sids, clean_sids = [], [], []
     for now, (forgery, payload, sport) in enumerate(steps):
         desc = ingest(pool, payload=payload, sport=sport, seq=1 + now * 300)
         if forgery is not None:
             assert worker.process_packet(FORGERIES[forgery](desc), now) == (detect.REJECT, [])
+            if forgery not in STAGE_ONE:
+                slots.append(desc.slot)
             continue
-        good_slots.append(desc.slot)
+        slots.append(desc.slot)
         good_sids.append([a.sid for a in worker.process_packet(desc, now)[1]])
         twin = ingest(clean_pool, payload=payload, sport=sport, seq=1 + now * 300)
         clean_sids.append([a.sid for a in clean.process_packet(twin, now)[1]])
     forged = sum(f is not None for f, _, _ in steps)
     assert (worker.stats.analyzed, worker.stats.rejected) == (len(steps) - forged, forged)
-    assert released == good_slots
+    assert released == slots
     assert good_sids == clean_sids
 
 

@@ -698,29 +698,44 @@ def test_real_clock_intervals_sum_to_the_totals_across_edges(monkeypatch):
         assert sum(getattr(iv, name) for iv in report.intervals) == getattr(t, name), name
 
 
-def test_a_rejected_descriptor_counts_as_dropped_in_its_interval(monkeypatch):
-    """An acquisition side that hands every seventh descriptor over with a
-    slot past the pool, its real slot freed first: the workers reject those
-    unread, and each counts in its interval's ``dropped`` and the totals'."""
+def _past_the_pool(desc, pool):
+    pool.release(desc.slot)  # the forgery names another slot, so free the real one
+    return desc._replace(slot=pool.capacity + 3)
+
+
+def _past_the_frame(desc, pool):
+    return desc._replace(payload_len=desc.frame_len + 1)
+
+
+@pytest.mark.parametrize("forge", [_past_the_pool, _past_the_frame])
+@pytest.mark.parametrize("clock_mode", ["sim", "real"])
+def test_a_rejected_descriptor_counts_as_dropped_in_its_interval(monkeypatch, forge, clock_mode):
+    """An acquisition side that forges every seventh descriptor: with a slot
+    past the pool (its real slot freed first), or with a payload past its
+    frame. The workers reject those unread, the run still reports (so every
+    pool slot came home), and each counts in its interval's ``dropped`` and
+    the totals'."""
     real = acquire.decode
     n = itertools.count()
 
     def hostile(frame, arrival_us, pool):
         desc = real(frame, arrival_us, pool)
-        if next(n) % 7:
-            return desc
-        pool.release(desc.slot)
-        return desc._replace(slot=pool.capacity + 3)
+        return forge(desc, pool) if next(n) % 7 == 0 else desc
 
     monkeypatch.setattr(acquire, "decode", hostile)
-    wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=16, duration_s=7.0, repeat=True, seed=2)
-    report = run_experiment(wl, base_config(n_workers=2, rate_pps=1000.0))
+    if clock_mode == "sim":
+        wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=16, duration_s=7.0, repeat=True, seed=2)
+    else:
+        wl = WorkloadSpec(kind="synth", packet_size=64, n_flows=16, packet_count=300, seed=2)
+    config = base_config(n_workers=2, rate_pps=1000.0, clock_mode=clock_mode)
+    report = run_with_watchdog(lambda: run_experiment(wl, config), timeout_s=30)
     t = report.totals
-    assert len(report.intervals) == 3
     assert t.dropped == -(-t.received // 7) and t.decode_failed == 0
     assert t.analyzed == t.received - t.dropped
     assert sum(iv.dropped for iv in report.intervals) == t.dropped
-    assert all(iv.dropped > 0 for iv in report.intervals)
+    if clock_mode == "sim":
+        assert len(report.intervals) == 3
+        assert all(iv.dropped > 0 for iv in report.intervals)
 
 
 def test_reassembly_flushes_reach_the_report(tmp_path, monkeypatch):
